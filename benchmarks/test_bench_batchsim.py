@@ -1,8 +1,8 @@
-"""Bit-parallel kernel throughput and campaign speedup.
+"""Lane-parallel kernel throughput and campaign speedup.
 
-Times the 64-lane batch kernel against the scalar two-phase simulator
-(cycles/sec, all 64 lanes counted) and the full fault campaign in
-sequential vs lane-parallel mode.  The lane-parallel campaign must be
+Times the 64-lane compiled simulator against the scalar two-phase
+simulator (cycles/sec, all 64 lanes counted) and the full fault
+campaign in sequential vs lane-parallel mode.  The lane-parallel campaign must be
 at least 10x faster on the Fig. 5 dual-EHB target *and* produce a
 byte-identical JSON report -- speed never buys a different answer.
 """
@@ -11,9 +11,10 @@ import time
 
 import pytest
 
+from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.targets import TARGETS
-from repro.rtl.batchsim import BatchSimulator, pack_stimulus
+from repro.rtl.batchsim import pack_stimulus
 from repro.rtl.simulator import TwoPhaseSimulator
 
 LANES = 64
@@ -57,7 +58,11 @@ def test_bench_scalar_kernel(benchmark):
 def test_bench_batch_kernel_64_lanes(benchmark):
     target = TARGETS["dual_ehb"]()
     packed = pack_stimulus(_stimulus(target, 200, LANES))
-    sim = BatchSimulator(target.netlist, lanes=LANES)
+    sim = CompiledSimulator(
+        target.netlist, LANES,
+        hooks=frozenset(target.fault_sites),
+        observe=frozenset(target.observe),
+    )
 
     def run():
         sim.reset()

@@ -1,146 +1,26 @@
-"""Compiled-backend gates: generated modules vs the interpreted kernel.
+"""Build-cache gate: a warm artifact loads faster than a cold build.
 
-Benches the :mod:`repro.codegen` backend against ``BatchSimulator`` on
-the Fig. 5-7 controller netlists (dual-EHB, join, early join, fork,
-passive buffer, variable latency) at 64 and 256 lanes, and gates the
-headline claim: with a **warm build cache** (zero codegen during the
-timed region, asserted via the cache hit/miss counters) the compiled
-fault campaign must deliver >= 1.5x the throughput of the batch engine
-at 256 lanes while producing a byte-identical JSON report.
+The compiled simulator is the only lane-parallel engine, so there is no
+second kernel to race it against; its campaign throughput is gated
+against the scalar harness in ``test_bench_batchsim.py`` and measured
+end to end by the ledger (``benchmarks/ledger``).  This file gates the
+cache itself: a second load of the same artifact must skip codegen and
+beat the cold build.
 
 The Sect. 7 processor campaign is included as reference timing only:
 that pipeline is modelled behaviourally (controllers stepping Python
-objects, no gate netlist exists to elaborate), so the compiled backend
-structurally does not apply to it.
+objects, no gate netlist exists to elaborate), so the compiled
+simulator structurally does not apply to it.
 """
 
 import time
 
-import pytest
-
 from repro.codegen.cache import BuildCache, process_stats
-from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import (
-    CampaignConfig,
     ProcessorCampaignConfig,
-    run_campaign,
     run_processor_campaign,
 )
 from repro.faults.targets import TARGETS
-from repro.rtl.batchsim import BatchSimulator, pack_stimulus
-
-# Fig. 5: dual_ehb; Fig. 6: join, early_join, fork; Fig. 7: passive, vl.
-FIG_TARGETS = ["dual_ehb", "join", "early_join", "fork", "passive", "vl"]
-KERNEL_CYCLES = 150
-CONFIG = CampaignConfig(
-    cycles=300, seed=2007, kinds=("stuck0", "stuck1", "flip"),
-    untestable_analysis=False,
-)
-
-
-@pytest.fixture(scope="module")
-def cache(tmp_path_factory):
-    return BuildCache(tmp_path_factory.mktemp("codegen-cache"))
-
-
-def _stimulus(target, cycles, lanes):
-    import random
-
-    return [
-        [
-            {name: rng.getrandbits(1) for name in target.free_inputs}
-            for _ in range(cycles)
-        ]
-        for rng in (random.Random(f"bench:{lane}") for lane in range(lanes))
-    ]
-
-
-def _best(fn, repeats=3):
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
-
-
-@pytest.mark.parametrize("lanes", [64, 256])
-@pytest.mark.parametrize("name", FIG_TARGETS)
-def test_bench_compiled_kernel(benchmark, cache, name, lanes):
-    """Raw cycle throughput, same stimulus, same observed planes."""
-    target = TARGETS[name]()
-    packed = pack_stimulus(_stimulus(target, KERNEL_CYCLES, lanes))
-    batch = BatchSimulator(target.netlist, lanes=lanes)
-    sim = CompiledSimulator(
-        target.netlist, lanes,
-        hooks=frozenset(target.fault_sites),
-        observe=frozenset(target.observe),
-        cache=cache,
-    )
-
-    def run_batch():
-        batch.reset()
-        for inputs in packed:
-            batch.cycle(inputs)
-
-    def run_compiled():
-        sim.reset()
-        for inputs in packed:
-            sim.cycle(inputs)
-
-    batch_s = _best(run_batch)
-    benchmark(run_compiled)
-    compiled_s = benchmark.stats.stats.mean
-    speedup = batch_s / compiled_s
-
-    # same end-of-cycle planes on every observed wire, both engines
-    for sig in sorted(target.observe):
-        want = (batch.value_planes[batch.slot(sig)],
-                batch.known_planes[batch.slot(sig)])
-        assert sim.planes(sig) == want, sig
-
-    benchmark.extra_info["lanes"] = lanes
-    benchmark.extra_info["batch_s"] = round(batch_s, 4)
-    benchmark.extra_info["speedup_vs_batch"] = round(speedup, 2)
-    print(f"\n{name}@{lanes}: batch {batch_s:.4f}s, "
-          f"compiled {compiled_s:.4f}s, speedup {speedup:.1f}x")
-    if name == "dual_ehb":
-        assert speedup >= 1.5
-
-
-@pytest.mark.parametrize("lanes", [64, 256])
-def test_bench_campaign_compiled(benchmark, cache, lanes):
-    """The acceptance gate: >= 1.5x campaign throughput at 256 lanes,
-    warm cache, byte-identical report, zero rebuilds while timed."""
-    warm = run_campaign(
-        "dual_ehb", CONFIG, lanes=lanes, backend="compiled", cache=cache
-    )
-    batch_s = _best(lambda: run_campaign("dual_ehb", CONFIG, lanes=lanes))
-    batch_report = run_campaign("dual_ehb", CONFIG, lanes=lanes)
-
-    before = process_stats()
-    compiled_report = benchmark(
-        run_campaign, "dual_ehb", CONFIG,
-        lanes=lanes, backend="compiled", cache=cache,
-    )
-    after = process_stats()
-    compiled_s = benchmark.stats.stats.mean
-    speedup = batch_s / compiled_s
-
-    assert after["misses"] == before["misses"], (
-        "the timed campaign rebuilt a module; the cache was not warm"
-    )
-    assert after["hits"] > before["hits"]
-    assert compiled_report.to_json() == batch_report.to_json()
-    assert compiled_report.to_json() == warm.to_json()
-
-    benchmark.extra_info["faults"] = len(compiled_report.outcomes)
-    benchmark.extra_info["batch_s"] = round(batch_s, 4)
-    benchmark.extra_info["speedup_vs_batch"] = round(speedup, 2)
-    print(f"\ncampaign dual_ehb@{lanes}: batch {batch_s:.3f}s, "
-          f"compiled {compiled_s:.3f}s, speedup {speedup:.1f}x")
-    if lanes >= 256:
-        assert speedup >= 1.5
 
 
 def test_bench_warm_cache_skips_codegen(benchmark, tmp_path):
@@ -179,7 +59,7 @@ def test_bench_processor_reference(benchmark):
 
     No gate netlist exists for this pipeline (the case study steps
     behavioural controllers), so there is nothing for the compiled
-    backend to elaborate; this row documents the scalar baseline the
+    simulator to elaborate; this row documents the scalar baseline the
     RTL targets are compared against.
     """
     config = ProcessorCampaignConfig(cycles=120)

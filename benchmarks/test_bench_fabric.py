@@ -72,7 +72,6 @@ def run_fabric(worker_addresses, units=None, **fabric_kwargs):
             "config": encode_campaign_config(CONFIG),
             "lanes": LANES,
             "degrade": True,
-            "backend": "batch",
             "cache": None,
         },
         fabric_units() if units is None else units,

@@ -18,7 +18,7 @@ from repro.fuzz.oracle import OracleConfig, run_oracle
 from repro.fuzz.runner import FuzzConfig, run_fuzz
 from repro.fuzz.shrink import shrink_model
 
-FAST = OracleConfig(cycles=48, lanes=4, check_gates=False,
+FAST = OracleConfig(cycles=48, check_gates=False,
                     check_verify=False)
 
 
@@ -53,7 +53,7 @@ def test_bench_elaborate_large_spec(benchmark):
 
 def test_bench_oracle_campaign(benchmark):
     config = FuzzConfig(seed=11, specs=4, max_blocks=16, cycles=48,
-                        lanes=4, check_gates=False, check_verify=False)
+                        check_gates=False, check_verify=False)
 
     report = benchmark(run_fuzz, config)
     assert report.examined == 4

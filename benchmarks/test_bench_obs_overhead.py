@@ -2,7 +2,7 @@
 
 The zero-cost claim of :mod:`repro.obs` -- a recorder constructed with
 ``enabled=False`` attaches nothing, leaving every simulator on the
-untraced code path -- is locked here by timing the batchsim fault
+untraced code path -- is locked here by timing the lane-parallel fault
 campaign twice: bare, and with a disabled recorder "attached" to the
 kernel.  Min-of-N with alternating order cancels warm-up and cache
 drift; the gate is a 5% ceiling on the relative slowdown.
@@ -75,21 +75,21 @@ def test_disabled_tracing_overhead_under_5_percent():
 def test_disabled_profilers_attach_nothing():
     """The profile layer honours the same zero-cost no-op contract.
 
-    A disabled :class:`RtlChannelProfiler` must leave scalar and batch
-    simulators observer-free, and a disabled :class:`NetworkProfiler`
+    A disabled :class:`RtlChannelProfiler` must leave scalar and
+    lane-parallel simulators observer-free, and a disabled :class:`NetworkProfiler`
     must add neither probes nor channel observers -- so a run that does
     not ask for a performance report stays on the untouched code path
     the timing gate above locks.
     """
     from repro.obs import NetworkProfiler, RtlChannelProfiler
     from repro.obs.analyze import _pipeline_network
-    from repro.rtl.batchsim import BatchSimulator
+    from repro.codegen.sim import CompiledSimulator
     from repro.rtl.simulator import TwoPhaseSimulator
 
     target = resolve_target("dual_ehb")
     profiler = RtlChannelProfiler(target, enabled=False)
     scalar = TwoPhaseSimulator(target.netlist)
-    batch = BatchSimulator(target.netlist, 4)
+    batch = CompiledSimulator(target.netlist, 4)
     profiler.attach_scalar(scalar)
     profiler.attach_lane(batch, 0)
     assert not scalar.observers and not batch.observers

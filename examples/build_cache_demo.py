@@ -1,12 +1,12 @@
 """Cold-then-warm compiled campaign: same bytes, cached build.
 
-The compiled-backend contract in one script:
+The build-cache contract in one script:
 
-1. run the dual-EHB fault campaign twice with ``backend="compiled"``
-   against an empty build cache -- the first run emits the generated
-   module onto disk (cold), the second loads it back (warm);
+1. run the dual-EHB fault campaign twice at 256 lanes against an empty
+   build cache -- the first run emits the generated module onto disk
+   (cold), the second loads it back (warm);
 2. both reports must be byte-identical to each other *and* to the
-   interpreted ``BatchSimulator`` reference;
+   sequential scalar-harness reference (``lanes=1``);
 3. the warm run must perform **zero** codegen (cache misses stay flat,
    asserted via the process hit/miss counters) and build its simulator
    measurably faster than the cold run;
@@ -55,20 +55,14 @@ def main() -> None:
 
         cold_build_s = _timed_build(BuildCache(root))
         before = process_stats()
-        cold = run_campaign(
-            "dual_ehb", CONFIG, lanes=LANES,
-            backend="compiled", cache=str(root),
-        )
+        cold = run_campaign("dual_ehb", CONFIG, lanes=LANES, cache=str(root))
 
         # a fresh BuildCache sees only the disk tier, like a new process
         warm_build_s = _timed_build(BuildCache(root))
         mid = process_stats()
-        warm = run_campaign(
-            "dual_ehb", CONFIG, lanes=LANES,
-            backend="compiled", cache=str(root),
-        )
+        warm = run_campaign("dual_ehb", CONFIG, lanes=LANES, cache=str(root))
         after = process_stats()
-        reference = run_campaign("dual_ehb", CONFIG, lanes=LANES)
+        reference = run_campaign("dual_ehb", CONFIG, lanes=1)
 
         print(f"cold build: {cold_build_s * 1e3:6.1f} ms "
               f"(misses so far: {before['misses']})")
@@ -76,10 +70,10 @@ def main() -> None:
               f"({cold_build_s / warm_build_s:.1f}x faster)")
 
         assert cold.to_json() == warm.to_json(), "cold != warm report"
-        assert warm.to_json() == reference.to_json(), "compiled != batch"
+        assert warm.to_json() == reference.to_json(), "compiled != scalar"
         print(f"cold and warm compiled reports are byte-identical "
               f"({len(warm.outcomes)} faults), and both match the "
-              f"interpreted batch reference byte-for-byte")
+              f"scalar reference byte-for-byte")
 
         assert after["misses"] == mid["misses"], (
             "the warm campaign re-emitted a module"

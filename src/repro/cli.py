@@ -20,14 +20,15 @@ Usage (after ``pip install -e .``)::
                              [--progress]
                              [--checkpoint dir] [--resume dir]
                              [--shard-timeout 60] [--max-retries 2]
-                             [--backend batch|compiled] [--cache dir]
+                             [--cache dir]
                              [--workers host:port,host:port]
                              [--fabric-checkpoint dir]
     python -m repro profile  [--design early_join|active|pipeline|...]
-                             [--backend auto|scalar|batch|compiled]
+                             [--backend auto|scalar|compiled]
                              [--cycles 2000] [--seed 2007]
                              [--compare-model] [--tolerance 0.15]
-                             [--json out.json] [--cache dir] [--list]
+                             [--json out.json] [--cache dir] [--no-cache]
+                             [--list]
     python -m repro build    [target ...] [--cache dir] [--stats] [--clear]
     python -m repro lint     [target ...] [--list] [--json out.json]
                              [--file design.blif] [--explain RULEID]
@@ -300,6 +301,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_cache(args: argparse.Namespace):
+    """``--cache DIR`` / ``--no-cache`` as a build cache for compiled runs.
+
+    ``--no-cache`` gives a cache with no disk tier: generated modules
+    are emitted and compiled in-process and never written.
+    """
+    from repro.codegen import BuildCache, build_cache
+
+    if args.no_cache:
+        return BuildCache.in_memory()
+    return build_cache(args.cache)
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.analyze import profile_designs, run_profile
 
@@ -308,10 +322,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
             print(name)
         return 0
     cache = None
-    if args.backend == "compiled" and not args.no_cache:
-        from repro.codegen import build_cache
-
-        cache = build_cache(args.cache)
+    if args.backend == "compiled":
+        cache = _build_cache(args)
     try:
         report = run_profile(
             args.design, cycles=args.cycles, seed=args.seed,
@@ -404,9 +416,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
             "--checkpoint/--resume need an RTL netlist; the behavioural "
             "processor campaign is not checkpointed"
         )
-    if args.netlist == "processor" and args.backend != "batch":
+    if args.netlist == "processor" and args.cache:
         raise SystemExit(
-            "--backend needs an RTL netlist; the behavioural processor "
+            "--cache needs an RTL netlist; the behavioural processor "
             "campaign has no gate netlist to compile"
         )
     registry = None
@@ -462,7 +474,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 max_retries=args.max_retries,
                 degradation=args.degradation,
                 profile=args.profile,
-                backend=args.backend,
                 cache=args.cache,
                 workers=workers,
             )
@@ -657,18 +668,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             f"unknown mutation {args.mutate!r}; "
             f"pick from {', '.join(sorted(MUTATIONS))}"
         )
-    cache = None
-    if not args.no_cache:
-        from repro.codegen import build_cache
-
-        cache = build_cache(args.cache)
+    cache = _build_cache(args)
 
     if args.replay:
         entries = load_corpus(args.replay)
         if not entries:
             raise SystemExit(f"no corpus entries under {args.replay}")
         config = OracleConfig(
-            cycles=args.cycles, lanes=args.lanes,
+            cycles=args.cycles,
             check_gates=not args.no_gates,
             check_verify=not args.no_verify, cache=cache,
         )
@@ -687,7 +694,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     config = FuzzConfig(
         seed=args.seed, specs=args.specs, max_blocks=args.max_blocks,
-        cycles=args.cycles, lanes=args.lanes, budget=args.budget,
+        cycles=args.cycles, budget=args.budget,
         corpus=args.corpus, mutation=args.mutate,
         shrink=not args.no_shrink, check_gates=not args.no_gates,
         check_verify=not args.no_verify, cache=cache,
@@ -901,13 +908,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=int, default=2,
                    help="how many times a crashed/hung/erroring chunk is "
                         "requeued before the campaign fails (default 2)")
-    p.add_argument("--backend", choices=("batch", "compiled"),
-                   default="batch",
-                   help="lane-parallel engine: the interpreted batch "
-                        "kernel, or the cached compiled-module backend; "
-                        "reports are byte-identical either way")
     p.add_argument("--cache", default=None, metavar="DIR",
-                   help="build-cache directory for --backend compiled "
+                   help="build-cache directory for the generated "
+                        "lane-parallel module when --lanes > 1 "
                         "(default: $REPRO_CACHE_DIR or "
                         "~/.cache/repro/codegen)")
     p.add_argument("--workers", default=None, metavar="HOST:PORT,...",
@@ -980,13 +983,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="an RTL campaign target (dual_ehb, early_join, "
                         "...), a Fig. 9 configuration, 'pipeline' (the "
                         "Fig. 5 chain) or 'processor' (see --list)")
-    p.add_argument("--backend", choices=("auto", "scalar", "batch",
-                                         "compiled"),
+    p.add_argument("--backend", choices=("auto", "scalar", "compiled"),
                    default="auto",
                    help="execution engine for RTL designs (auto = "
                         "scalar); behavioural designs always run on the "
                         "network simulator, and the report is "
-                        "byte-identical across backends")
+                        "byte-identical across engines")
     p.add_argument("--cycles", type=int, default=2000)
     p.add_argument("--seed", type=int, default=2007)
     p.add_argument("--compare-model", action="store_true",
@@ -1005,7 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: $REPRO_CACHE_DIR or "
                         "~/.cache/repro/codegen)")
     p.add_argument("--no-cache", action="store_true",
-                   help="compile without the build cache")
+                   help="compile in memory, writing nothing to the "
+                        "build cache")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
@@ -1022,9 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper bound on blocks per generated spec")
     p.add_argument("--cycles", type=int, default=96,
                    help="simulated cycles per oracle stage")
-    p.add_argument("--lanes", type=int, default=8,
-                   help="randomized environment schedules compared "
-                        "per spec in the gate-level differential")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds; the campaign "
                         "stops early (and says so) when it runs out")
@@ -1044,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep findings at full size (skip spec-level "
                         "ddmin)")
     p.add_argument("--no-gates", action="store_true",
-                   help="skip the gate-level scalar/batch/compiled "
+                   help="skip the gate-level scalar/compiled "
                         "differential stage")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the bounded Kripke/CTL spot check")
@@ -1055,7 +1055,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "Kripke structures (default: $REPRO_CACHE_DIR or "
                         "~/.cache/repro/codegen)")
     p.add_argument("--no-cache", action="store_true",
-                   help="run without the build cache")
+                   help="run without the build cache (compiled modules "
+                        "are built in memory, nothing is written)")
     p.set_defaults(func=cmd_fuzz)
     return parser
 

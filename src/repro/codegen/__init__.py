@@ -1,9 +1,11 @@
-"""Compiled-simulator backend: codegen, build cache, drop-in harness.
+"""The lane-parallel simulator: codegen, build cache, simulator.
 
 Lowers a :class:`~repro.rtl.netlist.Netlist` into a standalone
 generated Python module (source on disk, content-addressed, reloadable
-across processes) and wraps it in simulators and campaign harnesses
-interchangeable with the :mod:`repro.rtl.batchsim` batch kernel.
+across processes, or built in memory only) and wraps it in
+:class:`~repro.codegen.sim.CompiledSimulator`, the engine behind every
+lane-parallel run: fault campaigns, seed sweeps, batched cross-checks,
+error sweeps, the fuzz differential and ``repro profile``.
 
 Submodules are imported lazily so that ``import repro.codegen`` stays
 cheap for callers that only need, say, the fingerprint helpers.
@@ -24,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
         artifact_key,
         netlist_fingerprint,
     )
-    from repro.codegen.harness import CompiledCampaignHarness
     from repro.codegen.sim import CompiledSimulator
 
 _EXPORTS = {
@@ -38,7 +39,6 @@ _EXPORTS = {
     "CODEGEN_VERSION": "repro.codegen.fingerprint",
     "artifact_key": "repro.codegen.fingerprint",
     "netlist_fingerprint": "repro.codegen.fingerprint",
-    "CompiledCampaignHarness": "repro.codegen.harness",
     "CompiledSimulator": "repro.codegen.sim",
 }
 

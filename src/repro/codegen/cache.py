@@ -25,11 +25,23 @@ instance), the disk artifact, then a fresh build.  Hits and misses are
 tallied both into process-global counters (``repro build --stats``)
 and, when a :class:`~repro.obs.metrics.MetricsRegistry` is attached,
 into ``codegen_cache_{hits,misses}_total{tier,kind}`` series.
+
+A module is loaded one top-level chunk at a time (the constants, then
+each fused ``def``), every chunk compiled with its own line offset into
+one shared namespace: compiling a 1,800-line generated module in one
+``compile()`` call peaks several MB above compiling its largest
+function alone, and the chunked load keeps traceback line numbers equal
+to the lines of ``module.py``.
+
+:meth:`BuildCache.in_memory` has no disk tier at all -- the module is
+emitted and compiled in-process and never written (``--no-cache``).  A
+disk cache whose root cannot be created or written (``OSError``) falls
+back to the same in-memory build, so a read-only or bogus
+``$REPRO_CACHE_DIR`` slows a run down instead of failing it.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import shutil
@@ -68,6 +80,26 @@ def reset_process_stats() -> None:
     _PROCESS_STATS["misses"] = 0
 
 
+def _exec_module(key: str, source: str, filename: str) -> ModuleType:
+    """Compile and run generated source one top-level chunk at a time.
+
+    Chunks split before each top-level ``def``; each is padded with the
+    newlines that precede it so code objects carry the source's own
+    line numbers.  Raises :class:`SyntaxError` on a torn artifact.
+    """
+    module = ModuleType(f"repro_codegen_{key[:24]}")
+    module.__file__ = filename
+    namespace = module.__dict__
+    lines = source.splitlines(keepends=True)
+    starts = [0] + [
+        i for i, line in enumerate(lines) if i and line.startswith("def ")
+    ]
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        chunk = "\n" * start + "".join(lines[start:end])
+        exec(compile(chunk, filename, "exec"), namespace)
+    return module
+
+
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else the XDG cache, else ``~/.cache``."""
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -90,10 +122,19 @@ class BuildCache:
         root: Union[str, Path, None] = None,
         metrics=None,
     ) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
+        self.root: Optional[Path] = (
+            Path(root) if root is not None else default_cache_dir()
+        )
         self.metrics = metrics
         self._modules: Dict[str, ModuleType] = {}
         self._json: Dict[str, object] = {}
+
+    @classmethod
+    def in_memory(cls, metrics=None) -> "BuildCache":
+        """A cache with no disk tier: builds stay in this process."""
+        cache = cls(metrics=metrics)
+        cache.root = None
+        return cache
 
     # -- bookkeeping ---------------------------------------------------
     def _count(self, hit: bool, tier: str, kind: str) -> None:
@@ -120,28 +161,36 @@ class BuildCache:
         if module is not None:
             self._count(True, "memory", "module")
             return module
-        module = self._import_verified(key)
+        module = self._import_verified(key) if self.root is not None else None
         if module is not None:
             self._count(True, "disk", "module")
             self._modules[key] = module
             return module
         self._count(False, "disk", "module")
         source = emit_module(netlist, hooks, observe)
-        directory = self._dir(key)
-        directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(directory / self.MODULE, source)
-        atomic_write_json(directory / self.META, {
-            "kind": "compiled-simulator",
-            "key": key,
-            "codegen_version": CODEGEN_VERSION,
-            "netlist": netlist.name,
-            "fingerprint": netlist_fingerprint(netlist),
-            "hooks": sorted(hooks) if hooks is not None else None,
-            "observe": sorted(observe) if observe is not None else None,
-        })
-        module = self._import_verified(key)
-        if module is None:  # pragma: no cover - emit/write just succeeded
-            raise RuntimeError(f"cache artifact {key} unreadable after build")
+        module = None
+        if self.root is not None:
+            try:
+                directory = self._dir(key)
+                directory.mkdir(parents=True, exist_ok=True)
+                atomic_write_text(directory / self.MODULE, source)
+                atomic_write_json(directory / self.META, {
+                    "kind": "compiled-simulator",
+                    "key": key,
+                    "codegen_version": CODEGEN_VERSION,
+                    "netlist": netlist.name,
+                    "fingerprint": netlist_fingerprint(netlist),
+                    "hooks": sorted(hooks) if hooks is not None else None,
+                    "observe": (
+                        sorted(observe) if observe is not None else None
+                    ),
+                })
+            except OSError:  # unwritable root: build in memory instead
+                pass
+            else:
+                module = self._import_verified(key)
+        if module is None:
+            module = _exec_module(key, source, f"<repro.codegen:{key}>")
         self._modules[key] = module
         return module
 
@@ -163,16 +212,10 @@ class BuildCache:
             return None
         if not module_path.is_file():
             return None
-        name = f"repro_codegen_{key[:24]}"
         try:
-            spec = importlib.util.spec_from_file_location(
-                name, module_path
-            )
-            if spec is None or spec.loader is None:  # pragma: no cover
-                return None
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except (OSError, SyntaxError):  # torn or hand-mangled artifact
+            source = module_path.read_text()
+            module = _exec_module(key, source, str(module_path))
+        except (OSError, SyntaxError, ValueError):  # torn or hand-mangled
             return None
         if getattr(module, "KEY", None) != key:
             return None
@@ -185,11 +228,14 @@ class BuildCache:
         if payload is not None:
             self._count(True, "memory", "json")
             return payload
-        path = self._dir(key) / self.DATA
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        payload = None
+        if self.root is not None:
+            try:
+                with open(self._dir(key) / self.DATA) as handle:
+                    payload = json.load(handle)
+            except (OSError, json.JSONDecodeError):
+                pass
+        if payload is None:
             self._count(False, "disk", "json")
             return None
         self._count(True, "disk", "json")
@@ -197,19 +243,27 @@ class BuildCache:
         return payload
 
     def store_json(self, key: str, payload: object, meta: Dict) -> None:
-        """Persist one JSON payload artifact under ``key``."""
-        directory = self._dir(key)
-        directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(directory / self.DATA, payload)
-        atomic_write_json(directory / self.META, {"key": key, **meta})
+        """Persist one JSON payload artifact under ``key``.
+
+        Kept in memory only when the cache has no writable root.
+        """
         self._json[key] = payload
+        if self.root is None:
+            return
+        directory = self._dir(key)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            atomic_write_json(directory / self.DATA, payload)
+            atomic_write_json(directory / self.META, {"key": key, **meta})
+        except OSError:
+            pass
 
     # -- maintenance ---------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Entries and bytes on disk plus process hit/miss tallies."""
         entries = 0
         size = 0
-        if self.root.is_dir():
+        if self.root is not None and self.root.is_dir():
             for entry in self.root.iterdir():
                 if not entry.is_dir() or not (entry / self.META).is_file():
                     continue
@@ -229,7 +283,7 @@ class BuildCache:
     def clear(self) -> int:
         """Delete every artifact directory; returns how many."""
         removed = 0
-        if self.root.is_dir():
+        if self.root is not None and self.root.is_dir():
             for entry in list(self.root.iterdir()):
                 if entry.is_dir() and (entry / self.META).is_file():
                     shutil.rmtree(entry, ignore_errors=True)

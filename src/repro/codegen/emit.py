@@ -21,18 +21,17 @@ dict), results once per *observed* slot at the end.  Restricting both
 the override guards (``hooks``) and the final writeback (``observe``)
 to what a caller actually uses is where the compiled backend's speed
 comes from; passing ``None`` for either keeps the fully general
-surface of :class:`~repro.rtl.batchsim.BatchSimulator`.
+surface: guards at every named net, every named net observed.
 
 The known dialect is only emitted when every latch/flop init is a
 known 0/1 (``KNOWN_OK``); its per-cycle eligibility (all inputs driven
 known) is the caller's contract, checked by
 :class:`~repro.codegen.sim.CompiledSimulator` each cycle.
 
-Generated code is representation-generic: every operation is a pure
-expression (no augmented assignment, which would mutate aliased array
-operands in place), the all-X word is the ``zero`` parameter and the
-lane mask the ``mask`` parameter, so the same module source runs int
-bignum planes and numpy word arrays alike.
+Every operation in the generated code is a pure expression (no
+augmented assignment), the all-X word is the ``zero`` parameter and
+the lane mask the ``mask`` parameter; the simulator passes Python int
+planes for both.
 """
 
 from __future__ import annotations
@@ -54,10 +53,9 @@ __all__ = ["Layout", "build_layout", "emit_module"]
 class Layout:
     """The slot assignment and phase programs of one netlist.
 
-    Mirrors :class:`~repro.rtl.batchsim.BatchSimulator`'s internal
-    layout exactly (same insertion-order slot numbering, same load and
-    capture sets), so a compiled module and a batch simulator built
-    from the same netlist agree slot for slot.
+    Slots number the named signals in insertion order (inputs, gates,
+    latches, flops), so every module built from the same netlist --
+    whatever its hooks and observe set -- agrees slot for slot.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -148,9 +146,9 @@ def _emit_cycle(
     b.lines.append(f"def {name}({params}):")
 
     def guard(slot: int) -> None:
-        """Override guard for one hook slot, mirroring the batch
-        kernel's application points (inputs re-mask after apply, state
-        loads and gate outputs do not).  The known dialect receives
+        """Override guard for one hook slot, at the scalar simulator's
+        application points (inputs re-mask after apply, state loads and
+        gate outputs do not).  The known dialect receives
         pre-masked ``(~set0, set1, flip)`` triples instead of override
         objects: with every lane known, ``apply`` reduces to three bit
         ops, inlined here to skip the call frame per hook per cycle."""

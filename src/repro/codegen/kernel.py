@@ -1,9 +1,7 @@
-"""The shared gate-level instruction kernel of both compiled engines.
+"""The gate-level instruction kernel of the compiled simulator.
 
-:class:`~repro.rtl.batchsim.BatchSimulator` (compiling per-phase
-functions at construction time) and :mod:`repro.codegen.emit` (emitting
-a standalone module onto disk) lower a netlist through the same
-pipeline:
+:mod:`repro.codegen.emit` lowers a netlist into a standalone module
+through this pipeline:
 
 1. :func:`decompose_gates` -- variadic ``AND/OR/NAND/NOR`` become
    binary chains through fresh temporary slots; every template's final
@@ -15,10 +13,7 @@ pipeline:
 3. :func:`two_plane_lines` / :func:`known_lines` -- each instruction as
    straight-line Python statements over ``v<slot>``/``k<slot>`` locals.
 
-Keeping the statement generators here -- rather than in either engine
--- is what makes "the compiled backend agrees with ``BatchSimulator``
-bit for bit" a structural property instead of a test-enforced one: the
-gate formulas exist exactly once.
+The gate formulas exist exactly once, here.
 
 Two statement dialects share one instruction stream:
 
@@ -39,9 +34,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - the import would be circular:
-    # repro.rtl.__init__ pulls in batchsim, which imports this module.
-    from repro.rtl.netlist import Netlist
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rtl.netlist import Netlist, Phase
 
 __all__ = [
     "AND",
@@ -55,7 +49,6 @@ __all__ = [
     "DECOMPOSED",
     "decompose_gates",
     "phase_program",
-    "instr_reads",
     "two_plane_lines",
     "known_lines",
 ]
@@ -156,17 +149,6 @@ def phase_program(
     return tuple(program)
 
 
-def instr_reads(op: int, a: int, b: int, c: int) -> Tuple[int, ...]:
-    """The source slots one instruction reads."""
-    if op in (NOT, BUF):
-        return (a,)
-    if op == MUX:
-        return (a, b, c)
-    if op in (C0, C1):
-        return ()
-    return (a, b)
-
-
 def two_plane_lines(
     op: int, out: int, a: int, b: int, c: int, zero: str = "0"
 ) -> List[str]:
@@ -175,8 +157,8 @@ def two_plane_lines(
     Statements read/write ``v<slot>``/``k<slot>`` locals and may use
     the free variables ``mask`` (the lane mask) and the temporaries
     ``_s0``/``_sx``/``_g1``/``_g0``.  ``zero`` is the spelling of the
-    all-X plane word (``"0"`` for int planes, a named variable for
-    array planes -- array code must never alias a literal).
+    all-X plane word (a literal ``"0"``, or the name of a parameter
+    holding it, as in the generated modules).
     """
     if op == AND:
         return [

@@ -1,15 +1,18 @@
-"""Drop-in compiled simulator driving cached generated modules.
+"""The lane-parallel simulator: cached generated modules, int planes.
 
-:class:`CompiledSimulator` mirrors the public surface of
-:class:`~repro.rtl.batchsim.BatchSimulator` -- ``reset()``, ``cycle()``
-with packed two-plane inputs, ``planes``/``lane_value``/``lane_state``,
-``set_overrides`` with :class:`~repro.rtl.batchsim.LaneOverride` masks,
-``observers``/``profile``/``check_lane_integrity`` -- but the per-cycle
-work is one call into a generated module loaded from the
+:class:`CompiledSimulator` runs ``lanes`` independent copies of one
+:class:`~repro.rtl.netlist.Netlist` at once, lane ``i`` of every signal
+in bit ``i`` of a Python int pair (the two-plane encoding of
+:mod:`repro.rtl.batchsim`).  The public cadence mirrors the scalar
+:class:`~repro.rtl.simulator.TwoPhaseSimulator` -- ``reset()``, then
+``cycle()`` once per clock with packed two-plane inputs -- and the
+per-cycle work is one call into a generated module loaded from the
 :class:`~repro.codegen.cache.BuildCache` (built on first use, then
-served from disk or memory).
+served from memory or disk).  Observation goes through
+``planes``/``lane_value``/``lane_state``; fault injection through
+``set_overrides`` with :class:`~repro.rtl.batchsim.LaneOverride` masks.
 
-Two things make it faster than the batch kernel:
+Two things keep it fast:
 
 * **restriction** -- ``hooks`` limits override guards to the nets a
   fault campaign actually injects at and ``observe`` limits end-of-cycle
@@ -21,16 +24,10 @@ Two things make it faster than the batch kernel:
   Eligibility is re-checked every cycle and the first X permanently
   drops this instance back to the two-plane kernel (until ``reset``).
 
-Two plane representations share the same generated source:
-
-* ``plane_kind="int"`` (default) -- Python bignum planes, one int per
-  slot, arbitrary lane counts.  This is what campaigns use; it is
-  interchangeable with ``BatchSimulator`` planes bit for bit.
-* ``plane_kind="numpy"`` -- each plane is a little-endian array of
-  64-bit words, giving word-wide vector ops for lane counts well past
-  64.  The *public* API still speaks ints (inputs, ``planes``,
-  ``lane_value``); conversion happens at the boundary.  Requires numpy;
-  construction raises :class:`RuntimeError` when it is missing.
+Construction compiles the netlist's phase programs, so a netlist with a
+combinational cycle raises
+:class:`~repro.rtl.toposort.CombinationalCycleError` (with the full
+cycle path) here, exactly as the scalar simulator's strict mode does.
 """
 
 from __future__ import annotations
@@ -53,99 +50,15 @@ from repro.rtl.netlist import Netlist
 
 __all__ = ["CompiledSimulator"]
 
-_WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
-
-
-class _IntRep:
-    """Bignum planes: the generated words *are* Python ints."""
-
-    kind = "int"
-
-    def __init__(self, lanes: int) -> None:
-        self.mask = (1 << lanes) - 1
-        self.zero = 0
-
-    def from_int(self, word: int):
-        return word
-
-    def to_int(self, word) -> int:
-        return word
-
-    def pack_inputs(self, inputs: Mapping[str, Planes]):
-        return inputs
-
-    def wrap_override(self, override: LaneOverride):
-        return override
-
-
-class _ArrayOverride:
-    """A :class:`LaneOverride` lifted to word arrays, applied purely.
-
-    The int override's ``apply`` uses an augmented ``^=``; on arrays
-    that would mutate a plane another local still aliases, so this
-    wrapper rebuilds the same semantics from pure expressions.
-    """
-
-    __slots__ = ("set0", "set1", "flip", "has_set", "has_flip")
-
-    def __init__(self, rep: "_NumpyRep", override: LaneOverride) -> None:
-        self.set0 = rep.from_int(override.set0)
-        self.set1 = rep.from_int(override.set1)
-        self.flip = rep.from_int(override.flip)
-        self.has_set = bool(override.set0 or override.set1)
-        self.has_flip = bool(override.flip)
-
-    def apply(self, v, k):
-        if self.has_set:
-            v = (v & ~self.set0) | self.set1
-            k = k | self.set0 | self.set1
-        if self.has_flip:
-            v = v ^ (self.flip & k)
-        return v, k
-
-
-class _NumpyRep:
-    """Word-array planes: little-endian uint64 vectors per slot."""
-
-    kind = "numpy"
-
-    def __init__(self, lanes: int) -> None:
-        try:
-            import numpy
-        except ImportError as exc:  # pragma: no cover - numpy is baked in
-            raise RuntimeError(
-                "plane_kind='numpy' needs numpy; use plane_kind='int'"
-            ) from exc
-        self.np = numpy
-        self.words = (lanes + _WORD - 1) // _WORD
-        self.mask = self.from_int((1 << lanes) - 1)
-        self.zero = numpy.zeros(self.words, dtype=numpy.uint64)
-
-    def from_int(self, word: int):
-        return self.np.array(
-            [(word >> (_WORD * i)) & _WORD_MASK for i in range(self.words)],
-            dtype=self.np.uint64,
-        )
-
-    def to_int(self, word) -> int:
-        out = 0
-        for i, chunk in enumerate(word.tolist()):
-            out |= chunk << (_WORD * i)
-        return out
-
-    def pack_inputs(self, inputs: Mapping[str, Planes]):
-        return {
-            name: (self.from_int(v), self.from_int(k))
-            for name, (v, k) in inputs.items()
-        }
-
-    def wrap_override(self, override: LaneOverride):
-        return _ArrayOverride(self, override)
-
 
 class CompiledSimulator:
-    """Lane-parallel simulator backed by a cached generated module."""
+    """Lane-parallel simulator backed by a cached generated module.
+
+    ``hooks``/``observe`` restrict override guards and end-of-cycle
+    writeback to the named signals (``None`` means every named signal).
+    ``cache`` is a :class:`~repro.codegen.cache.BuildCache`, a cache
+    directory path, or ``None`` for the shared default-directory cache.
+    """
 
     def __init__(
         self,
@@ -155,13 +68,10 @@ class CompiledSimulator:
         hooks: Optional[Iterable[str]] = None,
         observe: Optional[Iterable[str]] = None,
         cache: Union[BuildCache, str, None] = None,
-        plane_kind: str = "int",
         metrics=None,
     ) -> None:
         if lanes < 1:
             raise ValueError("need at least one lane")
-        if plane_kind not in ("int", "numpy"):
-            raise ValueError(f"unknown plane_kind {plane_kind!r}")
         self.netlist = netlist
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
@@ -184,39 +94,35 @@ class CompiledSimulator:
         self._n_named: int = mod.N_NAMED
         self._known_ok: bool = mod.KNOWN_OK
 
-        self._rep = _IntRep(lanes) if plane_kind == "int" else _NumpyRep(lanes)
-        self.plane_kind = plane_kind
         n = self._n_named
-        self._v = [self._rep.zero] * n
-        self._k = [self._rep.zero] * n
-        self._ov: List[object] = [None] * n
-        self._kov: List[object] = [None] * n
+        self._v: List[int] = [0] * n
+        self._k: List[int] = [0] * n
+        self._ov: List[Optional[LaneOverride]] = [None] * n
+        self._kov: List[Optional[Tuple[int, int, int]]] = [None] * n
         self._any_ov = False
-        self.state: Dict[int, tuple] = {}
+        self.state: Dict[int, Planes] = {}
         self.time = 0
-        #: end-of-cycle observers ``fn(time, sim)``, as in the batch sim.
+        #: end-of-cycle observers ``fn(time, sim)`` called by
+        #: :meth:`cycle` with the index of the cycle just simulated.
+        #: Empty by default (one truthiness check per cycle).
         self.observers: List[Callable[[int, "CompiledSimulator"], None]] = []
-        #: optional PhaseProfiler; the fused function is one phase,
-        #: timed under the name ``"cycle"``.
+        #: optional :class:`~repro.obs.profile.PhaseProfiler`; the fused
+        #: cycle function is one phase, timed under the name ``"cycle"``.
         self.profile = None
         self.reset()
 
     # -- state ---------------------------------------------------------
     def reset(self) -> None:
         """All lanes back to the declared latch/flop init values."""
-        rep = self._rep
-        mask, zero = rep.mask, rep.zero
-        state: Dict[int, tuple] = {}
-        for slot, init in self._init.items():
-            if init is None:
-                state[slot] = (zero, zero)
-            else:
-                state[slot] = (mask if init else zero, mask)
-        self.state = state
+        mask = self.mask
+        self.state = {
+            slot: (0, 0) if init is None else (mask if init else 0, mask)
+            for slot, init in self._init.items()
+        }
         # In-place so observers holding the plane arrays stay attached.
         n = self._n_named
-        self._v[:] = [zero] * n
-        self._k[:] = [zero] * n
+        self._v[:] = [0] * n
+        self._k[:] = [0] * n
         self.time = 0
         self._known_active = self._known_ok
         self._k_primed = False
@@ -228,11 +134,9 @@ class CompiledSimulator:
         code carries guards nowhere else, so an override on any other
         net would be silently ignored -- rejected loudly instead.
         """
-        rep = self._rep
         mask = self.mask
-        ov: List[object] = [None] * self._n_named
-        kov: List[object] = [None] * self._n_named
-        any_ov = False
+        ov: List[Optional[LaneOverride]] = [None] * self._n_named
+        kov: List[Optional[Tuple[int, int, int]]] = [None] * self._n_named
         for name, override in overrides.items():
             slot = self._slot.get(name)
             if slot is None:
@@ -242,18 +146,17 @@ class CompiledSimulator:
                     f"net {name!r} is not a hook of this compiled module; "
                     "rebuild with it in hooks= to inject there"
                 )
-            ov[slot] = rep.wrap_override(override)
+            ov[slot] = override
             # The known dialect inlines apply() as three bit ops over
             # pre-masked words: v' = ((v & ~set0) | set1) ^ flip.
             kov[slot] = (
-                rep.from_int(mask & ~override.set0),
-                rep.from_int(override.set1 & mask),
-                rep.from_int(override.flip & mask),
+                mask & ~override.set0,
+                override.set1 & mask,
+                override.flip & mask,
             )
-            any_ov = True
         self._ov = ov
         self._kov = kov
-        self._any_ov = any_ov
+        self._any_ov = bool(overrides)
 
     # -- execution -----------------------------------------------------
     def _known_eligible(self, inputs: Mapping[str, Planes]) -> bool:
@@ -267,12 +170,14 @@ class CompiledSimulator:
     def cycle(self, inputs: Optional[Mapping[str, Planes]] = None) -> None:
         """Advance every lane by one clock cycle.
 
-        ``inputs`` maps input names to canonical *int* plane pairs for
-        either representation; missing inputs are all-X (which also
-        vetoes the known dialect for this and all later cycles).
+        ``inputs`` maps input names to canonical plane pairs; missing
+        inputs are all-X (which also vetoes the known dialect for this
+        and all later cycles).  Afterwards the observed plane words
+        expose the end-of-LOW-phase values via :meth:`planes` /
+        :meth:`lane_value`.
         """
         inputs = inputs or {}
-        mod, rep = self.module, self._rep
+        mod, mask = self.module, self.mask
         profile = self.profile
         t0 = perf_counter() if profile is not None else 0.0
         if self._known_active and self._known_eligible(inputs):
@@ -280,30 +185,22 @@ class CompiledSimulator:
                 # The known dialect never touches the k array; monitors
                 # still read it, so pin the observed slots to all-known
                 # once per reset.
-                kmask = rep.mask
                 for slot in self._observed:
-                    self._k[slot] = kmask
+                    self._k[slot] = mask
                 self._k_primed = True
-            packed = rep.pack_inputs(inputs)
             if self._any_ov:
-                mod.kcycle(
-                    packed, self.state, self._v, self._kov, rep.mask, rep.zero
-                )
+                mod.kcycle(inputs, self.state, self._v, self._kov, mask, 0)
             else:
-                mod.kcycle_clean(
-                    packed, self.state, self._v, rep.mask, rep.zero
-                )
+                mod.kcycle_clean(inputs, self.state, self._v, mask, 0)
         else:
             self._known_active = False
-            packed = rep.pack_inputs(inputs)
             if self._any_ov:
                 mod.cycle(
-                    packed, self.state, self._v, self._k, self._ov,
-                    rep.mask, rep.zero,
+                    inputs, self.state, self._v, self._k, self._ov, mask, 0
                 )
             else:
                 mod.cycle_clean(
-                    packed, self.state, self._v, self._k, rep.mask, rep.zero
+                    inputs, self.state, self._v, self._k, mask, 0
                 )
         if profile is not None:
             profile.add("cycle", perf_counter() - t0)
@@ -330,17 +227,15 @@ class CompiledSimulator:
         return sorted(n for n, s in self._slot.items() if s in observed)
 
     @property
-    def value_planes(self):
+    def value_planes(self) -> List[int]:
         """The live value-plane array, indexed by :meth:`slot`.
 
-        Only *observed* slots carry end-of-cycle values; with the int
-        representation entries are plain ints, interchangeable with the
-        batch simulator's array.
+        Only *observed* slots carry end-of-cycle values.
         """
         return self._v
 
     @property
-    def known_planes(self):
+    def known_planes(self) -> List[int]:
         """The live known-plane array, indexed by :meth:`slot`."""
         return self._k
 
@@ -354,10 +249,9 @@ class CompiledSimulator:
         return slot
 
     def planes(self, sig: str) -> Planes:
-        """The end-of-cycle plane pair of one signal, as ints."""
+        """The end-of-cycle plane pair of one signal across all lanes."""
         slot = self._check_observed(sig)
-        rep = self._rep
-        return rep.to_int(self._v[slot]), rep.to_int(self._k[slot])
+        return self._v[slot], self._k[slot]
 
     def lane_value(self, sig: str, lane: int):
         """One lane's ternary value of ``sig`` after the last cycle."""
@@ -372,31 +266,33 @@ class CompiledSimulator:
 
     def lane_state(self, lane: int):
         """One lane's latch/flop state, matching the scalar ``state``."""
-        rep = self._rep
-        out = {}
-        for name, slot in self._state_slots:
-            vw, kw = self.state[slot]
-            out[name] = unpack_lane((rep.to_int(vw), rep.to_int(kw)), lane)
-        return out
+        return {
+            name: unpack_lane(self.state[slot], lane)
+            for name, slot in self._state_slots
+        }
 
     def check_lane_integrity(self) -> int:
         """Bitmask of lanes whose plane encoding is corrupt.
 
-        Same contract as the batch simulator's check, over the observed
-        slots (the only ones written back) plus all state words.
+        The two-plane encoding has one representation invariant: a
+        value bit may only be set where the known bit is (``v & ~k ==
+        0``), and no bit may live above the lane mask.  The generated
+        kernels preserve both by construction, so a violation after a
+        cycle means the planes were corrupted from outside (a buggy
+        observer poking the live arrays, a bad override mask) -- the
+        condition the graceful-degradation layer quarantines.  Checks
+        the observed slots (the only ones written back) plus all state
+        words.  Returns 0 when every lane is healthy; a plane bit
+        *above* the mask cannot be attributed to one lane, so it taints
+        all of them (returns the full mask).
         """
         bad = 0
         mask = self.mask
-        rep = self._rep
-        for slot in self._observed:
-            v = rep.to_int(self._v[slot])
-            k = rep.to_int(self._k[slot])
-            if (v | k) & ~mask:
+        v, k = self._v, self._k
+        words = [(v[slot], k[slot]) for slot in self._observed]
+        words.extend(self.state.values())
+        for vw, kw in words:
+            if (vw | kw) & ~mask:
                 return mask
-            bad |= v & ~k & mask
-        for vw, kw in self.state.values():
-            v, k = rep.to_int(vw), rep.to_int(kw)
-            if (v | k) & ~mask:
-                return mask
-            bad |= v & ~k & mask
+            bad |= vw & ~kw & mask
         return bad

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.elastic.behavioral import Controller, ElasticNetwork
 from repro.elastic.channel import Channel
 from repro.elastic.gates import GateChannel
-from repro.rtl.batchsim import BatchSimulator
 from repro.rtl.netlist import Netlist
 from repro.rtl.simulator import TwoPhaseSimulator
 
@@ -208,27 +207,18 @@ class BatchedCrossCheck:
 
     ``factory(seed)`` must build a fresh :class:`ControllerCrossCheck`
     (its own behavioural network and environments); each one becomes a
-    lane of a shared :class:`~repro.rtl.batchsim.BatchSimulator`, so the
-    gate netlist is evaluated word-parallel across every seed while the
-    behavioural replicas advance scalar, in lock-step.  Because lane
-    environments draw from ``random.Random(f"{seed}:{channel}")``
-    exactly like the scalar harness, any mismatch -- reported with the
-    offending lane's seed -- replays verbatim on a plain
-    ``factory(seed).run(...)``.
-
-    ``backend="compiled"`` swaps the gate twin for a
-    :class:`~repro.codegen.sim.CompiledSimulator` restricted to the
-    compared wires (``cache`` names its build-cache directory); the
-    lock-step comparison itself is backend-agnostic.
+    lane of a shared :class:`~repro.codegen.sim.CompiledSimulator`
+    restricted to the compared wires, so the gate netlist is evaluated
+    word-parallel across every seed while the behavioural replicas
+    advance scalar, in lock-step.  Because lane environments draw from
+    ``random.Random(f"{seed}:{channel}")`` exactly like the scalar
+    harness, any mismatch -- reported with the offending lane's seed --
+    replays verbatim on a plain ``factory(seed).run(...)``.  ``cache``
+    names the build cache of the generated module (``None`` for the
+    default directory).
     """
 
-    def __init__(
-        self,
-        factory,
-        seeds: Sequence[int],
-        backend: str = "batch",
-        cache=None,
-    ):
+    def __init__(self, factory, seeds: Sequence[int], cache=None):
         seeds = list(seeds)
         if not 1 <= len(seeds) <= 64:
             raise ValueError("need between 1 and 64 seeds per batch")
@@ -238,41 +228,30 @@ class BatchedCrossCheck:
             factory(seed) for seed in seeds
         ]
         self.netlist = self.harnesses[0].netlist
-        if backend == "compiled":
-            from repro.codegen.sim import CompiledSimulator
-
-            compared = set()
-            for harness in self.harnesses:
-                for _ch, gch, ctrl_role in harness.triples:
-                    if ctrl_role == "producer":
-                        compared.update((gch.vp, gch.sn))
-                    else:
-                        compared.update((gch.sp, gch.vn))
-            self.sim = CompiledSimulator(
-                self.netlist, lanes=len(seeds),
-                hooks=frozenset(), observe=frozenset(compared),
-                cache=cache,
-            )
-        elif backend == "batch":
-            self.sim = BatchSimulator(self.netlist, lanes=len(seeds))
-        else:
-            raise ValueError(
-                f"unknown backend {backend!r}; pick 'batch' or 'compiled'"
-            )
         # Comparison plan per lane: the controller-driven gate wires and
         # the behavioural channel each must be read from, pre-resolved
-        # to plane-array slots.
-        self._compare: List[List[Tuple[Channel, str, str, int]]] = []
+        # to plane-array slots once the simulator exists.
+        plans: List[List[Tuple[Channel, str, str]]] = []
         for harness in self.harnesses:
-            plan: List[Tuple[Channel, str, str, int]] = []
+            plan: List[Tuple[Channel, str, str]] = []
             for ch, gch, ctrl_role in harness.triples:
                 if ctrl_role == "producer":
                     wires = (("vp", gch.vp), ("sn", gch.sn))
                 else:
                     wires = (("sp", gch.sp), ("vn", gch.vn))
-                for attr, wire in wires:
-                    plan.append((ch, attr, wire, self.sim.slot(wire)))
-            self._compare.append(plan)
+                plan.extend((ch, attr, wire) for attr, wire in wires)
+            plans.append(plan)
+        from repro.codegen.sim import CompiledSimulator
+
+        self.sim = CompiledSimulator(
+            self.netlist, lanes=len(seeds), hooks=frozenset(),
+            observe=frozenset(w for plan in plans for _, _, w in plan),
+            cache=cache,
+        )
+        self._compare: List[List[Tuple[Channel, str, str, int]]] = [
+            [(ch, attr, wire, self.sim.slot(wire)) for ch, attr, wire in plan]
+            for plan in plans
+        ]
         self.cycle = 0
 
     def step(self) -> None:

@@ -117,7 +117,7 @@ def _campaign_build(params: Dict[str, object]):
     config = decode_campaign_config(params["config"])
     harness = _make_harness(
         target, config, params["lanes"], params["degrade"], None,
-        params.get("backend", "batch"), params.get("cache"),
+        params.get("cache"),
     )
 
     def run(payload: object) -> object:
@@ -133,10 +133,9 @@ def _campaign_fingerprint(params: Dict[str, object]) -> Dict[str, object]:
     Embeds the *netlist fingerprint* computed from each side's own
     code: a worker with a skewed controller netlist (different repo
     revision, different elaboration) fingerprints differently and is
-    rejected at the handshake, never silently merged.  The backend and
-    cache directory are deliberately excluded -- they cannot change
-    outcomes (the differential suites prove it), so a heterogeneous
-    pool may mix them.
+    rejected at the handshake, never silently merged.  The cache
+    directory is deliberately excluded -- it cannot change outcomes,
+    so a heterogeneous pool may mix them.
     """
     from repro.codegen.fingerprint import netlist_fingerprint
     from repro.faults.campaign import resolve_target

@@ -13,9 +13,10 @@ The subsystem has four layers:
   over the Figs. 5--7 controller targets and the Sect. 7 processor,
   with deterministic JSON reports, optionally lane-parallel
   (``lanes``) and process-sharded (``jobs``);
-* :mod:`repro.faults.batch` -- the bit-parallel campaign backend:
+* :mod:`repro.faults.batch` -- the lane-parallel campaign harness:
   word-wide monitor bank and 64-injections-per-pass harness over
-  :class:`repro.rtl.BatchSimulator`, plus one-fault/many-seeds sweeps;
+  :class:`repro.codegen.sim.CompiledSimulator`, plus
+  one-fault/many-seeds sweeps;
 * :mod:`repro.faults.shrink` -- ddmin minimisation of failing
   schedules, rendered as counterexample traces.
 """

@@ -1,8 +1,8 @@
-"""Lane-parallel fault campaigns on the batch simulation kernel.
+"""Lane-parallel fault campaigns on the compiled simulator.
 
 :class:`BatchCampaignHarness` is the 64-lane counterpart of
 :class:`~repro.faults.campaign.CampaignHarness`: one
-:class:`~repro.rtl.batchsim.BatchSimulator` runs up to ``lanes``
+:class:`~repro.codegen.sim.CompiledSimulator` runs up to ``lanes``
 injections of the same sweep simultaneously, each in its own bit lane,
 under the broadcast campaign stimulus.  :func:`run_seed_sweep` is the
 transposed mode -- one fault replayed under many stimulus seeds, one
@@ -35,11 +35,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
 
+from repro.codegen.cache import BuildCache
+from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import (
     CampaignConfig,
     FaultOutcome,
@@ -51,7 +54,6 @@ from repro.faults.monitors import EbProbe, Violation
 from repro.faults.targets import RtlTarget
 from repro.resilience.checkpoint import CheckpointStore
 from repro.rtl.batchsim import (
-    BatchSimulator,
     LaneOverride,
     broadcast,
     pack_stimulus,
@@ -151,7 +153,7 @@ class BatchMonitor:
 class BatchInvariantMonitor(BatchMonitor):
     """Word-wide equation (2) check on one channel."""
 
-    def __init__(self, channel, sim: BatchSimulator) -> None:
+    def __init__(self, channel, sim: CompiledSimulator) -> None:
         self.name = f"invariant[{channel.name}]"
         self._vp = sim.slot(channel.vp)
         self._sp = sim.slot(channel.sp)
@@ -177,7 +179,7 @@ class BatchInvariantMonitor(BatchMonitor):
 class BatchPersistenceMonitor(BatchMonitor):
     """Word-wide Retry persistence on one channel."""
 
-    def __init__(self, channel, sim: BatchSimulator) -> None:
+    def __init__(self, channel, sim: CompiledSimulator) -> None:
         self.name = f"persistence[{channel.name}]"
         self._vp = sim.slot(channel.vp)
         self._sp = sim.slot(channel.sp)
@@ -210,7 +212,7 @@ class BatchPersistenceMonitor(BatchMonitor):
 class BatchEncodingMonitor(BatchMonitor):
     """Word-wide thermometer-code invariants of the EB state bits."""
 
-    def __init__(self, probe: EbProbe, sim: BatchSimulator) -> None:
+    def __init__(self, probe: EbProbe, sim: CompiledSimulator) -> None:
         self.name = f"encoding[{probe.prefix}]"
         self._bits = tuple(sim.slot(s) for s in probe.state_bits)
 
@@ -243,7 +245,7 @@ class BatchConservationMonitor(BatchMonitor):
     #: two's-complement width: occupancy+delta spans [-5, 5]
     _WIDTH = 4
 
-    def __init__(self, probe: EbProbe, sim: BatchSimulator) -> None:
+    def __init__(self, probe: EbProbe, sim: CompiledSimulator) -> None:
         self.name = f"conservation[{probe.prefix}]"
         self.mask = sim.mask
         self._bits = tuple(sim.slot(s) for s in probe.state_bits)
@@ -316,7 +318,7 @@ class BatchGoldenMonitor(BatchMonitor):
         self,
         wires: Sequence[str],
         golden: Sequence[Sequence[Tuple[int, int]]],
-        sim: BatchSimulator,
+        sim: CompiledSimulator,
     ) -> None:
         self.wires = list(wires)
         self._slots = [sim.slot(w) for w in wires]
@@ -327,7 +329,7 @@ class BatchGoldenMonitor(BatchMonitor):
         cls,
         wires: Sequence[str],
         golden: Sequence[Mapping[str, Value]],
-        sim: BatchSimulator,
+        sim: CompiledSimulator,
     ) -> "BatchGoldenMonitor":
         """Broadcast a scalar golden trace to every lane."""
         lanes = sim.lanes
@@ -364,7 +366,7 @@ class BatchGoldenMonitor(BatchMonitor):
 
 
 def batch_monitor_bank(
-    target: RtlTarget, sim: BatchSimulator, golden: BatchGoldenMonitor
+    target: RtlTarget, sim: CompiledSimulator, golden: BatchGoldenMonitor
 ) -> List[BatchMonitor]:
     """A fresh word-wide monitor bank in the scalar bank's order."""
     bank: List[BatchMonitor] = []
@@ -417,6 +419,10 @@ class BatchCampaignHarness:
     all of them in a single lane-parallel run, returning the same
     :class:`FaultOutcome` objects (same order, same detail strings) the
     scalar :class:`~repro.faults.campaign.CampaignHarness` would.
+
+    ``cache`` is the build cache of the generated module: a
+    :class:`~repro.codegen.cache.BuildCache`, a directory path, or
+    ``None`` for the default directory.
     """
 
     def __init__(
@@ -425,11 +431,13 @@ class BatchCampaignHarness:
         config: CampaignConfig,
         lanes: int = 64,
         metrics: Optional["MetricsRegistry"] = None,
+        cache: Union[BuildCache, str, None] = None,
     ) -> None:
         self.target = target
         self.config = config
         self.lanes = lanes
         self.metrics = metrics
+        self.cache = cache
         self.sim = self._make_sim()
         self.stimulus = make_stimulus(
             target.free_inputs, config.cycles, config.seed
@@ -445,15 +453,21 @@ class BatchCampaignHarness:
             target.observe, self.golden, self.sim
         )
 
-    def _make_sim(self):
-        """The lane-parallel simulator driving this harness.
+    def _make_sim(self) -> CompiledSimulator:
+        """The simulator restricted to what a campaign touches.
 
-        Overridden by the compiled-backend harness
-        (:class:`repro.codegen.harness.CompiledCampaignHarness`); every
-        other harness behavior -- golden recording, monitor bank,
-        chunk classification -- is backend-agnostic.
+        Override hooks sit at the target's fault sites only, and
+        end-of-cycle writeback covers the target's observed wires (the
+        union of every monitor's read set).
         """
-        return BatchSimulator(self.target.netlist, self.lanes)
+        return CompiledSimulator(
+            self.target.netlist,
+            self.lanes,
+            hooks=frozenset(self.target.fault_sites),
+            observe=frozenset(self.target.observe),
+            cache=self.cache,
+            metrics=self.metrics,
+        )
 
     def _record_golden(self) -> None:
         sim = self.sim
@@ -552,7 +566,14 @@ def _seed_sweep_chunk(
 ) -> List[FaultOutcome]:
     """One batched golden+faulty pass over up to a word of seeds."""
     lanes = len(seeds)
-    sim = BatchSimulator(tgt.netlist, lanes)
+    # Same hooks as the campaign harness (hence the same generated
+    # module) whenever the injection sits at a stock fault site.
+    sim = CompiledSimulator(
+        tgt.netlist,
+        lanes,
+        hooks=frozenset(tgt.fault_sites) | {injection.net},
+        observe=frozenset(tgt.observe),
+    )
     stimuli = [
         make_stimulus(tgt.free_inputs, cfg.cycles, seed) for seed in seeds
     ]

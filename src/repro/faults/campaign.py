@@ -24,7 +24,7 @@ Two campaign flavours:
 
 RTL campaigns scale two ways, composable and both bit-identical to the
 sequential sweep: ``lanes > 1`` classifies up to 64 injections per
-simulation on the bit-parallel kernel
+simulation on the compiled lane-parallel simulator
 (:class:`~repro.faults.batch.BatchCampaignHarness`), and ``jobs > 1``
 shards the injection chunks over the crash-tolerant
 :class:`~repro.resilience.ShardSupervisor` (dead/hung workers are
@@ -384,45 +384,29 @@ def _make_harness(
     lanes: int,
     degrade: bool,
     metrics: Optional["MetricsRegistry"],
-    backend: str = "batch",
     cache: Optional[str] = None,
 ):
-    """The chunk-classifying harness for one (target, lanes, backend).
+    """The chunk-classifying harness for one (target, lanes).
 
-    ``backend="compiled"`` swaps the lane-parallel engine for the
-    codegen backend (:class:`repro.codegen.harness.CompiledCampaignHarness`,
-    used even at ``lanes=1``); ``cache`` is its build-cache directory
-    (``None`` for the default).  The scalar engine stays the semantic
-    reference for the degradation ladder either way.
+    ``lanes > 1`` runs the lane-parallel
+    :class:`~repro.faults.batch.BatchCampaignHarness` (wrapped in the
+    degradation ladder when ``degrade``); ``cache`` is the build-cache
+    directory of its generated module (``None`` for the default).
+    ``lanes=1`` runs the scalar harness, the semantic reference.
     """
-    if backend not in ("batch", "compiled"):
-        raise ValueError(
-            f"unknown backend {backend!r}; pick 'batch' or 'compiled'"
+    if lanes <= 1:
+        return CampaignHarness(tgt, config)
+    if degrade:
+        from repro.resilience.degrade import DegradingCampaignHarness
+
+        return DegradingCampaignHarness(
+            tgt, config, lanes, metrics=metrics, cache=cache
         )
-    if lanes > 1 or backend == "compiled":
-        if backend == "compiled":
-            from repro.codegen.harness import CompiledCampaignHarness
+    from repro.faults.batch import BatchCampaignHarness
 
-            def factory():
-                return CompiledCampaignHarness(
-                    tgt, config, lanes, metrics=metrics, cache=cache
-                )
-        else:
-            from repro.faults.batch import BatchCampaignHarness
-
-            def factory():
-                return BatchCampaignHarness(
-                    tgt, config, lanes, metrics=metrics
-                )
-
-        if degrade:
-            from repro.resilience.degrade import DegradingCampaignHarness
-
-            return DegradingCampaignHarness(
-                tgt, config, lanes, metrics=metrics, batch_factory=factory
-            )
-        return factory()
-    return CampaignHarness(tgt, config)
+    return BatchCampaignHarness(
+        tgt, config, lanes, metrics=metrics, cache=cache
+    )
 
 
 def _chunk_worker(
@@ -430,7 +414,6 @@ def _chunk_worker(
     config: CampaignConfig,
     lanes: int,
     degrade: bool,
-    backend: str = "batch",
     cache: Optional[str] = None,
 ) -> Callable[[List[Injection]], List[FaultOutcome]]:
     """Worker-process initialiser for the shard supervisor.
@@ -441,7 +424,7 @@ def _chunk_worker(
     workers sharing a warm cache directory all hit the same artifact.
     """
     tgt = resolve_target(spec)
-    harness = _make_harness(tgt, config, lanes, degrade, None, backend, cache)
+    harness = _make_harness(tgt, config, lanes, degrade, None, cache)
     return harness.run_chunk
 
 
@@ -505,7 +488,6 @@ def run_campaign(
     degrade: bool = True,
     degradation: bool = False,
     profile: bool = False,
-    backend: str = "batch",
     cache: Optional[str] = None,
     workers: Optional[Sequence[str]] = None,
     fabric: Optional[object] = None,
@@ -513,7 +495,7 @@ def run_campaign(
     """Sweep every enumerated fault over ``target``.
 
     ``lanes > 1`` batches that many injections per simulation on the
-    bit-parallel kernel; ``jobs > 1`` additionally spreads the chunks
+    compiled lane-parallel simulator; ``jobs > 1`` additionally spreads the chunks
     over supervised worker processes -- a worker that dies or blows the
     per-chunk ``shard_timeout`` has its chunk requeued (up to
     ``max_retries`` times, with capped exponential backoff) instead of
@@ -527,7 +509,7 @@ def run_campaign(
     uninterrupted run.
 
     ``degrade`` (default on, only meaningful with ``lanes > 1``) wraps
-    the batch kernel in the graceful-degradation harness: a corrupt or
+    the lane-parallel harness in the graceful-degradation ladder: a corrupt or
     faulted lane is quarantined and replayed on the scalar simulator
     rather than poisoning its whole chunk.
 
@@ -554,14 +536,11 @@ def run_campaign(
     so the report stays byte-identical to the goldens.  Requires the
     target to be one of the named stock targets.
 
-    ``backend`` selects the lane-parallel engine: ``"batch"`` (the
-    default) runs :class:`~repro.faults.batch.BatchCampaignHarness`,
-    ``"compiled"`` the codegen backend with its on-disk build cache
-    (``cache`` names the cache directory, shipped to workers as a plain
-    string; ``None`` uses the default directory).  Reports are
-    byte-identical across backends, and the checkpoint fingerprint
-    deliberately excludes the backend so a campaign interrupted on one
-    can resume on the other.
+    ``cache`` names the build-cache directory of the generated
+    lane-parallel module (shipped to workers as a plain string; ``None``
+    uses the default directory, and an unwritable directory degrades to
+    an in-memory build).  It cannot change outcomes, so neither the
+    checkpoint fingerprint nor the fabric handshake includes it.
 
     ``workers`` names socket-fabric workers (``["host:port", ...]``,
     each one a running ``repro worker --listen``) and replaces the
@@ -649,7 +628,6 @@ def run_campaign(
                 "config": encode_campaign_config(cfg),
                 "lanes": lanes,
                 "degrade": degrade,
-                "backend": backend,
                 "cache": cache,
             },
             [
@@ -668,7 +646,7 @@ def run_campaign(
     elif jobs > 1 and len(pending) > 1:
         supervisor = ShardSupervisor(
             _chunk_worker,
-            (spec, cfg, lanes, degrade, backend, cache),
+            (spec, cfg, lanes, degrade, cache),
             pending,
             config=SupervisorConfig(
                 jobs=jobs, shard_timeout=shard_timeout,
@@ -679,9 +657,7 @@ def run_campaign(
         )
         supervisor.run()
     elif pending:
-        harness = _make_harness(
-            tgt, cfg, lanes, degrade, metrics, backend, cache
-        )
+        harness = _make_harness(tgt, cfg, lanes, degrade, metrics, cache)
         for index, chunk in pending:
             record(index, harness.run_chunk(chunk))
 
@@ -701,7 +677,7 @@ def run_campaign(
         from repro.obs.analyze import run_profile
 
         # The fault-free baseline always runs on the scalar engine so
-        # the key is byte-identical whatever lane/backend combination
+        # the key is byte-identical whatever lane/job combination
         # executed the sweep itself.
         report.profile = run_profile(
             tgt.name, cycles=cfg.cycles, seed=cfg.seed, backend="scalar"

@@ -1,14 +1,14 @@
 """Spec-level fuzzing: generator, differential oracle, shrinking, corpus.
 
 The fuzzer closes the loop the rest of the repo leaves open: every
-backend (behavioural, gate-level scalar, bit-parallel batch, compiled,
-CTL model checking) implements the same SELF elastic semantics, so any
+engine (behavioural, gate-level scalar, compiled lane-parallel, CTL
+model checking) implements the same SELF elastic semantics, so any
 *valid* system spec is a free differential test case.  This package
 
 * grows random valid :class:`~repro.fuzz.model.SpecModel`s
   (:mod:`repro.fuzz.generate`), lint-clean by construction via a
   repair pass;
-* cross-checks every backend per spec (:mod:`repro.fuzz.oracle`);
+* cross-checks every engine per spec (:mod:`repro.fuzz.oracle`);
 * shrinks findings at the *spec* level -- removing blocks and
   re-repairing -- rather than at the trace level
   (:mod:`repro.fuzz.shrink`);

@@ -1,4 +1,4 @@
-"""The full-pipeline differential oracle: one spec, every backend.
+"""The full-pipeline differential oracle: one spec, every engine.
 
 :func:`run_oracle` pushes a generated :class:`~repro.fuzz.model.
 SpecModel` through the complete toolchain and reports the *first*
@@ -14,11 +14,12 @@ discrepancy as a :class:`FuzzFinding`:
    -- the seeded-bug demo patches a controller here;
 4. **differential** -- the gate-level netlist (with ND environment
    stubs, whose free inputs are protocol-legal for *any* 0/1 stream)
-   runs lock-step on the scalar two-phase simulator, the bit-parallel
-   batch kernel and the compiled backend under randomized per-lane
-   schedules; every channel wire must agree on every lane every cycle,
-   and the non-raising SELF monitors of :mod:`repro.faults.monitors`
-   watch the scalar trace (**protocol** stage);
+   runs lock-step on the scalar two-phase simulator (the semantic
+   reference) and on lane 0 of the compiled lane-parallel simulator
+   that fault campaigns use, under a randomized schedule; every channel
+   wire must agree every cycle, and the non-raising SELF monitors of
+   :mod:`repro.faults.monitors` watch the scalar trace (**protocol**
+   stage);
 5. **ctl** -- below an input/state budget, the Kripke structure is
    built and the paper's safety properties (invariant, Retry+/Retry−)
    are model checked; a :class:`~repro.verif.kripke.
@@ -66,18 +67,17 @@ class OracleConfig:
     """Budgets for one oracle run."""
 
     cycles: int = 96
-    lanes: int = 8
-    #: run the gate-level scalar/batch/compiled differential stage
+    #: run the gate-level scalar/compiled differential stage
     check_gates: bool = True
-    #: include the compiled backend in the differential comparison
-    check_compiled: bool = True
     #: run the bounded Kripke/CTL spot check
     check_verify: bool = True
     #: skip CTL when the netlist has more free inputs than this (the
     #: exploration enumerates 2^k input combinations per state)
     verify_max_inputs: int = 6
     verify_max_states: int = 20_000
-    #: optional BuildCache for compiled modules and Kripke structures
+    #: optional BuildCache for compiled modules and Kripke structures;
+    #: without one, modules are built in memory and Kripke structures
+    #: are not cached
     cache: object = None
 
 
@@ -131,7 +131,7 @@ def run_oracle(
     ):
         return None
 
-    # Stage 4: scalar vs batch vs compiled on the gate netlist.
+    # Stage 4: scalar vs compiled on the gate netlist.
     finding = _gate_differential(model, spec, seed, config)
     if finding is not None:
         return finding
@@ -145,9 +145,11 @@ def run_oracle(
 def _gate_differential(
     model: SpecModel, spec, seed: int, config: OracleConfig
 ) -> Optional[FuzzFinding]:
+    from repro.codegen.cache import BuildCache
+    from repro.codegen.sim import CompiledSimulator
     from repro.faults.monitors import channel_monitors
     from repro.lint.netlist_rules import lint_netlist
-    from repro.rtl.batchsim import BatchSimulator, pack_stimulus
+    from repro.rtl.batchsim import pack_stimulus
     from repro.rtl.simulator import TwoPhaseSimulator
     from repro.synthesis.elaborate import to_gates
 
@@ -161,51 +163,32 @@ def _gate_differential(
     channels = [elab.channels[k] for k in sorted(elab.channels)]
     wires = [w for ch in channels for w in ch.wires()]
     inputs = sorted(nl.inputs)
-    lanes = config.lanes
-    stimuli = []
-    for lane in range(lanes):
-        rng = random.Random(f"fuzz:{seed}:{model.name}:env:{lane}")
-        stimuli.append([
-            {name: rng.getrandbits(1) for name in inputs}
-            for _ in range(config.cycles)
-        ])
+    rng = random.Random(f"fuzz:{seed}:{model.name}:env:0")
+    stimulus = [
+        {name: rng.getrandbits(1) for name in inputs}
+        for _ in range(config.cycles)
+    ]
 
     scalar = TwoPhaseSimulator(nl)
-    batch = BatchSimulator(nl, lanes=lanes)
-    compiled = None
-    if config.check_compiled:
-        from repro.codegen.sim import CompiledSimulator
-
-        compiled = CompiledSimulator(
-            nl, lanes, hooks=frozenset(), observe=frozenset(wires),
-            cache=config.cache,
-        )
+    compiled = CompiledSimulator(
+        nl, 1, hooks=frozenset(), observe=frozenset(wires),
+        cache=(config.cache if config.cache is not None
+               else BuildCache.in_memory()),
+    )
     monitors = channel_monitors(channels)
 
-    for t, packed in enumerate(pack_stimulus(stimuli)):
-        batch.cycle(packed)
-        if compiled is not None:
-            compiled.cycle(packed)
-        values = scalar.cycle(stimuli[0][t])
+    for t, packed in enumerate(pack_stimulus([stimulus])):
+        compiled.cycle(packed)
+        values = scalar.cycle(stimulus[t])
         for wire in wires:
             want = values.get(wire)
-            got = batch.lane_value(wire, 0)
+            got = compiled.lane_value(wire, 0)
             if got != want:
                 return _finding(
                     model, seed, "differential",
                     f"cycle {t} wire {wire}: scalar={want!r} "
-                    f"batch[0]={got!r}",
+                    f"compiled[0]={got!r}",
                 )
-            if compiled is not None:
-                for lane in range(lanes):
-                    c = compiled.lane_value(wire, lane)
-                    if c != batch.lane_value(wire, lane):
-                        return _finding(
-                            model, seed, "differential",
-                            f"cycle {t} wire {wire} lane {lane}: "
-                            f"batch={batch.lane_value(wire, lane)!r} "
-                            f"compiled={c!r}",
-                        )
         for monitor in monitors:
             violation = monitor.observe(t, values)
             if violation is not None:

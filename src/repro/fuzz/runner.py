@@ -38,7 +38,6 @@ class FuzzConfig:
     specs: int = 20
     max_blocks: int = 48
     cycles: int = 96
-    lanes: int = 8
     #: optional wall-clock cap in seconds (makes output run-dependent)
     budget: Optional[float] = None
     #: optional corpus directory for shrunk counterexamples
@@ -47,7 +46,6 @@ class FuzzConfig:
     mutation: Optional[str] = None
     shrink: bool = True
     check_gates: bool = True
-    check_compiled: bool = True
     check_verify: bool = True
     generator: Optional[GeneratorConfig] = None
     cache: object = None
@@ -94,9 +92,7 @@ class FuzzReport:
 def _oracle_config(config: FuzzConfig, fast: bool = False) -> OracleConfig:
     return OracleConfig(
         cycles=config.cycles,
-        lanes=config.lanes,
         check_gates=config.check_gates and not fast,
-        check_compiled=config.check_compiled,
         check_verify=config.check_verify and not fast,
         cache=config.cache,
     )

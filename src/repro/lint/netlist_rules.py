@@ -61,7 +61,7 @@ def combinational_cycle_finding(
 
     Both simulators raise their
     :class:`~repro.rtl.toposort.CombinationalCycleError` from this
-    finding (via ``from_finding``), so the scalar and batch engines can
+    finding (via ``from_finding``), so the scalar and compiled engines can
     never drift apart on the message format.
     """
     loop = canonical_cycle(list(cycle))

@@ -4,7 +4,7 @@ Five pieces, usable separately or together:
 
 * :class:`TraceRecorder` (:mod:`repro.obs.recorder`) -- cycle-stamped
   structured events from the behavioural network, the scalar RTL
-  simulator and the word-parallel batch/compiled kernels, into a
+  simulator and the word-parallel compiled simulator, into a
   bounded ring buffer and pluggable sinks;
 * exporters -- :class:`VcdSink` (GTKWave waveforms) and
   :class:`JsonlSink` (one JSON object per event);

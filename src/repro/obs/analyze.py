@@ -3,7 +3,7 @@
 Where :mod:`repro.obs.recorder` answers "what happened, cycle by
 cycle", this module answers "where did the cycles *go*" -- one
 deterministic JSON performance report over any of the three execution
-engines (behavioural network, scalar/batch gate-level, compiled):
+engines (behavioural network, scalar gate-level, compiled lane-parallel):
 
 * **cycle accounting** -- every channel-cycle lands in exactly one of
   the six strict-bit categories (``transfer+``/``transfer-``/``kill``/
@@ -27,11 +27,12 @@ engines (behavioural network, scalar/batch gate-level, compiled):
   vs lazy, early vs in-order writeback).
 
 Reports are byte-identical across repeated seeded runs and across the
-``scalar``/``batch``/``compiled`` backends; per-lane stall diagnoses
-drop their backend-specific fields before serialisation to keep that
-guarantee.  Profilers constructed with ``enabled=False`` attach
-nothing, mirroring the :class:`~repro.obs.recorder.TraceRecorder`
-zero-cost no-op guarantee that the overhead benchmark locks.
+``scalar``/``compiled`` RTL engines (modulo the ``backend`` tag);
+per-lane stall diagnoses drop their engine-specific fields before
+serialisation to keep that guarantee.  Profilers constructed with
+``enabled=False`` attach nothing, mirroring the
+:class:`~repro.obs.recorder.TraceRecorder` zero-cost no-op guarantee
+that the overhead benchmark locks.
 """
 
 from __future__ import annotations
@@ -133,17 +134,15 @@ def _fraction(value: Fraction) -> str:
 
 
 # ----------------------------------------------------------------------
-# Gate-level profiler (scalar, batch and compiled backends)
+# Gate-level profiler (scalar and compiled engines)
 # ----------------------------------------------------------------------
 class RtlChannelProfiler:
     """Per-channel cycle accounting and stall attribution at gate level.
 
-    One instance serves all three RTL engines: :meth:`attach_scalar`
-    hooks a :class:`~repro.rtl.simulator.TwoPhaseSimulator`,
-    :meth:`attach_lane` one lane of a
-    :class:`~repro.rtl.batchsim.BatchSimulator` or
-    :class:`~repro.codegen.sim.CompiledSimulator` (all watched channel
-    wires must be in a compiled module's observed set).  With
+    One instance serves both RTL engines: :meth:`attach_scalar` hooks a
+    :class:`~repro.rtl.simulator.TwoPhaseSimulator`, :meth:`attach_lane`
+    one lane of a :class:`~repro.codegen.sim.CompiledSimulator` (all
+    watched channel wires must be in its module's observed set).  With
     ``enabled=False`` the attach methods are no-ops.
 
     ``ee`` optionally names an early join to account:
@@ -202,7 +201,7 @@ class RtlChannelProfiler:
         return self
 
     def attach_lane(self, sim, lane: int = 0) -> "RtlChannelProfiler":
-        """Hook one lane of a batch or compiled simulator."""
+        """Hook one lane of a compiled lane-parallel simulator."""
         from repro.rtl.batchsim import strict_planes
 
         if not self.enabled:
@@ -816,20 +815,14 @@ def _run_rtl(target, cycles: int, backend: str, cache, ee):
         )
         for _ in range(cycles):
             sim.cycle(stimulus)
-    elif backend in ("batch", "compiled"):
+    elif backend == "compiled":
+        from repro.codegen.sim import CompiledSimulator
         from repro.rtl.batchsim import broadcast
 
-        if backend == "batch":
-            from repro.rtl.batchsim import BatchSimulator
-
-            sim = BatchSimulator(target.netlist, lanes=1)
-        else:
-            from repro.codegen.sim import CompiledSimulator
-
-            sim = CompiledSimulator(
-                target.netlist, lanes=1, hooks=frozenset(),
-                observe=frozenset(target.observe), cache=cache,
-            )
+        sim = CompiledSimulator(
+            target.netlist, lanes=1, hooks=frozenset(),
+            observe=frozenset(target.observe), cache=cache,
+        )
         profiler.attach_lane(sim, 0)
         watchdog = BatchStallWatchdog.for_target(
             target, sim, window=_WINDOW, raise_on_stall=False
@@ -841,8 +834,7 @@ def _run_rtl(target, cycles: int, backend: str, cache, ee):
             sim.cycle(planes)
     else:
         raise ValueError(
-            f"unknown backend {backend!r}; "
-            "pick scalar, batch, compiled or auto"
+            f"unknown backend {backend!r}; pick scalar, compiled or auto"
         )
     return profiler, watchdog.diagnoses
 
@@ -1058,11 +1050,13 @@ def run_profile(
 ) -> PerformanceReport:
     """Profile one design end to end; the ``repro profile`` entry point.
 
-    ``design`` is an RTL campaign target (scalar/batch/compiled
-    backends under the eager environment), a Fig. 9 configuration,
-    ``pipeline`` (the Fig. 5 chain) or ``processor`` (both behavioural;
-    the backend must stay ``auto``).  The report is byte-identical
-    across repeated runs and across the three RTL backends.
+    ``design`` is an RTL campaign target (scalar or compiled engine
+    under the eager environment), a Fig. 9 configuration, ``pipeline``
+    (the Fig. 5 chain) or ``processor`` (both behavioural; the backend
+    must stay ``auto``).  The report is byte-identical across repeated
+    runs and across the two RTL engines, modulo the ``backend`` tag.
+    ``cache`` is the compiled engine's build cache (``None`` for the
+    default directory).
     """
     if design in _NETWORK_DESIGNS:
         if backend not in ("auto", "network"):

@@ -1,10 +1,10 @@
 """Profiling hooks: per-phase wall time and progress reporting.
 
 :class:`PhaseProfiler` accumulates wall-clock seconds per named phase.
-The batch kernel (:class:`~repro.rtl.batchsim.BatchSimulator`) accepts
-one on its ``profile`` attribute and times its two compiled phase
-programs; anything else can use :meth:`PhaseProfiler.phase` as a
-context manager.  When constructed over a
+The lane-parallel simulator (:class:`~repro.codegen.sim.CompiledSimulator`)
+accepts one on its ``profile`` attribute and times its fused cycle
+function under the phase ``"cycle"``; anything else can use
+:meth:`PhaseProfiler.phase` as a context manager.  When constructed over a
 :class:`~repro.obs.metrics.MetricsRegistry`, :meth:`snapshot` mirrors
 the accumulated totals into ``phase_seconds{phase=...}`` gauges.
 

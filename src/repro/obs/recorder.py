@@ -12,8 +12,9 @@ One recorder serves all three execution engines:
   end-of-cycle observer list and records edges (and X onsets) on a
   watch list of nets;
 * :meth:`TraceRecorder.attach_batch` does the same for one lane of a
-  :class:`~repro.rtl.batchsim.BatchSimulator`, producing a stream
-  bit-identical to the scalar one for equivalent runs.
+  lane-parallel :class:`~repro.codegen.sim.CompiledSimulator`,
+  producing a stream bit-identical to the scalar one for equivalent
+  runs.
 
 Events land in a bounded ring buffer (oldest evicted first) and are
 forwarded to pluggable sinks (:class:`JsonlSink`, :class:`~repro.obs.
@@ -211,7 +212,7 @@ class TraceRecorder:
         return observe
 
     # ------------------------------------------------------------------
-    # RTL attachments (scalar + one batch lane)
+    # RTL attachments (scalar + one lane of the lane-parallel engine)
     # ------------------------------------------------------------------
     def attach_rtl(self, sim, watch: Sequence[str]) -> "TraceRecorder":
         """Hook a scalar :class:`TwoPhaseSimulator` on a net watch list."""
@@ -238,14 +239,12 @@ class TraceRecorder:
 
     def attach_batch(self, sim, watch: Sequence[str],
                      lane: int = 0) -> "TraceRecorder":
-        """Hook one lane of a batch or compiled simulator on a watch list.
+        """Hook one lane of a compiled simulator on a watch list.
 
         Produces the same edge/x-onset stream the scalar attachment
-        yields for an equivalent run of that lane.  Works on
-        :class:`~repro.rtl.batchsim.BatchSimulator` and on
-        :class:`~repro.codegen.sim.CompiledSimulator`: every watched
-        net is validated through ``planes()`` at attach time, so a net
-        missing from a compiled module's observed set fails loudly here
+        yields for an equivalent run of that lane.  Every watched net
+        is validated through ``planes()`` at attach time, so a net
+        missing from the module's observed set fails loudly here
         instead of silently tracing a stale slot.
         """
         if not self.enabled:
@@ -257,22 +256,11 @@ class TraceRecorder:
         slots = [(net, sim.slot(net)) for net in watch]
         bit = 1 << lane
         prev: Dict[str, object] = {}
-        # Fast path: plane storage exposing plain Python ints (the
-        # batch kernel always, the compiled backend's int
-        # representation).  Other representations (numpy planes) go
-        # through the per-net planes() accessor.
         v, k = sim.value_planes, sim.known_planes
-        direct = all(
-            isinstance(v[slot], int) and isinstance(k[slot], int)
-            for _, slot in slots
-        )
 
         def observe(time: int, s) -> None:
             for net, slot in slots:
-                if direct:
-                    nv, nk = v[slot], k[slot]
-                else:
-                    nv, nk = s.planes(net)
+                nv, nk = v[slot], k[slot]
                 if nk & bit:
                     new: object = 1 if nv & bit else 0
                 else:

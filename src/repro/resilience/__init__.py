@@ -12,9 +12,9 @@ model-checking drivers:
 * **stall watchdogs** (:mod:`~repro.resilience.watchdog`) -- no-progress
   windows over the behavioural and gate-level simulators, with a
   structured :class:`StallDiagnosis` naming the asserted-Stop cycle;
-* **graceful degradation** (:mod:`~repro.resilience.degrade`) -- batch
-  lane faults quarantine onto the scalar engine instead of sinking the
-  campaign.
+* **graceful degradation** (:mod:`~repro.resilience.degrade`) --
+  faulted lanes quarantine onto the scalar engine instead of sinking
+  the campaign.
 
 See the "Resilience" section of DESIGN.md for formats and criteria.
 """

@@ -1,32 +1,34 @@
-"""Graceful degradation: quarantine faulted batch lanes onto the scalar engine.
+"""Graceful degradation: quarantine faulted lanes onto the scalar engine.
 
-The 64-lane :class:`~repro.rtl.batchsim.BatchSimulator` is the fast
+The 64-lane :class:`~repro.codegen.sim.CompiledSimulator` is the fast
 path of a fault campaign, but it is also the most fragile: a netlist
 whose faulted cone forms a combinational cycle cannot be compiled at
 all, a buggy observer can corrupt the live plane arrays, and a monitor
 bank can disagree with the scalar reference.  None of those should sink
 a multi-thousand-fault campaign.
 
-:class:`DegradingCampaignHarness` wraps the batch harness in a
-degradation ladder:
+:class:`DegradingCampaignHarness` wraps the lane-parallel
+:class:`~repro.faults.batch.BatchCampaignHarness` in a degradation
+ladder:
 
-1. **batch** -- the normal lane-parallel run;
-2. **lane quarantine** -- after a successful batch run, lanes flagged
-   by the kernel's plane-encoding integrity scan
-   (:meth:`~repro.rtl.batchsim.BatchSimulator.check_lane_integrity`)
+1. **lane-parallel** -- the normal run;
+2. **lane quarantine** -- after a successful lane-parallel run, lanes
+   flagged by the simulator's plane-encoding integrity scan
+   (:meth:`~repro.codegen.sim.CompiledSimulator.check_lane_integrity`)
    or by an external ``quarantine_hook`` (e.g. a monitor-disagreement
    crosscheck) have their outcomes discarded and recomputed on the
    scalar :class:`~repro.faults.campaign.CampaignHarness`;
 3. **chunk replay** -- a :class:`LaneFaultError` or a
    :class:`~repro.rtl.toposort.CombinationalCycleError` raised mid-run
    replays the whole chunk on the scalar engine;
-4. **permanent scalar** -- a netlist the batch kernel cannot compile
-   degrades the harness to scalar-only for its lifetime.
+4. **permanent scalar** -- a netlist the compiled simulator cannot
+   compile degrades the harness to scalar-only for its lifetime.
 
-Because the scalar engine is the semantic reference (the batch kernel
-is *defined* to agree with it, lane by lane), every rung produces the
-same outcomes as an all-scalar campaign -- :func:`verify_degradation`
-asserts exactly that, merged degraded run against all-scalar run.
+Because the scalar engine is the semantic reference (the compiled
+simulator is *defined* to agree with it, lane by lane), every rung
+produces the same outcomes as an all-scalar campaign --
+:func:`verify_degradation` asserts exactly that, merged degraded run
+against all-scalar run.
 
 This module must not import :mod:`repro.faults` at module scope: the
 ``repro.resilience`` package initialises while ``repro.faults.campaign``
@@ -36,11 +38,12 @@ campaign imports here are deferred into the methods.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.rtl.toposort import CombinationalCycleError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.codegen.cache import BuildCache
     from repro.faults.campaign import CampaignConfig, FaultOutcome
     from repro.faults.models import Injection
     from repro.faults.targets import RtlTarget
@@ -50,7 +53,7 @@ __all__ = ["DegradingCampaignHarness", "LaneFaultError", "verify_degradation"]
 
 
 class LaneFaultError(RuntimeError):
-    """A batch run detected faulted lanes it cannot classify.
+    """A lane-parallel run detected faulted lanes it cannot classify.
 
     ``lanes`` is a bitmask of the affected lanes (0 when the fault
     cannot be attributed to specific lanes).  Raise it from an observer
@@ -64,24 +67,18 @@ class LaneFaultError(RuntimeError):
 
 
 class DegradingCampaignHarness:
-    """A batch campaign harness that falls back to the scalar engine.
+    """A lane-parallel campaign harness that falls back to scalar.
 
     Drop-in for :class:`~repro.faults.batch.BatchCampaignHarness` --
-    same constructor shape, same :meth:`run_chunk` contract -- but a
-    lane fault degrades only the affected work instead of raising.
+    same constructor shape (``cache`` included), same :meth:`run_chunk`
+    contract -- but a lane fault degrades only the affected work
+    instead of raising.
 
     ``quarantine_hook`` is an optional ``fn(injections, batch_harness)
     -> int`` returning a bitmask of extra lanes to quarantine after a
-    successful batch run (the attachment point for crosschecks that
-    compare the batch monitors against an independent reference).
-
-    ``batch_factory`` is an optional zero-arg callable building the
-    lane-parallel harness; the default builds a
-    :class:`~repro.faults.batch.BatchCampaignHarness`, and the campaign
-    driver passes a compiled-backend factory here when
-    ``backend="compiled"`` is selected.  Whatever the factory raises at
-    build time is subject to the same permanent-scalar degradation as a
-    batch compile failure.
+    successful lane-parallel run (the attachment point for crosschecks
+    that compare the word-wide monitors against an independent
+    reference).
     """
 
     def __init__(
@@ -91,14 +88,14 @@ class DegradingCampaignHarness:
         lanes: int = 64,
         metrics: Optional["MetricsRegistry"] = None,
         quarantine_hook: Optional[Callable[..., int]] = None,
-        batch_factory: Optional[Callable[[], object]] = None,
+        cache: Union["BuildCache", str, None] = None,
     ) -> None:
         self.target = target
         self.config = config
         self.lanes = lanes
         self.metrics = metrics
         self.quarantine_hook = quarantine_hook
-        self.batch_factory = batch_factory
+        self.cache = cache
         #: total lanes replayed on the scalar engine so far
         self.quarantined_total = 0
         self._batch = None
@@ -108,18 +105,13 @@ class DegradingCampaignHarness:
     # -- lazy engines --------------------------------------------------
     def _batch_harness(self):
         if self._batch is None and not self._permanent_scalar:
-            factory = self.batch_factory
-            if factory is None:
-                from repro.faults.batch import BatchCampaignHarness
-
-                def factory():
-                    return BatchCampaignHarness(
-                        self.target, self.config, self.lanes,
-                        metrics=self.metrics,
-                    )
+            from repro.faults.batch import BatchCampaignHarness
 
             try:
-                self._batch = factory()
+                self._batch = BatchCampaignHarness(
+                    self.target, self.config, self.lanes,
+                    metrics=self.metrics, cache=self.cache,
+                )
             except CombinationalCycleError:
                 self._degrade_permanently("compile")
         return self._batch
@@ -161,8 +153,8 @@ class DegradingCampaignHarness:
             self._count(exc.reason, len(injections))
             return self._scalar_harness().run_chunk(injections)
         except CombinationalCycleError:
-            # The compiled kernel should have caught this at build time;
-            # treat a mid-run appearance as a broken batch engine.
+            # Compilation should have caught this at build time; treat
+            # a mid-run appearance as a broken lane-parallel engine.
             self._degrade_permanently("compile")
             return self._scalar_harness().run_chunk(injections)
         quarantine = batch.sim.check_lane_integrity()

@@ -416,11 +416,10 @@ def _diagnose_rtl(
 
 
 class BatchStallWatchdog:
-    """Per-lane no-progress watchdog for the word-parallel simulators.
+    """Per-lane no-progress watchdog for the lane-parallel simulator.
 
-    Works on both :class:`~repro.rtl.batchsim.BatchSimulator` and the
-    compiled :class:`~repro.codegen.sim.CompiledSimulator` (the watched
-    channel wires must be in the compiled module's observed set).  The
+    Runs on a :class:`~repro.codegen.sim.CompiledSimulator` (the watched
+    channel wires must be in its module's observed set).  The
     progress/pending criterion of :class:`RtlStallWatchdog` is evaluated
     word-wide -- one strict-bit mask operation per channel covers every
     lane -- and each lane keeps its own last-progress cycle.  When a

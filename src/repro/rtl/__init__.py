@@ -9,9 +9,10 @@ tool chain at the structural level:
 * :mod:`repro.rtl.simulator` -- two-phase cycle simulation with
   X-propagation and combinational-cycle handling via ternary fixed
   points.
-* :mod:`repro.rtl.batchsim` -- bit-parallel 64-lane two-phase
-  simulation (one bit per lane in a two-plane value/known word pair),
-  compiled into flat per-phase instruction lists.
+* :mod:`repro.rtl.batchsim` -- the two-plane lane encoding (one bit
+  per lane in a value/known word pair) spoken by the lane-parallel
+  :class:`~repro.codegen.sim.CompiledSimulator`: packing, unpacking and
+  per-lane override masks.
 * :mod:`repro.rtl.toposort` -- per-phase topological orders and
   combinational-cycle extraction shared by both simulators.
 * :mod:`repro.rtl.area` -- constant propagation, dead-logic removal and
@@ -22,7 +23,6 @@ from repro.rtl.logic import AND, NOT, OR, X, lnot, land, lor, lxor, is_known
 from repro.rtl.netlist import Gate, Latch, FlipFlop, Netlist, Phase
 from repro.rtl.simulator import TwoPhaseSimulator, CombinationalCycleError
 from repro.rtl.batchsim import (
-    BatchSimulator,
     LaneOverride,
     broadcast,
     pack_stimulus,
@@ -50,7 +50,6 @@ __all__ = [
     "Phase",
     "TwoPhaseSimulator",
     "CombinationalCycleError",
-    "BatchSimulator",
     "LaneOverride",
     "broadcast",
     "pack_stimulus",

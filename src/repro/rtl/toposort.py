@@ -5,8 +5,8 @@ of its gates plus the latches that are *transparent* in that phase
 (their output follows their input like a buffer).  Both simulators need
 this graph:
 
-* :class:`~repro.rtl.batchsim.BatchSimulator` compiles each phase into
-  a flat instruction list and therefore *requires* the graph to be
+* :class:`~repro.codegen.sim.CompiledSimulator` compiles each phase
+  into a flat instruction list and therefore *requires* the graph to be
   acyclic -- :func:`topo_order` raises :class:`CombinationalCycleError`
   naming the full cycle path otherwise;
 * :class:`~repro.rtl.simulator.TwoPhaseSimulator` tolerates cycles via
@@ -50,7 +50,7 @@ class CombinationalCycleError(RuntimeError):
 
         Delegates the diagnostic to the LNT005 lint rule (the import is
         deferred: the lint package sits above the rtl layer), so the
-        scalar engine, the batch engine and ``repro lint`` produce the
+        scalar engine, the compiled engine and ``repro lint`` produce the
         message from exactly one place.
         """
         from repro.lint.netlist_rules import combinational_cycle_finding

@@ -24,8 +24,8 @@ Components:
 * :func:`verify_data_correctness` -- builds the Kripke structure and
   checks ``AG !error`` (plus the four channel properties if asked);
 * :func:`batched_error_sweep` -- the simulation-side complement: seeded
-  random stimulus, one seed per lane of a bit-parallel
-  :class:`~repro.rtl.batchsim.BatchSimulator`, hunting for a cycle that
+  random stimulus, one seed per lane of a lane-parallel
+  :class:`~repro.codegen.sim.CompiledSimulator`, hunting for a cycle that
   raises any error wire (:func:`error_sweep` replays one seed scalar).
 """
 
@@ -41,7 +41,7 @@ from repro.elastic.gates import (
     build_nd_sink,
     build_nd_source,
 )
-from repro.rtl.batchsim import BatchSimulator, pack_stimulus
+from repro.rtl.batchsim import pack_stimulus
 from repro.rtl.netlist import Netlist
 from repro.rtl.simulator import TwoPhaseSimulator
 from repro.verif.ctl import AG, AP, ModelChecker, Not
@@ -212,7 +212,6 @@ def batched_error_sweep(
     error_wires: Sequence[str],
     seeds: Sequence[int],
     cycles: int = 256,
-    backend: str = "batch",
     cache=None,
 ) -> Optional[Tuple[int, int, str]]:
     """Random-stimulus hunt for ``error``, all seeds word-parallel.
@@ -223,30 +222,21 @@ def batched_error_sweep(
     same failure every run regardless of batching -- or ``None`` if no
     seed raises any error wire within ``cycles``.
 
-    ``backend="compiled"`` runs the codegen backend restricted to the
-    error wires (``cache`` names its build-cache directory); results
-    are identical, and repeated sweeps of the same netlist skip the
-    per-batch kernel compile entirely.
+    The simulator is restricted to the error wires; ``cache`` names the
+    build cache of its generated module (``None`` for the default
+    directory), so repeated sweeps of the same netlist compile once.
     """
-    if backend not in ("batch", "compiled"):
-        raise ValueError(
-            f"unknown backend {backend!r}; pick 'batch' or 'compiled'"
-        )
+    from repro.codegen.sim import CompiledSimulator
+
     seeds = list(seeds)
     error_wires = list(error_wires)
     best: Optional[Tuple[int, int, int]] = None
     for base in range(0, len(seeds), 64):
         chunk = seeds[base:base + 64]
-        if backend == "compiled":
-            from repro.codegen.sim import CompiledSimulator
-
-            sim = CompiledSimulator(
-                netlist, lanes=len(chunk),
-                hooks=frozenset(), observe=frozenset(error_wires),
-                cache=cache,
-            )
-        else:
-            sim = BatchSimulator(netlist, lanes=len(chunk))
+        sim = CompiledSimulator(
+            netlist, lanes=len(chunk),
+            hooks=frozenset(), observe=frozenset(error_wires), cache=cache,
+        )
         packed = pack_stimulus(
             [_sweep_stimulus(netlist, s, cycles) for s in chunk]
         )

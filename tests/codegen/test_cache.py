@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.codegen.cache import (
     BuildCache,
     build_cache,
@@ -175,8 +173,54 @@ def test_compiled_simulator_accepts_cache_path(tmp_path):
     assert (tmp_path / "c" / sim.key / "module.py").is_file()
 
 
-def test_unknown_plane_kind_rejected():
-    with pytest.raises(ValueError, match="plane_kind"):
-        from repro.codegen.sim import CompiledSimulator
+def test_in_memory_cache_writes_nothing(tmp_path, monkeypatch):
+    from repro.codegen.sim import CompiledSimulator
 
-        CompiledSimulator(_small_netlist(), 4, plane_kind="torch")
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path / "codegen-cache"  # the autouse REPRO_CACHE_DIR
+    cache = BuildCache.in_memory()
+    reset_process_stats()
+    sim = CompiledSimulator(_small_netlist(), 4, cache=cache)
+    sim.cycle({"a": (0b1010, 0b1111), "b": (0b0110, 0b1111)})
+    assert sim.planes("y") == (0b0010, 0b1111)
+    assert CompiledSimulator(_small_netlist(), 4, cache=cache).module \
+        is sim.module
+    assert process_stats() == {"hits": 1, "misses": 1}
+    cache.store_json("k", [1], meta={"kind": "test"})
+    assert cache.load_json("k") == [1]
+    assert cache.stats()["entries"] == 0 and cache.clear() == 0
+    assert not root.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_root_builds_in_memory(tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    cache = BuildCache(blocker / "cache")  # mkdir raises OSError
+    reset_process_stats()
+    module = cache.load_module(_small_netlist())
+    assert module.KEY == artifact_key(_small_netlist())
+    assert cache.load_module(_small_netlist()) is module
+    assert process_stats() == {"hits": 1, "misses": 1}
+    cache.store_json("k", [1], meta={"kind": "test"})
+    assert cache.load_json("k") == [1]
+
+
+def test_loaded_functions_keep_module_line_numbers(tmp_path):
+    from repro.faults.targets import TARGETS
+
+    target = TARGETS["dual_ehb_latches"]()
+    cache = BuildCache(tmp_path / "c")
+    hooks = frozenset(target.fault_sites)
+    module = cache.load_module(target.netlist, hooks=hooks)
+    lines = (tmp_path / "c" / module.KEY / BuildCache.MODULE) \
+        .read_text().splitlines()
+    names = ("cycle", "cycle_clean", "kcycle", "kcycle_clean")
+    for name in names:
+        code = getattr(module, name).__code__
+        assert lines[code.co_firstlineno - 1].startswith(f"def {name}(")
+        assert code.co_filename.endswith(BuildCache.MODULE)
+    memory = BuildCache.in_memory().load_module(target.netlist, hooks=hooks)
+    for name in names:
+        assert (getattr(memory, name).__code__.co_firstlineno
+                == getattr(module, name).__code__.co_firstlineno)

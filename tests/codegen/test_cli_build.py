@@ -49,23 +49,28 @@ class TestBuild:
 
 class TestInjectBackend:
     ARGS = ["inject", "--netlist", "join", "--fault", "stuck0,stuck1,flip",
-            "--cycles", "80", "--lanes", "16"]
+            "--cycles", "80"]
 
-    def test_compiled_report_matches_batch(self, tmp_path, capsys):
-        batch = tmp_path / "batch.json"
-        compiled = tmp_path / "compiled.json"
-        main(self.ARGS + ["--report", str(batch)])
-        main(self.ARGS + ["--backend", "compiled",
-                          "--cache", str(tmp_path / "cache"),
-                          "--report", str(compiled)])
-        assert batch.read_text() == compiled.read_text()
+    def test_compiled_report_matches_scalar(self, tmp_path, capsys):
+        """--lanes > 1 runs the compiled module out of --cache."""
+        scalar = tmp_path / "scalar.json"
+        lanes = tmp_path / "lanes.json"
+        cache = tmp_path / "cache"
+        main(self.ARGS + ["--report", str(scalar)])
+        assert not cache.exists()
+        main(self.ARGS + ["--lanes", "16", "--cache", str(cache),
+                          "--report", str(lanes)])
+        assert scalar.read_text() == lanes.read_text()
+        artifacts = [p for p in cache.iterdir() if p.is_dir()]
+        assert len(artifacts) == 1
+        assert (artifacts[0] / "module.py").is_file()
 
-    def test_processor_rejects_compiled(self):
+    def test_processor_rejects_compiled(self, tmp_path):
         import pytest
 
         with pytest.raises(SystemExit, match="RTL netlist"):
             main(["inject", "--netlist", "processor",
-                  "--backend", "compiled"])
+                  "--cache", str(tmp_path)])
 
 
 class TestLintCache:

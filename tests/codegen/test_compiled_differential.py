@@ -1,12 +1,14 @@
-"""Differential testing: CompiledSimulator vs batch vs scalar.
+"""Differential testing: restricted compiled modules vs the scalar reference.
 
 Hypothesis reuses the shared random-circuit strategies of
-``tests/strategies.py`` (the same distribution the batch differential
-suite drives) and adds the compiled backend to the comparison, in both
-plane representations and past the 64-lane word boundary.  The
-contract under test is byte-level: a compiled module's end-of-cycle
-planes must equal the interpreted batch kernel's planes exactly, for
-every signal, every cycle, with X stimulus and per-lane faults live.
+``tests/strategies.py`` (the same distribution the all-lanes
+differential suite drives) and checks what that suite does not: modules
+*restricted* the way campaigns build them (override hooks only at the
+injected nets, writeback only for an observed subset), lane counts past
+the 64-lane word boundary, and the value-plane-only known dialect.
+Every compared lane must match its own scalar
+:class:`~repro.rtl.simulator.TwoPhaseSimulator` run, with X stimulus
+and per-lane faults live.
 """
 
 import random
@@ -14,8 +16,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from repro.codegen.cache import BuildCache
 from repro.codegen.sim import CompiledSimulator
-from repro.rtl.batchsim import BatchSimulator, pack_stimulus
+from repro.rtl.batchsim import pack_stimulus
 from repro.rtl.simulator import TwoPhaseSimulator
 from tests.strategies import (
     CYCLES,
@@ -31,93 +34,68 @@ def _widen(per_lane, lanes):
     return [per_lane[i % len(per_lane)] for i in range(lanes)]
 
 
-def _assert_planes_match(nl, batch, compiled, ctx):
-    bv, bk = batch.value_planes, batch.known_planes
-    for sig in sorted(nl.signals()):
-        want = (bv[batch.slot(sig)], bk[batch.slot(sig)])
-        assert compiled.planes(sig) == want, (
-            f"{ctx} sig={sig} compiled={compiled.planes(sig)} batch={want}"
-        )
+def _scalar_runs(nl, stimuli, injections, lanes):
+    """Per-cycle values and final state of each lane's scalar replay."""
+    runs = {}
+    for lane in lanes:
+        scalar = TwoPhaseSimulator(nl)
+        trace = []
+        for t in range(len(stimuli[lane])):
+            scalar.overrides = _scalar_overrides(injections[lane], t)
+            trace.append(scalar.cycle(stimuli[lane][t]))
+        runs[lane] = (trace, scalar.state)
+    return runs
 
 
 @settings(max_examples=60, deadline=None)
 @given(differential_cases())
-def test_compiled_matches_batch_and_scalar(case):
-    """64 lanes: compiled (int and numpy planes) == batch == scalar."""
+def test_compiled_matches_scalar(case):
+    """64 lanes on a campaign-style restricted module == scalar."""
     seed, nl, stimuli, injections = case
-    sites = frozenset(nl.signals())
-
-    batch = BatchSimulator(nl, lanes=LANES)
-    sims = [
-        CompiledSimulator(nl, LANES, hooks=sites, observe=sites),
-        CompiledSimulator(nl, LANES, hooks=sites, observe=sites,
-                          plane_kind="numpy"),
-    ]
-    scalar = TwoPhaseSimulator(nl)
-    spot = 0  # scalar replays exactly one lane; batch vs scalar is
-    # already covered exhaustively by the batch differential suite.
+    hooks = frozenset(inj[0] for inj in injections if inj is not None)
+    observe = frozenset(sorted(nl.signals())[::2])
+    sim = CompiledSimulator(
+        nl, LANES, hooks=hooks, observe=observe,
+        cache=BuildCache.in_memory(),
+    )
+    spots = (0, 1, LANES // 2, LANES - 1)
+    runs = _scalar_runs(nl, stimuli, injections, spots)
 
     for t, packed in enumerate(pack_stimulus(stimuli)):
-        overrides = _batch_overrides(injections, t)
-        batch.set_overrides(overrides)
-        batch.cycle(packed)
-        for sim in sims:
-            sim.set_overrides(overrides)
-            sim.cycle(packed)
-            _assert_planes_match(nl, batch, sim,
-                                 f"seed={seed} t={t} rep={sim.plane_kind}")
-            assert sim.check_lane_integrity() == 0
-        scalar.overrides = _scalar_overrides(injections[spot], t)
-        values = scalar.cycle(stimuli[spot][t])
-        for sig in sorted(nl.signals()):
-            for sim in sims:
-                assert sim.lane_value(sig, spot) == values[sig], (
-                    f"seed={seed} t={t} sig={sig} rep={sim.plane_kind}"
+        sim.set_overrides(_batch_overrides(injections, t))
+        sim.cycle(packed)
+        assert sim.check_lane_integrity() == 0
+        for lane in spots:
+            values = runs[lane][0][t]
+            for sig in sorted(observe):
+                assert sim.lane_value(sig, lane) == values[sig], (
+                    f"seed={seed} t={t} lane={lane} sig={sig}"
                 )
-    for lane in (0, LANES // 2, LANES - 1):
-        want = batch.lane_state(lane)
-        for sim in sims:
-            assert sim.lane_state(lane) == want
+    for lane in spots:
+        assert sim.lane_state(lane) == runs[lane][1]
 
 
 @settings(max_examples=25, deadline=None)
 @given(differential_cases())
-def test_wide_lanes_match_batch(case):
-    """96 lanes (past one machine word): compiled == batch, both reps."""
+def test_wide_lanes_match_scalar(case):
+    """96 lanes (past one machine word): the high lanes == scalar."""
     lanes = 96
     seed, nl, stimuli, injections = case
     stimuli = _widen(stimuli, lanes)
     injections = _widen(injections, lanes)
-    sites = frozenset(nl.signals())
-
-    batch = BatchSimulator(nl, lanes=lanes)
-    sims = [
-        CompiledSimulator(nl, lanes, hooks=sites, observe=sites),
-        CompiledSimulator(nl, lanes, hooks=sites, observe=sites,
-                          plane_kind="numpy"),
-    ]
+    sim = CompiledSimulator(nl, lanes, cache=BuildCache.in_memory())
     for t, packed in enumerate(pack_stimulus(stimuli)):
-        overrides = _batch_overrides(injections, t)
-        batch.set_overrides(overrides)
-        batch.cycle(packed)
-        for sim in sims:
-            sim.set_overrides(overrides)
-            sim.cycle(packed)
-            _assert_planes_match(nl, batch, sim,
-                                 f"seed={seed} t={t} rep={sim.plane_kind}")
-    # spot-check the high lanes against their own scalar replays
-    for lane in (0, 64, 65, lanes - 1):
-        scalar = TwoPhaseSimulator(nl)
-        for t in range(CYCLES):
-            scalar.overrides = _scalar_overrides(injections[lane], t)
-            values = scalar.cycle(stimuli[lane][t])
+        sim.set_overrides(_batch_overrides(injections, t))
+        sim.cycle(packed)
+        assert sim.check_lane_integrity() == 0
+    runs = _scalar_runs(nl, stimuli, injections, (0, 63, 64, 65, lanes - 1))
+    for lane, (trace, state) in runs.items():
+        assert len(trace) == CYCLES
         for sig in sorted(nl.signals()):
-            for sim in sims:
-                assert sim.lane_value(sig, lane) == values[sig], (
-                    f"seed={seed} lane={lane} sig={sig}"
-                )
-        for sim in sims:
-            assert sim.lane_state(lane) == scalar.state
+            assert sim.lane_value(sig, lane) == trace[-1][sig], (
+                f"seed={seed} lane={lane} sig={sig}"
+            )
+        assert sim.lane_state(lane) == state
 
 
 def _all_known_stimulus(target, lanes, cycles):
@@ -131,21 +109,35 @@ def _all_known_stimulus(target, lanes, cycles):
     ]
 
 
+def _run_against_two_plane(nl, stimuli, spots):
+    """Run the known dialect beside a pinned two-plane run and scalar.
+
+    The two-plane twin must agree plane for plane on every signal every
+    cycle; the scalar replays pin the spot lanes' absolute values.
+    """
+    sim = CompiledSimulator(nl, LANES)
+    twin = CompiledSimulator(nl, LANES)
+    twin._known_active = False  # pin the two-plane kernel
+    no_faults = [None] * LANES
+    runs = _scalar_runs(nl, stimuli, no_faults, spots)
+    for t, packed in enumerate(pack_stimulus(stimuli)):
+        sim.cycle(packed)
+        twin.cycle(packed)
+        for sig in sorted(nl.signals()):
+            assert sim.planes(sig) == twin.planes(sig), (t, sig)
+            for lane in spots:
+                assert sim.lane_value(sig, lane) == runs[lane][0][t][sig]
+    return sim
+
+
 def test_known_dialect_runs_and_matches():
     """All-known stimulus keeps the value-plane-only kernel active."""
     from repro.faults.targets import TARGETS
 
     target = TARGETS["dual_ehb"]()
-    nl = target.netlist
     stimuli = _all_known_stimulus(target, LANES, 60)
-    batch = BatchSimulator(nl, lanes=LANES)
-    sites = frozenset(nl.signals())
-    sim = CompiledSimulator(nl, LANES, hooks=sites, observe=sites)
+    sim = _run_against_two_plane(target.netlist, stimuli, (0, 63))
     assert sim.module.KNOWN_OK
-    for packed in pack_stimulus(stimuli):
-        batch.cycle(packed)
-        sim.cycle(packed)
-        _assert_planes_match(nl, batch, sim, "known")
     assert sim._known_active, "known dialect should have stayed active"
 
 
@@ -155,17 +147,10 @@ def test_known_dialect_falls_back_on_x():
     from repro.rtl.logic import X
 
     target = TARGETS["dual_ehb"]()
-    nl = target.netlist
     stimuli = _all_known_stimulus(target, LANES, 30)
     first = next(iter(target.free_inputs))
     stimuli[7][10] = dict(stimuli[7][10], **{first: X})
-    batch = BatchSimulator(nl, lanes=LANES)
-    sites = frozenset(nl.signals())
-    sim = CompiledSimulator(nl, LANES, hooks=sites, observe=sites)
-    for packed in pack_stimulus(stimuli):
-        batch.cycle(packed)
-        sim.cycle(packed)
-        _assert_planes_match(nl, batch, sim, "fallback")
+    sim = _run_against_two_plane(target.netlist, stimuli, (0, 7))
     assert not sim._known_active
     sim.reset()
     assert sim._known_active, "reset() must re-arm the known dialect"

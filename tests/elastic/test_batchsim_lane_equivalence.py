@@ -1,18 +1,18 @@
 """Exhaustive lane equivalence on the paper's controller netlists.
 
 Every boundary-input sequence up to depth 4 (16 input symbols per
-cycle, 16^4 = 65536 sequences) is run through the bit-parallel
-simulator in 64-lane batches and compared against a scalar reference
-on *every* signal, every cycle.  The scalar side is memoised on
+cycle, 16^4 = 65536 sequences) is run through the lane-parallel
+compiled simulator in 64-lane batches and compared against a scalar
+reference on *every* signal, every cycle.  The scalar side is memoised on
 (state, input symbol) -- the controllers reach only a handful of
-states, so the scalar work collapses while the batch side still
+states, so the scalar work collapses while the compiled side still
 executes every lane for real.
 """
 
 import pytest
 
+from repro.codegen.sim import CompiledSimulator
 from repro.faults.targets import TARGETS
-from repro.rtl.batchsim import BatchSimulator
 from repro.rtl.simulator import TwoPhaseSimulator
 
 DEPTH = 4
@@ -64,7 +64,7 @@ def test_depth4_exhaustive_lane_equivalence(name):
     assert len(free) == 4, "16 symbols per cycle is baked into the sweep"
     signals = sorted(nl.signals())
     ref = _ScalarReference(nl, free, signals)
-    batch = BatchSimulator(nl, lanes=LANES)
+    batch = CompiledSimulator(nl, LANES)
     full = batch.mask
     n_sigs = len(signals)
 

@@ -1,6 +1,6 @@
 """Determinism of the lane-parallel / process-sharded campaign runner.
 
-The bit-parallel backend and the process sharding are pure
+The lane-parallel compiled simulator and the process sharding are pure
 implementation choices: for a given (target, config) the JSON campaign
 report must be *byte-identical* whatever ``lanes``/``jobs`` split runs
 it.  A fixed-seed golden report is checked in to catch any silent
@@ -45,6 +45,22 @@ def test_sharded_report_is_byte_identical(lanes, jobs):
 def test_flip_faults_shard_identically():
     kinds = ("stuck0", "stuck1", "flip")
     assert _report_json(64, 4, kinds) == _report_json(1, 1, kinds)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unwritable_cache_root_report_is_identical(jobs, tmp_path,
+                                                   monkeypatch):
+    """A cache root that cannot be created degrades to in-memory builds."""
+    writable = tmp_path / "rw"
+    reference = run_campaign(
+        "dual_ehb", CONFIG, lanes=16, jobs=jobs, cache=str(writable)
+    ).to_json()
+    assert any(writable.iterdir())
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+    report = run_campaign("dual_ehb", CONFIG, lanes=16, jobs=jobs).to_json()
+    assert report == reference == _report_json(1, 1)
 
 
 def test_invalid_lane_and_job_counts():

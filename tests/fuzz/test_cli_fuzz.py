@@ -15,7 +15,7 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
-FAST = ["--cycles", "48", "--lanes", "4", "--no-gates", "--no-verify",
+FAST = ["--cycles", "48", "--no-gates", "--no-verify",
         "--no-cache"]
 
 
@@ -126,3 +126,22 @@ class TestReport:
                      "--max-blocks", "8", "--progress"] + FAST)
         assert "2/2 spec(s)" in err
         assert "spec(s), 0 finding(s)" in out
+
+
+class TestNoCache:
+    ARGV = ["fuzz", "--seed", "2007", "--specs", "2", "--max-blocks", "8",
+            "--no-verify"]
+
+    def test_no_cache_leaves_the_cache_root_empty(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "nc"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        # Control: these specs reach the gate stage, which caches.
+        assert _run(capsys, self.ARGV)[0] == 0
+        assert len([p for p in root.iterdir() if p.is_dir()]) == 2
+        no_cache = tmp_path / "nc2"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(no_cache))
+        code, out, _ = _run(capsys, self.ARGV + ["--no-cache"])
+        assert code == 0 and "0 finding(s)" in out
+        assert not no_cache.exists()

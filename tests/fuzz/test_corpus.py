@@ -13,7 +13,7 @@ from repro.fuzz.corpus import (
 from repro.fuzz.generate import GeneratorConfig, generate_model
 from repro.fuzz.oracle import OracleConfig, run_oracle
 
-FAST = OracleConfig(cycles=48, lanes=4, check_gates=False,
+FAST = OracleConfig(cycles=48, check_gates=False,
                     check_verify=False)
 
 

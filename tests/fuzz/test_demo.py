@@ -9,7 +9,7 @@ from repro.fuzz.model import SpecModel
 from repro.fuzz.oracle import OracleConfig
 from repro.fuzz.runner import run_demo
 
-FAST = OracleConfig(cycles=64, lanes=8, check_gates=False,
+FAST = OracleConfig(cycles=64, check_gates=False,
                     check_verify=False)
 
 

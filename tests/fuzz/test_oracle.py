@@ -16,7 +16,7 @@ from repro.fuzz.model import (
 from repro.fuzz.mutations import MUTATIONS, BrokenEarlyJoin, break_early_join
 from repro.fuzz.oracle import OracleConfig, run_oracle
 
-FAST = OracleConfig(cycles=48, lanes=4, check_gates=False,
+FAST = OracleConfig(cycles=48, check_gates=False,
                     check_verify=False)
 
 
@@ -40,7 +40,7 @@ class TestCleanSpecs:
     def test_generated_spec_passes_all_stages(self):
         model = generate_model(random.Random("oracle:1"),
                                GeneratorConfig(max_blocks=8), name="ok")
-        config = OracleConfig(cycles=48, lanes=4, verify_max_inputs=4,
+        config = OracleConfig(cycles=48, verify_max_inputs=4,
                               verify_max_states=5_000)
         assert run_oracle(model, seed=0, config=config) is None
 
@@ -48,7 +48,7 @@ class TestCleanSpecs:
         assert run_oracle(_ee_model(), seed=0, config=FAST) is None
 
     def test_full_pipeline_on_ee_unit(self):
-        config = OracleConfig(cycles=64, lanes=4, verify_max_inputs=6,
+        config = OracleConfig(cycles=64, verify_max_inputs=6,
                               verify_max_states=50_000)
         assert run_oracle(_ee_model(), seed=0, config=config) is None
 

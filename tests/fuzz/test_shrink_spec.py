@@ -16,7 +16,7 @@ from repro.fuzz.mutations import MUTATIONS
 from repro.fuzz.oracle import OracleConfig, run_oracle
 from repro.fuzz.shrink import prune_stubs, remove_components, shrink_model
 
-FAST = OracleConfig(cycles=48, lanes=4, check_gates=False,
+FAST = OracleConfig(cycles=48, check_gates=False,
                     check_verify=False)
 
 

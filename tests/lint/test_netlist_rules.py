@@ -136,14 +136,14 @@ def test_lnt005_reports_canonical_cycle_once():
 
 def test_lnt005_finding_is_the_simulator_diagnostic():
     """The lint rule and both simulators share one message producer."""
-    from repro.rtl.batchsim import BatchSimulator
+    from repro.codegen.sim import CompiledSimulator
     from repro.rtl.simulator import TwoPhaseSimulator
     from repro.rtl.toposort import CombinationalCycleError
 
     nl = cyclic_netlist()
     finding = combinational_cycle_finding(["x", "y"])
     with pytest.raises(CombinationalCycleError) as batch_err:
-        BatchSimulator(nl, lanes=4)
+        CompiledSimulator(nl, 4)
     sim = TwoPhaseSimulator(nl, strict_x=True)
     with pytest.raises(CombinationalCycleError) as scalar_err:
         sim.cycle({"a": 1})

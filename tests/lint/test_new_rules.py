@@ -341,9 +341,9 @@ class TestCycleReportStability:
             cycle = find_combinational_cycle(nl, Phase.HIGH)
             assert cycle == ["x", "y", "z"]
             with pytest.raises(CombinationalCycleError) as exc:
-                from repro.rtl.batchsim import BatchSimulator
+                from repro.codegen.sim import CompiledSimulator
 
-                BatchSimulator(nl)
+                CompiledSimulator(nl)
             assert exc.value.cycle == ["x", "y", "z"]
 
 

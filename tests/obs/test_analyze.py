@@ -3,7 +3,7 @@
 The tentpole guarantees under test:
 
 * the JSON report is byte-identical across repeated seeded runs and
-  across the three RTL backends (scalar, batch, compiled);
+  across the two RTL engines (scalar, compiled);
 * per-channel cycle accounting balances and the token/anti-token
   conservation check closes (zero residual on every buffer);
 * backpressure attribution walks an asserted-Stop chain back to its
@@ -66,11 +66,9 @@ class TestDeterminism:
 
     def test_backends_agree_byte_for_byte(self, tmp_path):
         scalar = report_json("early_join", backend="scalar")
-        batch = report_json("early_join", backend="batch")
         compiled = report_json("early_join", backend="compiled",
                                cache=str(tmp_path / "cache"))
-        # Only the backend tag may differ between the three reports.
-        assert scalar == batch.replace('"batch"', '"scalar"')
+        # Only the backend tag may differ between the two reports.
         assert scalar == compiled.replace('"compiled"', '"scalar"')
 
     def test_report_ends_with_newline_and_sorted_keys(self):
@@ -195,7 +193,11 @@ class TestInputValidation:
 
     def test_network_designs_reject_backend_override(self):
         with pytest.raises(ValueError, match="behavioural network"):
-            run_profile("processor", backend="batch")
+            run_profile("processor", backend="compiled")
+
+    def test_unknown_rtl_engine_rejected(self):
+        with pytest.raises(ValueError, match="pick scalar, compiled"):
+            run_profile("early_join", cycles=10, backend="batch")
 
     def test_processor_has_no_model(self):
         with pytest.raises(ValueError, match="no DMG abstraction"):
@@ -205,6 +207,21 @@ class TestInputValidation:
         designs = profile_designs()
         assert "early_join" in designs and "processor" in designs
         assert len(designs) == len(set(designs))
+
+
+class TestCli:
+    def test_compiled_no_cache_writes_nothing(self, tmp_path, monkeypatch,
+                                              capsys):
+        from repro.cli import main
+
+        root = tmp_path / "nc"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        out = tmp_path / "ej.json"
+        assert main(["profile", "--design", "early_join", "--backend",
+                     "compiled", "--cycles", "50", "--no-cache",
+                     "--json", str(out)]) == 0
+        assert not root.exists()
+        assert json.loads(out.read_text())["backend"] == "compiled"
 
 
 class TestCampaignProfileKey:

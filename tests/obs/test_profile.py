@@ -38,21 +38,21 @@ class TestPhaseProfiler:
 
 class TestBatchsimProfile:
     def test_phase_wall_time_recorded(self):
+        from repro.codegen.sim import CompiledSimulator
         from repro.faults.targets import dual_ehb
-        from repro.rtl.batchsim import BatchSimulator
 
-        sim = BatchSimulator(dual_ehb().netlist, 4)
+        sim = CompiledSimulator(dual_ehb().netlist, 4)
         sim.profile = PhaseProfiler()
         for _ in range(10):
             sim.cycle({})
         snap = sim.profile.snapshot()
-        assert snap["high"]["calls"] == 10 and snap["low"]["calls"] == 10
+        assert list(snap) == ["cycle"] and snap["cycle"]["calls"] == 10
 
     def test_no_profile_by_default(self):
+        from repro.codegen.sim import CompiledSimulator
         from repro.faults.targets import dual_ehb
-        from repro.rtl.batchsim import BatchSimulator
 
-        sim = BatchSimulator(dual_ehb().netlist, 4)
+        sim = CompiledSimulator(dual_ehb().netlist, 4)
         assert sim.profile is None
         sim.cycle({})
 

@@ -1,17 +1,19 @@
-"""Trace equivalence: scalar RTL simulator vs batchsim/compiled lanes.
+"""Trace equivalence: scalar RTL simulator vs compiled-simulator lanes.
 
-All three engines replay the same seeded stimulus on the Fig. 5
-dual-EB target; the recorder attached to each must produce the
-identical edge/x-onset event stream -- the cross-engine guarantee that
-makes batch-kernel and compiled-module waveforms trustworthy.
+Both engines replay the same seeded stimulus on the Fig. 5 dual-EB
+target -- the compiled one as a fully observed module and as a module
+restricted to the campaign's observed wires; the recorder attached to
+each must produce the identical edge/x-onset event stream -- the
+cross-engine guarantee that makes lane-parallel waveforms trustworthy.
 """
 
 import pytest
 
+from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import make_stimulus
 from repro.faults.targets import dual_ehb
 from repro.obs import TraceRecorder
-from repro.rtl.batchsim import BatchSimulator, broadcast
+from repro.rtl.batchsim import broadcast
 from repro.rtl.simulator import TwoPhaseSimulator
 
 CYCLES = 120
@@ -27,7 +29,8 @@ def scalar_events(target, stimulus):
 
 
 def batch_events(target, stimulus, lanes=4, lane=0):
-    sim = BatchSimulator(target.netlist, lanes)
+    """One lane of a fully observed (unrestricted) compiled module."""
+    sim = CompiledSimulator(target.netlist, lanes)
     rec = TraceRecorder().attach_batch(sim, target.observe, lane=lane)
     for inputs in stimulus:
         sim.cycle({
@@ -38,7 +41,6 @@ def batch_events(target, stimulus, lanes=4, lane=0):
 
 def compiled_events(target, stimulus, cache, lanes=4, lane=0):
     from repro.codegen import build_cache
-    from repro.codegen.sim import CompiledSimulator
 
     sim = CompiledSimulator(
         target.netlist, lanes, hooks=frozenset(),
@@ -70,7 +72,7 @@ class TestScalarBatchEquivalence:
     def test_disabled_recorder_attaches_to_neither(self):
         target = dual_ehb()
         scalar = TwoPhaseSimulator(target.netlist)
-        batch = BatchSimulator(target.netlist, 4)
+        batch = CompiledSimulator(target.netlist, 4)
         rec = TraceRecorder(enabled=False)
         rec.attach_rtl(scalar, target.observe)
         rec.attach_batch(batch, target.observe)
@@ -95,7 +97,6 @@ class TestCompiledEquivalence:
 
     def test_unobserved_watch_fails_at_attach(self, tmp_path):
         from repro.codegen import build_cache
-        from repro.codegen.sim import CompiledSimulator
 
         target = dual_ehb()
         # Observe only the channel wires; the EB state bits are absent,

@@ -1,17 +1,17 @@
-"""Tests for the per-lane stall watchdog on the word-parallel engines.
+"""Tests for the per-lane stall watchdog on the lane-parallel engine.
 
 The scalar :class:`RtlStallWatchdog` defines the ground truth; the
-batch watchdog must reproduce its diagnosis for an equivalent lane --
-on both the interpreted batch kernel and the compiled backend -- while
-tracking each lane's window independently.
+batch watchdog must reproduce its diagnosis for an equivalent lane of
+the compiled simulator -- fully observed or restricted to a campaign's
+observed wires -- while tracking each lane's window independently.
 """
 
 import pytest
 
+from repro.codegen.sim import CompiledSimulator
 from repro.faults.targets import TARGETS
 from repro.resilience import BatchStallWatchdog, RtlStallWatchdog, StallError
 from repro.rtl.batchsim import (
-    BatchSimulator,
     broadcast,
     pack_stimulus,
     strict_planes,
@@ -50,7 +50,7 @@ class TestBatchWatchdog:
         reference = scalar_diagnosis()
         target = TARGETS["dual_ehb"]()
         lanes = 4
-        sim = BatchSimulator(target.netlist, lanes)
+        sim = CompiledSimulator(target.netlist, lanes)
         BatchStallWatchdog.for_target(target, sim, window=8)
         with pytest.raises(StallError) as exc:
             for _ in range(100):
@@ -65,7 +65,7 @@ class TestBatchWatchdog:
     def test_only_the_stalled_lane_is_diagnosed(self):
         # Lane 0 wedges behind a stuck sink; lane 1 drains freely.
         target = TARGETS["dual_ehb"]()
-        sim = BatchSimulator(target.netlist, 2)
+        sim = CompiledSimulator(target.netlist, 2)
         wd = BatchStallWatchdog.for_target(
             target, sim, window=8, raise_on_stall=False
         )
@@ -78,7 +78,7 @@ class TestBatchWatchdog:
 
     def test_no_progress_mask_names_expired_lanes(self):
         target = TARGETS["dual_ehb"]()
-        sim = BatchSimulator(target.netlist, 2)
+        sim = CompiledSimulator(target.netlist, 2)
         wd = BatchStallWatchdog.for_target(target, sim, window=8)
         cycles = 40
         with pytest.raises(StallError) as exc:
@@ -92,7 +92,7 @@ class TestBatchWatchdog:
     def test_healthy_broadcast_run_never_fires(self):
         target = TARGETS["dual_ehb"]()
         lanes = 4
-        sim = BatchSimulator(target.netlist, lanes)
+        sim = CompiledSimulator(target.netlist, lanes)
         wd = BatchStallWatchdog.for_target(target, sim, window=8)
         for _ in range(100):
             sim.cycle({k: broadcast(v, lanes) for k, v in HEALTHY.items()})
@@ -104,7 +104,7 @@ class TestBatchWatchdog:
         target = TARGETS["dual_ehb"]()
         idle = {"src.choice": 0, "src.accept": 0,
                 "snk.stall": 0, "snk.kill": 0}
-        sim = BatchSimulator(target.netlist, 2)
+        sim = CompiledSimulator(target.netlist, 2)
         wd = BatchStallWatchdog.for_target(target, sim, window=4)
         for _ in range(30):
             sim.cycle({k: broadcast(v, 2) for k, v in idle.items()})
@@ -112,7 +112,7 @@ class TestBatchWatchdog:
 
     def test_window_validated(self):
         target = TARGETS["dual_ehb"]()
-        sim = BatchSimulator(target.netlist, 2)
+        sim = CompiledSimulator(target.netlist, 2)
         with pytest.raises(ValueError):
             BatchStallWatchdog.for_target(target, sim, window=0)
 
@@ -120,7 +120,6 @@ class TestBatchWatchdog:
 class TestCompiledWatchdog:
     def test_compiled_lane_matches_the_scalar_diagnosis(self, tmp_path):
         from repro.codegen import build_cache
-        from repro.codegen.sim import CompiledSimulator
 
         reference = scalar_diagnosis()
         target = TARGETS["dual_ehb"]()

@@ -1,15 +1,15 @@
-"""Unit tests for the bit-parallel batch simulation kernel.
+"""Unit tests for the two-plane lane encoding and the lane-parallel kernel.
 
 The deep cross-checking against the scalar simulator lives in
 ``test_batchsim_differential.py``; this file covers the packing
-helpers, lane overrides, the compiled kernel's basic cadence, and the
-combinational-cycle diagnostics shared by both simulators.
+helpers, lane overrides, the compiled simulator's basic cadence, and
+the combinational-cycle diagnostics shared by both simulators.
 """
 
 import pytest
 
+from repro.codegen.sim import CompiledSimulator
 from repro.rtl.batchsim import (
-    BatchSimulator,
     LaneOverride,
     broadcast,
     pack_stimulus,
@@ -87,7 +87,7 @@ def _toy_netlist() -> Netlist:
 class TestBatchSimulator:
     def test_matches_scalar_on_toy(self):
         nl = _toy_netlist()
-        batch = BatchSimulator(nl, lanes=4)
+        batch = CompiledSimulator(nl, lanes=4)
         scalars = [TwoPhaseSimulator(nl) for _ in range(4)]
         stimuli = [
             [{"a": 1, "b": 0}, {"a": 1, "b": 1}, {"a": 0, "b": 1}],
@@ -105,7 +105,7 @@ class TestBatchSimulator:
                 assert batch.lane_state(lane) == sim.state
 
     def test_reset_keeps_plane_arrays_attached(self):
-        batch = BatchSimulator(_toy_netlist(), lanes=2)
+        batch = CompiledSimulator(_toy_netlist(), lanes=2)
         v, k = batch.value_planes, batch.known_planes
         batch.cycle({"a": (0b11, 0b11), "b": (0b01, 0b11)})
         batch.reset()
@@ -114,12 +114,12 @@ class TestBatchSimulator:
         assert batch.lane_state(0) == {"lh": 0, "ff": 0}
 
     def test_unknown_override_net(self):
-        batch = BatchSimulator(_toy_netlist(), lanes=2)
+        batch = CompiledSimulator(_toy_netlist(), lanes=2)
         with pytest.raises(ValueError, match="unknown net"):
             batch.set_overrides({"nope": LaneOverride(set1=1)})
 
     def test_missing_inputs_are_x(self):
-        batch = BatchSimulator(_toy_netlist(), lanes=2)
+        batch = CompiledSimulator(_toy_netlist(), lanes=2)
         batch.cycle({})
         assert batch.lane_value("s", 0) is X
         assert batch.lane_value("s", 1) is X
@@ -150,7 +150,7 @@ class TestCombinationalCycleDiagnostics:
         with pytest.raises(CombinationalCycleError) as scalar:
             TwoPhaseSimulator(nl, strict_x=True).cycle({})
         with pytest.raises(CombinationalCycleError) as batch:
-            BatchSimulator(nl, lanes=8)
+            CompiledSimulator(nl, lanes=8)
         return scalar.value, batch.value
 
     def test_both_simulators_report_full_path(self):
@@ -170,4 +170,4 @@ class TestCombinationalCycleDiagnostics:
         cyc = find_combinational_cycle(nl, Phase.HIGH)
         assert cyc is not None and set(cyc) == {"lq", "q"}
         with pytest.raises(CombinationalCycleError):
-            BatchSimulator(nl)
+            CompiledSimulator(nl)

@@ -1,11 +1,11 @@
-"""Differential testing: BatchSimulator vs TwoPhaseSimulator.
+"""Differential testing: CompiledSimulator lanes vs TwoPhaseSimulator.
 
 Hypothesis drives randomly generated acyclic netlists (gates, both
 latch phases, flip-flop feedback), per-lane stimulus with explicit X
 states, and per-lane fault injections; every one of the 64 lanes must
 match its own scalar simulation cycle-for-cycle -- all signal values,
 X-propagation, and latch/flop state included.  The generators live in
-``tests/strategies.py`` (shared with the compiled-backend suite), and
+``tests/strategies.py`` (shared with the compiled-module suite), and
 build cells in topological order (each cell reads only earlier
 signals), so phase-acyclicity is guaranteed by construction;
 flip-flops are sequential cuts and may feed back freely.
@@ -15,7 +15,9 @@ import random
 
 from hypothesis import given, settings
 
-from repro.rtl.batchsim import BatchSimulator, pack_stimulus
+from repro.codegen.cache import BuildCache
+from repro.codegen.sim import CompiledSimulator
+from repro.rtl.batchsim import pack_stimulus
 from repro.rtl.simulator import TwoPhaseSimulator
 from tests.strategies import (
     LANES,
@@ -30,7 +32,7 @@ from tests.strategies import (
 def test_every_lane_matches_scalar(case):
     seed, nl, stimuli, injections = case
 
-    batch = BatchSimulator(nl, lanes=LANES)
+    batch = CompiledSimulator(nl, LANES, cache=BuildCache.in_memory())
     scalars = [TwoPhaseSimulator(nl) for _ in range(LANES)]
     signals = sorted(nl.signals())
 
@@ -64,7 +66,7 @@ def test_dual_ehb_directed():
         ]
         for rng in rngs
     ]
-    batch = BatchSimulator(nl, lanes=LANES)
+    batch = CompiledSimulator(nl, LANES, cache=BuildCache.in_memory())
     scalars = [TwoPhaseSimulator(nl) for _ in range(LANES)]
     observe = sorted(nl.signals())
     for t, packed in enumerate(pack_stimulus(stimuli)):

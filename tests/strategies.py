@@ -2,11 +2,11 @@
 
 Two families live here:
 
-* the random *netlist* generators that the batch/compiled differential
-  suites drive (gate soup with latches, flip-flop feedback, X stimulus
-  and per-lane fault injections), lifted out of
-  ``tests/rtl/test_batchsim_differential.py`` so every backend suite
-  consumes the same distribution;
+* the random *netlist* generators that the compiled-vs-scalar
+  differential suites drive (gate soup with latches, flip-flop
+  feedback, X stimulus and per-lane fault injections), lifted out of
+  ``tests/rtl/test_batchsim_differential.py`` so every differential
+  suite consumes the same distribution;
 * :func:`spec_models`, a Hypothesis strategy over the *system-level*
   :class:`repro.fuzz.model.SpecModel` generator -- valid (lint-clean,
   elaborable) specs by construction, the same distribution ``repro
