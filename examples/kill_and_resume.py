@@ -4,9 +4,10 @@ The resilience contract in one script:
 
 1. run ``repro inject`` as a subprocess with ``--jobs 2`` and a
    ``--checkpoint`` directory;
-2. wait until a few chunks have been persisted, then SIGKILL the whole
-   process -- no cleanup handler runs, exactly like an OOM kill or a
-   pulled plug;
+2. wait until a few chunks have been persisted, then SIGKILL the
+   coordinating process -- no cleanup handler runs, exactly like an OOM
+   kill or a pulled plug -- and check that its worker processes notice
+   and exit (no orphans left in its process group after 10 s);
 3. rerun with ``--resume``: the completed chunks are skipped and the
    final report is byte-for-byte what an uninterrupted run produces.
 
@@ -30,6 +31,32 @@ CYCLES = 120
 SEED = 2007
 
 
+def live_group_members(pgid):
+    """PIDs of the live (non-zombie) processes in process group ``pgid``
+    (Linux ``/proc``; an empty list elsewhere)."""
+    alive = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # "pid (comm) state ppid pgrp ..."; comm may contain spaces.
+        state, _, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(entry.name))
+    return alive
+
+
+def wait_group_gone(pgid, timeout=10.0):
+    """The group's live members still there after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    alive = live_group_members(pgid)
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = live_group_members(pgid)
+    return alive
+
+
 def main() -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
@@ -46,6 +73,7 @@ def main() -> None:
         proc = subprocess.Popen(
             argv, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,  # its own process group, workers too
         )
         killed = False
         deadline = time.monotonic() + 180
@@ -67,6 +95,11 @@ def main() -> None:
         survivors = len(list(store.glob("chunk-*.json")))
         print(f"killed mid-campaign: {killed} "
               f"(checkpointed chunks at kill time: {survivors})")
+        orphans = wait_group_gone(proc.pid)
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans, f"worker processes outlived the kill: {orphans}"
+        print("no worker process outlived the coordinator")
 
         resume = subprocess.run(
             [

@@ -22,7 +22,6 @@ Usage (after ``pip install -e .``)::
                              [--shard-timeout 60] [--max-retries 2]
                              [--cache dir]
                              [--workers host:port,host:port]
-                             [--fabric-checkpoint dir]
     python -m repro profile  [--design early_join|active|pipeline|...]
                              [--backend auto|scalar|compiled]
                              [--cycles 2000] [--seed 2007]
@@ -112,9 +111,9 @@ def _fabric_verify(args: argparse.Namespace) -> int:
     from repro.fabric import (
         FabricCoordinator,
         FabricError,
+        ShardFailure,
         parse_workers,
     )
-    from repro.resilience import ShardFailure
     from repro.verif.testbenches import DESIGNS
 
     designs = sorted(DESIGNS) if args.design == "all" else [args.design]
@@ -374,14 +373,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
     if args.lanes < 1 or args.jobs < 1:
         raise SystemExit("--lanes and --jobs must be positive")
     checkpoint = args.checkpoint
-    if args.fabric_checkpoint:
-        if checkpoint and checkpoint != args.fabric_checkpoint:
-            raise SystemExit(
-                "--checkpoint and --fabric-checkpoint name different "
-                "directories; the fabric coordinator persists chunks to "
-                "one store"
-            )
-        checkpoint = args.fabric_checkpoint
     workers = None
     if args.workers:
         if args.netlist == "processor":
@@ -391,8 +382,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
             )
         if args.jobs > 1:
             raise SystemExit(
-                "--workers replaces --jobs: the socket fabric shards "
-                "chunks over remote workers instead of local processes"
+                "--workers replaces --jobs: chunks go to the named "
+                "remote workers instead of local ones"
             )
         workers = [w.strip() for w in args.workers.split(",") if w.strip()]
         if not workers:
@@ -462,8 +453,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
         config = CampaignConfig(
             cycles=args.cycles, seed=args.seed, kinds=kinds
         )
-        from repro.fabric import FabricError
-        from repro.resilience import CheckpointMismatch, ShardFailure
+        from repro.fabric import FabricError, ShardFailure
+        from repro.resilience import CheckpointMismatch
 
         try:
             report = run_campaign(
@@ -867,8 +858,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="injections simulated per bit-parallel pass "
                         "(64 packs one fault per lane of a machine word)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes sharding the lane chunks; the "
-                        "report is byte-identical for any lanes/jobs split")
+                   help="local fabric worker processes leasing the lane "
+                        "chunks (a dead one is not replaced; its chunks "
+                        "move to the survivors); the report is "
+                        "byte-identical for any lanes/jobs split")
     p.add_argument("--report", default=None,
                    help="write the JSON campaign report here")
     p.add_argument("--shrink", action="store_true",
@@ -894,17 +887,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print progress lines while the sweep runs")
     p.add_argument("--checkpoint", default=None,
                    help="directory that receives one atomic file per "
-                        "classified chunk; a rerun with the same directory "
-                        "skips completed chunks and reproduces the "
-                        "uninterrupted report byte for byte")
+                        "classified chunk, written by this process only "
+                        "(also with --jobs/--workers); a rerun with the "
+                        "same directory skips completed chunks and "
+                        "reproduces the uninterrupted report byte for "
+                        "byte")
     p.add_argument("--resume", default=None,
                    help="continue from an existing checkpoint directory "
                         "(errors if no manifest is present; implies "
                         "--checkpoint)")
     p.add_argument("--shard-timeout", type=float, default=None,
-                   help="per-chunk deadline in seconds when --jobs > 1; a "
-                        "worker that blows it is killed and its chunk "
-                        "requeued")
+                   help="progress deadline in seconds when --jobs > 1 or "
+                        "--workers is set: a worker holding chunks that "
+                        "returns no result for this long is dropped and "
+                        "its chunks requeued")
     p.add_argument("--max-retries", type=int, default=2,
                    help="how many times a crashed/hung/erroring chunk is "
                         "requeued before the campaign fails (default 2)")
@@ -917,12 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard chunks over running 'repro worker' "
                         "socket daemons (replaces --jobs); the merged "
                         "report is byte-identical to a local run")
-    p.add_argument("--fabric-checkpoint", default=None, metavar="DIR",
-                   help="checkpoint directory on storage shared with a "
-                        "standby coordinator: chunks persist as they "
-                        "complete, and a replacement coordinator "
-                        "pointed here re-adopts surviving workers and "
-                        "the completed work (same as --checkpoint)")
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser(

@@ -3,24 +3,29 @@
 One :class:`FabricCoordinator` owns a set of worker addresses and a
 :class:`~repro.fabric.scheduler.WorkStealingScheduler` over indexed
 work units, and runs the whole campaign loop on one asyncio event
-loop:
+loop.  The addresses name remote ``repro worker`` daemons
+(``workers=``) or the forked loopback workers of
+:func:`~repro.fabric.local.local_workers` (``jobs=N``); nothing below
+tells the two apart.
 
 * per address, a **reconnect loop** governed by that worker's
   :class:`~repro.fabric.health.WorkerHealth` machine -- connect,
   handshake (versioned hello + fingerprint comparison), serve, and on
-  any loss back off with the shared capped-exponential schedule and
-  try again.  A worker whose fingerprint is *rejected* is terminally
-  dead; if every worker is rejected the run raises
-  :class:`FabricMismatch` (the socket-transport sibling of
+  any loss back off with the capped-exponential schedule and try
+  again (``max_rounds=0`` makes the first loss terminal).  A worker
+  whose fingerprint is *rejected* is terminally dead; if every worker
+  is rejected the run raises :class:`FabricMismatch` (the
+  socket-transport sibling of
   :class:`~repro.resilience.checkpoint.CheckpointMismatch`), and if
-  every worker is dead for any other reason, :class:`FabricError`.
+  every worker is dead for any other reason, :class:`FabricError`
+  naming the incomplete units.
 * per connection, a **pinger** (heartbeats + deadline checks + lease
   top-up + stall detection) and a **frame loop** (results, errors,
   idle notifications -- every frame refreshing the health machine).
-* losses requeue through the same accounting as the process
-  supervisor: ``campaign_shard_retries_total{reason,attempt}``
+* losses requeue with retry accounting:
+  ``campaign_shard_retries_total{reason=crash|timeout|error,attempt}``
   counters, and a unit requeued past ``max_retries`` raises
-  :class:`~repro.resilience.supervisor.ShardFailure`.
+  :class:`ShardFailure`.
 
 Determinism: results are keyed by unit index and every unit is a pure
 function of its payload, so the merged result dict is independent of
@@ -42,13 +47,13 @@ from repro.fabric.jobs import get_job
 from repro.fabric.scheduler import WorkStealingScheduler
 from repro.fabric.worker import PROTOCOL_VERSION
 from repro.resilience.clock import MONOTONIC, Clock
-from repro.resilience.supervisor import ShardFailure
 
 __all__ = [
     "FabricConfig",
     "FabricCoordinator",
     "FabricError",
     "FabricMismatch",
+    "ShardFailure",
     "parse_workers",
 ]
 
@@ -59,6 +64,18 @@ class FabricError(RuntimeError):
 
 class FabricMismatch(FabricError):
     """Every worker was rejected at the handshake (fingerprint skew)."""
+
+
+class ShardFailure(RuntimeError):
+    """One unit exhausted its retries."""
+
+    def __init__(self, index: int, attempts: int, reason: str) -> None:
+        super().__init__(
+            f"shard {index} failed after {attempts} attempts: {reason}"
+        )
+        self.index = index
+        self.attempts = attempts
+        self.reason = reason
 
 
 def parse_workers(spec: str) -> List[Tuple[str, int]]:
@@ -105,11 +122,12 @@ class FabricConfig:
     unit_timeout: Optional[float] = None
     #: how many times one unit may be requeued before the run fails.
     max_retries: int = 2
-    #: reconnect backoff (shared schedule with shard requeues).
+    #: reconnect backoff: ``min(cap, base * 2**(round-1))`` seconds.
     backoff_base: float = 0.25
     backoff_cap: float = 8.0
     #: failed connection rounds per worker before it is terminally
-    #: dead; None retries forever (then only unit retries bound the run).
+    #: dead; None retries forever (then only unit retries bound the run),
+    #: 0 gives up on the first loss (local workers are never respawned).
     max_rounds: Optional[int] = 8
     connect_timeout: float = 5.0
 
@@ -170,6 +188,7 @@ class FabricCoordinator:
         self._failure: Optional[BaseException] = None
         self._rejections: Dict[str, str] = {}
         self._done: Optional[asyncio.Event] = None  # created inside run()
+        self._fingerprint: Dict[str, object] = {}  # computed once in run()
 
     # -- shared accounting ----------------------------------------------
     def _count_retry(self, reason: str, attempt: int) -> None:
@@ -310,10 +329,9 @@ class FabricCoordinator:
             return
         if welcome.get("type") != "welcome":
             return
-        fingerprint = get_job(self.job).fingerprint(self.params)
         await session.send({
             "type": "init", "job": self.job, "params": self.params,
-            "fingerprint": fingerprint,
+            "fingerprint": self._fingerprint,
         })
         bound = await asyncio.wait_for(read_frame(reader), None)
         if bound is None:
@@ -415,10 +433,11 @@ class FabricCoordinator:
             # pong / revoked are heartbeat-only
 
     # -- the run --------------------------------------------------------
-    async def _run(self) -> Dict[int, object]:
+    async def _run(self) -> None:
         self._done = asyncio.Event()
         if self.scheduler.done:
-            return dict(self.results)
+            return
+        self._fingerprint = get_job(self.job).fingerprint(self.params)
         loops = [
             asyncio.ensure_future(self._worker_loop(host, port))
             for host, port in self.addresses
@@ -460,12 +479,17 @@ class FabricCoordinator:
                 raise FabricMismatch(
                     f"every worker rejected the handshake -- {detail}"
                 )
-            raise FabricError(
-                f"fabric lost every worker with "
-                f"{len(self.scheduler.payloads) - len(self.scheduler.completed)} "
-                "unit(s) incomplete; check worker logs and addresses"
+            missing = sorted(
+                set(self.scheduler.payloads) - self.scheduler.completed
             )
-        return dict(self.results)
+            shown = ", ".join(str(i) for i in missing[:10])
+            if len(missing) > 10:
+                shown += ", ..."
+            raise FabricError(
+                f"fabric lost every worker with {len(missing)} unit(s) "
+                f"incomplete (units {shown}); check worker logs and "
+                "addresses"
+            )
 
     def run(self) -> Dict[int, object]:
         """Drive the job to completion; returns ``{index: result}``.
@@ -475,7 +499,10 @@ class FabricCoordinator:
         at the handshake, :class:`FabricError` when every worker is
         terminally lost with work remaining.
         """
-        return asyncio.run(self._run())
+        # The results stay off the main task: asyncio.run formats the
+        # task's repr (its result included) when it restores SIGINT.
+        asyncio.run(self._run())
+        return dict(self.results)
 
     def stats(self) -> Dict[str, object]:
         """Scheduler + health snapshot (benchmarks, the CLI summary)."""

@@ -21,8 +21,8 @@ Semantics the coordinator builds on:
 * a **DEGRADED** worker keeps its outstanding work (it may just be
   slow) but gets nothing new and is first in line for stealing;
 * a **DEAD** worker's outstanding units are requeued immediately, and
-  reconnection follows the same capped exponential backoff schedule as
-  shard requeues (:func:`~repro.resilience.supervisor.backoff_for`);
+  reconnection follows the capped exponential schedule of
+  :func:`backoff_for`;
 * a worker whose handshake is *rejected* (fingerprint mismatch) is
   terminally DEAD -- reconnecting a wrong-version worker forever would
   be noise, not resilience.
@@ -41,12 +41,28 @@ import enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.resilience.clock import MONOTONIC, Clock
-from repro.resilience.supervisor import backoff_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["WorkerHealth", "WorkerState", "state_census"]
+__all__ = ["WorkerHealth", "WorkerState", "backoff_for", "state_census"]
+
+
+def backoff_for(attempt: int, base: float, cap: float) -> float:
+    """The capped exponential backoff before reconnect round ``attempt``.
+
+    ``attempt`` counts from 1 (the first retry); the schedule is
+    ``min(cap, base * 2**(attempt-1))``.
+    """
+    if attempt < 1:
+        raise ValueError("attempt counts from 1")
+    # 2**(attempt-1) overflows no float for any sane retry budget, but
+    # short-circuit once the cap is reached so huge attempt numbers
+    # cost nothing.
+    if base >= cap:
+        return cap
+    exponent = min(attempt - 1, 64)
+    return min(cap, base * (2 ** exponent))
 
 
 class WorkerState(enum.IntEnum):

@@ -4,10 +4,8 @@ A fabric worker is generic: it serves whatever *job kinds* are
 registered in its process.  A job kind names three things --
 
 * ``build(params)`` -- construct the per-worker runner once from the
-  JSON-safe ``params`` the coordinator ships in the handshake (the
-  analogue of :class:`~repro.resilience.supervisor.ShardSupervisor`'s
-  ``worker_init``); the runner maps one JSON-safe unit payload to one
-  JSON-safe result;
+  JSON-safe ``params`` the coordinator ships in the handshake; the
+  runner maps one JSON-safe unit payload to one JSON-safe result;
 * ``fingerprint(params)`` -- a deterministic JSON document describing
   everything the results depend on.  Coordinator and worker each
   compute it *from their own code*; the handshake compares the two and
@@ -21,8 +19,8 @@ Two kinds ship built in: ``campaign`` (RTL fault-injection chunks --
 the unit payload is a list of encoded injections, the result the list
 of outcome dicts) and ``verify`` (one Kripke build + CTL check per
 design name).  Tests register throwaway kinds of their own; the
-registry is process-global on purpose so forked test workers inherit
-them.
+registry is process-global on purpose so forked workers (test workers
+and :func:`~repro.fabric.local.local_workers` alike) inherit them.
 """
 
 from __future__ import annotations

@@ -20,14 +20,15 @@ Layout per connection:
 * ``--shard-timeout`` arms the **hung-compute watchdog**: a unit that
   exceeds the deadline means the simulator itself is wedged (the
   in-process stall watchdogs should have fired first), and the only
-  honest recovery is ``os._exit`` -- die loudly, let the process
-  supervisor restart the daemon, let the coordinator requeue the
+  honest recovery is ``os._exit`` -- die loudly, let the host's
+  service manager restart the daemon, let the coordinator requeue the
   chunk.  A quiet zombie would hold its lease forever.
 
 The worker serves one coordinator at a time; a second connection gets
 a ``busy`` rejection.  It never touches the checkpoint store -- only
 the coordinator writes checkpoints, so worker crashes cannot tear the
-store.
+store.  :mod:`repro.fabric.local` runs the same server on a listening
+socket its parent bound before forking.
 """
 
 from __future__ import annotations
@@ -76,9 +77,12 @@ class WorkerServer:
         shard_timeout: Optional[float] = None,
         once: bool = False,
         name: Optional[str] = None,
+        sock: Optional[socket.socket] = None,
     ) -> None:
         self.host = host
         self.port = port
+        #: an already-listening socket to serve instead of binding.
+        self.sock = sock
         self.shard_timeout = shard_timeout
         self.once = once
         self.name = name or f"{socket.gethostname()}:{os.getpid()}"
@@ -90,9 +94,14 @@ class WorkerServer:
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Bind and listen; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
+        if self.sock is not None:
+            self._server = await asyncio.start_server(
+                self._handle, sock=self.sock
+            )
+        else:
+            self._server = await asyncio.start_server(
+                self._handle, self.host, self.port
+            )
         sockname = self._server.sockets[0].getsockname()
         self.port = sockname[1]
         return sockname[0], sockname[1]
@@ -199,6 +208,7 @@ class WorkerServer:
             return None
         digest = fingerprint_digest(ours)
         runner = self._runners.get(digest)
+        cached = runner is not None
         if runner is None:
             try:
                 runner = await loop.run_in_executor(
@@ -213,7 +223,7 @@ class WorkerServer:
                 return None
             self._runners[digest] = runner
         await send({"type": "bound", "fingerprint": ours,
-                    "cached": digest in self._runners})
+                    "cached": cached})
         return runner
 
     async def _serve_units(self, reader, send, runner) -> None:

@@ -12,7 +12,7 @@ The subsystem has four layers:
 * :mod:`repro.faults.campaign` -- seeded (site x kind x cycle) sweeps
   over the Figs. 5--7 controller targets and the Sect. 7 processor,
   with deterministic JSON reports, optionally lane-parallel
-  (``lanes``) and process-sharded (``jobs``);
+  (``lanes``) and sharded over fabric workers (``jobs``/``workers``);
 * :mod:`repro.faults.batch` -- the lane-parallel campaign harness:
   word-wide monitor bank and 64-injections-per-pass harness over
   :class:`repro.codegen.sim.CompiledSimulator`, plus

@@ -26,13 +26,13 @@ RTL campaigns scale two ways, composable and both bit-identical to the
 sequential sweep: ``lanes > 1`` classifies up to 64 injections per
 simulation on the compiled lane-parallel simulator
 (:class:`~repro.faults.batch.BatchCampaignHarness`), and ``jobs > 1``
-shards the injection chunks over the crash-tolerant
-:class:`~repro.resilience.ShardSupervisor` (dead/hung workers are
-detected and their chunks requeued), merging results back into sweep
-order.  A ``checkpoint`` directory makes either flavour resumable: each
-classified chunk is persisted atomically, and a rerun pointed at the
-same directory skips completed chunks and still emits byte-for-byte the
-same JSON report as an uninterrupted run.
+(or ``workers=``) leases the injection chunks to socket workers of
+:mod:`repro.fabric` (dead/hung workers are detected and their chunks
+requeued), merging results back into sweep order.  A ``checkpoint``
+directory makes either flavour resumable: each classified chunk is
+persisted atomically, and a rerun pointed at the same directory skips
+completed chunks and still emits byte-for-byte the same JSON report as
+an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -74,7 +75,6 @@ from repro.faults.monitors import (
 )
 from repro.faults.targets import TARGETS, RtlTarget
 from repro.resilience.checkpoint import CheckpointStore
-from repro.resilience.supervisor import ShardSupervisor, SupervisorConfig
 from repro.rtl.logic import Value
 from repro.rtl.simulator import TwoPhaseSimulator
 from repro.verif.traces import TraceStep
@@ -409,25 +409,6 @@ def _make_harness(
     )
 
 
-def _chunk_worker(
-    spec: Union[str, RtlTarget],
-    config: CampaignConfig,
-    lanes: int,
-    degrade: bool,
-    cache: Optional[str] = None,
-) -> Callable[[List[Injection]], List[FaultOutcome]]:
-    """Worker-process initialiser for the shard supervisor.
-
-    Top-level so :mod:`multiprocessing` can pickle it; each worker
-    builds its harness (and golden run) once and serves chunks with it.
-    ``cache`` travels as a plain directory string for the same reason;
-    workers sharing a warm cache directory all hit the same artifact.
-    """
-    tgt = resolve_target(spec)
-    harness = _make_harness(tgt, config, lanes, degrade, None, cache)
-    return harness.run_chunk
-
-
 def _campaign_fingerprint(
     tgt: RtlTarget, config: CampaignConfig, lanes: int, total: int
 ) -> Dict[str, object]:
@@ -455,8 +436,8 @@ def _apply_untestable_analysis(
     """Upgrade undetected faults the prover shows to be untestable.
 
     A shared post-pass over (injection, outcome) pairs so sequential,
-    lane-sharded and process-sharded campaigns run the identical
-    analysis on the identical inputs.
+    lane-sharded and distributed campaigns run the identical analysis
+    on the identical inputs.
     """
     if not cfg.untestable_analysis:
         return list(outcomes)
@@ -495,12 +476,13 @@ def run_campaign(
     """Sweep every enumerated fault over ``target``.
 
     ``lanes > 1`` batches that many injections per simulation on the
-    compiled lane-parallel simulator; ``jobs > 1`` additionally spreads the chunks
-    over supervised worker processes -- a worker that dies or blows the
-    per-chunk ``shard_timeout`` has its chunk requeued (up to
-    ``max_retries`` times, with capped exponential backoff) instead of
-    sinking the campaign.  Every combination yields a byte-identical
-    report for the same seed.
+    compiled lane-parallel simulator; ``jobs > 1`` additionally leases
+    the chunks to that many forked local workers through the same
+    :class:`~repro.fabric.FabricCoordinator` as ``workers=``.  A worker
+    that dies, or makes no progress for ``shard_timeout`` seconds, is
+    dropped (never replaced) and its chunks requeued onto the
+    survivors, each up to ``max_retries`` times.  Every combination
+    yields a byte-identical report for the same seed.
 
     ``checkpoint`` names a directory that receives one atomic JSON file
     per classified chunk; rerunning with the same directory (after a
@@ -526,8 +508,8 @@ def run_campaign(
     and the per-reason breakdown -- serialised as a ``degradation`` key
     next to ``metrics``.  Off by default so the report stays
     byte-identical to the goldens.  Per-lane attribution lives in the
-    coordinating process, so with ``jobs > 1`` the summary covers shard
-    retries only.
+    coordinating process, so with ``jobs > 1`` or ``workers=`` the
+    summary covers shard retries only.
 
     ``profile`` (opt in) attaches the fault-free performance baseline
     of the target -- the :mod:`repro.obs.analyze` cycle-accounting /
@@ -542,25 +524,31 @@ def run_campaign(
     an in-memory build).  It cannot change outcomes, so neither the
     checkpoint fingerprint nor the fabric handshake includes it.
 
-    ``workers`` names socket-fabric workers (``["host:port", ...]``,
-    each one a running ``repro worker --listen``) and replaces the
-    in-process sharding: chunks are leased over the
-    :class:`~repro.fabric.FabricCoordinator` with work stealing,
-    health-tracked reconnects and requeues.  Requires a *named*
-    target (the worker rebuilds it from the name and the handshake
-    rejects any worker whose netlist fingerprints differently).
-    ``fabric`` optionally carries a :class:`~repro.fabric.FabricConfig`
-    with the scheduling knobs.  The merged report stays byte-identical
-    to ``jobs=1`` for any worker pool and any crash/steal schedule, and
-    ``checkpoint`` composes: the coordinator (never a worker) persists
-    each chunk, so a killed coordinator resumes against surviving
-    workers.
+    ``workers`` names remote fabric workers (``["host:port", ...]``,
+    each a running ``repro worker --listen``) in place of local ones,
+    so it excludes ``jobs > 1``.  Both need a *named* target: each
+    worker rebuilds it from the name, and the handshake rejects any
+    worker whose netlist fingerprints differently.  ``fabric``
+    optionally carries a :class:`~repro.fabric.FabricConfig` with the
+    scheduling knobs.  ``checkpoint`` composes: the coordinator (never
+    a worker) persists each chunk, so a killed coordinator resumes
+    against surviving remote workers.
     """
     cfg = config or CampaignConfig()
     if lanes < 1:
         raise ValueError("lanes must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if workers and jobs > 1:
+        raise ValueError(
+            "workers= replaces jobs=: chunks go to the named remote "
+            "workers instead of local ones"
+        )
+    if (workers or jobs > 1) and not isinstance(target, str):
+        raise ValueError(
+            "the socket fabric needs a named target so workers can "
+            "rebuild (and fingerprint) it independently"
+        )
     if degradation and metrics is None:
         # The quarantine tallies ride on the metrics registry; conjure a
         # private one when the caller did not supply any.
@@ -570,9 +558,6 @@ def run_campaign(
     tgt = resolve_target(target)
     injections = enumerate_injections(tgt, cfg)
     chunks = _chunked(injections, lanes)
-    # Ship the target by name when we can: cheaper to pickle, and the
-    # worker rebuilds it deterministically.
-    spec: Union[str, RtlTarget] = target if isinstance(target, str) else tgt
     total = len(injections)
 
     store: Optional[CheckpointStore] = None
@@ -602,15 +587,11 @@ def run_campaign(
     if progress is not None and done:
         progress(done, total)  # announce the resumed head start
 
-    if workers:
-        if not isinstance(target, str):
-            raise ValueError(
-                "the socket fabric needs a named target so workers can "
-                "rebuild (and fingerprint) it independently"
-            )
+    if workers or (jobs > 1 and len(pending) > 1):
         from repro.fabric import (
             FabricConfig,
             FabricCoordinator,
+            local_workers,
             parse_workers,
         )
         from repro.fabric.jobs import (
@@ -621,41 +602,35 @@ def run_campaign(
         fabric_config = fabric or FabricConfig(
             unit_timeout=shard_timeout, max_retries=max_retries,
         )
-        coordinator = FabricCoordinator(
-            "campaign",
-            {
-                "target": target,
-                "config": encode_campaign_config(cfg),
-                "lanes": lanes,
-                "degrade": degrade,
-                "cache": cache,
-            },
-            [
-                (index, [encode_injection(i) for i in chunk])
-                for index, chunk in pending
-            ],
-            parse_workers(",".join(workers)),
-            config=fabric_config,
-            metrics=metrics,
-            on_result=lambda index, payload: record(
-                index, [FaultOutcome(**d) for d in payload]
-            ),
-            injections_per_unit=lanes,
-        )
-        coordinator.run()
-    elif jobs > 1 and len(pending) > 1:
-        supervisor = ShardSupervisor(
-            _chunk_worker,
-            (spec, cfg, lanes, degrade, cache),
-            pending,
-            config=SupervisorConfig(
-                jobs=jobs, shard_timeout=shard_timeout,
-                max_retries=max_retries,
-            ),
-            metrics=metrics,
-            on_result=record,
-        )
-        supervisor.run()
+        if workers:
+            launcher = nullcontext(parse_workers(",".join(workers)))
+        else:
+            # A dead local worker stays dead: its address goes terminal
+            # at once and its chunks move to the survivors.
+            fabric_config = replace(fabric_config, max_rounds=0)
+            launcher = local_workers(min(jobs, len(pending)))
+        with launcher as addresses:
+            FabricCoordinator(
+                "campaign",
+                {
+                    "target": target,
+                    "config": encode_campaign_config(cfg),
+                    "lanes": lanes,
+                    "degrade": degrade,
+                    "cache": cache,
+                },
+                [
+                    (index, [encode_injection(i) for i in chunk])
+                    for index, chunk in pending
+                ],
+                addresses,
+                config=fabric_config,
+                metrics=metrics,
+                on_result=lambda index, payload: record(
+                    index, [FaultOutcome(**d) for d in payload]
+                ),
+                injections_per_unit=lanes,
+            ).run()
     elif pending:
         harness = _make_harness(tgt, cfg, lanes, degrade, metrics, cache)
         for index, chunk in pending:

@@ -1,14 +1,11 @@
 """repro.resilience -- hardened execution for long-running workloads.
 
-Four capabilities, threaded through the campaign, sweep and
+Three capabilities, threaded through the campaign, sweep and
 model-checking drivers:
 
 * **checkpoint/resume** (:mod:`~repro.resilience.checkpoint`) --
   atomic, fingerprint-validated on-disk stores; a resumed run emits the
   byte-identical report of an uninterrupted one;
-* **crash-tolerant sharding** (:mod:`~repro.resilience.supervisor`) --
-  worker processes with per-shard deadlines, death detection and
-  capped-backoff requeues;
 * **stall watchdogs** (:mod:`~repro.resilience.watchdog`) -- no-progress
   windows over the behavioural and gate-level simulators, with a
   structured :class:`StallDiagnosis` naming the asserted-Stop cycle;
@@ -16,7 +13,10 @@ model-checking drivers:
   faulted lanes quarantine onto the scalar engine instead of sinking
   the campaign.
 
-See the "Resilience" section of DESIGN.md for formats and criteria.
+Crash-tolerant sharding (``jobs=N``, dead and hung worker detection,
+requeues, :class:`~repro.fabric.ShardFailure`) lives in
+:mod:`repro.fabric`, which runs local and remote workers alike.  See
+the "Resilience" section of DESIGN.md for formats and criteria.
 """
 
 from repro.resilience.checkpoint import (
@@ -30,12 +30,6 @@ from repro.resilience.degrade import (
     DegradingCampaignHarness,
     LaneFaultError,
     verify_degradation,
-)
-from repro.resilience.supervisor import (
-    ShardFailure,
-    ShardSupervisor,
-    SupervisorConfig,
-    backoff_for,
 )
 from repro.resilience.watchdog import (
     BatchStallWatchdog,
@@ -57,12 +51,8 @@ __all__ = [
     "MONOTONIC",
     "NetworkStallWatchdog",
     "RtlStallWatchdog",
-    "ShardFailure",
-    "ShardSupervisor",
     "StallDiagnosis",
     "StallError",
-    "SupervisorConfig",
     "atomic_write_json",
-    "backoff_for",
     "verify_degradation",
 ]

@@ -1,11 +1,12 @@
 """Injectable monotonic time for backoff/deadline machinery.
 
-Every component that schedules retries, heartbeat deadlines or backoff
-windows (:class:`~repro.resilience.supervisor.ShardSupervisor`, the
-fabric's :class:`~repro.fabric.health.WorkerHealth`) takes a ``clock``
+Every component that schedules heartbeat deadlines, progress deadlines
+or reconnect backoff (the fabric's
+:class:`~repro.fabric.health.WorkerHealth` and
+:class:`~repro.fabric.coordinator.FabricCoordinator`) takes a ``clock``
 callable instead of reading :func:`time.monotonic` inline.  Production
 code passes nothing and gets the real clock; tests pass a
-:class:`FakeClock` and drive time explicitly -- backoff and requeue
+:class:`FakeClock` and drive time explicitly -- deadline and backoff
 paths then run in microseconds with zero sleeps and zero timing flakes.
 
 A clock is just ``Callable[[], float]`` returning monotonic seconds.

@@ -22,13 +22,13 @@ from repro.fabric import (
     FabricError,
     FabricMismatch,
     JobKind,
+    ShardFailure,
     register_job,
     serve,
 )
 from repro.fabric.frames import encode_frame, read_frame
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import ShardFailure
 
 CFG = CampaignConfig(cycles=120, seed=2007)
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.fabric.health import WorkerHealth, WorkerState, state_census
+from repro.fabric.health import (
+    WorkerHealth,
+    WorkerState,
+    backoff_for,
+    state_census,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import FakeClock
 
@@ -103,6 +108,21 @@ class TestReconnectBackoff:
         assert health.terminal
         clock.advance(1e9)
         assert not health.may_reconnect()
+
+    def test_max_rounds_zero_is_terminal_on_first_loss(self):
+        # The local-worker setting: a dead forked worker is not replaced.
+        health, _ = machine(max_rounds=0)
+        health.on_connected()
+        health.on_disconnect()
+        assert health.terminal
+
+    def test_backoff_for_honours_cap_at_huge_attempts(self):
+        assert backoff_for(1, 0.25, 8.0) == 0.25
+        assert backoff_for(6, 0.25, 8.0) == 8.0
+        assert backoff_for(10_000, 0.25, 8.0) == 8.0  # no overflow
+        assert backoff_for(3, 8.0, 2.0) == 2.0  # base above cap
+        with pytest.raises(ValueError):
+            backoff_for(0, 0.25, 8.0)
 
     def test_rejection_is_terminal_immediately(self):
         health, clock = machine()

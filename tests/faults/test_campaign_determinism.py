@@ -1,7 +1,7 @@
-"""Determinism of the lane-parallel / process-sharded campaign runner.
+"""Determinism of the lane-parallel / sharded campaign runner.
 
-The lane-parallel compiled simulator and the process sharding are pure
-implementation choices: for a given (target, config) the JSON campaign
+The lane-parallel compiled simulator and the sharding over local fabric
+workers are pure implementation choices: for a given (target, config) the JSON campaign
 report must be *byte-identical* whatever ``lanes``/``jobs`` split runs
 it.  A fixed-seed golden report is checked in to catch any silent
 drift in stimulus generation, monitor ordering or report formatting.
@@ -68,6 +68,19 @@ def test_invalid_lane_and_job_counts():
         run_campaign("dual_ehb", CONFIG, lanes=0)
     with pytest.raises(ValueError):
         run_campaign("dual_ehb", CONFIG, jobs=0)
+
+
+def test_jobs_and_workers_are_exclusive():
+    with pytest.raises(ValueError, match="replaces jobs"):
+        run_campaign("dual_ehb", CONFIG, jobs=2, workers=["127.0.0.1:1"])
+
+
+def test_sharding_needs_a_named_target():
+    target = resolve_target("dual_ehb")
+    with pytest.raises(ValueError, match="named target"):
+        run_campaign(target, CONFIG, jobs=2)
+    # One job runs in process, so a target object is fine there.
+    assert run_campaign(target, CONFIG).to_json() == _report_json(1, 1)
 
 
 def test_chunk_order_never_changes_batch_verdicts():

@@ -21,6 +21,41 @@ def golden_json():
     return run_campaign("dual_ehb", CFG).to_json()
 
 
+def live_group_members(pgid):
+    """PIDs of the live (non-zombie) processes in process group ``pgid``."""
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("needs /proc to list a process group")
+    alive = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # "pid (comm) state ppid pgrp ..."; comm may contain spaces.
+        state, _, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(entry.name))
+    return alive
+
+
+def assert_group_gone(pgid, timeout=10.0):
+    """Every process of the group exits within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    alive = live_group_members(pgid)
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = live_group_members(pgid)
+    if alive:
+        for pid in alive:  # don't leak them into the rest of the run
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert alive == [], f"orphaned processes in group {pgid}: {alive}"
+
+
 class TestCheckpointDeterminism:
     def test_checkpointed_run_matches_plain_run(self, tmp_path):
         plain = golden_json()
@@ -89,6 +124,7 @@ class TestKillAndResume:
         proc = subprocess.Popen(
             argv, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,  # its own process group, workers too
         )
         try:
             # Wait for some—but not all—chunks, then kill without grace.
@@ -107,6 +143,8 @@ class TestKillAndResume:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+        # Only the coordinator was killed; its workers must notice and go.
+        assert_group_gone(proc.pid)
 
         resume = subprocess.run(
             [
@@ -121,3 +159,32 @@ class TestKillAndResume:
         # The store was reused, not rebuilt from scratch.
         manifest = json.loads((ck / "manifest.json").read_text())
         assert manifest["target"] == "dual_ehb"
+
+    def test_ctrl_c_terminates_workers_and_exits_130(self, tmp_path):
+        ck = tmp_path / "ck"
+        argv = [
+            sys.executable, "-m", "repro", "inject",
+            "--netlist", "dual_ehb", "--cycles", "2000", "--jobs", "2",
+            "--checkpoint", str(ck),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not list(ck.glob("chunk-*.json")):
+                if proc.poll() is not None or time.monotonic() > deadline:
+                    pytest.fail("campaign produced no chunk to interrupt")
+                time.sleep(0.05)
+            # Ctrl-C in a terminal signals the whole foreground group.
+            os.killpg(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=30)
+        assert proc.returncode == 130, stderr
+        assert "interrupted; worker processes terminated" in stderr
+        assert_group_gone(proc.pid, timeout=0)
