@@ -71,7 +71,6 @@ def run_fabric(worker_addresses, units=None, **fabric_kwargs):
             "target": "dual_ehb",
             "config": encode_campaign_config(CONFIG),
             "lanes": LANES,
-            "degrade": True,
             "cache": None,
         },
         fabric_units() if units is None else units,

@@ -16,7 +16,7 @@ Usage (after ``pip install -e .``)::
     python -m repro inject   [--netlist dual_ehb|...|processor]
                              [--fault stuck0,stuck1] [--cycles 400]
                              [--seed 2007] [--report out.json] [--shrink]
-                             [--metrics] [--degradation] [--profile]
+                             [--metrics] [--profile]
                              [--progress]
                              [--checkpoint dir] [--resume dir]
                              [--shard-timeout 60] [--max-retries 2]
@@ -429,11 +429,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 "--lanes/--jobs need an RTL netlist; the behavioural "
                 "processor campaign only runs sequentially"
             )
-        if args.degradation:
-            raise SystemExit(
-                "--degradation needs an RTL netlist; the behavioural "
-                "processor campaign has no batch lanes to quarantine"
-            )
         if args.profile:
             raise SystemExit(
                 "--profile needs an RTL netlist; profile the behavioural "
@@ -463,7 +458,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 checkpoint=checkpoint,
                 shard_timeout=args.shard_timeout,
                 max_retries=args.max_retries,
-                degradation=args.degradation,
                 profile=args.profile,
                 cache=args.cache,
                 workers=workers,
@@ -869,15 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "failing schedule and print its trace")
     p.add_argument("--metrics", action="store_true",
                    help="attach run metadata (wall time, verdict tallies, "
-                        "lane utilization) to the report and print it; "
-                        "without this flag the report stays byte-identical "
-                        "to the goldens")
-    p.add_argument("--degradation", action="store_true",
-                   help="attach the lane-quarantine summary of the "
-                        "graceful-degradation harness to the report "
-                        "(a 'degradation' key next to 'metrics'); without "
-                        "this flag the report stays byte-identical to the "
-                        "goldens")
+                        "lane utilization, lanes run on the scalar engine "
+                        "because the netlist cannot compile) to the report "
+                        "and print it; without this flag the report stays "
+                        "byte-identical to the goldens")
     p.add_argument("--profile", action="store_true",
                    help="attach the fault-free performance baseline of "
                         "the target (the 'repro profile' report) as a "

@@ -279,8 +279,8 @@ class CompiledSimulator:
         0``), and no bit may live above the lane mask.  The generated
         kernels preserve both by construction, so a violation after a
         cycle means the planes were corrupted from outside (a buggy
-        observer poking the live arrays, a bad override mask) -- the
-        condition the graceful-degradation layer quarantines.  Checks
+        observer poking the live arrays, a bad override mask); the
+        differential suite asserts it after every cycle.  Checks
         the observed slots (the only ones written back) plus all state
         words.  Returns 0 when every lane is healthy; a plane bit
         *above* the mask cannot be attributed to one lane, so it taints

@@ -113,12 +113,18 @@ def _campaign_build(params: Dict[str, object]):
 
     target = resolve_target(params["target"])
     config = decode_campaign_config(params["config"])
-    harness = _make_harness(
-        target, config, params["lanes"], params["degrade"], None,
-        params.get("cache"),
-    )
+    harness = None
 
     def run(payload: object) -> object:
+        # Built by the first unit, not at bind: binding stays a quick
+        # fingerprint check, so workers are leased work before any of
+        # them has compiled (the chaos tests kill a worker on the first
+        # result and expect it to lose leased work).
+        nonlocal harness
+        if harness is None:
+            harness = _make_harness(
+                target, config, params["lanes"], None, params.get("cache")
+            )
         injections = [decode_injection(doc) for doc in payload]
         return [o.to_dict() for o in harness.run_chunk(injections)]
 

@@ -54,6 +54,7 @@ from typing import (
 )
 
 from repro.casestudy.processor import ProcessorConfig, build_processor
+from repro.codegen.fingerprint import netlist_fingerprint
 from repro.elastic.behavioral import ElasticBuffer
 from repro.elastic.protocol import ProtocolViolation
 from repro.faults.models import (
@@ -77,6 +78,7 @@ from repro.faults.targets import TARGETS, RtlTarget
 from repro.resilience.checkpoint import CheckpointStore
 from repro.rtl.logic import Value
 from repro.rtl.simulator import TwoPhaseSimulator
+from repro.rtl.toposort import CombinationalCycleError
 from repro.verif.traces import TraceStep
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,10 +131,6 @@ class CampaignReport:
     #: the serialised report unless set -- the default report stays
     #: byte-identical to the goldens.
     metrics: Optional[Dict[str, object]] = None
-    #: optional lane-quarantine summary of the graceful-degradation
-    #: harness (opt in via ``run_campaign(..., degradation=True)``);
-    #: absent from the serialised report unless set.
-    degradation: Optional[Dict[str, object]] = None
     #: optional fault-free performance baseline of the target (opt in
     #: via ``run_campaign(..., profile=True)``): the full
     #: :mod:`repro.obs.analyze` report dict; absent from the
@@ -170,8 +168,6 @@ class CampaignReport:
         }
         if self.metrics is not None:
             d["metrics"] = self.metrics
-        if self.degradation is not None:
-            d["degradation"] = self.degradation
         if self.profile is not None:
             d["profile"] = self.profile
         return d
@@ -382,40 +378,45 @@ def _make_harness(
     tgt: RtlTarget,
     config: CampaignConfig,
     lanes: int,
-    degrade: bool,
     metrics: Optional["MetricsRegistry"],
     cache: Optional[str] = None,
 ):
     """The chunk-classifying harness for one (target, lanes).
 
     ``lanes > 1`` runs the lane-parallel
-    :class:`~repro.faults.batch.BatchCampaignHarness` (wrapped in the
-    degradation ladder when ``degrade``); ``cache`` is the build-cache
-    directory of its generated module (``None`` for the default).
-    ``lanes=1`` runs the scalar harness, the semantic reference.
+    :class:`~repro.faults.batch.BatchCampaignHarness`; ``cache`` is the
+    build-cache directory of its generated module (``None`` for the
+    default).  ``lanes=1`` runs the scalar harness, the semantic
+    reference.  So does a netlist the compiled simulator refuses (a
+    combinational cycle the scalar fixed point settles): its ``lanes``
+    are tallied under
+    ``campaign_lane_quarantine_total{reason="compile",target}``.
     """
-    if lanes <= 1:
-        return CampaignHarness(tgt, config)
-    if degrade:
-        from repro.resilience.degrade import DegradingCampaignHarness
+    if lanes > 1:
+        from repro.faults.batch import BatchCampaignHarness
 
-        return DegradingCampaignHarness(
-            tgt, config, lanes, metrics=metrics, cache=cache
-        )
-    from repro.faults.batch import BatchCampaignHarness
-
-    return BatchCampaignHarness(
-        tgt, config, lanes, metrics=metrics, cache=cache
-    )
+        try:
+            return BatchCampaignHarness(
+                tgt, config, lanes, metrics=metrics, cache=cache
+            )
+        except CombinationalCycleError:
+            if metrics is not None:
+                metrics.counter(
+                    "campaign_lane_quarantine_total",
+                    reason="compile", target=tgt.name,
+                ).inc(lanes)
+    return CampaignHarness(tgt, config)
 
 
 def _campaign_fingerprint(
     tgt: RtlTarget, config: CampaignConfig, lanes: int, total: int
 ) -> Dict[str, object]:
-    """What a checkpoint directory is committed to: the sweep geometry."""
+    """What a checkpoint directory is committed to: the netlist and the
+    sweep geometry."""
     return {
         "kind": "campaign",
         "target": tgt.name,
+        "netlist": netlist_fingerprint(tgt.netlist),
         "seed": config.seed,
         "cycles": config.cycles,
         "kinds": list(config.kinds),
@@ -466,8 +467,6 @@ def run_campaign(
     checkpoint: Optional[str] = None,
     shard_timeout: Optional[float] = None,
     max_retries: int = 2,
-    degrade: bool = True,
-    degradation: bool = False,
     profile: bool = False,
     cache: Optional[str] = None,
     workers: Optional[Sequence[str]] = None,
@@ -476,7 +475,9 @@ def run_campaign(
     """Sweep every enumerated fault over ``target``.
 
     ``lanes > 1`` batches that many injections per simulation on the
-    compiled lane-parallel simulator; ``jobs > 1`` additionally leases
+    compiled lane-parallel simulator, or runs them one at a time on the
+    scalar simulator when the netlist has a combinational cycle the
+    compiled simulator refuses; ``jobs > 1`` additionally leases
     the chunks to that many forked local workers through the same
     :class:`~repro.fabric.FabricCoordinator` as ``workers=``.  A worker
     that dies, or makes no progress for ``shard_timeout`` seconds, is
@@ -490,33 +491,21 @@ def run_campaign(
     the completed chunks and produces the byte-identical report of an
     uninterrupted run.
 
-    ``degrade`` (default on, only meaningful with ``lanes > 1``) wraps
-    the lane-parallel harness in the graceful-degradation ladder: a corrupt or
-    faulted lane is quarantined and replayed on the scalar simulator
-    rather than poisoning its whole chunk.
-
     ``progress`` is an optional ``fn(done_injections, total)`` hook
     (called per classified chunk).  ``metrics`` is an optional
     :class:`~repro.obs.metrics.MetricsRegistry`: verdicts are tallied
     into ``campaign_faults_total{status,target}`` counters, shard
-    requeues into ``campaign_shard_retries_total{reason}``, quarantined
-    lanes into ``campaign_lane_quarantine_total{reason,target}``.
+    requeues into ``campaign_shard_retries_total{reason}``, and the
+    lanes of an in-process harness that fell back to scalar into
+    ``campaign_lane_quarantine_total{reason="compile",target}``.
     Neither affects the outcomes or the serialised report.
-
-    ``degradation`` (opt in) attaches a lane-quarantine summary to
-    ``report.degradation`` -- total lanes replayed on the scalar engine
-    and the per-reason breakdown -- serialised as a ``degradation`` key
-    next to ``metrics``.  Off by default so the report stays
-    byte-identical to the goldens.  Per-lane attribution lives in the
-    coordinating process, so with ``jobs > 1`` or ``workers=`` the
-    summary covers shard retries only.
 
     ``profile`` (opt in) attaches the fault-free performance baseline
     of the target -- the :mod:`repro.obs.analyze` cycle-accounting /
     attribution report, run on the scalar engine for the campaign's
     ``cycles`` and ``seed`` -- as a ``profile`` key.  Off by default
-    so the report stays byte-identical to the goldens.  Requires the
-    target to be one of the named stock targets.
+    so the report stays byte-identical to the goldens.  Requires a
+    named target: the baseline profiles the stock design of that name.
 
     ``cache`` names the build-cache directory of the generated
     lane-parallel module (shipped to workers as a plain string; ``None``
@@ -549,12 +538,11 @@ def run_campaign(
             "the socket fabric needs a named target so workers can "
             "rebuild (and fingerprint) it independently"
         )
-    if degradation and metrics is None:
-        # The quarantine tallies ride on the metrics registry; conjure a
-        # private one when the caller did not supply any.
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
+    if profile and not isinstance(target, str):
+        raise ValueError(
+            "profile=True needs a named target: the baseline profiles "
+            "the stock design of that name"
+        )
     tgt = resolve_target(target)
     injections = enumerate_injections(tgt, cfg)
     chunks = _chunked(injections, lanes)
@@ -616,7 +604,6 @@ def run_campaign(
                     "target": target,
                     "config": encode_campaign_config(cfg),
                     "lanes": lanes,
-                    "degrade": degrade,
                     "cache": cache,
                 },
                 [
@@ -632,7 +619,7 @@ def run_campaign(
                 injections_per_unit=lanes,
             ).run()
     elif pending:
-        harness = _make_harness(tgt, cfg, lanes, degrade, metrics, cache)
+        harness = _make_harness(tgt, cfg, lanes, metrics, cache)
         for index, chunk in pending:
             record(index, harness.run_chunk(chunk))
 
@@ -644,10 +631,6 @@ def run_campaign(
             metrics.counter(
                 "campaign_faults_total", status=outcome.status, target=tgt.name
             ).inc()
-    if degradation:
-        report.degradation = _degradation_summary(
-            metrics, tgt.name, lanes=lanes, degrade=degrade
-        )
     if profile:
         from repro.obs.analyze import run_profile
 
@@ -658,39 +641,6 @@ def run_campaign(
             tgt.name, cycles=cfg.cycles, seed=cfg.seed, backend="scalar"
         ).to_dict()
     return report
-
-
-def _degradation_summary(
-    metrics: "MetricsRegistry",
-    target: str,
-    lanes: int,
-    degrade: bool,
-) -> Dict[str, object]:
-    """The ``degradation`` report key: lane-quarantine totals by reason.
-
-    Reads the ``campaign_lane_quarantine_total{reason,target}`` series
-    the harness tallied (filtered to ``target``) plus any shard retries;
-    deterministic because the counters are summed, never timestamped.
-    """
-    by_reason: Dict[str, int] = {}
-    for metric in metrics.series("campaign_lane_quarantine_total"):
-        labels = dict(metric.labels)
-        if labels.get("target") != target:
-            continue
-        reason = labels.get("reason", "unknown")
-        by_reason[reason] = by_reason.get(reason, 0) + metric.value
-    shard_retries = sum(
-        m.value for m in metrics.series("campaign_shard_retries_total")
-    )
-    summary: Dict[str, object] = {
-        "enabled": bool(degrade and lanes > 1),
-        "lanes": lanes,
-        "quarantined": sum(by_reason.values()),
-        "by_reason": by_reason,
-    }
-    if shard_retries:
-        summary["shard_retries"] = shard_retries
-    return summary
 
 
 # ----------------------------------------------------------------------

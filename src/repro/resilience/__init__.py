@@ -1,6 +1,6 @@
 """repro.resilience -- hardened execution for long-running workloads.
 
-Three capabilities, threaded through the campaign, sweep and
+Two capabilities, threaded through the campaign, sweep and
 model-checking drivers:
 
 * **checkpoint/resume** (:mod:`~repro.resilience.checkpoint`) --
@@ -8,15 +8,15 @@ model-checking drivers:
   byte-identical report of an uninterrupted one;
 * **stall watchdogs** (:mod:`~repro.resilience.watchdog`) -- no-progress
   windows over the behavioural and gate-level simulators, with a
-  structured :class:`StallDiagnosis` naming the asserted-Stop cycle;
-* **graceful degradation** (:mod:`~repro.resilience.degrade`) --
-  faulted lanes quarantine onto the scalar engine instead of sinking
-  the campaign.
+  structured :class:`StallDiagnosis` naming the asserted-Stop cycle.
 
 Crash-tolerant sharding (``jobs=N``, dead and hung worker detection,
 requeues, :class:`~repro.fabric.ShardFailure`) lives in
-:mod:`repro.fabric`, which runs local and remote workers alike.  See
-the "Resilience" section of DESIGN.md for formats and criteria.
+:mod:`repro.fabric`, which runs local and remote workers alike.  A
+lane-parallel campaign whose netlist the compiled simulator cannot
+compile runs on the scalar engine instead
+(:func:`repro.faults.campaign.run_campaign`).  See the "Resilience"
+section of DESIGN.md for formats and criteria.
 """
 
 from repro.resilience.checkpoint import (
@@ -26,11 +26,6 @@ from repro.resilience.checkpoint import (
     atomic_write_json,
 )
 from repro.resilience.clock import MONOTONIC, Clock, FakeClock
-from repro.resilience.degrade import (
-    DegradingCampaignHarness,
-    LaneFaultError,
-    verify_degradation,
-)
 from repro.resilience.watchdog import (
     BatchStallWatchdog,
     NetworkStallWatchdog,
@@ -45,14 +40,11 @@ __all__ = [
     "CheckpointMismatch",
     "CheckpointStore",
     "Clock",
-    "DegradingCampaignHarness",
     "FakeClock",
-    "LaneFaultError",
     "MONOTONIC",
     "NetworkStallWatchdog",
     "RtlStallWatchdog",
     "StallDiagnosis",
     "StallError",
     "atomic_write_json",
-    "verify_degradation",
 ]

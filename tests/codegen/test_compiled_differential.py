@@ -18,6 +18,12 @@ from hypothesis import given, settings
 
 from repro.codegen.cache import BuildCache
 from repro.codegen.sim import CompiledSimulator
+from repro.faults.batch import BatchCampaignHarness
+from repro.faults.campaign import (
+    CampaignConfig,
+    enumerate_injections,
+    resolve_target,
+)
 from repro.rtl.batchsim import pack_stimulus
 from repro.rtl.simulator import TwoPhaseSimulator
 from tests.strategies import (
@@ -188,3 +194,33 @@ def test_unobserved_signal_rejected():
     )
     with pytest.raises(ValueError, match="not observed"):
         sim.planes(hidden)
+
+
+def _checked_harness():
+    """A 4-lane campaign harness after one clean chunk."""
+    config = CampaignConfig(cycles=60, seed=3, untestable_analysis=False)
+    target = resolve_target("dual_ehb")
+    harness = BatchCampaignHarness(target, config, 4)
+    harness.run_chunk(enumerate_injections(target, config)[:4])
+    return harness
+
+
+def test_clean_simulator_reports_no_bad_lanes():
+    assert _checked_harness().sim.check_lane_integrity() == 0
+
+
+def test_encoding_violation_names_the_lane():
+    sim = _checked_harness().sim
+    slot = next(iter(sim.state))
+    vp, kp = sim.state[slot]
+    sim.state[slot] = (vp | 0b100, kp & ~0b100)  # lane 2: v set, k clear
+    assert sim.check_lane_integrity() == 0b100
+
+
+def test_bit_above_the_mask_taints_every_lane():
+    sim = _checked_harness().sim
+    slot = next(iter(sim.state))
+    vp, kp = sim.state[slot]
+    above = 1 << 4
+    sim.state[slot] = (vp | above, kp | above)
+    assert sim.check_lane_integrity() == sim.mask

@@ -1,9 +1,11 @@
 """Campaign runner: coverage, determinism, untestability proofs."""
 
 import json
+import re
 
 import pytest
 
+from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignHarness,
@@ -17,6 +19,8 @@ from repro.faults.campaign import (
 )
 from repro.faults.models import Injection
 from repro.faults.targets import TARGETS, dual_ehb
+from repro.obs.metrics import MetricsRegistry
+from repro.rtl.toposort import CombinationalCycleError
 
 CONFIG = CampaignConfig(cycles=250, seed=2007)
 
@@ -149,6 +153,28 @@ class TestHarness:
         assert len(steps) == 30
         for step in steps:
             assert all(v in (0, 1) for v in step.signals.values())
+
+
+class TestCompileFallback:
+    def test_uncompilable_netlist_runs_scalar_only(self):
+        # A combinational loop the scalar fixed point settles but the
+        # compiled simulator refuses.
+        target = dual_ehb()
+        target.netlist.OR("cyc.b", "src.choice", out="cyc.a")
+        target.netlist.AND("cyc.a", "snk.stall", out="cyc.b")
+        with pytest.raises(CombinationalCycleError,
+                           match=re.escape("cyc.a -> cyc.b -> cyc.a")):
+            CompiledSimulator(target.netlist, 8)
+        config = CampaignConfig(cycles=60, seed=3)
+        metrics = MetricsRegistry()
+        batched = run_campaign(target, config, lanes=8, metrics=metrics)
+        scalar = run_campaign(target, config, lanes=1)
+        assert len(scalar.outcomes) == 92
+        assert batched.to_json() == scalar.to_json()
+        assert metrics.counter(
+            "campaign_lane_quarantine_total",
+            reason="compile", target="dual_ehb",
+        ).value == 8
 
 
 class TestProcessorCampaign:

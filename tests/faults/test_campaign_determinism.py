@@ -101,12 +101,12 @@ def test_chunk_order_never_changes_batch_verdicts():
     )
     target = resolve_target("dual_ehb")
     chunks = _chunked(enumerate_injections(target, config), 32)
-    reused = _make_harness(target, config, 32, True, None)
+    reused = _make_harness(target, config, 32, None)
     in_order = [
         [o.to_dict() for o in reused.run_chunk(chunk)] for chunk in chunks
     ]
     for index in (2, 0, len(chunks) - 1):
-        fresh = _make_harness(target, config, 32, True, None)
+        fresh = _make_harness(target, config, 32, None)
         assert [
             o.to_dict() for o in fresh.run_chunk(chunks[index])
         ] == in_order[index], f"chunk {index} depends on chunk order"

@@ -234,3 +234,12 @@ class TestCampaignProfileKey:
         assert d["profile"]["design"] == "dual_ehb"
         assert d["profile"]["backend"] == "scalar"
         assert d["profile"]["cycles"] == 80
+
+    def test_profile_needs_a_named_target(self):
+        calls = []
+        with pytest.raises(ValueError, match="named target"):
+            run_campaign(
+                TARGETS["dual_ehb"](), CampaignConfig(cycles=80, seed=SEED),
+                profile=True, progress=lambda done, total: calls.append(done),
+            )
+        assert calls == []

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.faults.campaign import CampaignConfig, run_campaign
+from repro.faults.targets import dual_ehb
 from repro.resilience import CheckpointMismatch
 
 CFG = CampaignConfig(cycles=120, seed=2007)
@@ -106,6 +107,14 @@ class TestCheckpointDeterminism:
         run_campaign("dual_ehb", cfg, lanes=4, checkpoint=ck)
         with pytest.raises(CheckpointMismatch, match="lanes"):
             run_campaign("dual_ehb", cfg, lanes=8, checkpoint=ck)
+
+    def test_changed_netlist_rejected(self, tmp_path):
+        ck = str(tmp_path / "ck")
+        cfg = CampaignConfig(cycles=60, seed=3)
+        run_campaign(dual_ehb(), cfg, lanes=8, checkpoint=ck)
+        with pytest.raises(CheckpointMismatch, match="netlist"):
+            run_campaign(dual_ehb(initial_tokens=1), cfg, lanes=8,
+                         checkpoint=ck)
 
 
 @pytest.mark.slow

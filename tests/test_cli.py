@@ -382,17 +382,3 @@ class TestLint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="ghost.blif"):
             main(["lint", "--file", str(tmp_path / "ghost.blif")])
-
-    def test_inject_degradation_flag(self, tmp_path, capsys):
-        report = tmp_path / "r.json"
-        assert main(["inject", "--netlist", "dual_ehb", "--cycles", "120",
-                     "--lanes", "8", "--degradation",
-                     "--report", str(report)]) == 0
-        import json as jsonlib
-        payload = jsonlib.loads(report.read_text())
-        assert payload["degradation"]["enabled"] is True
-        assert payload["degradation"]["quarantined"] == 0
-
-    def test_processor_rejects_degradation(self):
-        with pytest.raises(SystemExit, match="RTL netlist"):
-            main(["inject", "--netlist", "processor", "--degradation"])
