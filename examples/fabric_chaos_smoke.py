@@ -4,9 +4,10 @@ The distributed-fabric contract in one script:
 
 1. start three ``repro worker`` subprocesses on loopback ports -- real
    CLI workers, each a separate process with its own event loop;
-2. drive a fault campaign over them with the fabric coordinator and
-   SIGKILL one worker as soon as the first chunk lands -- no cleanup
-   handler runs, exactly like an OOM kill or a yanked machine;
+2. drive a fault campaign over them with the fabric coordinator and,
+   as soon as the first chunk lands, SIGKILL the last worker holding a
+   lease -- no cleanup handler runs, exactly like an OOM kill or a
+   yanked machine;
 3. the coordinator requeues the dead worker's leases onto the
    survivors and the merged JSON report is byte-for-byte what an
    uninterrupted single-process run produces.
@@ -68,21 +69,33 @@ def main() -> None:
 
     workers = [start_worker(env) for _ in range(3)]
     addresses = [address for _, address in workers]
-    victim = workers[-1][0]
+    procs = {address: proc for proc, address in workers}
     print(f"3 fabric workers up: {', '.join(addresses)}")
 
     metrics = MetricsRegistry()
     killed = []
 
     def kill_on_first_chunk(done, total):
-        # At the first completed chunk every worker still holds most of
-        # its fixed 6-unit lease: killing one now guarantees leased
-        # work dies with it and must be requeued onto the survivors.
-        if not killed:
-            killed.append(victim.pid)
-            os.kill(victim.pid, signal.SIGKILL)
-            print(f"SIGKILLed worker {addresses[-1]} "
-                  f"(pid {victim.pid}) after {done}/{total} injections")
+        # Kill the last worker already granted a lease: one still
+        # binding would take no leased work down with it.  At the first
+        # result a leased worker still holds most of its fixed 6-unit
+        # lease, so that work must be requeued onto the survivors.
+        if killed:
+            return
+        leased = {
+            dict(m.labels)["worker"]
+            for m in metrics.series("fabric_leases_total")
+            if dict(m.labels)["kind"] == "grant" and m.value
+        }
+        held = [address for address in addresses if address in leased]
+        if not held:
+            return  # no grant counted yet: retry at the next result
+        victim = held[-1]
+        killed.append(victim)
+        pid = procs[victim].pid
+        os.kill(pid, signal.SIGKILL)
+        print(f"SIGKILLed worker {victim} (pid {pid}) "
+              f"after {done}/{total} injections")
 
     try:
         report = run_campaign(
@@ -111,7 +124,7 @@ def main() -> None:
     )
     snapshot = {
         "workers": addresses,
-        "killed": addresses[-1],
+        "killed": killed[0],
         "crash_requeues": requeues,
         "worker_deaths": deaths,
         "series": metrics.snapshot(),

@@ -4,8 +4,8 @@ Lowers a :class:`~repro.rtl.netlist.Netlist` into a standalone
 generated Python module (source on disk, content-addressed, reloadable
 across processes, or built in memory only) and wraps it in
 :class:`~repro.codegen.sim.CompiledSimulator`, the engine behind every
-lane-parallel run: fault campaigns, seed sweeps, batched cross-checks,
-error sweeps, the fuzz differential and ``repro profile``.
+lane-parallel run: fault campaigns, the fuzz differential and ``repro
+profile``.
 
 Submodules are imported lazily so that ``import repro.codegen`` stays
 cheap for callers that only need, say, the fingerprint helpers.

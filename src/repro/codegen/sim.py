@@ -216,17 +216,6 @@ class CompiledSimulator:
         return self._slot[sig]
 
     @property
-    def observed_names(self):
-        """The signal names carrying end-of-cycle values, sorted.
-
-        The module only writes observed slots back, so attachments that
-        read planes directly (trace recorders, profilers, watchdogs)
-        must keep their watch lists inside this set.
-        """
-        observed = self._observed_set
-        return sorted(n for n, s in self._slot.items() if s in observed)
-
-    @property
     def value_planes(self) -> List[int]:
         """The live value-plane array, indexed by :meth:`slot`.
 

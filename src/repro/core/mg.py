@@ -18,7 +18,7 @@ paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import networkx as nx
 
@@ -279,8 +279,3 @@ def linear_pipeline(stages: int, tokens_at: Optional[Iterable[int]] = None) -> M
         # Capacity-2 buffer: forward + backward tokens sum to 2.
         g.add_arc(f"s{nxt}", f"s{i}", tokens=2 - fwd, name=f"bwd{i}")
     return g
-
-
-def iter_markings(marking: Marking) -> Iterator[Tuple[str, int]]:
-    """Deterministic iteration over a marking (sorted by arc name)."""
-    return iter(sorted(marking.items()))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.elastic.behavioral import Controller, ElasticNetwork
 from repro.elastic.channel import Channel
@@ -195,98 +195,6 @@ class ControllerCrossCheck:
                     )
         for env, (ch, _, _) in zip(self.envs, self.triples):
             env.observe(ch.vp, ch.sp, ch.vn, ch.sn)
-        self.cycle += 1
-
-    def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()
-
-
-class BatchedCrossCheck:
-    """Many seeded cross-checks against one bit-parallel gate twin.
-
-    ``factory(seed)`` must build a fresh :class:`ControllerCrossCheck`
-    (its own behavioural network and environments); each one becomes a
-    lane of a shared :class:`~repro.codegen.sim.CompiledSimulator`
-    restricted to the compared wires, so the gate netlist is evaluated
-    word-parallel across every seed while the behavioural replicas
-    advance scalar, in lock-step.  Because lane environments draw from
-    ``random.Random(f"{seed}:{channel}")`` exactly like the scalar
-    harness, any mismatch -- reported with the offending lane's seed --
-    replays verbatim on a plain ``factory(seed).run(...)``.  ``cache``
-    names the build cache of the generated module (``None`` for the
-    default directory).
-    """
-
-    def __init__(self, factory, seeds: Sequence[int], cache=None):
-        seeds = list(seeds)
-        if not 1 <= len(seeds) <= 64:
-            raise ValueError("need between 1 and 64 seeds per batch")
-        self.seeds = seeds
-        #: One scalar harness per lane; only its behavioural half runs.
-        self.harnesses: List[ControllerCrossCheck] = [
-            factory(seed) for seed in seeds
-        ]
-        self.netlist = self.harnesses[0].netlist
-        # Comparison plan per lane: the controller-driven gate wires and
-        # the behavioural channel each must be read from, pre-resolved
-        # to plane-array slots once the simulator exists.
-        plans: List[List[Tuple[Channel, str, str]]] = []
-        for harness in self.harnesses:
-            plan: List[Tuple[Channel, str, str]] = []
-            for ch, gch, ctrl_role in harness.triples:
-                if ctrl_role == "producer":
-                    wires = (("vp", gch.vp), ("sn", gch.sn))
-                else:
-                    wires = (("sp", gch.sp), ("vn", gch.vn))
-                plan.extend((ch, attr, wire) for attr, wire in wires)
-            plans.append(plan)
-        from repro.codegen.sim import CompiledSimulator
-
-        self.sim = CompiledSimulator(
-            self.netlist, lanes=len(seeds), hooks=frozenset(),
-            observe=frozenset(w for plan in plans for _, _, w in plan),
-            cache=cache,
-        )
-        self._compare: List[List[Tuple[Channel, str, str, int]]] = [
-            [(ch, attr, wire, self.sim.slot(wire)) for ch, attr, wire in plan]
-            for plan in plans
-        ]
-        self.cycle = 0
-
-    def step(self) -> None:
-        """One lock-step cycle of every lane; raises on disagreement."""
-        packed: Dict[str, List[int]] = {}
-        for lane, harness in enumerate(self.harnesses):
-            choices = [env.choose() for env in harness.envs]
-            for end, choice in zip(harness.ends, choices):
-                end.set(*choice)
-            harness.net.step()
-            bit = 1 << lane
-            for name, value in harness._gate_inputs(choices).items():
-                vk = packed.setdefault(name, [0, 0])
-                vk[1] |= bit
-                if value:
-                    vk[0] |= bit
-        self.sim.cycle({name: (vk[0], vk[1]) for name, vk in packed.items()})
-
-        v, k = self.sim.value_planes, self.sim.known_planes
-        for lane, (harness, plan) in enumerate(
-            zip(self.harnesses, self._compare)
-        ):
-            bit = 1 << lane
-            for ch, attr, wire, slot in plan:
-                want = getattr(ch, attr)
-                got = (1 if v[slot] & bit else 0) if k[slot] & bit else None
-                if got != want:
-                    raise CrossCheckMismatch(
-                        self.cycle, wire, want,
-                        self.sim.lane_value(wire, lane),
-                        seed=harness.seed,
-                    )
-            for env, (ch, _, _) in zip(harness.envs, harness.triples):
-                env.observe(ch.vp, ch.sp, ch.vn, ch.sn)
-            harness.cycle += 1
         self.cycle += 1
 
     def run(self, cycles: int) -> None:

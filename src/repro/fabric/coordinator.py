@@ -212,9 +212,7 @@ class FabricCoordinator:
                 self._fail(ShardFailure(index, attempt, detail))
                 return
             self._count_retry(reason, attempt)
-        sched.revoke_from(worker, indices)
-        live = [i for i in indices if i not in sched.completed]
-        sched.pending = sorted(set(sched.pending) | set(live))
+        sched.requeue(worker, indices)
 
     def _fail(self, exc: BaseException) -> None:
         if self._failure is None:

@@ -188,20 +188,19 @@ class WorkStealingScheduler:
             lease.finished_at = self._clock()
         return True
 
-    def requeue_worker(self, worker: str) -> List[int]:
-        """Return a lost worker's outstanding units to the queue."""
-        units = self.outstanding.pop(worker, [])
-        units = [i for i in units if i not in self.completed]
+    def requeue(self, worker: str, indices: Sequence[int]) -> List[int]:
+        """Take ``indices`` back from ``worker`` and queue the unfinished.
+
+        The worker keeps the rest of its outstanding run.  Returns the
+        requeued units: ``indices`` minus those already completed.
+        """
+        drop = set(indices)
+        kept = [i for i in self.outstanding.pop(worker, []) if i not in drop]
+        if kept:
+            self.outstanding[worker] = kept
+        units = [i for i in indices if i not in self.completed]
         self.pending = sorted(set(self.pending) | set(units))
         return units
-
-    def revoke_from(self, worker: str, indices: Sequence[int]) -> None:
-        """Forget ``indices`` from ``worker``'s outstanding set."""
-        units = self.outstanding.get(worker)
-        if not units:
-            return
-        drop = set(indices)
-        self.outstanding[worker] = [i for i in units if i not in drop]
 
     @property
     def done(self) -> bool:

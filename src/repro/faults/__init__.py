@@ -15,8 +15,7 @@ The subsystem has four layers:
   (``lanes``) and sharded over fabric workers (``jobs``/``workers``);
 * :mod:`repro.faults.batch` -- the lane-parallel campaign harness:
   word-wide monitor bank and 64-injections-per-pass harness over
-  :class:`repro.codegen.sim.CompiledSimulator`, plus
-  one-fault/many-seeds sweeps;
+  :class:`repro.codegen.sim.CompiledSimulator`;
 * :mod:`repro.faults.shrink` -- ddmin minimisation of failing
   schedules, rendered as counterexample traces.
 """
@@ -25,7 +24,6 @@ from repro.faults.batch import (
     BatchCampaignHarness,
     batch_monitor_bank,
     lane_overrides,
-    run_seed_sweep,
 )
 from repro.faults.campaign import (
     CampaignConfig,
@@ -105,7 +103,6 @@ __all__ = [
     "resolve_target",
     "run_campaign",
     "run_processor_campaign",
-    "run_seed_sweep",
     "shrink_schedule",
     "transient_flip",
 ]

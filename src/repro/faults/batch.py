@@ -4,9 +4,7 @@
 :class:`~repro.faults.campaign.CampaignHarness`: one
 :class:`~repro.codegen.sim.CompiledSimulator` runs up to ``lanes``
 injections of the same sweep simultaneously, each in its own bit lane,
-under the broadcast campaign stimulus.  :func:`run_seed_sweep` is the
-transposed mode -- one fault replayed under many stimulus seeds, one
-seed per lane.
+under the broadcast campaign stimulus.
 
 The monitors here are word-wide re-implementations of the scalar bank
 in :mod:`repro.faults.monitors`: every rule is evaluated for all lanes
@@ -47,16 +45,13 @@ from repro.faults.campaign import (
     CampaignConfig,
     FaultOutcome,
     make_stimulus,
-    resolve_target,
 )
 from repro.faults.models import Injection
 from repro.faults.monitors import EbProbe, Violation
 from repro.faults.targets import RtlTarget
-from repro.resilience.checkpoint import CheckpointStore
 from repro.rtl.batchsim import (
     LaneOverride,
     broadcast,
-    pack_stimulus,
     unpack_lane,
 )
 from repro.rtl.logic import Value
@@ -65,7 +60,6 @@ __all__ = [
     "BatchCampaignHarness",
     "batch_monitor_bank",
     "lane_overrides",
-    "run_seed_sweep",
 ]
 
 
@@ -556,148 +550,3 @@ class BatchCampaignHarness:
                     fault=injection.label(), status="undetected"
                 ))
         return outcomes
-
-
-def _seed_sweep_chunk(
-    tgt: RtlTarget,
-    injection: Injection,
-    seeds: Sequence[int],
-    cfg: CampaignConfig,
-) -> List[FaultOutcome]:
-    """One batched golden+faulty pass over up to a word of seeds."""
-    lanes = len(seeds)
-    # Same hooks as the campaign harness (hence the same generated
-    # module) whenever the injection sits at a stock fault site.
-    sim = CompiledSimulator(
-        tgt.netlist,
-        lanes,
-        hooks=frozenset(tgt.fault_sites) | {injection.net},
-        observe=frozenset(tgt.observe),
-    )
-    stimuli = [
-        make_stimulus(tgt.free_inputs, cfg.cycles, seed) for seed in seeds
-    ]
-    packed = pack_stimulus(stimuli)
-    observe = tgt.observe
-
-    sim.set_overrides({})
-    sim.reset()
-    golden_trace: List[List[Tuple[int, int]]] = []
-    for inputs in packed:
-        sim.cycle(inputs)
-        golden_trace.append([sim.planes(w) for w in observe])
-    golden_final = [sim.lane_state(lane) for lane in range(lanes)]
-
-    sim.reset()
-    bank = batch_monitor_bank(
-        tgt, sim, BatchGoldenMonitor(observe, golden_trace, sim)
-    )
-    full = (1 << lanes) - 1
-    kind_masks = {
-        "stuck0": LaneOverride(set0=full),
-        "stuck1": LaneOverride(set1=full),
-        "flip": LaneOverride(flip=full),
-    }
-    alive = full
-    found: Dict[int, Violation] = {}
-    edges = _activity_edges([injection])
-    value_planes = sim.value_planes
-    known_planes = sim.known_planes
-    for t, inputs in enumerate(packed):
-        if t in edges:
-            sim.set_overrides(
-                {injection.net: kind_masks[injection.kind]}
-                if injection.active(t) else {}
-            )
-        sim.cycle(inputs)
-        for monitor in bank:
-            for lane, violation in monitor.observe(
-                t, value_planes, known_planes, alive
-            ):
-                found[lane] = violation
-                alive &= ~(1 << lane)
-            if not alive:
-                break
-        if not alive:
-            break
-    outcomes: List[FaultOutcome] = []
-    for lane in range(lanes):
-        violation = found.get(lane)
-        if violation is not None:
-            outcomes.append(FaultOutcome(
-                fault=injection.label(),
-                status="detected",
-                monitor=violation.monitor,
-                detection_cycle=violation.cycle,
-                detail=violation.detail,
-            ))
-            continue
-        final = sim.lane_state(lane)
-        if final != golden_final[lane]:
-            diverged = sorted(
-                s for s, v in final.items()
-                if golden_final[lane].get(s) != v
-            )
-            outcomes.append(FaultOutcome(
-                fault=injection.label(),
-                status="latent",
-                detail=f"state diverged: {', '.join(diverged[:4])}",
-            ))
-        else:
-            outcomes.append(FaultOutcome(
-                fault=injection.label(), status="undetected"
-            ))
-    return outcomes
-
-
-def run_seed_sweep(
-    target,
-    injection: Injection,
-    seeds: Sequence[int],
-    config: Optional[CampaignConfig] = None,
-    lanes: int = 64,
-    checkpoint: Optional[str] = None,
-) -> List[FaultOutcome]:
-    """One fault under many stimulus seeds, one seed per lane.
-
-    Lane ``i`` replays the campaign of ``CampaignConfig(seed=seeds[i])``
-    -- its own stimulus, its own golden reference -- batched ``lanes``
-    seeds at a time (golden + faulty run per batch).  Returns one
-    outcome per seed, each identical to what the scalar harness reports
-    for that seed (untestable analysis is a per-fault property and is
-    left to the caller).
-
-    ``checkpoint`` names a directory that persists each completed seed
-    batch atomically; rerunning with the same directory validates the
-    sweep fingerprint, skips finished batches and returns the same
-    outcome list an uninterrupted sweep would.
-    """
-    cfg = config or CampaignConfig()
-    if lanes < 1:
-        raise ValueError("lanes must be >= 1")
-    tgt = resolve_target(target)
-    seeds = list(seeds)
-    chunks = [seeds[i:i + lanes] for i in range(0, len(seeds), lanes)]
-    store: Optional[CheckpointStore] = None
-    by_index: Dict[int, List[FaultOutcome]] = {}
-    if checkpoint is not None:
-        store = CheckpointStore(checkpoint)
-        store.ensure_manifest({
-            "kind": "seed_sweep",
-            "target": tgt.name,
-            "injection": injection.label(),
-            "cycles": cfg.cycles,
-            "seeds": seeds,
-            "lanes": lanes,
-        })
-        for index, payload in store.chunks().items():
-            if 0 <= index < len(chunks) and isinstance(payload, list):
-                by_index[index] = [FaultOutcome(**d) for d in payload]
-    for index, chunk in enumerate(chunks):
-        if index in by_index:
-            continue
-        outcomes = _seed_sweep_chunk(tgt, injection, chunk, cfg)
-        by_index[index] = outcomes
-        if store is not None:
-            store.save_chunk(index, [o.to_dict() for o in outcomes])
-    return [o for index in sorted(by_index) for o in by_index[index]]

@@ -91,12 +91,6 @@ class SourceMapInfo:
     #: raw names of X-initialised state bits (Verilog repair)
     x_inits: List[str] = field(default_factory=list)
 
-    def gate_op(self, raw_name: str) -> Optional[str]:
-        for kind, name, op in self.cells:
-            if kind == "gate" and name == raw_name:
-                return op
-        return None
-
 
 def parse_sourcemap_comments(
     lines: Iterable[Tuple[int, str]], prefix: str, file: str

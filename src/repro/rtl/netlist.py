@@ -191,10 +191,6 @@ class Netlist:
             | set(self.flops)
         )
 
-    def state_signals(self) -> List[str]:
-        """Signals holding state across evaluations (latches + flops)."""
-        return list(self.latches) + list(self.flops)
-
     def driver_of(self, sig: str) -> Optional[object]:
         """The Gate/Latch/FlipFlop driving ``sig``, or None for inputs."""
         if sig in self.gates:

@@ -46,7 +46,7 @@ from repro.elastic.gates import (
     build_passive,
     build_variable_latency,
 )
-from repro.rtl.area import AreaReport, constant_propagate, count_area, prune_dead
+from repro.rtl.area import AreaReport, synthesize_area
 from repro.rtl.netlist import Netlist
 from repro.synthesis.spec import BlockSpec, Connection, Endpoint, SystemSpec
 
@@ -358,7 +358,6 @@ def control_layer_area(spec: SystemSpec) -> AreaReport:
     anti-tokens) and prunes dead logic, then counts literals in
     factored form, transparent latches and flip-flops.
     """
-    elab = to_gates(spec, include_env=False, as_latches=True)
-    simplified = constant_propagate(elab.netlist)
-    pruned = prune_dead(simplified)
-    return count_area(pruned)
+    return synthesize_area(
+        to_gates(spec, include_env=False, as_latches=True).netlist
+    )

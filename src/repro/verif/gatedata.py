@@ -22,16 +22,13 @@ Components:
 * :func:`build_data_fork` -- an eager fork whose branches carry copies
   of the payload;
 * :func:`verify_data_correctness` -- builds the Kripke structure and
-  checks ``AG !error`` (plus the four channel properties if asked);
-* :func:`batched_error_sweep` -- the simulation-side complement: seeded
-  random stimulus, one seed per lane of a lane-parallel
-  :class:`~repro.codegen.sim.CompiledSimulator`, hunting for a cycle that
-  raises any error wire (:func:`error_sweep` replays one seed scalar).
+  checks ``AG !error``;
+* :func:`alternating_pipeline` -- the stock producer -> buffers ->
+  checker pipelines, with or without kills, optionally sabotaged.
 """
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.elastic.gates import (
@@ -41,9 +38,7 @@ from repro.elastic.gates import (
     build_nd_sink,
     build_nd_source,
 )
-from repro.rtl.batchsim import pack_stimulus
 from repro.rtl.netlist import Netlist
-from repro.rtl.simulator import TwoPhaseSimulator
 from repro.verif.ctl import AG, AP, ModelChecker, Not
 from repro.verif.kripke import KripkeStructure, build_kripke
 
@@ -174,93 +169,6 @@ def verify_data_correctness(
     checker = ModelChecker(kripke)
     ok = all(checker.holds(AG(Not(AP(w)))) for w in error_wires)
     return ok, kripke
-
-
-def _sweep_stimulus(
-    netlist: Netlist, seed: int, cycles: int
-) -> List[dict]:
-    """The deterministic random input trace of one sweep seed."""
-    rng = random.Random(f"sweep:{seed}")
-    names = list(netlist.inputs)
-    return [
-        {name: rng.getrandbits(1) for name in names} for _ in range(cycles)
-    ]
-
-
-def error_sweep(
-    netlist: Netlist,
-    error_wires: Sequence[str],
-    seed: int,
-    cycles: int = 256,
-) -> Optional[Tuple[int, int, str]]:
-    """One seed of the random sweep, on the scalar simulator.
-
-    Returns ``(seed, cycle, wire)`` for the first raised error wire, or
-    ``None``.  Replays exactly one lane of :func:`batched_error_sweep`.
-    """
-    sim = TwoPhaseSimulator(netlist)
-    for t, inputs in enumerate(_sweep_stimulus(netlist, seed, cycles)):
-        values = sim.cycle(inputs)
-        for wire in error_wires:
-            if values.get(wire) == 1:
-                return (seed, t, wire)
-    return None
-
-
-def batched_error_sweep(
-    netlist: Netlist,
-    error_wires: Sequence[str],
-    seeds: Sequence[int],
-    cycles: int = 256,
-    cache=None,
-) -> Optional[Tuple[int, int, str]]:
-    """Random-stimulus hunt for ``error``, all seeds word-parallel.
-
-    Each seed drives every primary input with its own deterministic
-    random 0/1 trace (one lane per seed, 64 seeds per batch).  Returns
-    the first failure ordered by (cycle, wire order, seed order) -- the
-    same failure every run regardless of batching -- or ``None`` if no
-    seed raises any error wire within ``cycles``.
-
-    The simulator is restricted to the error wires; ``cache`` names the
-    build cache of its generated module (``None`` for the default
-    directory), so repeated sweeps of the same netlist compile once.
-    """
-    from repro.codegen.sim import CompiledSimulator
-
-    seeds = list(seeds)
-    error_wires = list(error_wires)
-    best: Optional[Tuple[int, int, int]] = None
-    for base in range(0, len(seeds), 64):
-        chunk = seeds[base:base + 64]
-        sim = CompiledSimulator(
-            netlist, lanes=len(chunk),
-            hooks=frozenset(), observe=frozenset(error_wires), cache=cache,
-        )
-        packed = pack_stimulus(
-            [_sweep_stimulus(netlist, s, cycles) for s in chunk]
-        )
-        slots = [sim.slot(w) for w in error_wires]
-        v, k = sim.value_planes, sim.known_planes
-        for t, inputs in enumerate(packed):
-            if best is not None and t > best[0]:
-                break
-            sim.cycle(inputs)
-            hit = None
-            for wi, slot in enumerate(slots):
-                strict = v[slot] & k[slot]
-                if strict:
-                    lane = (strict & -strict).bit_length() - 1
-                    hit = (t, wi, base + lane)
-                    break
-            if hit is not None:
-                if best is None or hit < best:
-                    best = hit
-                break
-    if best is None:
-        return None
-    t, wi, idx = best
-    return (seeds[idx], t, error_wires[wi])
 
 
 def alternating_pipeline(

@@ -134,6 +134,22 @@ def transitions_to(metrics, state):
     )
 
 
+def last_leased(metrics, addresses):
+    """The last of ``addresses`` granted a lease so far, or None.
+
+    Chaos hooks pick their victim with this at the first result: a
+    worker still binding then holds no lease, and stopping it would
+    lose no work to requeue.
+    """
+    leased = {
+        dict(m.labels)["worker"]
+        for m in metrics.series("fabric_leases_total")
+        if dict(m.labels)["kind"] == "grant" and m.value
+    }
+    held = [address for address in addresses if address in leased]
+    return held[-1] if held else None
+
+
 def crash_requeues(metrics, reason="crash"):
     return sum(
         m.value
@@ -184,21 +200,24 @@ class TestChaos:
     def test_sigkill_mid_shard(self, golden_json):
         w1, p1 = start_worker()
         w2, p2 = start_worker()
+        addresses = [f"127.0.0.1:{p1}", f"127.0.0.1:{p2}"]
+        pids = dict(zip(addresses, (w1.pid, w2.pid)))
         metrics = MetricsRegistry()
         killed = []
 
         def kill_on_first_chunk(done, total):
-            # By the first completed chunk both workers still hold
-            # most of their fixed 6-unit leases; killing one now
+            # At the first completed chunk a leased worker still holds
+            # most of its fixed 6-unit lease; killing it now
             # guarantees outstanding work is lost and requeued.
-            if not killed:
-                killed.append(w2.pid)
-                os.kill(w2.pid, signal.SIGKILL)
+            victim = last_leased(metrics, addresses)
+            if not killed and victim is not None:
+                killed.append(victim)
+                os.kill(pids[victim], signal.SIGKILL)
 
         try:
             report = run_campaign(
                 "dual_ehb", CFG, lanes=4,
-                workers=[f"127.0.0.1:{p1}", f"127.0.0.1:{p2}"],
+                workers=addresses,
                 fabric=FabricConfig(fixed_lease=6, **FAST),
                 metrics=metrics,
                 progress=kill_on_first_chunk,
@@ -232,18 +251,21 @@ class TestChaos:
     def test_sigstop_heartbeat_timeout(self, golden_json):
         w1, p1 = start_worker()
         w2, p2 = start_worker()
+        addresses = [f"127.0.0.1:{p1}", f"127.0.0.1:{p2}"]
+        pids = dict(zip(addresses, (w1.pid, w2.pid)))
         metrics = MetricsRegistry()
         stopped = []
 
         def stop_on_first_chunk(done, total):
-            if not stopped:
-                stopped.append(w2.pid)
-                os.kill(w2.pid, signal.SIGSTOP)
+            victim = last_leased(metrics, addresses)
+            if not stopped and victim is not None:
+                stopped.append(victim)
+                os.kill(pids[victim], signal.SIGSTOP)
 
         try:
             report = run_campaign(
                 "dual_ehb", CFG, lanes=4,
-                workers=[f"127.0.0.1:{p1}", f"127.0.0.1:{p2}"],
+                workers=addresses,
                 fabric=FabricConfig(fixed_lease=6, **FAST),
                 metrics=metrics,
                 progress=stop_on_first_chunk,

@@ -114,7 +114,7 @@ class TestCompletionAndLoss:
         s.grant("a")
         s.complete(0)
         s.complete(1)
-        lost = s.requeue_worker("a")
+        lost = s.requeue("a", [0, 1, 2, 3, 4, 5])
         assert lost == [2, 3, 4, 5]
         assert s.pending == [2, 3, 4, 5]
         assert "a" not in s.outstanding
@@ -123,7 +123,7 @@ class TestCompletionAndLoss:
         s = sched(6, fixed_lease=3)
         s.grant("a")  # 0,1,2
         s.grant("b")  # 3,4,5
-        s.requeue_worker("a")
+        s.requeue("a", [0, 1, 2])
         assert [i for i, _ in s.grant("b")] == [0, 1, 2]
 
     def test_done_only_when_every_unit_completed(self):
@@ -134,12 +134,12 @@ class TestCompletionAndLoss:
             s.complete(i)
         assert s.done
 
-    def test_revoke_from_drops_without_requeue(self):
+    def test_requeue_takes_back_only_the_given_units(self):
         s = sched(4, fixed_lease=4)
         s.grant("a")
-        s.revoke_from("a", [2, 3])
+        assert s.requeue("a", [2, 3]) == [2, 3]
         assert s.outstanding["a"] == [0, 1]
-        assert s.pending == []
+        assert s.pending == [2, 3]
 
 
 class TestScheduleInvariance:
@@ -150,7 +150,7 @@ class TestScheduleInvariance:
         s.grant("a")
         s.grant("b")
         s.grant("c")
-        s.requeue_worker("b")  # b dies
+        s.requeue("b", s.outstanding["b"])  # b dies
         s.steal("d")  # d steals from someone
         results = []
         # complete everything outstanding, plus duplicates

@@ -14,11 +14,9 @@ import pytest
 
 from repro.faults import (
     CampaignConfig,
-    CampaignHarness,
     enumerate_injections,
     resolve_target,
     run_campaign,
-    run_seed_sweep,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "dual_ehb_c120_s2007.json"
@@ -110,16 +108,3 @@ def test_chunk_order_never_changes_batch_verdicts():
         assert [
             o.to_dict() for o in fresh.run_chunk(chunks[index])
         ] == in_order[index], f"chunk {index} depends on chunk order"
-
-
-def test_seed_sweep_matches_scalar_harnesses():
-    """One fault x many seeds: each lane equals its own scalar run."""
-    target = resolve_target("early_join")
-    seeds = list(range(8))
-    injections = enumerate_injections(target, CONFIG)[:3]
-    for injection in injections:
-        batched = run_seed_sweep(target, injection, seeds, CONFIG)
-        for seed, outcome in zip(seeds, batched):
-            config = CampaignConfig(cycles=CONFIG.cycles, seed=seed)
-            scalar = CampaignHarness(target, config).outcome(injection)
-            assert outcome == scalar, (injection.label(), seed)
