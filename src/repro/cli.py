@@ -895,7 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "requeued before the campaign fails (default 2)")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="build-cache directory for the generated "
-                        "lane-parallel module when --lanes > 1 "
+                        "lane-parallel modules: the campaign's when "
+                        "--lanes > 1, and the untestability prover's "
+                        "in every RTL campaign, --lanes 1 included "
                         "(default: $REPRO_CACHE_DIR or "
                         "~/.cache/repro/codegen)")
     p.add_argument("--workers", default=None, metavar="HOST:PORT,...",

@@ -11,6 +11,8 @@ per-cycle work is one call into a generated module loaded from the
 served from memory or disk).  Observation goes through
 ``planes``/``lane_value``/``lane_state``; fault injection through
 ``set_overrides`` with :class:`~repro.rtl.batchsim.LaneOverride` masks.
+``load_state`` sets the latch/flop planes directly, so lanes can also
+be an enumeration axis: one cycle from many chosen states at once.
 
 Two things keep it fast:
 
@@ -22,7 +24,8 @@ Two things keep it fast:
   state inits known) and every primary input arrives fully known, the
   value-plane-only ``kcycle`` runs instead, halving the bit-ops.
   Eligibility is re-checked every cycle and the first X permanently
-  drops this instance back to the two-plane kernel (until ``reset``).
+  drops this instance back to the two-plane kernel (until ``reset`` or
+  a fully known ``load_state``).
 
 Construction compiles the netlist's phase programs, so a netlist with a
 combinational cycle raises
@@ -87,6 +90,7 @@ class CompiledSimulator:
         self._slot: Dict[str, int] = mod.SLOT
         self._inputs: Tuple[Tuple[str, int], ...] = mod.INPUTS
         self._state_slots: Tuple[Tuple[str, int], ...] = mod.STATE
+        self._state_slot = dict(self._state_slots)
         self._init: Dict[int, Optional[int]] = mod.INIT
         self._hooks = mod.HOOKS
         self._observed: Tuple[int, ...] = mod.OBSERVED
@@ -125,6 +129,25 @@ class CompiledSimulator:
         self._k[:] = [0] * n
         self.time = 0
         self._known_active = self._known_ok
+        self._k_primed = False
+
+    def load_state(self, state: Mapping[str, Planes]) -> None:
+        """Overwrite latch/flop planes by name (the inverse of
+        :meth:`lane_state`); state elements not named keep theirs.
+
+        The known dialect is re-armed when every state plane is then
+        fully known, as after :meth:`reset`, and dropped otherwise.
+        """
+        mask = self.mask
+        for name, (v, k) in state.items():
+            slot = self._state_slot.get(name)
+            if slot is None:
+                raise ValueError(f"{name!r} is not a latch or flop")
+            k &= mask
+            self.state[slot] = (v & k, k)
+        self._known_active = self._known_ok and all(
+            k == mask for _v, k in self.state.values()
+        )
         self._k_primed = False
 
     def set_overrides(self, overrides: Mapping[str, LaneOverride]) -> None:

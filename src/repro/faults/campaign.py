@@ -22,6 +22,10 @@ Two campaign flavours:
 * :func:`run_processor_campaign` -- behavioural channel glitches and
   buffer state upsets on the Sect. 7 elastic processor.
 
+Faults the sweep leaves undetected go to :func:`prove_untestable`,
+which checks every (DUT state, boundary input) pair in one cycle of the
+compiled lane-parallel simulator.
+
 RTL campaigns scale two ways, composable and both bit-identical to the
 sequential sweep: ``lanes > 1`` classifies up to 64 injections per
 simulation on the compiled lane-parallel simulator
@@ -37,7 +41,6 @@ an uninterrupted run.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from contextlib import nullcontext
@@ -54,7 +57,9 @@ from typing import (
 )
 
 from repro.casestudy.processor import ProcessorConfig, build_processor
+from repro.codegen.cache import BuildCache
 from repro.codegen.fingerprint import netlist_fingerprint
+from repro.codegen.sim import CompiledSimulator
 from repro.elastic.behavioral import ElasticBuffer
 from repro.elastic.protocol import ProtocolViolation
 from repro.faults.models import (
@@ -76,6 +81,7 @@ from repro.faults.monitors import (
 )
 from repro.faults.targets import TARGETS, RtlTarget
 from repro.resilience.checkpoint import CheckpointStore
+from repro.rtl.batchsim import LaneOverride, Planes, truth_table_columns
 from repro.rtl.logic import Value
 from repro.rtl.simulator import TwoPhaseSimulator
 from repro.rtl.toposort import CombinationalCycleError
@@ -298,6 +304,10 @@ class CampaignHarness:
         return [self.outcome(injection) for injection in injections]
 
 
+#: The LaneOverride mask each RTL fault kind sets.
+_FAULT_MASK = {"stuck0": "set0", "stuck1": "set1", "flip": "flip"}
+
+
 def enumerate_injections(
     target: RtlTarget, config: CampaignConfig
 ) -> List[Injection]:
@@ -311,18 +321,32 @@ def enumerate_injections(
     return injections
 
 
-def prove_untestable(target: RtlTarget, injection: Injection) -> bool:
+def prove_untestable(
+    target: RtlTarget,
+    injection: Injection,
+    cache: Union[BuildCache, str, None] = None,
+) -> bool:
     """Exhaustively prove a fault equivalent to the fault-free circuit.
 
     Enumerates every (DUT state, boundary input) pair -- boundary inputs
-    are the channel wires the environment drives, forced via the
-    override hook -- and compares the faulty against the fault-free
-    next state and DUT-driven channel outputs.  If no pair differs the
-    fault is untestable by *any* environment, so (ATPG convention) it
-    leaves the coverage denominator.
+    are the channel wires the environment drives, forced via override
+    masks, plus the primary inputs the DUT reads -- and compares the
+    faulty against the fault-free next state and DUT-driven channel
+    outputs.  If no pair differs the fault is untestable by *any*
+    environment, so (ATPG convention) it leaves the coverage
+    denominator.  The verdict ignores the injection cycle and the flip
+    duration.
+
+    Lanes are the enumeration axis: one cycle of the compiled simulator
+    over ``2 * 2**n`` lanes for ``n`` enumerated bits, the low half
+    fault-free and the high half faulty.  ``cache`` is the build cache
+    of its generated module, as for
+    :class:`~repro.codegen.sim.CompiledSimulator`.
 
     Conservative: returns False (i.e. "maybe testable") when the DUT
-    state lives in latches or the enumeration would be too large.
+    state lives in latches, the enumeration would exceed 16 bits, or
+    the netlist has a combinational cycle the compiled simulator
+    refuses.
     """
     nl = target.netlist
     sites = set(target.fault_sites)
@@ -335,25 +359,48 @@ def prove_untestable(target: RtlTarget, injection: Injection) -> bool:
     outputs = [
         w for ch in target.channels for w in ch.wires() if w in sites
     ]
-    if len(state_bits) + len(boundary) > 16:
+    read = {i for q in sites if q in nl.gates for i in nl.gates[q].ins}
+    read.update(nl.flops[q].d for q in state_bits)
+    inputs = [i for i in nl.inputs if i in read and i not in boundary]
+    n = len(state_bits) + len(boundary) + len(inputs)
+    if n > 16:
         return False
-    sim = TwoPhaseSimulator(nl)
-    base_state = sim.initial_state()
-    fault_override = injection.override()
-    for bits in itertools.product((0, 1), repeat=len(state_bits)):
-        state = dict(base_state)
-        state.update(zip(state_bits, bits))
-        for env_bits in itertools.product((0, 1), repeat=len(boundary)):
-            env = dict(zip(boundary, env_bits))
-            sim.overrides = env
-            good_vals, good_next = sim.step_function(state, {})
-            sim.overrides = {**env, injection.net: fault_override}
-            bad_vals, bad_next = sim.step_function(state, {})
-            if any(good_vals.get(w) != bad_vals.get(w) for w in outputs):
-                return False
-            if any(good_next.get(q) != bad_next.get(q) for q in state_bits):
-                return False
-    return True
+    nl.validate()
+    try:
+        sim = CompiledSimulator(
+            nl, 2 << n, hooks=sites.union(boundary),
+            observe=frozenset(outputs), cache=cache,
+        )
+    except CombinationalCycleError:
+        return False
+    mask = sim.mask
+    *columns, faulty = truth_table_columns(n + 1)
+    state_cols = columns[:len(state_bits)]
+    env_cols = columns[len(state_bits):len(state_bits) + len(boundary)]
+    input_cols = columns[len(state_bits) + len(boundary):]
+    sim.load_state({q: (col, mask) for q, col in zip(state_bits, state_cols)})
+    overrides = {
+        w: LaneOverride(set0=mask & ~col, set1=col)
+        for w, col in zip(boundary, env_cols)
+    }
+    overrides[injection.net] = LaneOverride(
+        **{_FAULT_MASK[injection.kind]: faulty}
+    )
+    sim.set_overrides(overrides)
+    sim.cycle({i: (col, mask) for i, col in zip(inputs, input_cols)})
+
+    half = 1 << n
+    low = (1 << half) - 1
+
+    def halves_differ(planes: Planes) -> bool:
+        v, k = planes
+        return bool(((v ^ (v >> half)) | (k ^ (k >> half))) & low)
+
+    if any(halves_differ(sim.planes(w)) for w in outputs):
+        return False
+    return not any(
+        halves_differ(sim.state[sim.slot(q)]) for q in state_bits
+    )
 
 
 def resolve_target(target: Union[str, RtlTarget]) -> RtlTarget:
@@ -433,18 +480,25 @@ def _apply_untestable_analysis(
     cfg: CampaignConfig,
     injections: Sequence[Injection],
     outcomes: Sequence[FaultOutcome],
+    cache: Optional[str] = None,
 ) -> List[FaultOutcome]:
     """Upgrade undetected faults the prover shows to be untestable.
 
     A shared post-pass over (injection, outcome) pairs so sequential,
     lane-sharded and distributed campaigns run the identical analysis
-    on the identical inputs.
+    on the identical inputs.  The verdict ignores the injection cycle
+    and the flip duration, so each (net, kind) is proven at most once
+    per call.
     """
     if not cfg.untestable_analysis:
         return list(outcomes)
+    verdicts: Dict[Tuple[str, str], bool] = {}
     final: List[FaultOutcome] = []
     for injection, outcome in zip(injections, outcomes):
-        if outcome.status == "undetected" and prove_untestable(tgt, injection):
+        key = (injection.net, injection.kind)
+        if outcome.status == "undetected" and key not in verdicts:
+            verdicts[key] = prove_untestable(tgt, injection, cache)
+        if outcome.status == "undetected" and verdicts[key]:
             outcome = FaultOutcome(
                 fault=outcome.fault,
                 status="untestable",
@@ -508,10 +562,12 @@ def run_campaign(
     named target: the baseline profiles the stock design of that name.
 
     ``cache`` names the build-cache directory of the generated
-    lane-parallel module (shipped to workers as a plain string; ``None``
-    uses the default directory, and an unwritable directory degrades to
-    an in-memory build).  It cannot change outcomes, so neither the
-    checkpoint fingerprint nor the fabric handshake includes it.
+    lane-parallel modules: the campaign's when ``lanes > 1`` (shipped
+    to workers as a plain string) and the untestability prover's
+    (``None`` uses the default directory, and an unwritable directory
+    degrades to an in-memory build).  It cannot change outcomes, so
+    neither the checkpoint fingerprint nor the fabric handshake
+    includes it.
 
     ``workers`` names remote fabric workers (``["host:port", ...]``,
     each a running ``repro worker --listen``) in place of local ones,
@@ -625,7 +681,9 @@ def run_campaign(
 
     outcomes = [o for index in sorted(by_index) for o in by_index[index]]
     report = CampaignReport(target=tgt.name, seed=cfg.seed, cycles=cfg.cycles)
-    report.outcomes = _apply_untestable_analysis(tgt, cfg, injections, outcomes)
+    report.outcomes = _apply_untestable_analysis(
+        tgt, cfg, injections, outcomes, cache
+    )
     if metrics is not None:
         for outcome in report.outcomes:
             metrics.counter(

@@ -30,11 +30,12 @@ MUX    known select steers; an X select still resolves lanes where
 The formulas themselves are emitted once, by
 :mod:`repro.codegen.kernel`.  This module holds what callers need to
 speak the encoding: packing stimulus into planes, unpacking one lane,
-strict-bit lane masks, and :class:`LaneOverride`, the lane-granular
-fault mask.  An override is applied at exactly the points the scalar
-simulator applies its net overrides -- primary inputs, state loads,
-every gate output and transparent-latch outputs -- so a batch of 64
-single-fault lanes reproduces 64 scalar fault runs bit-for-bit.
+strict-bit lane masks, truth-table columns (lanes as an enumeration
+axis), and :class:`LaneOverride`, the lane-granular fault mask.  An
+override is applied at exactly the points the scalar simulator applies
+its net overrides -- primary inputs, state loads, every gate output and
+transparent-latch outputs -- so a batch of 64 single-fault lanes
+reproduces 64 scalar fault runs bit-for-bit.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "pack_values",
     "pack_stimulus",
     "strict_planes",
+    "truth_table_columns",
     "unpack_lane",
 ]
 
@@ -82,6 +84,23 @@ def unpack_lane(planes: Planes, lane: int) -> Value:
     if not planes[1] & bit:
         return X
     return 1 if planes[0] & bit else 0
+
+
+def truth_table_columns(n: int) -> List[int]:
+    """The value words of an ``n``-variable truth table over ``2**n`` lanes.
+
+    Lane ``L`` of column ``j`` holds bit ``j`` of ``L``, so lane ``L``
+    carries one assignment of all ``n`` variables and the lanes together
+    enumerate every assignment once, in counting order.  Every lane is
+    known: pair a column with the full lane mask as its known plane.
+    """
+    full = (1 << (1 << n)) - 1
+    return [
+        # One period of column j (2**j zeros, then 2**j ones), repeated
+        # by multiplying with the word that has a 1 at every period start.
+        (((1 << (1 << j)) - 1) << (1 << j)) * (full // ((1 << (2 << j)) - 1))
+        for j in range(n)
+    ]
 
 
 def strict_planes(sim, sig: str) -> Planes:

@@ -79,8 +79,10 @@ class TwoPhaseSimulator:
 
     The simulator keeps the latch/flop state between calls to
     :meth:`cycle`; :meth:`step_function` exposes the same semantics as a
-    pure function of (state, inputs), which the model checker in
-    :mod:`repro.verif` uses to build Kripke structures.
+    pure function of (state, inputs).  It is the semantic reference the
+    compiled lane-parallel simulator is tested against; the Kripke
+    builder of :mod:`repro.verif` and the untestability prover of
+    :mod:`repro.faults` enumerate on that compiled engine instead.
     """
 
     def __init__(

@@ -1,11 +1,20 @@
 """Explicit-state Kripke structures from gate netlists.
 
 A netlist with ``k`` primary inputs and sequential state ``s`` defines a
-transition system: given (s, i) the two-phase simulator computes the
-observable signal values and the successor state s'.  Signal values
-depend on the *input* as well as the state, so Kripke states are
-(state, input) pairs: every (s', i') with arbitrary i' is a successor
-of (s, i).  Atomic propositions are then simple signal-value lookups.
+transition system: given (s, i) one clock cycle computes the observable
+signal values and the successor state s'.  Signal values depend on the
+*input* as well as the state, so Kripke states are (state, input)
+pairs: every (s', i') with arbitrary i' is a successor of (s, i).
+Atomic propositions are then simple signal-value lookups.
+
+The builder steps on the compiled lane-parallel simulator
+(:class:`~repro.codegen.sim.CompiledSimulator`) with lanes as the
+enumeration axis: a popped sequential state is loaded into all ``2^k``
+lanes, each lane gets one input combination, and one cycle yields every
+successor and label of that state.  Lanes are read in input order, so
+state numbering equals a one-pair-at-a-time exploration.  A netlist
+with a combinational cycle cannot compile, and the builder raises
+:class:`~repro.rtl.toposort.CombinationalCycleError` naming the cycle.
 
 State spaces of elastic controllers are small (the paper: "the size of
 the controllers is small, state-of-the-art model checking techniques
@@ -34,10 +43,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from repro.codegen.cache import BuildCache
+from repro.codegen.fingerprint import netlist_fingerprint
+from repro.codegen.sim import CompiledSimulator
 from repro.resilience.checkpoint import CheckpointStore
+from repro.rtl.batchsim import broadcast, truth_table_columns
 from repro.rtl.logic import X, is_known
 from repro.rtl.netlist import Netlist
-from repro.rtl.simulator import TwoPhaseSimulator
 
 StateKey = Tuple[int, ...]
 
@@ -48,8 +60,6 @@ KRIPKE_VERSION = 1
 
 def _kripke_key(netlist: Netlist, observed: Sequence[str]) -> str:
     """The state-space cache key of one netlist + observation set."""
-    from repro.codegen.fingerprint import netlist_fingerprint
-
     blob = json.dumps({
         "kind": "kripke-structure",
         "version": KRIPKE_VERSION,
@@ -190,17 +200,23 @@ def build_kripke(
             completed exploration of the same netlist fingerprint and
             observation set is loaded instead of re-explored (provided
             it fits ``max_states``); fresh explorations are stored on
-            completion.
+            completion, and load the simulator module through it.
+            Without one, the module is built in memory and nothing
+            touches the disk.
 
     Returns:
         The reachable :class:`KripkeStructure`.
+
+    Raises:
+        CombinationalCycleError: the netlist has a combinational cycle,
+            which the compiled simulator refuses.
     """
-    sim = TwoPhaseSimulator(netlist)
+    netlist.validate()
     inputs = list(netlist.inputs)
     observed = list(observe) if observe is not None else (
         list(netlist.outputs) + inputs
     )
-    state_names = sorted(sim.initial_state())
+    state_names = sorted([*netlist.latches, *netlist.flops])
     input_combos = [
         dict(zip(inputs, combo))
         for combo in itertools.product((0, 1), repeat=len(inputs))
@@ -226,6 +242,24 @@ def build_kripke(
                 state_names,
             )
 
+    sim = CompiledSimulator(
+        netlist, 1 << len(inputs), hooks=frozenset(),
+        observe=frozenset(observed),
+        cache=cache if cache is not None else BuildCache.in_memory(),
+    )
+    lanes, mask = sim.lanes, sim.mask
+    # Lane ii steps input_combos[ii]: in itertools.product order the
+    # first input is the most significant bit of ii.
+    stimulus = {
+        name: (column, mask)
+        for name, column in zip(
+            inputs, reversed(truth_table_columns(len(inputs)))
+        )
+    }
+    label_slots = [sim.slot(s) for s in observed]
+    state_slots = [sim.slot(n) for n in state_names]
+    value_planes = sim.value_planes
+
     def state_key(state: Mapping[str, int]) -> StateKey:
         return tuple(state[n] for n in state_names)
 
@@ -241,7 +275,7 @@ def build_kripke(
         store = CheckpointStore(checkpoint)
         store.ensure_manifest({
             "kind": "kripke",
-            "netlist": netlist.name,
+            "netlist": netlist_fingerprint(netlist),
             "inputs": inputs,
             "state_names": state_names,
             "observe": observed,
@@ -278,19 +312,24 @@ def build_kripke(
                 int(next_si), _unpack_label(int(packed), len(observed))
             )
     else:
-        initial_state = sim.initial_state()
+        initial_state = sim.lane_state(0)
         seq_index[state_key(initial_state)] = 0
-        seq_states.append(dict(initial_state))
+        seq_states.append(initial_state)
         frontier = [0]
 
     unsaved = 0
     while frontier:
         si = frontier.pop()
         state = seq_states[si]
-        for ii, input_map in enumerate(input_combos):
-            values, next_state = sim.step_function(state, input_map)
-            label = tuple(1 if values.get(s) == 1 else 0 for s in observed)
-            nk = state_key(next_state)
+        sim.load_state({n: broadcast(state[n], lanes) for n in state_names})
+        sim.cycle(stimulus)
+        label_words = [value_planes[slot] for slot in label_slots]
+        next_planes = [sim.state[slot] for slot in state_slots]
+        for ii in range(lanes):
+            label = tuple((v >> ii) & 1 for v in label_words)
+            nk = tuple(
+                (v >> ii) & 1 if (k >> ii) & 1 else X for v, k in next_planes
+            )
             if nk not in seq_index:
                 if len(seq_index) >= max_states:
                     # Re-queue the half-expanded state: its transition
@@ -299,7 +338,7 @@ def build_kripke(
                     save_snapshot()
                     raise StateSpaceLimitError(max_states, state)
                 seq_index[nk] = len(seq_states)
-                seq_states.append({n: next_state[n] for n in state_names})
+                seq_states.append(dict(zip(state_names, nk)))
                 frontier.append(seq_index[nk])
                 unsaved += 1
                 if progress is not None and len(seq_states) % progress_every == 0:

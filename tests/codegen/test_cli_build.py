@@ -61,9 +61,10 @@ class TestInjectBackend:
         main(self.ARGS + ["--lanes", "16", "--cache", str(cache),
                           "--report", str(lanes)])
         assert scalar.read_text() == lanes.read_text()
+        # The campaign's module and the untestability prover's.
         artifacts = [p for p in cache.iterdir() if p.is_dir()]
-        assert len(artifacts) == 1
-        assert (artifacts[0] / "module.py").is_file()
+        assert len(artifacts) == 2
+        assert all((p / "module.py").is_file() for p in artifacts)
 
     def test_processor_rejects_compiled(self, tmp_path):
         import pytest

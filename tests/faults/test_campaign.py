@@ -171,6 +171,11 @@ class TestCompileFallback:
         scalar = run_campaign(target, config, lanes=1)
         assert len(scalar.outcomes) == 92
         assert batched.to_json() == scalar.to_json()
+        # The prover cannot compile the netlist either, so it answers
+        # "maybe testable" for the two faults it proves on dual_ehb.
+        status = {o.fault: o.status for o in scalar.outcomes}
+        assert status["stuck1(not$9)@0"] == "undetected"
+        assert status["stuck1(not$10)@0"] == "undetected"
         assert metrics.counter(
             "campaign_lane_quarantine_total",
             reason="compile", target="dual_ehb",

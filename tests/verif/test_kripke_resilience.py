@@ -9,7 +9,8 @@ from repro.elastic.gates import (
     build_nd_source,
 )
 from repro.resilience import CheckpointMismatch
-from repro.rtl.netlist import Netlist
+from repro.rtl.netlist import Gate, Netlist
+from repro.verif.gatedata import alternating_pipeline
 from repro.verif.kripke import StateSpaceLimitError, build_kripke
 from repro.verif.properties import verify_netlist
 
@@ -98,6 +99,21 @@ class TestCheckpointResume:
             build_kripke(nl, max_states=5, checkpoint=ck)
         # Same workload, different bound: accepted (that is the point).
         build_kripke(nl, max_states=100_000, checkpoint=ck)
+
+    def test_changed_netlist_under_the_same_name_rejected(self, tmp_path):
+        nl, errors = alternating_pipeline()
+        observe = list(errors) + list(nl.inputs)
+        ck = str(tmp_path / "ck")
+        with pytest.raises(StateSpaceLimitError):
+            build_kripke(nl, observe=observe, max_states=200, checkpoint=ck)
+        # Same name, inputs, state names and observe list; only the
+        # checker's error gate differs.
+        other, _ = alternating_pipeline()
+        gate = other.gates["snk.error"]
+        assert gate.op == "AND"
+        other.gates["snk.error"] = Gate(gate.out, "OR", gate.ins)
+        with pytest.raises(CheckpointMismatch, match="netlist"):
+            build_kripke(other, observe=observe, checkpoint=ck)
 
     def test_mismatched_observe_list_rejected(self, tmp_path):
         nl, channels = small_chain()
