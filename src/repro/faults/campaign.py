@@ -375,19 +375,16 @@ def prove_untestable(
         return False
     mask = sim.mask
     *columns, faulty = truth_table_columns(n + 1)
-    state_cols = columns[:len(state_bits)]
-    env_cols = columns[len(state_bits):len(state_bits) + len(boundary)]
-    input_cols = columns[len(state_bits) + len(boundary):]
-    sim.load_state({q: (col, mask) for q, col in zip(state_bits, state_cols)})
+    col = dict(zip(state_bits + boundary + inputs, columns))
+    sim.load_state({q: (col[q], mask) for q in state_bits})
     overrides = {
-        w: LaneOverride(set0=mask & ~col, set1=col)
-        for w, col in zip(boundary, env_cols)
+        w: LaneOverride(set0=mask & ~col[w], set1=col[w]) for w in boundary
     }
     overrides[injection.net] = LaneOverride(
         **{_FAULT_MASK[injection.kind]: faulty}
     )
     sim.set_overrides(overrides)
-    sim.cycle({i: (col, mask) for i, col in zip(inputs, input_cols)})
+    sim.cycle({i: (col[i], mask) for i in inputs})
 
     half = 1 << n
     low = (1 << half) - 1

@@ -250,15 +250,10 @@ def build_kripke(
     lanes, mask = sim.lanes, sim.mask
     # Lane ii steps input_combos[ii]: in itertools.product order the
     # first input is the most significant bit of ii.
-    stimulus = {
-        name: (column, mask)
-        for name, column in zip(
-            inputs, reversed(truth_table_columns(len(inputs)))
-        )
-    }
+    columns = reversed(truth_table_columns(len(inputs)))
+    stimulus = {name: (col, mask) for name, col in zip(inputs, columns)}
     label_slots = [sim.slot(s) for s in observed]
     state_slots = [sim.slot(n) for n in state_names]
-    value_planes = sim.value_planes
 
     def state_key(state: Mapping[str, int]) -> StateKey:
         return tuple(state[n] for n in state_names)
@@ -323,7 +318,7 @@ def build_kripke(
         state = seq_states[si]
         sim.load_state({n: broadcast(state[n], lanes) for n in state_names})
         sim.cycle(stimulus)
-        label_words = [value_planes[slot] for slot in label_slots]
+        label_words = [sim.value_planes[slot] for slot in label_slots]
         next_planes = [sim.state[slot] for slot in state_slots]
         for ii in range(lanes):
             label = tuple((v >> ii) & 1 for v in label_words)
