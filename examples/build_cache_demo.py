@@ -8,8 +8,11 @@ The build-cache contract in one script:
 2. both reports must be byte-identical to each other *and* to the
    sequential scalar-harness reference (``lanes=1``);
 3. the warm run must perform **zero** codegen (cache misses stay flat,
-   asserted via the process hit/miss counters) and build its simulator
-   measurably faster than the cold run;
+   asserted via the process hit/miss counters), and a warm module load
+   must beat a cold build: the median of 5 loads, each through a fresh
+   ``BuildCache``, against the median of 5 builds, each into a fresh
+   cache root, taken in alternation.  The two differ only by the
+   emit, so one of each is too close to call on a loaded host;
 4. the generated ``module.py`` is left in ``artifacts/`` when that
    directory exists (CI uploads it), so the emitted code itself is
    reviewable.
@@ -17,7 +20,9 @@ The build-cache contract in one script:
 Run me:  PYTHONPATH=src python examples/build_cache_demo.py
 """
 
+import gc
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -35,11 +40,13 @@ CONFIG = CampaignConfig(
     untestable_analysis=False,
 )
 LANES = 256
+REPEATS = 5
 
 
 def _timed_build(cache: BuildCache) -> float:
     """Seconds to materialise the dual-EHB module through ``cache``."""
     target = TARGETS["dual_ehb"]()
+    gc.collect()  # no collection of earlier garbage inside the timing
     t0 = time.perf_counter()
     cache.load_module(
         target.netlist,
@@ -53,21 +60,25 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="build-cache-") as scratch:
         root = Path(scratch) / "codegen"
 
-        cold_build_s = _timed_build(BuildCache(root))
         before = process_stats()
         cold = run_campaign("dual_ehb", CONFIG, lanes=LANES, cache=str(root))
 
         # a fresh BuildCache sees only the disk tier, like a new process
-        warm_build_s = _timed_build(BuildCache(root))
+        cold_builds, warm_builds = [], []
+        for i in range(REPEATS):
+            cold_builds.append(_timed_build(BuildCache(Path(scratch) / f"cold{i}")))
+            warm_builds.append(_timed_build(BuildCache(root)))
+        cold_build_s = statistics.median(cold_builds)
+        warm_build_s = statistics.median(warm_builds)
         mid = process_stats()
         warm = run_campaign("dual_ehb", CONFIG, lanes=LANES, cache=str(root))
         after = process_stats()
         reference = run_campaign("dual_ehb", CONFIG, lanes=1)
 
-        print(f"cold build: {cold_build_s * 1e3:6.1f} ms "
-              f"(misses so far: {before['misses']})")
-        print(f"warm build: {warm_build_s * 1e3:6.1f} ms "
-              f"({cold_build_s / warm_build_s:.1f}x faster)")
+        print(f"cold build: {cold_build_s * 1e3:6.1f} ms, median of "
+              f"{REPEATS} (misses before the cold run: {before['misses']})")
+        print(f"warm build: {warm_build_s * 1e3:6.1f} ms, median of "
+              f"{REPEATS} ({cold_build_s / warm_build_s:.1f}x faster)")
 
         assert cold.to_json() == warm.to_json(), "cold != warm report"
         assert warm.to_json() == reference.to_json(), "compiled != scalar"
@@ -79,7 +90,7 @@ def main() -> None:
             "the warm campaign re-emitted a module"
         )
         assert warm_build_s < cold_build_s, (
-            "warm build not faster than cold"
+            "median warm build not faster than median cold build"
         )
         print(f"warm-cache run performed zero codegen: misses flat at "
               f"{after['misses']}, hits {before['hits']} -> "

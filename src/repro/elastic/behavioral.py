@@ -4,10 +4,13 @@ Each controller owns ports on dual channels (:class:`~repro.elastic.
 channel.Channel`) and implements two methods:
 
 * ``evaluate()`` -- combinational: read the current (possibly unknown)
-  wire values and drive output wires using ternary logic.  Called
-  repeatedly until the whole network reaches a fixed point; all
-  equations are monotone (X can only resolve to 0/1), so the fixed
-  point exists and is unique.
+  wire values and payloads, drive output wires using ternary logic and
+  put output payloads.  Called once per cycle, then again whenever a
+  neighbour's evaluation changed a wire or payload, until the whole
+  network reaches a fixed point.  All wire equations are monotone (X
+  can only resolve to 0/1), so the settled wires exist and are unique;
+  a payload is recomputed from the settled payloads it reads, so the
+  settled payloads do not depend on the order of evaluation either.
 * ``commit()`` -- sequential: called once per cycle after the network
   settled, to update internal state (buffer occupancy, pending-token
   flip-flops, variable-latency countdowns).
@@ -39,6 +42,7 @@ cycle level:
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.elastic.channel import Channel
@@ -59,6 +63,15 @@ _NO_HELD_DATA = object()
 class Controller:
     """Base class: a named controller with evaluate/commit phases."""
 
+    #: True when :meth:`evaluate` drives every wire and payload from the
+    #: controller's own state and reads no channel, so its first
+    #: evaluation in a cycle is final.  This states a fact about the
+    #: equations, not a setting: :meth:`ElasticNetwork.step` evaluates
+    #: such a controller once per cycle and never again when a
+    #: neighbour changes.  Subclasses that read a channel in
+    #: ``evaluate`` must set it back to False.
+    state_only = False
+
     def __init__(self, name: str):
         self.name = name
 
@@ -67,7 +80,12 @@ class Controller:
         return ()
 
     def evaluate(self) -> bool:
-        """Drive output wires; return True if any wire changed."""
+        """Drive output wires and payloads.
+
+        Returns True if any wire or payload changed (see
+        :meth:`Channel.put_data`); the network then evaluates every
+        controller sharing a channel with this one again.
+        """
         raise NotImplementedError
 
     def commit(self) -> None:
@@ -96,6 +114,8 @@ class ElasticBuffer(Controller):
 
     which preserve the invariants of equation (2) by construction.
     """
+
+    state_only = True
 
     def __init__(
         self,
@@ -145,7 +165,7 @@ class ElasticBuffer(Controller):
         has_token = self.count > 0
         changed |= self.right.drive_vp(_b(has_token))
         if has_token:
-            self.right.put_data(self.data[0])
+            changed |= self.right.put_data(self.data[0])
         changed |= self.right.drive_sn(_b(self.count <= -self.capacity))
         changed |= self.left.drive_sp(_b(self.count >= self.capacity))
         changed |= self.left.drive_vn(_b(self.count < 0))
@@ -229,7 +249,8 @@ class Join(Controller):
         vp_out = land(lnot(pending), *[ch.vp for ch in self.inputs])
         changed |= out.drive_vp(vp_out)
         if vp_out == 1:
-            out.put_data(self.combine([ch.data for ch in self.inputs]))
+            payload = self.combine([ch.data for ch in self.inputs])
+            changed |= out.put_data(payload)
         # B gate also back-pressures further anti-tokens while draining.
         changed |= out.drive_sn(pending)
 
@@ -325,9 +346,9 @@ class EarlyJoin(Controller):
             # arrives mid-retry and EE would now see more operands
             # (positive unateness keeps V+ itself asserted).
             if self._held_data is not _NO_HELD_DATA:
-                out.put_data(self._held_data)
+                changed |= out.put_data(self._held_data)
             else:
-                out.put_data(self.ee.output_data(valids, datas))
+                changed |= out.put_data(self.ee.output_data(valids, datas))
         changed |= out.drive_sn(full)
 
         fire = land(vp_out, lnot(out.sp))
@@ -427,7 +448,7 @@ class EagerFork(Controller):
                 payload = inp.data
                 if self.branch_data is not None:
                     payload = self.branch_data(i, payload)
-                ch.put_data(payload)
+                changed |= ch.put_data(payload)
             completed = land(vp_i, lor(lnot(ch.sp), ch.vn))
             done.append(lor(lnot(pend), completed))
             # I gate: never stop an anti-token that annihilates our copy.
@@ -485,7 +506,7 @@ class LazyFork(Controller):
             vp_i = land(inp.vp, lor(land(*[lnot(s) for s in others]), kill_ok))
             changed |= ch.drive_vp(vp_i)
             if vp_i == 1:
-                ch.put_data(inp.data)
+                changed |= ch.put_data(inp.data)
             changed |= ch.drive_sn(land(lnot(moved), lnot(vp_i)))
         no_stop = land(*[lor(lnot(ch.sp), ch.vn) for ch in self.outputs])
         changed |= inp.drive_sp(land(lnot(land(inp.vp, no_stop)), lnot(vn_in)))
@@ -522,7 +543,7 @@ class Pipe(Controller):
         left, right = self.left, self.right
         changed = right.drive_vp(left.vp)
         if left.vp == 1:
-            right.put_data(self.func(left.data))
+            changed |= right.put_data(self.func(left.data))
         changed |= right.drive_sn(left.sn)
         changed |= left.drive_sp(right.sp)
         changed |= left.drive_vn(right.vn)
@@ -556,7 +577,7 @@ class PassiveAntiToken(Controller):
         up, down = self.up, self.down
         changed |= down.drive_vp(up.vp)
         if up.vp == 1:
-            down.put_data(up.data)
+            changed |= down.put_data(up.data)
         changed |= down.drive_sn(lnot(up.vp))
         # Upstream never sees anti-tokens; a kill looks like a transfer.
         changed |= up.drive_vn(0)
@@ -617,7 +638,7 @@ class VariableLatency(Controller):
 
         changed |= right.drive_vp(_b(done))
         if done:
-            right.put_data(self.result)
+            changed |= right.put_data(self.result)
         if busy:
             # An anti-token may preempt the computation in flight (the
             # counterflow pipelining of the paper's refs [1, 2]): the
@@ -694,6 +715,8 @@ class Source(Controller):
     ``S− = not V+``).
     """
 
+    state_only = True
+
     def __init__(
         self,
         name: str,
@@ -729,7 +752,7 @@ class Source(Controller):
         valid = self.pending or self.offer
         changed = out.drive_vp(_b(valid))
         if valid:
-            out.put_data(self.current)
+            changed |= out.put_data(self.current)
         changed |= out.drive_sn(lnot(_b(valid)))
         return changed
 
@@ -760,6 +783,8 @@ class Sink(Controller):
     cancel data inside the netlist.  Anti-token persistence (Retry−) is
     honoured.
     """
+
+    state_only = True
 
     def __init__(
         self,
@@ -825,11 +850,19 @@ class Sink(Controller):
 class ElasticNetwork:
     """Fixed-point simulator for a network of elastic controllers.
 
-    Per cycle: reset all channel wires to X, run ``evaluate`` over all
-    controllers until no wire changes (the ternary equations are
-    monotone, so at most ``4 * |channels|`` sweeps suffice), check that
-    every wire settled, classify/record every channel, then ``commit``
-    all controllers.
+    Per cycle: reset all channel wires to X and settle the network on a
+    worklist, check that every wire settled, classify/record every
+    channel, then ``commit`` all controllers.
+
+    The worklist starts with every controller in :attr:`controllers`
+    order.  When an ``evaluate`` reports a changed wire or payload,
+    every controller sharing a channel with it is queued again unless
+    it is already queued or :attr:`Controller.state_only`; the
+    controller itself is queued again only when it sits on both ends of
+    a channel.  Settling ends when the worklist is empty.  Wires only
+    resolve from X, so only a combinational payload loop can keep
+    changing: more than ``(4 * |channels| + 4) * |controllers|``
+    changing evaluations in one cycle raise "fixed point not reached".
     """
 
     def __init__(self, name: str = "network"):
@@ -837,6 +870,11 @@ class ElasticNetwork:
         self.controllers: List[Controller] = []
         self.channels: Dict[str, Channel] = {}
         self.cycle = 0
+        #: ``(controllers, their classes, fan-out)`` as of the last
+        #: cycle; :meth:`_fanout` rebuilds it when the list changes
+        #: (tests shuffle it in place) or a controller's class is
+        #: swapped (:mod:`repro.fuzz.mutations` does that).
+        self._plan: Tuple[list, list, List[Tuple[int, ...]]] = ([], [], [])
         self._saboteurs: List[Callable[[int, Dict[str, Channel]], None]] = []
         #: post-commit probes ``fn(net)`` run once per settled cycle
         #: (wires are still valid, ``net.cycle`` is the cycle just
@@ -890,19 +928,54 @@ class ElasticNetwork:
         self.controllers.append(controller)
         return controller
 
+    def _fanout(self) -> List[Tuple[int, ...]]:
+        """For each controller, the indices to queue when it changes."""
+        controllers = self.controllers
+        classes = [type(ctrl) for ctrl in controllers]
+        planned, planned_classes, fanout = self._plan
+        if controllers == planned and classes == planned_classes:
+            return fanout
+        ends: Dict[int, List[int]] = {}
+        for i, ctrl in enumerate(controllers):
+            for ch in ctrl.channels():
+                ends.setdefault(id(ch), []).append(i)
+        fanout = []
+        for i, ctrl in enumerate(controllers):
+            targets = set()
+            for ch in ctrl.channels():
+                on_channel = ends[id(ch)]
+                targets.update(j for j in on_channel if j != i)
+                if on_channel.count(i) > 1:
+                    targets.add(i)
+            fanout.append(tuple(sorted(
+                j for j in targets if not controllers[j].state_only
+            )))
+        self._plan = (list(controllers), classes, fanout)
+        return fanout
+
     def step(self) -> None:
         """Simulate one clock cycle."""
         for ch in self.channels.values():
             ch.begin_cycle()
-        max_sweeps = 4 * len(self.channels) + 4
-        for _ in range(max_sweeps):
-            changed = False
-            for ctrl in self.controllers:
-                changed |= ctrl.evaluate()
-            if not changed:
-                break
-        else:
-            raise ProtocolViolation(f"{self.name}: fixed point not reached")
+        controllers = self.controllers
+        fanout = self._fanout()
+        queued = [True] * len(controllers)
+        worklist = deque(range(len(controllers)))
+        pop, push = worklist.popleft, worklist.append
+        budget = (4 * len(self.channels) + 4) * len(controllers)
+        while worklist:
+            i = pop()
+            queued[i] = False
+            if controllers[i].evaluate():
+                budget -= 1
+                if budget < 0:
+                    raise ProtocolViolation(
+                        f"{self.name}: fixed point not reached"
+                    )
+                for j in fanout[i]:
+                    if not queued[j]:
+                        queued[j] = True
+                        push(j)
         for saboteur in self._saboteurs:
             saboteur(self.cycle, self.channels)
         for ch in self.channels.values():

@@ -8,6 +8,11 @@ ends until the network reaches a fixed point:
 * the **producer** end drives ``V+`` (and the data payload) and ``S−``;
 * the **consumer** end drives ``S+`` and ``V−``.
 
+Every ``drive_*`` call and :meth:`Channel.put_data` reports whether it
+changed the channel; the network re-evaluates a channel's other end
+only after such a change.  Wires change at most once per cycle (X to
+0 or 1); a payload may be replaced while the network settles.
+
 Driving a wire twice with conflicting known values raises -- that would
 mean two controllers disagree about the same physical signal, i.e. a
 bug in a controller's equations.
@@ -28,7 +33,7 @@ from repro.elastic.protocol import (
     ProtocolViolation,
     classify_dual,
 )
-from repro.rtl.logic import Value, X, is_known
+from repro.rtl.logic import Value, X
 
 
 @dataclass
@@ -117,41 +122,73 @@ class Channel:
         self.observers: List[Callable[["Channel"], None]] = []
 
     # ------------------------------------------------------------------
-    # Driving (monotone: X -> known only; conflicting drives raise)
+    # Driving (monotone: X -> known only; conflicting drives raise).
+    # Each drive returns True if the wire value changed.
     # ------------------------------------------------------------------
-    def _drive(self, wire: str, value: Value) -> bool:
-        """Drive ``wire``; returns True if the wire value changed."""
-        if value is X:
-            return False
-        current = getattr(self, wire)
-        if current is X:
-            setattr(self, wire, 1 if value else 0)
-            return True
-        if (1 if value else 0) != current:
-            raise ProtocolViolation(
-                f"{self.name}.{wire}: conflicting drives {current} vs {value}"
-            )
-        return False
+    def _conflict(self, wire: str, value: Value) -> None:
+        raise ProtocolViolation(
+            f"{self.name}.{wire}: conflicting drives {getattr(self, wire)} vs {value}"
+        )
 
     def drive_vp(self, value: Value) -> bool:
         """Producer drives Valid+ (forward data valid)."""
-        return self._drive("vp", value)
+        if value is X:
+            return False
+        if self.vp is X:
+            self.vp = 1 if value else 0
+            return True
+        if (1 if value else 0) != self.vp:
+            self._conflict("vp", value)
+        return False
 
     def drive_sp(self, value: Value) -> bool:
         """Consumer drives Stop+ (token back-pressure)."""
-        return self._drive("sp", value)
+        if value is X:
+            return False
+        if self.sp is X:
+            self.sp = 1 if value else 0
+            return True
+        if (1 if value else 0) != self.sp:
+            self._conflict("sp", value)
+        return False
 
     def drive_vn(self, value: Value) -> bool:
         """Consumer drives Valid− (anti-token travelling backwards)."""
-        return self._drive("vn", value)
+        if value is X:
+            return False
+        if self.vn is X:
+            self.vn = 1 if value else 0
+            return True
+        if (1 if value else 0) != self.vn:
+            self._conflict("vn", value)
+        return False
 
     def drive_sn(self, value: Value) -> bool:
         """Producer drives Stop− (anti-token back-pressure)."""
-        return self._drive("sn", value)
+        if value is X:
+            return False
+        if self.sn is X:
+            self.sn = 1 if value else 0
+            return True
+        if (1 if value else 0) != self.sn:
+            self._conflict("sn", value)
+        return False
 
-    def put_data(self, payload: object) -> None:
-        """Producer attaches the payload accompanying ``V+``."""
+    def put_data(self, payload: object) -> bool:
+        """Producer attaches the payload accompanying ``V+``.
+
+        Returns True if the payload changed: ``payload`` is neither the
+        current payload object nor equal to it.  An equal payload keeps
+        the current object, so payloads that are put again share their
+        parts and later comparisons stay shallow.  A payload can change
+        more than once in a cycle (an early join refining its output
+        as late operands arrive), so controllers report the change like
+        a wire change and the network re-evaluates the readers.
+        """
+        if payload is self.data or not payload != self.data:
+            return False
         self.data = payload
+        return True
 
     def force(self, wire: str, value: Value) -> None:
         """Fault-injection hook: overwrite a wire after the network settled.
@@ -171,7 +208,10 @@ class Channel:
     # ------------------------------------------------------------------
     def settled(self) -> bool:
         """True once all four wires are known."""
-        return all(is_known(w) for w in (self.vp, self.sp, self.vn, self.sn))
+        return (
+            self.vp is not X and self.sp is not X
+            and self.vn is not X and self.sn is not X
+        )
 
     def require_settled(self) -> None:
         if not self.settled():

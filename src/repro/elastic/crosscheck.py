@@ -53,7 +53,7 @@ class ScriptedEnd(Controller):
         if self.side == "producer":
             changed = ch.drive_vp(a)
             if a:
-                ch.put_data(self.data)
+                changed |= ch.put_data(self.data)
             changed |= ch.drive_sn(b)
         else:
             changed = ch.drive_sp(a)

@@ -42,9 +42,9 @@ class BrokenEarlyJoin(EarlyJoin):
         changed |= out.drive_vp(vp_out)
         if vp_out == 1:
             if self._held_data is not _NO_HELD_DATA:
-                out.put_data(self._held_data)
+                changed |= out.put_data(self._held_data)
             else:
-                out.put_data(self.ee.output_data(valids, datas))
+                changed |= out.put_data(self.ee.output_data(valids, datas))
         changed |= out.drive_sn(full)
 
         fire = land(vp_out, lnot(out.sp))

@@ -56,11 +56,10 @@ def land(*vs: Value) -> Value:
     """Ternary AND: 0 dominates, all-1 gives 1, otherwise X."""
     saw_x = False
     for v in vs:
-        v = _norm(v)
-        if v == 0:
-            return 0
         if v is X:
             saw_x = True
+        elif not v:
+            return 0
     return X if saw_x else 1
 
 
@@ -68,20 +67,18 @@ def lor(*vs: Value) -> Value:
     """Ternary OR: 1 dominates, all-0 gives 0, otherwise X."""
     saw_x = False
     for v in vs:
-        v = _norm(v)
-        if v == 1:
-            return 1
         if v is X:
             saw_x = True
+        elif v:
+            return 1
     return X if saw_x else 0
 
 
 def lnot(v: Value) -> Value:
     """Ternary NOT."""
-    v = _norm(v)
     if v is X:
         return X
-    return 1 - v
+    return 0 if v else 1
 
 
 def lxor(a: Value, b: Value) -> Value:

@@ -35,6 +35,15 @@ class TestDriving:
         ch.drive_vn(True)
         assert ch.vn == 1
 
+    def test_put_data_reports_a_changed_payload(self, ch):
+        payload = ("a", (1, 2))
+        assert ch.put_data(payload) is True
+        assert ch.put_data(payload) is False  # the same object
+        assert ch.put_data(("a", (1, 2))) is False  # an equal fresh tuple
+        assert ch.data is payload  # an equal payload keeps the current one
+        assert ch.put_data(("a", (1, 3))) is True
+        assert ch.data == ("a", (1, 3))
+
 
 class TestSettling:
     def test_settled_requires_all_four(self, ch):
@@ -50,8 +59,10 @@ class TestSettling:
             ch.require_settled()
 
     def test_event_predicates(self, ch):
-        for wire, value in (("vp", 1), ("sp", 0), ("vn", 0), ("sn", 0)):
-            ch._drive(wire, value)
+        ch.drive_vp(1)
+        ch.drive_sp(0)
+        ch.drive_vn(0)
+        ch.drive_sn(0)
         assert ch.pos_transfer and not ch.neg_transfer and not ch.kill
 
 
@@ -74,13 +85,17 @@ class TestLifecycle:
     def test_monitored_channel_enforces_persistence(self):
         c = Channel("m")
         c.begin_cycle()
-        for wire, value in (("vp", 1), ("sp", 1), ("vn", 0), ("sn", 0)):
-            c._drive(wire, value)
+        c.drive_vp(1)
+        c.drive_sp(1)
+        c.drive_vn(0)
+        c.drive_sn(0)
         c.put_data("a")
         c.finish_cycle()
         c.begin_cycle()
-        for wire, value in (("vp", 0), ("sp", 0), ("vn", 0), ("sn", 0)):
-            c._drive(wire, value)
+        c.drive_vp(0)
+        c.drive_sp(0)
+        c.drive_vn(0)
+        c.drive_sn(0)
         with pytest.raises(ProtocolViolation):
             c.finish_cycle()
 
