@@ -249,8 +249,7 @@ class Join(Controller):
         vp_out = land(lnot(pending), *[ch.vp for ch in self.inputs])
         changed |= out.drive_vp(vp_out)
         if vp_out == 1:
-            payload = self.combine([ch.data for ch in self.inputs])
-            changed |= out.put_data(payload)
+            changed |= out.put_data(self.combine([ch.data for ch in self.inputs]))
         # B gate also back-pressures further anti-tokens while draining.
         changed |= out.drive_sn(pending)
 

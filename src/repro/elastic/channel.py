@@ -185,10 +185,10 @@ class Channel:
         as late operands arrive), so controllers report the change like
         a wire change and the network re-evaluates the readers.
         """
-        if payload is self.data or not payload != self.data:
-            return False
-        self.data = payload
-        return True
+        if payload is not self.data and payload != self.data:
+            self.data = payload
+            return True
+        return False
 
     def force(self, wire: str, value: Value) -> None:
         """Fault-injection hook: overwrite a wire after the network settled.

@@ -22,7 +22,7 @@ import copy
 import itertools
 import random
 import runpy
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import astuple
 from pathlib import Path
 
@@ -77,13 +77,17 @@ def sweep_step(net):
     net.cycle += 1
 
 
+def _settled(net, canon):
+    stats = [astuple(ch.stats) for ch in net.channels.values()]
+    return channel_states(net, canon), stats
+
+
 def assert_settles_like_sweep(net, ref, cycles, canon=None):
+    """Step ``net`` and sweep ``ref`` in lock-step, comparing each cycle."""
     for cycle in range(cycles):
         net.step()
         sweep_step(ref)
-        got = channel_states(net, canon), [astuple(ch.stats) for ch in net.channels.values()]
-        want = channel_states(ref, canon), [astuple(ch.stats) for ch in ref.channels.values()]
-        assert got == want, f"cycle {cycle}"
+        assert _settled(net, canon) == _settled(ref, canon), f"cycle {cycle}"
 
 
 @pytest.mark.parametrize("config", list(Config))
@@ -122,14 +126,19 @@ def test_drawn_specs_settle_like_sweep(model):
 # ----------------------------------------------------------------------
 # The state-only declaration
 # ----------------------------------------------------------------------
-def _line(source=None, sink=None):
-    """``source -> EB -> sink`` with a stalling, killing default sink."""
+def _in_line(name, source=None, sink=None):
+    """Controller ``name`` of ``source -> EB -> sink``; the default sink
+    stalls and kills."""
     net = ElasticNetwork("guard")
     a, b = net.add_channel("a"), net.add_channel("b")
-    net.add(source(a) if source else Source("src", a, p_valid=0.6, rng=random.Random(1)))
+    if source is None:
+        source = lambda ch: Source("src", ch, p_valid=0.6, rng=random.Random(1))
+    if sink is None:
+        sink = lambda ch: Sink("snk", ch, p_stop=0.3, p_kill=0.3, rng=random.Random(2))
+    net.add(source(a))
     net.add(ElasticBuffer("eb", a, b))
-    net.add(sink(b) if sink else Sink("snk", b, p_stop=0.3, p_kill=0.3, rng=random.Random(2)))
-    return net
+    net.add(sink(b))
+    return net, _controller(net, name)
 
 
 def _controller(net, name):
@@ -140,15 +149,19 @@ def _loaded(path, name):
     return runpy.run_path(str(ROOT / path))[name]
 
 
+def _example_commit_unit(ch):
+    cls = _loaded("examples/exception_flush.py", "CommitUnit")
+    return cls("snk", ch, window=3, p_mispredict=0.2, rng=random.Random(3))
+
+
 def _flushing_sink(ch):
-    sink = _loaded("benchmarks/test_bench_flush.py", "FlushingSink")(
-        "snk", ch, rng=random.Random(3)
-    )
+    cls = _loaded("benchmarks/test_bench_flush.py", "FlushingSink")
+    sink = cls("snk", ch, rng=random.Random(3))
     sink.flush(5)
     return sink
 
 
-def _processor(name):
+def _in_processor(name):
     net, _, _ = build_processor()
     return net, _controller(net, name)
 
@@ -157,35 +170,31 @@ def _processor(name):
 #: network that runs one through its states.
 GUARDED = {
     ("src/repro/elastic/behavioral.py", "ElasticBuffer"):
-        lambda: (net := _line(), _controller(net, "eb")),
+        lambda: _in_line("eb"),
     ("src/repro/elastic/behavioral.py", "Source"):
-        lambda: (net := _line(), _controller(net, "src")),
+        lambda: _in_line("src"),
     ("src/repro/elastic/behavioral.py", "Sink"):
-        lambda: (net := _line(), _controller(net, "snk")),
+        lambda: _in_line("snk"),
     ("src/repro/elastic/instrumentation.py", "TracingSource"):
-        lambda: (net := _line(source=lambda ch: TracingSource(
+        lambda: _in_line("src", source=lambda ch: TracingSource(
             "src", ch, p_valid=0.6, rng=random.Random(1))),
-            _controller(net, "src")),
     ("src/repro/elastic/instrumentation.py", "TracingSink"):
-        lambda: (net := _line(sink=lambda ch: TracingSink(
+        lambda: _in_line("snk", sink=lambda ch: TracingSink(
             "snk", ch, p_stop=0.3, p_kill=0.3, rng=random.Random(2))),
-            _controller(net, "snk")),
     ("src/repro/verif/datapath.py", "AlternatingChecker"):
-        lambda: (net := _line(
+        lambda: _in_line(
+            "snk",
             source=lambda ch: alternating_source("src", ch, p_valid=0.6),
-            sink=lambda ch: AlternatingChecker("snk", ch, rng=random.Random(2))),
-            _controller(net, "snk")),
+            sink=lambda ch: AlternatingChecker("snk", ch, rng=random.Random(2)),
+        ),
     ("src/repro/casestudy/processor.py", "FetchUnit"):
-        lambda: _processor("fetch"),
+        lambda: _in_processor("fetch"),
     ("src/repro/casestudy/processor.py", "CommitUnit"):
-        lambda: _processor("commit"),
+        lambda: _in_processor("commit"),
     ("examples/exception_flush.py", "CommitUnit"):
-        lambda: (net := _line(sink=lambda ch: _loaded(
-            "examples/exception_flush.py", "CommitUnit")(
-            "snk", ch, window=3, p_mispredict=0.2, rng=random.Random(3))),
-            _controller(net, "snk")),
+        lambda: _in_line("snk", sink=_example_commit_unit),
     ("benchmarks/test_bench_flush.py", "FlushingSink"):
-        lambda: (net := _line(sink=_flushing_sink), _controller(net, "snk")),
+        lambda: _in_line("snk", sink=_flushing_sink),
 }
 
 
@@ -198,11 +207,16 @@ def _fresh_twin(ctrl):
 
 
 def assert_first_evaluation_is_final(ctrl):
+    """From X, ``ctrl`` drives its two wires per channel, and it drives
+    them and its payloads alike with the other wires at any value."""
     base = _fresh_twin(ctrl)
     base.evaluate()
     assert base.evaluate() is False, "a second evaluation changed something"
     channels = base.channels()
-    free = [(k, w) for k, ch in enumerate(channels) for w in WIRES if getattr(ch, w) is X]
+    free = [
+        (k, w) for k, ch in enumerate(channels) for w in WIRES
+        if getattr(ch, w) is X
+    ]
     assert len(free) == 2 * len(channels), "it leaves a wire it drives at X"
     for values in itertools.product((0, 1), repeat=len(free)):
         twin = _fresh_twin(ctrl)
@@ -228,54 +242,60 @@ def test_state_only_controller_ignores_the_wires_it_does_not_drive(key):
         net.step()
 
 
+ClassInfo = namedtuple("ClassInfo", "path name bases state_only evaluates local")
+
+
 def _class_defs():
-    """``(path, name, bases, body names, nested)`` of every class in the tree."""
+    """Every class under src/, examples/, benchmarks/ and tests/."""
     for top in ("src", "examples", "benchmarks", "tests"):
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
-            nested = set()
-            for fn in ast.walk(tree):
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    nested.update(id(n) for n in ast.walk(fn) if isinstance(n, ast.ClassDef))
+            local = {
+                id(node)
+                for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn) if isinstance(node, ast.ClassDef)
+            }
             for node in ast.walk(tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
-                bases = {
-                    b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
-                    for b in node.bases
-                }
-                assigned = {
-                    (t.id, ast.literal_eval(stmt.value))
-                    for stmt in node.body if isinstance(stmt, ast.Assign)
-                    for t in stmt.targets
-                    if isinstance(t, ast.Name) and t.id == "state_only"
-                }
-                methods = {
-                    stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)
-                }
-                yield (str(path.relative_to(ROOT)), node.name, bases, assigned,
-                       methods, id(node) in nested)
+                declared = [
+                    ast.literal_eval(stmt.value) for stmt in node.body
+                    if isinstance(stmt, ast.Assign)
+                    and any(getattr(t, "id", None) == "state_only" for t in stmt.targets)
+                ]
+                yield ClassInfo(
+                    path=str(path.relative_to(ROOT)),
+                    name=node.name,
+                    bases={getattr(b, "id", getattr(b, "attr", None)) for b in node.bases},
+                    state_only=declared[0] if declared else None,
+                    evaluates=any(
+                        isinstance(stmt, ast.FunctionDef) and stmt.name == "evaluate"
+                        for stmt in node.body
+                    ),
+                    local=id(node) in local,
+                )
 
 
 def test_every_state_only_class_is_guarded():
     classes = list(_class_defs())
-    state_only = {name for _, name, _, assigned, _, _ in classes
-                  if ("state_only", True) in assigned}
+    state_only = {c.name for c in classes if c.state_only is True}
     assert state_only == {"ElasticBuffer", "Source", "Sink"}
-    grew = True
-    while grew:
-        before = len(state_only)
-        state_only |= {name for _, name, bases, assigned, _, _ in classes
-                       if bases & state_only and ("state_only", False) not in assigned}
-        grew = len(state_only) > before
-    module_level = {(path, name) for path, name, bases, _, _, nested in classes
-                    if name in state_only and not nested}
-    assert module_level == set(GUARDED)
-    # Classes local to a test function cannot be built here; they must
-    # keep the evaluate of the guarded class they derive from.
-    for path, name, _, _, methods, nested in classes:
-        if nested and name in state_only:
-            assert "evaluate" not in methods, f"{path}:{name}"
+    while True:  # close over subclasses, by base name
+        grown = state_only | {
+            c.name for c in classes
+            if c.bases & state_only and c.state_only is not False
+        }
+        if grown == state_only:
+            break
+        state_only = grown
+    found = {(c.path, c.name) for c in classes if c.name in state_only and not c.local}
+    assert found == set(GUARDED)
+    # A class local to a test function cannot be built here, so it must
+    # keep the evaluate of the guarded class it derives from.
+    for c in classes:
+        if c.local and c.name in state_only:
+            assert not c.evaluates, f"{c.path}:{c.name}"
 
 
 # ----------------------------------------------------------------------
