@@ -75,8 +75,8 @@ def test_disabled_tracing_overhead_under_5_percent():
 def test_disabled_profilers_attach_nothing():
     """The profile layer honours the same zero-cost no-op contract.
 
-    A disabled :class:`RtlChannelProfiler` must leave scalar and
-    lane-parallel simulators observer-free, and a disabled :class:`NetworkProfiler`
+    A disabled :class:`RtlChannelProfiler` must leave the lane-parallel
+    simulator observer-free, and a disabled :class:`NetworkProfiler`
     must add neither probes nor channel observers -- so a run that does
     not ask for a performance report stays on the untouched code path
     the timing gate above locks.
@@ -84,15 +84,11 @@ def test_disabled_profilers_attach_nothing():
     from repro.obs import NetworkProfiler, RtlChannelProfiler
     from repro.obs.analyze import _pipeline_network
     from repro.codegen.sim import CompiledSimulator
-    from repro.rtl.simulator import TwoPhaseSimulator
 
     target = resolve_target("dual_ehb")
-    profiler = RtlChannelProfiler(target, enabled=False)
-    scalar = TwoPhaseSimulator(target.netlist)
     batch = CompiledSimulator(target.netlist, 4)
-    profiler.attach_scalar(scalar)
-    profiler.attach_lane(batch, 0)
-    assert not scalar.observers and not batch.observers
+    RtlChannelProfiler(target, enabled=False).attach_lane(batch, 0)
+    assert not batch.observers
 
     net = _pipeline_network(seed=2007)
     probes = len(net.probes)

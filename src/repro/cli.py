@@ -23,7 +23,6 @@ Usage (after ``pip install -e .``)::
                              [--cache dir]
                              [--workers host:port,host:port]
     python -m repro profile  [--design early_join|active|pipeline|...]
-                             [--backend auto|scalar|compiled]
                              [--cycles 2000] [--seed 2007]
                              [--compare-model] [--tolerance 0.15]
                              [--json out.json] [--cache dir] [--no-cache]
@@ -320,14 +319,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         for name in profile_designs():
             print(name)
         return 0
-    cache = None
-    if args.backend == "compiled":
-        cache = _build_cache(args)
     try:
         report = run_profile(
             args.design, cycles=args.cycles, seed=args.seed,
-            backend=args.backend, compare_model=args.compare_model,
-            tolerance=args.tolerance, cache=cache,
+            compare_model=args.compare_model, tolerance=args.tolerance,
+            cache=_build_cache(args),
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -964,12 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="an RTL campaign target (dual_ehb, early_join, "
                         "...), a Fig. 9 configuration, 'pipeline' (the "
                         "Fig. 5 chain) or 'processor' (see --list)")
-    p.add_argument("--backend", choices=("auto", "scalar", "compiled"),
-                   default="auto",
-                   help="execution engine for RTL designs (auto = "
-                        "scalar); behavioural designs always run on the "
-                        "network simulator, and the report is "
-                        "byte-identical across engines")
     p.add_argument("--cycles", type=int, default=2000)
     p.add_argument("--seed", type=int, default=2007)
     p.add_argument("--compare-model", action="store_true",
@@ -984,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true",
                    help="print the available designs and exit")
     p.add_argument("--cache", default=None, metavar="DIR",
-                   help="build-cache directory for --backend compiled "
+                   help="build-cache directory for RTL designs "
                         "(default: $REPRO_CACHE_DIR or "
                         "~/.cache/repro/codegen)")
     p.add_argument("--no-cache", action="store_true",

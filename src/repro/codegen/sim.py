@@ -35,7 +35,6 @@ cycle path) here, exactly as the scalar simulator's strict mode does.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import (
     Callable,
     Dict,
@@ -110,9 +109,6 @@ class CompiledSimulator:
         #: :meth:`cycle` with the index of the cycle just simulated.
         #: Empty by default (one truthiness check per cycle).
         self.observers: List[Callable[[int, "CompiledSimulator"], None]] = []
-        #: optional :class:`~repro.obs.profile.PhaseProfiler`; the fused
-        #: cycle function is one phase, timed under the name ``"cycle"``.
-        self.profile = None
         self.reset()
 
     # -- state ---------------------------------------------------------
@@ -201,8 +197,6 @@ class CompiledSimulator:
         """
         inputs = inputs or {}
         mod, mask = self.module, self.mask
-        profile = self.profile
-        t0 = perf_counter() if profile is not None else 0.0
         if self._known_active and self._known_eligible(inputs):
             if not self._k_primed:
                 # The known dialect never touches the k array; monitors
@@ -225,8 +219,6 @@ class CompiledSimulator:
                 mod.cycle_clean(
                     inputs, self.state, self._v, self._k, mask, 0
                 )
-        if profile is not None:
-            profile.add("cycle", perf_counter() - t0)
         if self.observers:
             t = self.time
             for observer in self.observers:

@@ -553,10 +553,11 @@ def run_campaign(
 
     ``profile`` (opt in) attaches the fault-free performance baseline
     of the target -- the :mod:`repro.obs.analyze` cycle-accounting /
-    attribution report, run on the scalar engine for the campaign's
-    ``cycles`` and ``seed`` -- as a ``profile`` key.  Off by default
-    so the report stays byte-identical to the goldens.  Requires a
-    named target: the baseline profiles the stock design of that name.
+    attribution report, run on one compiled lane (built through
+    ``cache``) for the campaign's ``cycles`` and ``seed`` -- as a
+    ``profile`` key.  Off by default so the report stays
+    byte-identical to the goldens.  Requires a named target: the
+    baseline profiles the stock design of that name.
 
     ``cache`` names the build-cache directory of the generated
     lane-parallel modules: the campaign's when ``lanes > 1`` (shipped
@@ -689,11 +690,8 @@ def run_campaign(
     if profile:
         from repro.obs.analyze import run_profile
 
-        # The fault-free baseline always runs on the scalar engine so
-        # the key is byte-identical whatever lane/job combination
-        # executed the sweep itself.
         report.profile = run_profile(
-            tgt.name, cycles=cfg.cycles, seed=cfg.seed, backend="scalar"
+            tgt.name, cycles=cfg.cycles, seed=cfg.seed, cache=cache
         ).to_dict()
     return report
 

@@ -1,11 +1,11 @@
-"""repro.obs -- unified observability for every simulator in the repo.
+"""repro.obs -- unified observability for the repo's simulators.
 
 Five pieces, usable separately or together:
 
 * :class:`TraceRecorder` (:mod:`repro.obs.recorder`) -- cycle-stamped
-  structured events from the behavioural network, the scalar RTL
-  simulator and the word-parallel compiled simulator, into a
-  bounded ring buffer and pluggable sinks;
+  structured events from the behavioural network and the lanes of the
+  compiled RTL simulator, into a bounded ring buffer and pluggable
+  sinks;
 * exporters -- :class:`VcdSink` (GTKWave waveforms) and
   :class:`JsonlSink` (one JSON object per event);
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) -- labeled
@@ -15,8 +15,7 @@ Five pieces, usable separately or together:
   per-channel cycle accounting, backpressure root-cause attribution,
   critical-cycle analysis against the DMG model and early-evaluation
   benefit accounting, as one deterministic JSON report;
-* profiling -- :class:`PhaseProfiler` wall-time accumulation and
-  :class:`ProgressReporter` throttled progress lines.
+* progress -- :class:`ProgressReporter` throttled progress lines.
 
 The CLI surfaces this as ``repro trace`` (waveforms + event streams),
 ``repro stats`` (the metrics snapshot of a simulation, ``--prometheus``
@@ -41,7 +40,7 @@ from repro.obs.metrics import (
     SummaryStats,
     summarize,
 )
-from repro.obs.profile import PhaseProfiler, ProgressReporter
+from repro.obs.profile import ProgressReporter
 from repro.obs.recorder import JsonlSink, TraceRecorder, collect_network_metrics
 from repro.obs.vcd import VcdSink, VcdWriter
 
@@ -60,7 +59,6 @@ __all__ = [
     "MetricsRegistry",
     "SummaryStats",
     "summarize",
-    "PhaseProfiler",
     "ProgressReporter",
     "JsonlSink",
     "TraceRecorder",

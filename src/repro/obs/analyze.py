@@ -2,8 +2,9 @@
 
 Where :mod:`repro.obs.recorder` answers "what happened, cycle by
 cycle", this module answers "where did the cycles *go*" -- one
-deterministic JSON performance report over any of the three execution
-engines (behavioural network, scalar gate-level, compiled lane-parallel):
+deterministic JSON performance report per design, measured on the
+behavioural network or, for an RTL design, on one lane of the compiled
+simulator:
 
 * **cycle accounting** -- every channel-cycle lands in exactly one of
   the six strict-bit categories (``transfer+``/``transfer-``/``kill``/
@@ -26,11 +27,11 @@ engines (behavioural network, scalar gate-level, compiled lane-parallel):
   replay of the same design (early join vs lazy join, Fig. 9 active
   vs lazy, early vs in-order writeback).
 
-Reports are byte-identical across repeated seeded runs and across the
-``scalar``/``compiled`` RTL engines (modulo the ``backend`` tag);
-per-lane stall diagnoses drop their engine-specific fields before
-serialisation to keep that guarantee.  Profilers constructed with
-``enabled=False`` attach nothing, mirroring the
+Reports are byte-identical across repeated seeded runs; the
+``backend`` tag names the engine a design runs on (``network`` or
+``compiled``).  Stall diagnoses drop their engine-specific fields
+before serialisation, so both engines share one schema.  Profilers
+constructed with ``enabled=False`` attach nothing, mirroring the
 :class:`~repro.obs.recorder.TraceRecorder` zero-cost no-op guarantee
 that the overhead benchmark locks.
 """
@@ -116,9 +117,8 @@ def _walk_root(
 def _stall_dict(diagnosis) -> Dict[str, object]:
     """A stall diagnosis as backend-independent JSON.
 
-    The ``detail`` (names the engine) and ``lane`` fields are dropped:
-    the same stall diagnosed by the scalar and the per-lane watchdogs
-    must serialise identically for the cross-backend byte guarantee.
+    The ``detail`` (names the engine) and ``lane`` fields are dropped,
+    so a stall serialises alike whichever watchdog diagnosed it.
     """
     return {
         "blocked": list(diagnosis.blocked),
@@ -134,16 +134,15 @@ def _fraction(value: Fraction) -> str:
 
 
 # ----------------------------------------------------------------------
-# Gate-level profiler (scalar and compiled engines)
+# Gate-level profiler (one lane of the compiled engine)
 # ----------------------------------------------------------------------
 class RtlChannelProfiler:
     """Per-channel cycle accounting and stall attribution at gate level.
 
-    One instance serves both RTL engines: :meth:`attach_scalar` hooks a
-    :class:`~repro.rtl.simulator.TwoPhaseSimulator`, :meth:`attach_lane`
-    one lane of a :class:`~repro.codegen.sim.CompiledSimulator` (all
-    watched channel wires must be in its module's observed set).  With
-    ``enabled=False`` the attach methods are no-ops.
+    :meth:`attach_lane` hooks one lane of a
+    :class:`~repro.codegen.sim.CompiledSimulator` (all watched channel
+    wires must be in its module's observed set).  With
+    ``enabled=False`` it is a no-op.
 
     ``ee`` optionally names an early join to account:
     ``{"output": <channel>, "inputs": [<channel>, ...]}`` -- a firing
@@ -172,11 +171,10 @@ class RtlChannelProfiler:
         self._ee_ins: List = []
 
     # -- attachment ----------------------------------------------------
-    def _prepare(self, sim, lane: Optional[int]) -> None:
+    def _prepare(self, sim) -> None:
         from repro.resilience.watchdog import _fanin_cones
 
         self._sim = sim
-        self._lane = lane
         watched = [ch.sp for ch in self.target.channels]
         watched += [ch.sn for ch in self.target.channels]
         self._fanin_comb = _fanin_cones(
@@ -188,25 +186,14 @@ class RtlChannelProfiler:
             self._ee_out = by_name[self.ee["output"]]
             self._ee_ins = [by_name[name] for name in self.ee["inputs"]]
 
-    def attach_scalar(self, sim) -> "RtlChannelProfiler":
-        """Hook a scalar two-phase simulator's end-of-cycle observers."""
-        if not self.enabled:
-            return self
-        self._prepare(sim, lane=None)
-
-        def observe(time: int, values: Dict[str, object]) -> None:
-            self._account(values)
-
-        sim.observers.append(observe)
-        return self
-
     def attach_lane(self, sim, lane: int = 0) -> "RtlChannelProfiler":
         """Hook one lane of a compiled lane-parallel simulator."""
         from repro.rtl.batchsim import strict_planes
 
         if not self.enabled:
             return self
-        self._prepare(sim, lane=lane)
+        self._prepare(sim)
+        self._lane = lane
         wires = [w for ch in self.target.channels for w in ch.wires()]
         bit = 1 << lane
 
@@ -253,8 +240,6 @@ class RtlChannelProfiler:
 
     # -- report sections -----------------------------------------------
     def _final_state(self) -> Mapping[str, object]:
-        if self._lane is None:
-            return dict(self._sim.state)
         return self._sim.lane_state(self._lane)
 
     def channel_section(self) -> Dict[str, Dict[str, object]]:
@@ -799,48 +784,34 @@ def _eager_stimulus(free_inputs: Sequence[str]) -> Dict[str, int]:
     }
 
 
-def _run_rtl(target, cycles: int, backend: str, cache, ee):
-    """Drive one RTL engine for ``cycles``; returns (profiler, stalls)."""
-    from repro.resilience.watchdog import BatchStallWatchdog, RtlStallWatchdog
+def _run_rtl(target, cycles: int, cache, ee):
+    """Drive one lane of the compiled engine for ``cycles``.
 
-    profiler = RtlChannelProfiler(target, ee=ee)
-    stimulus = _eager_stimulus(target.free_inputs)
-    if backend == "scalar":
-        from repro.rtl.simulator import TwoPhaseSimulator
+    Returns ``(profiler, stall diagnoses)``.
+    """
+    from repro.codegen.sim import CompiledSimulator
+    from repro.resilience.watchdog import BatchStallWatchdog
+    from repro.rtl.batchsim import broadcast
 
-        sim = TwoPhaseSimulator(target.netlist)
-        profiler.attach_scalar(sim)
-        watchdog = RtlStallWatchdog.for_target(
-            target, sim, window=_WINDOW, raise_on_stall=False
-        )
-        for _ in range(cycles):
-            sim.cycle(stimulus)
-    elif backend == "compiled":
-        from repro.codegen.sim import CompiledSimulator
-        from repro.rtl.batchsim import broadcast
-
-        sim = CompiledSimulator(
-            target.netlist, lanes=1, hooks=frozenset(),
-            observe=frozenset(target.observe), cache=cache,
-        )
-        profiler.attach_lane(sim, 0)
-        watchdog = BatchStallWatchdog.for_target(
-            target, sim, window=_WINDOW, raise_on_stall=False
-        )
-        planes = {
-            name: broadcast(value, 1) for name, value in stimulus.items()
-        }
-        for _ in range(cycles):
-            sim.cycle(planes)
-    else:
-        raise ValueError(
-            f"unknown backend {backend!r}; pick scalar, compiled or auto"
-        )
+    sim = CompiledSimulator(
+        target.netlist, lanes=1, hooks=frozenset(),
+        observe=frozenset(target.observe), cache=cache,
+    )
+    profiler = RtlChannelProfiler(target, ee=ee).attach_lane(sim, 0)
+    watchdog = BatchStallWatchdog.for_target(
+        target, sim, window=_WINDOW, raise_on_stall=False
+    )
+    planes = {
+        name: broadcast(value, 1)
+        for name, value in _eager_stimulus(target.free_inputs).items()
+    }
+    for _ in range(cycles):
+        sim.cycle(planes)
     return profiler, watchdog.diagnoses
 
 
 def _profile_rtl(
-    design: str, cycles: int, seed: int, backend: str,
+    design: str, cycles: int, seed: int,
     compare_model: bool, tolerance: float, cache,
 ) -> PerformanceReport:
     from repro.faults.targets import TARGETS
@@ -848,15 +819,13 @@ def _profile_rtl(
     target = TARGETS[design]()
     reference = _RTL_REFERENCE[design]
     ee_spec = _RTL_EE.get(design)
-    profiler, diagnoses = _run_rtl(target, cycles, backend, cache, ee_spec)
+    profiler, diagnoses = _run_rtl(target, cycles, cache, ee_spec)
     measured = profiler.throughput(reference)
 
     ee_section = None
     if ee_spec is not None:
         twin_name = _RTL_LATE_TWIN[design]
-        twin, _ = _run_rtl(
-            TARGETS[twin_name](), cycles, backend, cache, None
-        )
+        twin, _ = _run_rtl(TARGETS[twin_name](), cycles, cache, None)
         lazy_th = twin.throughput(_RTL_REFERENCE[twin_name])
         tokens = profiler.counts[reference]["transfer+"]
         ee_section = {
@@ -881,7 +850,7 @@ def _profile_rtl(
             guards=guards, mean_latency=mean,
         )
     return PerformanceReport(
-        design=design, backend=backend, cycles=cycles, seed=seed,
+        design=design, backend="compiled", cycles=cycles, seed=seed,
         channels=profiler.channel_section(),
         conservation=profiler.conservation_section(),
         attribution=profiler.attribution_section(diagnoses),
@@ -1043,27 +1012,27 @@ def run_profile(
     design: str,
     cycles: int = 2000,
     seed: int = 2007,
-    backend: str = "auto",
     compare_model: bool = False,
     tolerance: float = 0.15,
     cache=None,
 ) -> PerformanceReport:
     """Profile one design end to end; the ``repro profile`` entry point.
 
-    ``design`` is an RTL campaign target (scalar or compiled engine
-    under the eager environment), a Fig. 9 configuration, ``pipeline``
-    (the Fig. 5 chain) or ``processor`` (both behavioural; the backend
-    must stay ``auto``).  The report is byte-identical across repeated
-    runs and across the two RTL engines, modulo the ``backend`` tag.
-    ``cache`` is the compiled engine's build cache (``None`` for the
-    default directory).
+    ``design`` is an RTL campaign target (one lane of the compiled
+    engine under the eager environment), a Fig. 9 configuration,
+    ``pipeline`` (the Fig. 5 chain) or ``processor`` (both behavioural).
+    The report is byte-identical across repeated runs.  ``cache`` is
+    the compiled engine's build cache: a
+    :class:`~repro.codegen.cache.BuildCache`, a directory, or ``None``
+    for the default directory; behavioural designs build nothing.
+    ``cycles`` below 1 and a negative ``tolerance`` raise
+    :class:`ValueError`.
     """
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if design in _NETWORK_DESIGNS:
-        if backend not in ("auto", "network"):
-            raise ValueError(
-                f"design {design!r} runs on the behavioural network; "
-                "drop the --backend override"
-            )
         return _profile_network(
             design, cycles, seed, compare_model, tolerance
         )
@@ -1074,8 +1043,6 @@ def run_profile(
             f"unknown design {design!r}; pick one of "
             f"{', '.join(profile_designs())}"
         )
-    if backend == "auto":
-        backend = "scalar"
     return _profile_rtl(
-        design, cycles, seed, backend, compare_model, tolerance, cache
+        design, cycles, seed, compare_model, tolerance, cache
     )

@@ -1,20 +1,16 @@
-"""The TraceRecorder: cycle-stamped events from any simulator.
+"""The TraceRecorder: cycle-stamped events from the simulators.
 
-One recorder serves all three execution engines:
+One recorder serves the behavioural network and the compiled RTL engine:
 
 * :meth:`TraceRecorder.attach_network` hooks a behavioural
   :class:`~repro.elastic.behavioral.ElasticNetwork` through the
   per-channel observer lists -- every settled cycle yields wire edges,
   the channel event (transfer/kill/retry/idle) and, for early joins,
   ``ee-fire`` events naming the inputs left owing anti-tokens;
-* :meth:`TraceRecorder.attach_rtl` hooks a scalar
-  :class:`~repro.rtl.simulator.TwoPhaseSimulator` through its
+* :meth:`TraceRecorder.attach_batch` hooks one lane of a lane-parallel
+  :class:`~repro.codegen.sim.CompiledSimulator` through its
   end-of-cycle observer list and records edges (and X onsets) on a
-  watch list of nets;
-* :meth:`TraceRecorder.attach_batch` does the same for one lane of a
-  lane-parallel :class:`~repro.codegen.sim.CompiledSimulator`,
-  producing a stream bit-identical to the scalar one for equivalent
-  runs.
+  watch list of nets.
 
 Events land in a bounded ring buffer (oldest evicted first) and are
 forwarded to pluggable sinks (:class:`JsonlSink`, :class:`~repro.obs.
@@ -212,40 +208,15 @@ class TraceRecorder:
         return observe
 
     # ------------------------------------------------------------------
-    # RTL attachments (scalar + one lane of the lane-parallel engine)
+    # RTL attachment (one lane of the lane-parallel engine)
     # ------------------------------------------------------------------
-    def attach_rtl(self, sim, watch: Sequence[str]) -> "TraceRecorder":
-        """Hook a scalar :class:`TwoPhaseSimulator` on a net watch list."""
-        if not self.enabled:
-            return self
-        watch = list(watch)
-        for net in watch:
-            self._declare(net)
-        prev: Dict[str, object] = {}
-
-        def observe(time: int, values: Dict[str, object]) -> None:
-            for net in watch:
-                new = values.get(net, X)
-                old = prev.get(net, X)
-                if new is not old and new != old:
-                    if new is X:
-                        self.emit(time, "x-onset", net)
-                    else:
-                        self.emit(time, "edge", net, new)
-                    prev[net] = new
-
-        sim.observers.append(observe)
-        return self
-
     def attach_batch(self, sim, watch: Sequence[str],
                      lane: int = 0) -> "TraceRecorder":
         """Hook one lane of a compiled simulator on a watch list.
 
-        Produces the same edge/x-onset stream the scalar attachment
-        yields for an equivalent run of that lane.  Every watched net
-        is validated through ``planes()`` at attach time, so a net
-        missing from the module's observed set fails loudly here
-        instead of silently tracing a stale slot.
+        Every watched net is validated through ``planes()`` at attach
+        time, so a net missing from the module's observed set fails
+        loudly here instead of silently tracing a stale slot.
         """
         if not self.enabled:
             return self

@@ -7,8 +7,9 @@ model-checking drivers:
   atomic, fingerprint-validated on-disk stores; a resumed run emits the
   byte-identical report of an uninterrupted one;
 * **stall watchdogs** (:mod:`~repro.resilience.watchdog`) -- no-progress
-  windows over the behavioural and gate-level simulators, with a
-  structured :class:`StallDiagnosis` naming the asserted-Stop cycle.
+  windows over the behavioural network and the lanes of the compiled
+  gate-level simulator, with a structured :class:`StallDiagnosis`
+  naming the asserted-Stop cycle.
 
 Crash-tolerant sharding (``jobs=N``, dead and hung worker detection,
 requeues, :class:`~repro.fabric.ShardFailure`) lives in
@@ -29,7 +30,6 @@ from repro.resilience.clock import MONOTONIC, Clock, FakeClock
 from repro.resilience.watchdog import (
     BatchStallWatchdog,
     NetworkStallWatchdog,
-    RtlStallWatchdog,
     StallDiagnosis,
     StallError,
 )
@@ -43,7 +43,6 @@ __all__ = [
     "FakeClock",
     "MONOTONIC",
     "NetworkStallWatchdog",
-    "RtlStallWatchdog",
     "StallDiagnosis",
     "StallError",
     "atomic_write_json",

@@ -42,7 +42,6 @@ from repro.rtl.toposort import canonical_cycle, order_or_cycle
 __all__ = [
     "BatchStallWatchdog",
     "NetworkStallWatchdog",
-    "RtlStallWatchdog",
     "StallDiagnosis",
     "StallError",
 ]
@@ -123,6 +122,7 @@ def _diagnose(
     blocked: Sequence[str],
     waits_on: Dict[str, Tuple[str, ...]],
     detail: str,
+    lane: Optional[int] = None,
 ) -> StallDiagnosis:
     """Extract the deadlock ring (or root-cause chain) from a wait graph."""
     _, ring = order_or_cycle(waits_on)
@@ -131,7 +131,7 @@ def _diagnose(
         return StallDiagnosis(
             cycle=cycle, window=window, last_progress=last_progress,
             stop_cycle=tuple(ring), blocked=tuple(sorted(blocked)),
-            detail=detail,
+            detail=detail, lane=lane,
         )
     # Acyclic: walk from the smallest blocked wire to the root cause
     # (a blocked wire none of whose waits are themselves blocked).
@@ -146,7 +146,7 @@ def _diagnose(
             node = min(nexts) if nexts else None
     return StallDiagnosis(
         cycle=cycle, window=window, last_progress=last_progress,
-        stop_cycle=(), blocked=tuple(chain), detail=detail,
+        stop_cycle=(), blocked=tuple(chain), detail=detail, lane=lane,
     )
 
 
@@ -279,91 +279,6 @@ def _controller_ports(ctrl) -> Optional[Tuple[List, List]]:
     return None
 
 
-class RtlStallWatchdog:
-    """No-progress watchdog for the scalar :class:`TwoPhaseSimulator`.
-
-    Watches the dual channels of a gate-level design through the
-    simulator's end-of-cycle observer list.  The wait-for graph comes
-    from structure instead of port objects: blocked wire ``A.sp`` waits
-    on ``B.sp`` when ``B.sp`` lies in the transitive fan-in cone of
-    ``A.sp`` (through gates, transparent latches and flop ``d`` pins)
-    -- at gate level "my Stop is derived from your Stop" *is* the
-    combinational/sequential dependency.
-    """
-
-    def __init__(
-        self,
-        sim,
-        channels: Sequence,
-        window: int = 32,
-        sink: Optional[Callable[[TraceEvent], None]] = None,
-        on_stall: Optional[Callable[[StallDiagnosis], None]] = None,
-        raise_on_stall: bool = True,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.sim = sim
-        self.channels = list(channels)
-        self.window = window
-        self.sink = sink
-        self.on_stall = on_stall
-        self.raise_on_stall = raise_on_stall
-        self.last_progress = -1
-        self.diagnoses: List[StallDiagnosis] = []
-        watched = (
-            [ch.sp for ch in self.channels] + [ch.sn for ch in self.channels]
-        )
-        # Same-cycle wait edges first: a Stop derived combinationally
-        # from another Stop.  Designs whose EBs cut every combinational
-        # path (all channel outputs are state bits) have no such edges;
-        # for those, fall back to cross-cycle cones through latch/flop
-        # ``d`` pins -- a retry that persists because another retry
-        # persisted last cycle.
-        self._fanin_comb = _fanin_cones(sim.netlist, watched, sequential=False)
-        self._fanin_seq = _fanin_cones(sim.netlist, watched, sequential=True)
-        sim.observers.append(self._observe)
-
-    @classmethod
-    def for_target(cls, target, sim, **kwargs) -> "RtlStallWatchdog":
-        """Attach to ``sim`` watching an :class:`RtlTarget`'s channels."""
-        return cls(sim, target.channels, **kwargs)
-
-    def _observe(self, time: int, values: Dict[str, object]) -> None:
-        progress = False
-        pending = False
-        for ch in self.channels:
-            vp, sp = values.get(ch.vp), values.get(ch.sp)
-            vn, sn = values.get(ch.vn), values.get(ch.sn)
-            if (vp == 1 and sp == 0 and vn != 1) or \
-               (vn == 1 and sn == 0 and vp != 1) or \
-               (vp == 1 and vn == 1):
-                progress = True
-                break
-            if (vp == 1 and sp == 1) or (vn == 1 and sn == 1):
-                pending = True
-        if progress or not pending:
-            self.last_progress = time
-            return
-        if time - self.last_progress < self.window:
-            return
-        diagnosis = self._diagnose(time, values)
-        self.diagnoses.append(diagnosis)
-        if self.sink is not None:
-            self.sink(diagnosis.to_event())
-        if self.on_stall is not None:
-            self.on_stall(diagnosis)
-        if self.raise_on_stall:
-            raise StallError(diagnosis)
-        self.last_progress = time
-
-    def _diagnose(self, time: int, values: Dict[str, object]) -> StallDiagnosis:
-        return _diagnose_rtl(
-            self.channels, values, self._fanin_comb, self._fanin_seq,
-            time, self.window, self.last_progress,
-            detail=f"netlist {self.sim.netlist.name!r}",
-        )
-
-
 def blocked_wires(channels: Sequence, values: Dict[str, object]) -> Set[str]:
     """Stop wires asserted against a pending token/anti-token."""
     blocked: Set[str] = set()
@@ -388,7 +303,15 @@ def _diagnose_rtl(
     detail: str,
     lane: Optional[int] = None,
 ) -> StallDiagnosis:
-    """Gate-level wait-for-graph diagnosis shared by all RTL watchdogs."""
+    """Gate-level wait-for-graph diagnosis over one cycle's values.
+
+    A blocked wire waits on the blocked wires in its combinational
+    fan-in cone; designs whose EBs cut every combinational path (all
+    channel outputs are state bits) have no such edges, so the walk
+    falls back to the cross-cycle cones through latch/flop ``d`` pins
+    -- a retry that persists because another retry persisted last
+    cycle.
+    """
     blocked = blocked_wires(channels, values)
     waits_on: Dict[str, Tuple[str, ...]] = {}
     for fanin in (fanin_comb, fanin_seq):
@@ -402,31 +325,25 @@ def _diagnose_rtl(
                 waits_on[wire] = deps
         if waits_on:
             break
-    diagnosis = _diagnose(
-        time, window, last_progress, sorted(blocked), waits_on, detail
-    )
-    if lane is None:
-        return diagnosis
-    return StallDiagnosis(
-        cycle=diagnosis.cycle, window=diagnosis.window,
-        last_progress=diagnosis.last_progress,
-        stop_cycle=diagnosis.stop_cycle, blocked=diagnosis.blocked,
-        detail=diagnosis.detail, lane=lane,
+    return _diagnose(
+        time, window, last_progress, sorted(blocked), waits_on, detail,
+        lane=lane,
     )
 
 
 class BatchStallWatchdog:
     """Per-lane no-progress watchdog for the lane-parallel simulator.
 
-    Runs on a :class:`~repro.codegen.sim.CompiledSimulator` (the watched
-    channel wires must be in its module's observed set).  The
-    progress/pending criterion of :class:`RtlStallWatchdog` is evaluated
-    word-wide -- one strict-bit mask operation per channel covers every
-    lane -- and each lane keeps its own last-progress cycle.  When a
-    lane's window expires, that lane's view of the netlist is extracted
-    (:meth:`lane_values`) and diagnosed through the same wait-for-graph
-    walk as the scalar watchdog, yielding a :class:`StallDiagnosis`
-    tagged with the lane index.
+    Watches a gate-level design's dual channels on a
+    :class:`~repro.codegen.sim.CompiledSimulator` (the watched channel
+    wires must be in its module's observed set).  The progress/pending
+    criterion is evaluated word-wide -- one strict-bit mask operation
+    per channel covers every lane -- and each lane keeps its own
+    last-progress cycle.  When a lane's window expires, that lane's
+    view of the netlist is extracted (:meth:`lane_values`) and
+    diagnosed on the structural wait-for graph (:func:`_diagnose_rtl`):
+    at gate level "my Stop is derived from your Stop" *is* the fan-in
+    dependency.  The :class:`StallDiagnosis` carries the lane index.
     """
 
     def __init__(

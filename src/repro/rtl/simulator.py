@@ -78,11 +78,13 @@ class TwoPhaseSimulator:
     """Cycle simulator for a :class:`Netlist` with H/L latch phases.
 
     The simulator keeps the latch/flop state between calls to
-    :meth:`cycle`; :meth:`step_function` exposes the same semantics as a
-    pure function of (state, inputs).  It is the semantic reference the
-    compiled lane-parallel simulator is tested against; the Kripke
-    builder of :mod:`repro.verif` and the untestability prover of
-    :mod:`repro.faults` enumerate on that compiled engine instead.
+    :meth:`cycle`, which returns the cycle's settled values;
+    :meth:`step_function` exposes the same semantics as a pure function
+    of (state, inputs).  It is the semantic reference the compiled
+    lane-parallel simulator is tested against; enumeration
+    (:mod:`repro.verif`, the :mod:`repro.faults` prover) and the
+    gate-level profiler, trace recorder and stall watchdog run on that
+    compiled engine instead.
     """
 
     def __init__(
@@ -107,11 +109,6 @@ class TwoPhaseSimulator:
         self.state: State = self.initial_state()
         self.values: Values = {}
         self.time = 0
-        #: end-of-cycle observers ``fn(time, values)`` called by
-        #: :meth:`cycle` with the index of the cycle just simulated and
-        #: its settled values.  Empty by default (one truthiness check
-        #: per cycle); :mod:`repro.obs` attaches trace recorders here.
-        self.observers: List[Callable[[int, Values], None]] = []
 
     # ------------------------------------------------------------------
     def initial_state(self) -> State:
@@ -269,9 +266,6 @@ class TwoPhaseSimulator:
         values, next_state = self.step_function(self.state, inputs or {})
         self.state = next_state
         self.values = values
-        if self.observers:
-            for observer in self.observers:
-                observer(self.time, values)
         self.time += 1
         return values
 

@@ -2,8 +2,9 @@
 
 The tentpole guarantees under test:
 
-* the JSON report is byte-identical across repeated seeded runs and
-  across the two RTL engines (scalar, compiled);
+* the JSON report is byte-identical across repeated seeded runs, and
+  the compiled lane measures what the scalar reference
+  (``tests/obs/scalar_reference.py``) measures on every RTL design;
 * per-channel cycle accounting balances and the token/anti-token
   conservation check closes (zero residual on every buffer);
 * backpressure attribution walks an asserted-Stop chain back to its
@@ -13,12 +14,15 @@ The tentpole guarantees under test:
   protocol-level divergence of the variable-latency target.
 """
 
+import itertools
 import json
 
 import pytest
 
+from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.targets import TARGETS
+from repro.obs import analyze
 from repro.obs.analyze import (
     NetworkProfiler,
     RtlChannelProfiler,
@@ -26,17 +30,17 @@ from repro.obs.analyze import (
     profile_designs,
     run_profile,
 )
+from repro.rtl.batchsim import broadcast
 from repro.rtl.logic import X
 from repro.rtl.simulator import TwoPhaseSimulator
+from tests.obs import scalar_reference
 
 CYCLES = 400
 SEED = 2007
 
 
-def report_json(design, backend="auto", cache=None, **kw):
-    report = run_profile(design, cycles=CYCLES, seed=SEED,
-                         backend=backend, cache=cache, **kw)
-    return report.to_json()
+def report_json(design, cycles=CYCLES, **kw):
+    return run_profile(design, cycles=cycles, seed=SEED, **kw).to_json()
 
 
 class TestClassifyStrict:
@@ -64,12 +68,19 @@ class TestDeterminism:
     def test_network_design_repeats_byte_identical(self):
         assert report_json("pipeline") == report_json("pipeline")
 
-    def test_backends_agree_byte_for_byte(self, tmp_path):
-        scalar = report_json("early_join", backend="scalar")
-        compiled = report_json("early_join", backend="compiled",
-                               cache=str(tmp_path / "cache"))
-        # Only the backend tag may differ between the two reports.
-        assert scalar == compiled.replace('"compiled"', '"scalar"')
+    def test_backends_agree_byte_for_byte(self, monkeypatch):
+        # Every RTL design: the compiled lane's report equals the one
+        # run_profile builds with the scalar reference standing in for
+        # _run_rtl (run_profile sets the tag, so it matches too).
+        cases = list(itertools.product(
+            sorted(TARGETS), (CYCLES, 2000), (False, True)
+        ))
+        compiled = [report_json(d, c, compare_model=m) for d, c, m in cases]
+        monkeypatch.setattr(analyze, "_run_rtl", scalar_reference.run_rtl)
+        for (design, cycles, model), text in zip(cases, compiled):
+            assert json.loads(text)["backend"] == "compiled"
+            scalar = report_json(design, cycles, compare_model=model)
+            assert scalar == text, (design, cycles, model)
 
     def test_report_ends_with_newline_and_sorted_keys(self):
         text = report_json("dual_ehb")
@@ -108,15 +119,24 @@ class TestAttribution:
         # A sink holding stall=1 blocks R directly and L behind it:
         # the attribution must name R.sp as L.sp's root cause.
         target = TARGETS["dual_ehb"]()
-        sim = TwoPhaseSimulator(target.netlist)
-        profiler = RtlChannelProfiler(target).attach_scalar(sim)
+        sim = CompiledSimulator(
+            target.netlist, lanes=1, hooks=frozenset(),
+            observe=frozenset(target.observe),
+        )
+        profiler = RtlChannelProfiler(target).attach_lane(sim, 0)
+        scalar = TwoPhaseSimulator(target.netlist)
+        reference = scalar_reference.ScalarChannelProfiler(target)
+        reference.attach_scalar(scalar)
         stuck = {"src.choice": 1, "src.accept": 0,
                  "snk.stall": 1, "snk.kill": 0}
+        planes = {name: broadcast(v, 1) for name, v in stuck.items()}
         for _ in range(40):
-            sim.cycle(stuck)
+            sim.cycle(planes)
+            scalar_reference.cycle(scalar, stuck, [reference.observe])
         attr = profiler.attribution_section()
         assert attr["lost_cycles"] > 0
         assert attr["sinks"]["L.sp"]["roots"] == {"R.sp": 38}
+        assert attr == reference.attribution_section()
 
     def test_healthy_eager_run_loses_no_cycles(self):
         report = run_profile("dual_ehb", cycles=CYCLES, seed=SEED)
@@ -125,8 +145,8 @@ class TestAttribution:
 
     def test_disabled_profilers_attach_nothing(self):
         target = TARGETS["dual_ehb"]()
-        sim = TwoPhaseSimulator(target.netlist)
-        RtlChannelProfiler(target, enabled=False).attach_scalar(sim)
+        sim = CompiledSimulator(target.netlist, 4)
+        RtlChannelProfiler(target, enabled=False).attach_lane(sim, 0)
         assert not sim.observers
 
         from repro.obs.analyze import _pipeline_network
@@ -191,13 +211,14 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="early_join"):
             run_profile("nonesuch")
 
-    def test_network_designs_reject_backend_override(self):
-        with pytest.raises(ValueError, match="behavioural network"):
-            run_profile("processor", backend="compiled")
-
-    def test_unknown_rtl_engine_rejected(self):
-        with pytest.raises(ValueError, match="pick scalar, compiled"):
-            run_profile("early_join", cycles=10, backend="batch")
+    @pytest.mark.parametrize("design", ["early_join", "pipeline"])
+    def test_out_of_range_input_rejected(self, design):
+        for cycles in (0, -5):
+            with pytest.raises(ValueError, match="cycles must be >= 1"):
+                run_profile(design, cycles=cycles, compare_model=True)
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            run_profile(design, cycles=10, compare_model=True,
+                        tolerance=-1)
 
     def test_processor_has_no_model(self):
         with pytest.raises(ValueError, match="no DMG abstraction"):
@@ -217,11 +238,23 @@ class TestCli:
         root = tmp_path / "nc"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
         out = tmp_path / "ej.json"
-        assert main(["profile", "--design", "early_join", "--backend",
-                     "compiled", "--cycles", "50", "--no-cache",
-                     "--json", str(out)]) == 0
+        assert main(["profile", "--design", "early_join", "--cycles", "50",
+                     "--no-cache", "--json", str(out)]) == 0
         assert not root.exists()
         assert json.loads(out.read_text())["backend"] == "compiled"
+
+    @pytest.mark.parametrize("option, value", [
+        ("--cycles", "0"), ("--tolerance", "-1"),
+    ], ids=["cycles", "tolerance"])
+    def test_out_of_range_input_exits_nonzero(self, option, value, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "ej.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--design", "early_join", "--compare-model",
+                  option, value, "--json", str(out)])
+        assert f"{option[2:]} must be >= " in str(exc.value.code)
+        assert not out.exists()
 
 
 class TestCampaignProfileKey:
@@ -232,7 +265,7 @@ class TestCampaignProfileKey:
         profiled = run_campaign("dual_ehb", cfg, profile=True)
         d = profiled.to_dict()
         assert d["profile"]["design"] == "dual_ehb"
-        assert d["profile"]["backend"] == "scalar"
+        assert d["profile"]["backend"] == "compiled"
         assert d["profile"]["cycles"] == 80
 
     def test_profile_needs_a_named_target(self):

@@ -1,60 +1,8 @@
-"""Tests for profiling hooks: phase timers, progress, simulator probes."""
+"""Tests for progress reporting and the behavioural network's probes."""
 
 import io
 
-from repro.obs import MetricsRegistry, PhaseProfiler, ProgressReporter
-
-
-class TestPhaseProfiler:
-    def test_accumulates_per_phase(self):
-        prof = PhaseProfiler()
-        prof.add("high", 0.25)
-        prof.add("high", 0.25)
-        prof.add("low", 0.5)
-        snap = prof.snapshot()
-        assert snap["high"] == {"calls": 2, "seconds": 0.5}
-        assert snap["low"]["calls"] == 1
-
-    def test_context_manager(self):
-        prof = PhaseProfiler()
-        with prof.phase("work"):
-            pass
-        assert prof.calls["work"] == 1 and prof.seconds["work"] >= 0.0
-
-    def test_registry_mirroring(self):
-        registry = MetricsRegistry()
-        prof = PhaseProfiler(registry)
-        prof.add("high", 1.0)
-        prof.snapshot()
-        assert registry.gauge("phase_seconds", phase="high").last == 1.0
-
-    def test_render_orders_by_cost(self):
-        prof = PhaseProfiler()
-        prof.add("cheap", 0.1)
-        prof.add("dear", 0.9)
-        lines = prof.render().splitlines()
-        assert lines[0].startswith("dear")
-
-
-class TestBatchsimProfile:
-    def test_phase_wall_time_recorded(self):
-        from repro.codegen.sim import CompiledSimulator
-        from repro.faults.targets import dual_ehb
-
-        sim = CompiledSimulator(dual_ehb().netlist, 4)
-        sim.profile = PhaseProfiler()
-        for _ in range(10):
-            sim.cycle({})
-        snap = sim.profile.snapshot()
-        assert list(snap) == ["cycle"] and snap["cycle"]["calls"] == 10
-
-    def test_no_profile_by_default(self):
-        from repro.codegen.sim import CompiledSimulator
-        from repro.faults.targets import dual_ehb
-
-        sim = CompiledSimulator(dual_ehb().netlist, 4)
-        assert sim.profile is None
-        sim.cycle({})
+from repro.obs import ProgressReporter
 
 
 class TestProgressReporter:

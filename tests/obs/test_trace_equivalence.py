@@ -1,10 +1,12 @@
-"""Trace equivalence: scalar RTL simulator vs compiled-simulator lanes.
+"""Trace equivalence: compiled-simulator lanes vs the scalar reference.
 
 Both engines replay the same seeded stimulus on the Fig. 5 dual-EB
 target -- the compiled one as a fully observed module and as a module
-restricted to the campaign's observed wires; the recorder attached to
-each must produce the identical edge/x-onset event stream -- the
-cross-engine guarantee that makes lane-parallel waveforms trustworthy.
+restricted to the campaign's observed wires.  The recorder attached to
+a lane must produce the edge/x-onset event stream that
+``scalar_reference.edge_observer`` records from the scalar simulator's
+settled values -- the cross-engine guarantee that makes lane-parallel
+waveforms trustworthy.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro.faults.targets import dual_ehb
 from repro.obs import TraceRecorder
 from repro.rtl.batchsim import broadcast
 from repro.rtl.simulator import TwoPhaseSimulator
+from tests.obs.scalar_reference import cycle, edge_observer
 
 CYCLES = 120
 SEED = 2007
@@ -22,9 +25,10 @@ SEED = 2007
 
 def scalar_events(target, stimulus):
     sim = TwoPhaseSimulator(target.netlist)
-    rec = TraceRecorder().attach_rtl(sim, target.observe)
+    rec = TraceRecorder()
+    observers = [edge_observer(rec, target.observe)]
     for inputs in stimulus:
-        sim.cycle(inputs)
+        cycle(sim, inputs, observers)
     return list(rec.events)
 
 
@@ -70,13 +74,17 @@ class TestScalarBatchEquivalence:
                 == batch_events(target, stimulus, lanes=8, lane=5))
 
     def test_disabled_recorder_attaches_to_neither(self):
+        # Neither a fully observed nor a restricted module gets an observer.
         target = dual_ehb()
-        scalar = TwoPhaseSimulator(target.netlist)
-        batch = CompiledSimulator(target.netlist, 4)
+        full = CompiledSimulator(target.netlist, 4)
+        restricted = CompiledSimulator(
+            target.netlist, 4, hooks=frozenset(),
+            observe=frozenset(target.observe),
+        )
         rec = TraceRecorder(enabled=False)
-        rec.attach_rtl(scalar, target.observe)
-        rec.attach_batch(batch, target.observe)
-        assert not scalar.observers and not batch.observers
+        rec.attach_batch(full, target.observe)
+        rec.attach_batch(restricted, target.observe)
+        assert not full.observers and not restricted.observers
 
 
 class TestCompiledEquivalence:

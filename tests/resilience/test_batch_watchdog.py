@@ -1,16 +1,17 @@
 """Tests for the per-lane stall watchdog on the lane-parallel engine.
 
-The scalar :class:`RtlStallWatchdog` defines the ground truth; the
-batch watchdog must reproduce its diagnosis for an equivalent lane of
-the compiled simulator -- fully observed or restricted to a campaign's
-observed wires -- while tracking each lane's window independently.
+The scalar reference watchdog (``tests/obs/scalar_reference.py``)
+defines the ground truth; the batch watchdog must reproduce its
+diagnosis for an equivalent lane of the compiled simulator -- fully
+observed or restricted to a campaign's observed wires -- while
+tracking each lane's window independently.
 """
 
 import pytest
 
 from repro.codegen.sim import CompiledSimulator
 from repro.faults.targets import TARGETS
-from repro.resilience import BatchStallWatchdog, RtlStallWatchdog, StallError
+from repro.resilience import BatchStallWatchdog, StallError
 from repro.rtl.batchsim import (
     broadcast,
     pack_stimulus,
@@ -18,6 +19,7 @@ from repro.rtl.batchsim import (
 )
 from repro.rtl.logic import X
 from repro.rtl.simulator import TwoPhaseSimulator
+from tests.obs.scalar_reference import RtlStallWatchdog, cycle
 
 STUCK = {"src.choice": 1, "src.accept": 0, "snk.stall": 1, "snk.kill": 0}
 HEALTHY = {"src.choice": 1, "src.accept": 0, "snk.stall": 0, "snk.kill": 0}
@@ -26,10 +28,10 @@ HEALTHY = {"src.choice": 1, "src.accept": 0, "snk.stall": 0, "snk.kill": 0}
 def scalar_diagnosis(window=8):
     target = TARGETS["dual_ehb"]()
     sim = TwoPhaseSimulator(target.netlist)
-    RtlStallWatchdog.for_target(target, sim, window=window)
+    watchdog = RtlStallWatchdog.for_target(target, window=window)
     with pytest.raises(StallError) as exc:
         for _ in range(100):
-            sim.cycle(STUCK)
+            cycle(sim, STUCK, [watchdog.observe])
     return exc.value.diagnosis
 
 

@@ -1,4 +1,9 @@
-"""Tests for the deadlock/livelock watchdogs (behavioural and RTL)."""
+"""Tests for the deadlock/livelock watchdogs.
+
+``TestRtlWatchdog`` checks the scalar reference watchdog of
+``tests/obs/scalar_reference.py``, which the per-lane watchdog of
+``test_batch_watchdog.py`` is compared against.
+"""
 
 import random
 
@@ -14,13 +19,9 @@ from repro.elastic.behavioral import (
 )
 from repro.elastic.ee import AndEE
 from repro.faults.targets import TARGETS
-from repro.resilience import (
-    NetworkStallWatchdog,
-    RtlStallWatchdog,
-    StallDiagnosis,
-    StallError,
-)
+from repro.resilience import NetworkStallWatchdog, StallDiagnosis, StallError
 from repro.rtl.simulator import TwoPhaseSimulator
+from tests.obs.scalar_reference import RtlStallWatchdog, cycle
 
 
 def full_eb_ring(n=3):
@@ -146,7 +147,7 @@ class TestRtlWatchdog:
     def _stalled_dual_ehb(self, window=8):
         target = TARGETS["dual_ehb"]()
         sim = TwoPhaseSimulator(target.netlist)
-        wd = RtlStallWatchdog.for_target(target, sim, window=window)
+        wd = RtlStallWatchdog.for_target(target, window=window)
         inputs = {
             "src.choice": 1, "src.accept": 0, "snk.stall": 1, "snk.kill": 0,
         }
@@ -156,7 +157,7 @@ class TestRtlWatchdog:
         sim, wd, inputs = self._stalled_dual_ehb(window=8)
         with pytest.raises(StallError) as exc:
             for _ in range(100):
-                sim.cycle(inputs)
+                cycle(sim, inputs, [wd.observe])
         d = exc.value.diagnosis
         # The EB cuts every combinational path, so the wait edges come
         # from the sequential fallback: the two retrying channels wait
@@ -168,24 +169,23 @@ class TestRtlWatchdog:
     def test_healthy_rtl_run_never_fires(self):
         target = TARGETS["dual_ehb"]()
         sim = TwoPhaseSimulator(target.netlist)
-        wd = RtlStallWatchdog.for_target(target, sim, window=8)
+        wd = RtlStallWatchdog.for_target(target, window=8)
         rng = random.Random(5)
         for _ in range(200):
-            sim.cycle({
+            cycle(sim, {
                 "src.choice": rng.getrandbits(1), "src.accept": 0,
                 "snk.stall": rng.getrandbits(1), "snk.kill": 0,
-            })
+            }, [wd.observe])
         assert wd.diagnoses == []
 
     def test_non_raising_mode_accumulates(self):
         sim, wd, inputs = self._stalled_dual_ehb(window=5)
         wd.raise_on_stall = False
         for _ in range(30):
-            sim.cycle(inputs)
+            cycle(sim, inputs, [wd.observe])
         assert len(wd.diagnoses) >= 2
 
     def test_window_validated(self):
         target = TARGETS["dual_ehb"]()
-        sim = TwoPhaseSimulator(target.netlist)
         with pytest.raises(ValueError):
-            RtlStallWatchdog.for_target(target, sim, window=0)
+            RtlStallWatchdog.for_target(target, window=0)
