@@ -2,9 +2,10 @@
 
 Times the 64-lane compiled simulator against the scalar two-phase
 simulator (cycles/sec, all 64 lanes counted) and the full fault
-campaign in sequential vs lane-parallel mode.  The lane-parallel campaign must be
-at least 10x faster on the Fig. 5 dual-EHB target *and* produce a
-byte-identical JSON report -- speed never buys a different answer.
+campaign on the scalar reference harness (one fault per run) vs the
+64-lane campaign.  The lane-parallel campaign must be at least 10x
+faster on the Fig. 5 dual-EHB target *and* produce a byte-identical
+JSON report -- speed never buys a different answer.
 """
 
 import time
@@ -12,17 +13,24 @@ import time
 import pytest
 
 from repro.codegen.sim import CompiledSimulator
-from repro.faults.campaign import CampaignConfig, run_campaign
+from repro.faults.campaign import (
+    CampaignConfig,
+    CampaignReport,
+    enumerate_injections,
+    run_campaign,
+)
 from repro.faults.targets import TARGETS
 from repro.rtl.batchsim import pack_stimulus
 from repro.rtl.simulator import TwoPhaseSimulator
+from tests.faults.scalar_reference import CampaignHarness
 
 LANES = 64
-# untestable analysis is a shared scalar post-pass (symbolic
-# reachability, identical in both modes); excluding it isolates the
-# simulation work the lanes actually parallelise.  Transient flips are
-# included: faults that stay undetected make the sequential harness run
-# to the horizon, which is exactly the load lanes amortise.
+# untestable analysis is a shared post-pass (identical in both modes);
+# excluding it isolates the simulation work the lanes actually
+# parallelise, and lets the sequential report be built straight from
+# the reference harness's outcomes.  Transient flips are included:
+# faults that stay undetected make the sequential harness run to the
+# horizon, which is exactly the load lanes amortise.
 CONFIG = CampaignConfig(
     cycles=300, seed=2007, kinds=("stuck0", "stuck1", "flip"),
     untestable_analysis=False,
@@ -73,11 +81,22 @@ def test_bench_batch_kernel_64_lanes(benchmark):
     benchmark.extra_info["lane_cycles_per_call"] = len(packed) * LANES
 
 
+def _sequential_campaign(name: str) -> CampaignReport:
+    """The sweep on the scalar reference harness, one fault per run."""
+    target = TARGETS[name]()
+    report = CampaignReport(target=name, seed=CONFIG.seed,
+                            cycles=CONFIG.cycles)
+    report.outcomes = CampaignHarness(target, CONFIG).run_chunk(
+        enumerate_injections(target, CONFIG)
+    )
+    return report
+
+
 @pytest.mark.parametrize("name", ["dual_ehb", "early_join"])
 def test_bench_campaign_speedup(benchmark, name):
-    """Sequential vs 64-lane campaign: >=10x on dual-EHB, same bytes."""
+    """Scalar reference vs 64-lane campaign: >=10x on dual-EHB, same bytes."""
     start = time.perf_counter()
-    sequential = run_campaign(name, CONFIG)
+    sequential = _sequential_campaign(name)
     sequential_s = time.perf_counter() - start
 
     batched = benchmark(run_campaign, name, CONFIG, lanes=LANES)

@@ -2,7 +2,8 @@
 
 The compiled simulator is the only lane-parallel engine, so there is no
 second kernel to race it against; its campaign throughput is gated
-against the scalar harness in ``test_bench_batchsim.py`` and measured
+against the scalar reference harness (``tests/faults/scalar_reference``)
+in ``test_bench_batchsim.py`` and measured
 end to end by the ledger (``benchmarks/ledger``).  This file gates the
 cache itself: a second load of the same artifact must skip codegen and
 beat the cold build.

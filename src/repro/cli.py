@@ -340,8 +340,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_inject(args: argparse.Namespace) -> int:
     from time import perf_counter
     from repro.faults import (
+        BatchCampaignHarness,
         CampaignConfig,
-        CampaignHarness,
         ProcessorCampaignConfig,
         enumerate_injections,
         failing_predicate,
@@ -368,6 +368,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
         )
     if args.lanes < 1 or args.jobs < 1:
         raise SystemExit("--lanes and --jobs must be positive")
+    if args.cycles < 1:
+        raise SystemExit(f"cycles must be >= 1, got {args.cycles}")
     checkpoint = args.checkpoint
     workers = None
     if args.workers:
@@ -430,6 +432,11 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 "--profile needs an RTL netlist; profile the behavioural "
                 "pipeline directly with 'repro profile --design processor'"
             )
+        if args.shrink:
+            raise SystemExit(
+                "--shrink needs an RTL netlist; the behavioural processor "
+                "campaign has no injection schedule to shrink"
+            )
         report = run_processor_campaign(
             ProcessorCampaignConfig(cycles=args.cycles, seed=args.seed),
             progress=progress,
@@ -475,7 +482,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
             detected = report.detected()
             if detected:
                 target = resolve_target(args.netlist)
-                harness = CampaignHarness(target, config)
+                harness = BatchCampaignHarness(
+                    target, config, 1, cache=args.cache
+                )
                 by_label = {
                     i.label(): i for i in enumerate_injections(target, config)
                 }
@@ -845,8 +854,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=400)
     p.add_argument("--seed", type=int, default=2007)
     p.add_argument("--lanes", type=int, default=1,
-                   help="injections simulated per bit-parallel pass "
-                        "(64 packs one fault per lane of a machine word)")
+                   help="injections simulated per pass of the compiled "
+                        "lane-parallel simulator, one per bit lane (1 "
+                        "runs one fault at a time; 64 packs a machine "
+                        "word)")
     p.add_argument("--jobs", type=int, default=1,
                    help="local fabric worker processes leasing the lane "
                         "chunks (a dead one is not replaced; its chunks "
@@ -859,10 +870,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "failing schedule and print its trace")
     p.add_argument("--metrics", action="store_true",
                    help="attach run metadata (wall time, verdict tallies, "
-                        "lane utilization, lanes run on the scalar engine "
-                        "because the netlist cannot compile) to the report "
-                        "and print it; without this flag the report stays "
-                        "byte-identical to the goldens")
+                        "lane utilization, build-cache hits and misses) to "
+                        "the report and print it; without this flag the "
+                        "report stays byte-identical to the goldens")
     p.add_argument("--profile", action="store_true",
                    help="attach the fault-free performance baseline of "
                         "the target (the 'repro profile' report) as a "
@@ -891,11 +901,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "requeued before the campaign fails (default 2)")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="build-cache directory for the generated "
-                        "lane-parallel modules: the campaign's when "
-                        "--lanes > 1, and the untestability prover's "
-                        "in every RTL campaign, --lanes 1 included "
-                        "(default: $REPRO_CACHE_DIR or "
-                        "~/.cache/repro/codegen)")
+                        "lane-parallel modules of every RTL campaign, "
+                        "--lanes 1 included: the campaign's and the "
+                        "untestability prover's (default: "
+                        "$REPRO_CACHE_DIR or ~/.cache/repro/codegen)")
     p.add_argument("--workers", default=None, metavar="HOST:PORT,...",
                    help="shard chunks over running 'repro worker' "
                         "socket daemons (replaces --jobs); the merged "

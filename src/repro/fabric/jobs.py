@@ -109,7 +109,8 @@ def decode_injection(doc: List[object]):
 
 
 def _campaign_build(params: Dict[str, object]):
-    from repro.faults.campaign import _make_harness, resolve_target
+    from repro.faults.batch import BatchCampaignHarness
+    from repro.faults.campaign import resolve_target
 
     target = resolve_target(params["target"])
     config = decode_campaign_config(params["config"])
@@ -122,8 +123,8 @@ def _campaign_build(params: Dict[str, object]):
         # result and expect it to lose leased work).
         nonlocal harness
         if harness is None:
-            harness = _make_harness(
-                target, config, params["lanes"], None, params.get("cache")
+            harness = BatchCampaignHarness(
+                target, config, params["lanes"], cache=params.get("cache")
             )
         injections = [decode_injection(doc) for doc in payload]
         return [o.to_dict() for o in harness.run_chunk(injections)]

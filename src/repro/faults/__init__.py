@@ -1,23 +1,24 @@
 """repro.faults -- fault injection, online SELF monitors, trace shrinking.
 
-The subsystem has four layers:
+The subsystem has five layers:
 
 * :mod:`repro.faults.models` -- fault models: RTL stuck-at/flip
-  injections replayed through the simulator's net-override hook, and
-  behavioural channel glitches / buffer state upsets applied by
-  saboteurs;
-* :mod:`repro.faults.monitors` -- non-raising online checkers for the
-  SELF invariants, persistence, EB state encoding, token conservation
-  and golden-reference lock-step comparison;
+  injections, applied as lane override masks at the fault sites of the
+  compiled simulator, and behavioural channel glitches / buffer state
+  upsets applied by saboteurs;
+* :mod:`repro.faults.monitors` -- what the online checkers report
+  (:class:`Violation`) and where they find an EB (:class:`EbProbe`):
+  the SELF invariants, persistence, EB state encoding, token
+  conservation and golden-reference lock-step comparison;
 * :mod:`repro.faults.campaign` -- seeded (site x kind x cycle) sweeps
   over the Figs. 5--7 controller targets and the Sect. 7 processor,
-  with deterministic JSON reports, optionally lane-parallel
-  (``lanes``) and sharded over fabric workers (``jobs``/``workers``);
-* :mod:`repro.faults.batch` -- the lane-parallel campaign harness:
-  word-wide monitor bank and 64-injections-per-pass harness over
-  :class:`repro.codegen.sim.CompiledSimulator`;
+  with deterministic JSON reports, ``lanes`` injections per simulation
+  and optionally sharded over fabric workers (``jobs``/``workers``);
+* :mod:`repro.faults.batch` -- the campaign harness every RTL campaign
+  runs on: word-wide monitor bank and ``lanes``-injections-per-pass
+  harness over :class:`repro.codegen.sim.CompiledSimulator`;
 * :mod:`repro.faults.shrink` -- ddmin minimisation of failing
-  schedules, rendered as counterexample traces.
+  schedules, replayed in lane 0 and rendered as counterexample traces.
 """
 
 from repro.faults.batch import (
@@ -27,7 +28,6 @@ from repro.faults.batch import (
 )
 from repro.faults.campaign import (
     CampaignConfig,
-    CampaignHarness,
     CampaignReport,
     FaultOutcome,
     ProcessorCampaignConfig,
@@ -45,23 +45,11 @@ from repro.faults.models import (
     BufferFault,
     ChannelFault,
     Injection,
-    RtlFaultInjector,
     StateSaboteur,
     WireSaboteur,
     transient_flip,
 )
-from repro.faults.monitors import (
-    ConservationMonitor,
-    EbProbe,
-    EncodingMonitor,
-    GoldenMonitor,
-    InvariantMonitor,
-    Monitor,
-    PersistenceMonitor,
-    Violation,
-    buffer_monitors,
-    channel_monitors,
-)
+from repro.faults.monitors import EbProbe, Violation
 from repro.faults.shrink import failing_predicate, render_failure, shrink_schedule
 from repro.faults.targets import TARGETS, RtlTarget
 
@@ -72,28 +60,18 @@ __all__ = [
     "BatchCampaignHarness",
     "BufferFault",
     "CampaignConfig",
-    "CampaignHarness",
     "CampaignReport",
     "ChannelFault",
-    "ConservationMonitor",
     "EbProbe",
-    "EncodingMonitor",
     "FaultOutcome",
-    "GoldenMonitor",
     "Injection",
-    "InvariantMonitor",
-    "Monitor",
-    "PersistenceMonitor",
     "ProcessorCampaignConfig",
-    "RtlFaultInjector",
     "RtlTarget",
     "StateSaboteur",
     "TARGETS",
     "Violation",
     "WireSaboteur",
     "batch_monitor_bank",
-    "buffer_monitors",
-    "channel_monitors",
     "enumerate_injections",
     "enumerate_processor_faults",
     "failing_predicate",

@@ -1,20 +1,25 @@
-"""Lane-parallel fault campaigns on the compiled simulator.
+"""Fault campaigns on the compiled lane-parallel simulator.
 
-:class:`BatchCampaignHarness` is the 64-lane counterpart of
-:class:`~repro.faults.campaign.CampaignHarness`: one
-:class:`~repro.codegen.sim.CompiledSimulator` runs up to ``lanes``
-injections of the same sweep simultaneously, each in its own bit lane,
-under the broadcast campaign stimulus.
+:class:`BatchCampaignHarness` runs every RTL campaign: one
+:class:`~repro.codegen.sim.CompiledSimulator` classifies up to
+``lanes`` injections of the same sweep simultaneously, each in its own
+bit lane, under the broadcast campaign stimulus (``lanes=1`` is the
+one-fault-per-run sweep).  :meth:`~BatchCampaignHarness.run_schedule`
+replays a whole injection schedule in lane 0, for
+:mod:`repro.faults.shrink`.
 
-The monitors here are word-wide re-implementations of the scalar bank
-in :mod:`repro.faults.monitors`: every rule is evaluated for all lanes
-with a few integer operations on the simulator's plane arrays (signal
-slots are resolved once, at bank construction), and per-lane values are
-only unpacked on a violation, to build the identical detail string.
-Bank order, the if/elif precedence inside each monitor and the
-first-detection-wins rule all mirror the scalar harness exactly, which
-is what makes a lane-sharded campaign report byte-identical to the
-sequential one (locked by ``tests/faults/test_campaign_determinism.py``).
+The online SELF monitors (the rules listed in
+:mod:`repro.faults.monitors`) are word-wide: every rule is evaluated
+for all lanes with a few integer operations on the simulator's plane
+arrays (signal slots are resolved once, at bank construction), and
+per-lane values are only unpacked on a violation, to build the detail
+string.  A lane's verdict depends only on its own trace, under a
+fixed bank order, if/elif precedence inside each monitor and
+first-detection-wins rule, which is what makes a report byte-identical
+for every lanes/jobs split (locked by
+``tests/faults/test_campaign_determinism.py``).  The scalar harness and
+monitor bank these replaced are the reference in
+``tests/faults/scalar_reference.py``.
 
 Signed occupancy arithmetic for the conservation monitor runs on
 bit-plane ripple-carry adders: a lane-parallel 4-bit two's-complement
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -42,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.codegen.cache import BuildCache
 from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import (
+    _FAULT_MASK,
     CampaignConfig,
     FaultOutcome,
     make_stimulus,
@@ -55,11 +62,13 @@ from repro.rtl.batchsim import (
     unpack_lane,
 )
 from repro.rtl.logic import Value
+from repro.verif.traces import TraceStep
 
 __all__ = [
     "BatchCampaignHarness",
     "batch_monitor_bank",
     "lane_overrides",
+    "protocol_monitors",
 ]
 
 
@@ -129,11 +138,11 @@ class BatchMonitor:
     """Base: observe one settled cycle for all (still alive) lanes.
 
     ``observe`` reads the simulator's live value planes (``v[slot]`` is
-    the strict-bit word of a wire: lane set iff known 1, the batch twin
-    of :func:`repro.faults.monitors._bit`) and returns
-    ``(lane, Violation)`` pairs; the harness kills each reported lane
-    before calling the next monitor, preserving the scalar bank's
-    first-detection-wins order.
+    the strict-bit word of a wire: lane set iff known 1, the word-wide
+    :func:`repro.faults.monitors._bit`) and returns ``(lane,
+    Violation)`` pairs; the harness kills each reported lane before
+    calling the next monitor, so the first monitor in bank order to
+    fire on a lane decides its verdict.
     """
 
     name = "monitor"
@@ -300,10 +309,10 @@ class BatchGoldenMonitor(BatchMonitor):
     """Word-wide lock-step comparison against a golden plane trace.
 
     ``golden[cycle]`` holds one ``(gv, gk)`` pair per observed wire;
-    lanes are claimed by the first mismatching wire, like the scalar
-    monitor's wire loop.  With both sides canonical (``v & ~k == 0``),
-    ``(k ^ gk) | (v ^ gv)`` is nonzero exactly on the lanes where the
-    scalar ``got != want`` holds -- ``X`` matches only ``X``.
+    lanes are claimed by the first mismatching wire in ``wires`` order.
+    With both sides canonical (``v & ~k == 0``), ``(k ^ gk) | (v ^ gv)``
+    is nonzero exactly on the lanes whose ternary value differs from
+    the golden one -- ``X`` matches only ``X``.
     """
 
     name = "golden"
@@ -359,14 +368,22 @@ class BatchGoldenMonitor(BatchMonitor):
         return out
 
 
+def protocol_monitors(
+    channels: Sequence, sim: CompiledSimulator
+) -> List[BatchMonitor]:
+    """Equation (2) then Retry persistence, per channel in order."""
+    bank: List[BatchMonitor] = []
+    for ch in channels:
+        bank.append(BatchInvariantMonitor(ch, sim))
+        bank.append(BatchPersistenceMonitor(ch, sim))
+    return bank
+
+
 def batch_monitor_bank(
     target: RtlTarget, sim: CompiledSimulator, golden: BatchGoldenMonitor
 ) -> List[BatchMonitor]:
-    """A fresh word-wide monitor bank in the scalar bank's order."""
-    bank: List[BatchMonitor] = []
-    for ch in target.channels:
-        bank.append(BatchInvariantMonitor(ch, sim))
-        bank.append(BatchPersistenceMonitor(ch, sim))
+    """A fresh monitor bank: channel protocol, EB state, then golden."""
+    bank = protocol_monitors(target.channels, sim)
     for probe in target.ebs:
         bank.append(BatchEncodingMonitor(probe, sim))
         bank.append(BatchConservationMonitor(probe, sim))
@@ -406,17 +423,34 @@ def _activity_edges(injections: Sequence[Injection]) -> frozenset:
     return frozenset(edges)
 
 
-class BatchCampaignHarness:
-    """One target + one stimulus, many faults per simulation.
+def _schedule_overrides(
+    schedule: Sequence[Injection], time: int
+) -> Dict[str, LaneOverride]:
+    """Lane-0 override masks for one cycle of a whole schedule.
 
-    :meth:`run_chunk` takes up to ``lanes`` injections and classifies
-    all of them in a single lane-parallel run, returning the same
-    :class:`FaultOutcome` objects (same order, same detail strings) the
-    scalar :class:`~repro.faults.campaign.CampaignHarness` would.
+    On each net the last active entry wins: a later stuck-at replaces
+    an earlier one on the same net instead of combining with it.
+    """
+    last = {inj.net: inj for inj in schedule if inj.active(time)}
+    return {
+        net: LaneOverride(**{_FAULT_MASK[inj.kind]: 1})
+        for net, inj in last.items()
+    }
+
+
+class BatchCampaignHarness:
+    """One target + one stimulus, up to ``lanes`` faults per simulation.
+
+    :meth:`run_chunk` classifies up to ``lanes`` injections, one per
+    lane, in a single run and returns their :class:`FaultOutcome`
+    objects in sweep order; :meth:`run_schedule` replays one injection
+    schedule in lane 0.
 
     ``cache`` is the build cache of the generated module: a
     :class:`~repro.codegen.cache.BuildCache`, a directory path, or
-    ``None`` for the default directory.
+    ``None`` for the default directory.  Construction compiles the
+    target, so a netlist with a combinational cycle raises
+    :class:`~repro.rtl.toposort.CombinationalCycleError` naming it.
     """
 
     def __init__(
@@ -473,35 +507,48 @@ class BatchCampaignHarness:
             self.golden.append({w: sim.lane_value(w, 0) for w in observe})
         self.golden_final = sim.lane_state(0)
 
-    def run_chunk(self, injections: Sequence[Injection]) -> List[FaultOutcome]:
-        """Classify up to ``lanes`` injections in one batched run."""
-        if not injections:
-            return []
-        if len(injections) > self.lanes:
-            raise ValueError(
-                f"{len(injections)} injections exceed {self.lanes} lanes"
-            )
+    def _sweep(
+        self,
+        overrides_at: Callable[[int], Dict[str, LaneOverride]],
+        edges: frozenset,
+        alive: int,
+        steps: Optional[List[TraceStep]] = None,
+    ) -> Dict[int, Violation]:
+        """Run the stimulus from reset until every ``alive`` lane is caught.
+
+        ``overrides_at(t)`` is installed at each cycle of ``edges`` (the
+        cycles where some fault switches on or off).  Returns each
+        caught lane's first violation; ``steps``, when given, receives
+        lane 0's trace up to and including the last cycle run.
+        """
         sim = self.sim
         sim.reset()
-        # Clear the previous chunk's lane overrides (the scalar
-        # injector does this in reset()): a stuck fault stays active to
-        # the end of its run, and a chunk whose earliest activity edge
-        # sits past cycle 0 would otherwise simulate its opening cycles
-        # under the previous chunk's faults -- making the verdict depend
-        # on which chunk the harness ran before, i.e. on scheduling.
+        # Clear the previous run's lane overrides: a stuck fault stays
+        # active to the end of its run, and a run whose earliest
+        # activity edge sits past cycle 0 would otherwise simulate its
+        # opening cycles under the previous run's faults -- making the
+        # verdict depend on which chunk the harness ran before, i.e. on
+        # scheduling.
         sim.set_overrides({})
         bank = batch_monitor_bank(self.target, sim, self._golden_monitor)
-        alive = (1 << len(injections)) - 1
         found: Dict[int, Violation] = {}
-        edges = _activity_edges(injections)
         value_planes = sim.value_planes
         known_planes = sim.known_planes
         metrics = self.metrics
         cycles_run = busy_lanes = 0
         for t, packed in enumerate(self.packed):
             if t in edges:
-                sim.set_overrides(lane_overrides(injections, t))
+                sim.set_overrides(overrides_at(t))
             sim.cycle(packed)
+            if steps is not None:
+                steps.append(TraceStep(
+                    state=t,
+                    inputs=dict(self.stimulus[t]),
+                    signals={
+                        w: 1 if sim.lane_value(w, 0) == 1 else 0
+                        for w in self.target.observe
+                    },
+                ))
             if metrics is not None:
                 cycles_run += 1
                 busy_lanes += bin(alive).count("1")
@@ -522,6 +569,21 @@ class BatchCampaignHarness:
                 round(busy_lanes / (cycles_run * self.lanes), 6)
                 if cycles_run else 0.0
             )
+        return found
+
+    def run_chunk(self, injections: Sequence[Injection]) -> List[FaultOutcome]:
+        """Classify up to ``lanes`` injections in one lane-parallel run."""
+        if not injections:
+            return []
+        if len(injections) > self.lanes:
+            raise ValueError(
+                f"{len(injections)} injections exceed {self.lanes} lanes"
+            )
+        found = self._sweep(
+            lambda t: lane_overrides(injections, t),
+            _activity_edges(injections),
+            (1 << len(injections)) - 1,
+        )
         outcomes: List[FaultOutcome] = []
         for lane, injection in enumerate(injections):
             violation = found.get(lane)
@@ -534,7 +596,7 @@ class BatchCampaignHarness:
                     detail=violation.detail,
                 ))
                 continue
-            final = sim.lane_state(lane)
+            final = self.sim.lane_state(lane)
             if final != self.golden_final:
                 diverged = sorted(
                     s for s, v in final.items()
@@ -550,3 +612,32 @@ class BatchCampaignHarness:
                     fault=injection.label(), status="undetected"
                 ))
         return outcomes
+
+    def run_schedule(
+        self, schedule: Sequence[Injection], record: bool = False
+    ) -> Tuple[Optional[Violation], Optional[List[TraceStep]], Dict[str, Value]]:
+        """Run one injection schedule in lane 0 to first detection.
+
+        On one net the later active entry of ``schedule`` wins.  Returns
+        ``(violation, steps, final_state)``: the first violation (or
+        ``None`` at the horizon), lane 0's trace up to and including
+        the detection cycle when ``record`` is set, and lane 0's
+        latch/flop state where the run stopped.  A net outside the
+        target's fault sites, which carry the module's only override
+        guards, raises ``ValueError`` before anything runs.
+        """
+        sites = set(self.target.fault_sites)
+        outside = sorted({inj.net for inj in schedule} - sites)
+        if outside:
+            raise ValueError(
+                f"not fault sites of {self.target.name}: "
+                f"{', '.join(outside)}"
+            )
+        steps: Optional[List[TraceStep]] = [] if record else None
+        found = self._sweep(
+            lambda t: _schedule_overrides(schedule, t),
+            _activity_edges(schedule),
+            1,
+            steps,
+        )
+        return found.get(0), steps, self.sim.lane_state(0)

@@ -26,17 +26,17 @@ Faults the sweep leaves undetected go to :func:`prove_untestable`,
 which checks every (DUT state, boundary input) pair in one cycle of the
 compiled lane-parallel simulator.
 
-RTL campaigns scale two ways, composable and both bit-identical to the
-sequential sweep: ``lanes > 1`` classifies up to 64 injections per
-simulation on the compiled lane-parallel simulator
-(:class:`~repro.faults.batch.BatchCampaignHarness`), and ``jobs > 1``
-(or ``workers=``) leases the injection chunks to socket workers of
-:mod:`repro.fabric` (dead/hung workers are detected and their chunks
-requeued), merging results back into sweep order.  A ``checkpoint``
-directory makes either flavour resumable: each classified chunk is
-persisted atomically, and a rerun pointed at the same directory skips
-completed chunks and still emits byte-for-byte the same JSON report as
-an uninterrupted run.
+RTL campaigns run on the compiled lane-parallel simulator
+(:class:`~repro.faults.batch.BatchCampaignHarness`), which classifies
+``lanes`` injections per simulation, one per bit lane.  They scale two
+ways, composable and both byte-identical to the one-lane sweep: more
+``lanes``, and ``jobs > 1`` (or ``workers=``), which leases the
+injection chunks to socket workers of :mod:`repro.fabric` (dead/hung
+workers are detected and their chunks requeued), merging results back
+into sweep order.  A ``checkpoint`` directory makes any split
+resumable: each classified chunk is persisted atomically, and a rerun
+pointed at the same directory skips completed chunks and still emits
+byte-for-byte the same JSON report as an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -68,24 +68,13 @@ from repro.faults.models import (
     BufferFault,
     ChannelFault,
     Injection,
-    RtlFaultInjector,
     StateSaboteur,
     WireSaboteur,
-)
-from repro.faults.monitors import (
-    GoldenMonitor,
-    Monitor,
-    Violation,
-    buffer_monitors,
-    channel_monitors,
 )
 from repro.faults.targets import TARGETS, RtlTarget
 from repro.resilience.checkpoint import CheckpointStore
 from repro.rtl.batchsim import LaneOverride, Planes, truth_table_columns
-from repro.rtl.logic import Value
-from repro.rtl.simulator import TwoPhaseSimulator
 from repro.rtl.toposort import CombinationalCycleError
-from repro.verif.traces import TraceStep
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
@@ -217,93 +206,6 @@ def make_stimulus(
     ]
 
 
-class CampaignHarness:
-    """One target + one stimulus: golden reference and per-fault runs."""
-
-    def __init__(self, target: RtlTarget, config: CampaignConfig) -> None:
-        self.target = target
-        self.config = config
-        self.stimulus = make_stimulus(
-            target.free_inputs, config.cycles, config.seed
-        )
-        self.sim = TwoPhaseSimulator(target.netlist)
-        self.injector = RtlFaultInjector(self.sim)
-        self.golden: List[Dict[str, Value]] = []
-        self.golden_final: Dict[str, Value] = {}
-        self._record_golden()
-
-    def _record_golden(self) -> None:
-        observe = self.target.observe
-        self.injector.reset([])
-        for inputs in self.stimulus:
-            values = self.injector.cycle(inputs)
-            self.golden.append({w: values.get(w) for w in observe})
-        self.golden_final = dict(self.sim.state)
-
-    def monitors(self) -> List[Monitor]:
-        """A fresh monitor bank (protocol + EB state + golden lockstep)."""
-        bank = channel_monitors(self.target.channels)
-        bank.extend(buffer_monitors(self.target.ebs))
-        bank.append(GoldenMonitor(self.target.observe, self.golden))
-        return bank
-
-    def run_schedule(
-        self, schedule: Sequence[Injection], record: bool = False
-    ) -> Tuple[Optional[Violation], Optional[List[TraceStep]], Dict[str, Value]]:
-        """Run one injection schedule to first detection (or the horizon).
-
-        Returns ``(violation, steps, final_state)`` where ``steps`` is
-        the rendered trace up to and including the detection cycle when
-        ``record`` is set.
-        """
-        self.injector.reset(schedule)
-        bank = self.monitors()
-        steps: Optional[List[TraceStep]] = [] if record else None
-        for t, inputs in enumerate(self.stimulus):
-            values = self.injector.cycle(inputs)
-            if steps is not None:
-                signals = {
-                    w: (1 if values.get(w) == 1 else 0)
-                    for w in self.target.observe
-                }
-                steps.append(TraceStep(state=t, inputs=dict(inputs),
-                                       signals=signals))
-            for monitor in bank:
-                violation = monitor.observe(t, values)
-                if violation is not None:
-                    return violation, steps, dict(self.sim.state)
-        return None, steps, dict(self.sim.state)
-
-    def outcome(self, injection: Injection) -> FaultOutcome:
-        """Run one fault and classify it."""
-        violation, _, final_state = self.run_schedule([injection])
-        if violation is not None:
-            return FaultOutcome(
-                fault=injection.label(),
-                status="detected",
-                monitor=violation.monitor,
-                detection_cycle=violation.cycle,
-                detail=violation.detail,
-            )
-        if final_state != self.golden_final:
-            diverged = sorted(
-                s for s, v in final_state.items()
-                if self.golden_final.get(s) != v
-            )
-            return FaultOutcome(
-                fault=injection.label(),
-                status="latent",
-                detail=f"state diverged: {', '.join(diverged[:4])}",
-            )
-        return FaultOutcome(fault=injection.label(), status="undetected")
-
-    def run_chunk(
-        self, injections: Sequence[Injection]
-    ) -> List[FaultOutcome]:
-        """Classify a chunk of injections one at a time (sweep order)."""
-        return [self.outcome(injection) for injection in injections]
-
-
 #: The LaneOverride mask each RTL fault kind sets.
 _FAULT_MASK = {"stuck0": "set0", "stuck1": "set1", "flip": "flip"}
 
@@ -418,40 +320,6 @@ def _chunked(
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
 
-def _make_harness(
-    tgt: RtlTarget,
-    config: CampaignConfig,
-    lanes: int,
-    metrics: Optional["MetricsRegistry"],
-    cache: Optional[str] = None,
-):
-    """The chunk-classifying harness for one (target, lanes).
-
-    ``lanes > 1`` runs the lane-parallel
-    :class:`~repro.faults.batch.BatchCampaignHarness`; ``cache`` is the
-    build-cache directory of its generated module (``None`` for the
-    default).  ``lanes=1`` runs the scalar harness, the semantic
-    reference.  So does a netlist the compiled simulator refuses (a
-    combinational cycle the scalar fixed point settles): its ``lanes``
-    are tallied under
-    ``campaign_lane_quarantine_total{reason="compile",target}``.
-    """
-    if lanes > 1:
-        from repro.faults.batch import BatchCampaignHarness
-
-        try:
-            return BatchCampaignHarness(
-                tgt, config, lanes, metrics=metrics, cache=cache
-            )
-        except CombinationalCycleError:
-            if metrics is not None:
-                metrics.counter(
-                    "campaign_lane_quarantine_total",
-                    reason="compile", target=tgt.name,
-                ).inc(lanes)
-    return CampaignHarness(tgt, config)
-
-
 def _campaign_fingerprint(
     tgt: RtlTarget, config: CampaignConfig, lanes: int, total: int
 ) -> Dict[str, object]:
@@ -525,11 +393,13 @@ def run_campaign(
 ) -> CampaignReport:
     """Sweep every enumerated fault over ``target``.
 
-    ``lanes > 1`` batches that many injections per simulation on the
-    compiled lane-parallel simulator, or runs them one at a time on the
-    scalar simulator when the netlist has a combinational cycle the
-    compiled simulator refuses; ``jobs > 1`` additionally leases
-    the chunks to that many forked local workers through the same
+    Every chunk of ``lanes`` injections is classified in one run of the
+    compiled lane-parallel simulator
+    (:class:`~repro.faults.batch.BatchCampaignHarness`), ``lanes=1``
+    included; a netlist with a combinational cycle raises
+    :class:`~repro.rtl.toposort.CombinationalCycleError` naming the
+    cycle.  ``cycles`` below 1 raises ``ValueError``.  ``jobs > 1``
+    leases the chunks to that many forked local workers through the same
     :class:`~repro.fabric.FabricCoordinator` as ``workers=``.  A worker
     that dies, or makes no progress for ``shard_timeout`` seconds, is
     dropped (never replaced) and its chunks requeued onto the
@@ -546,10 +416,10 @@ def run_campaign(
     (called per classified chunk).  ``metrics`` is an optional
     :class:`~repro.obs.metrics.MetricsRegistry`: verdicts are tallied
     into ``campaign_faults_total{status,target}`` counters, shard
-    requeues into ``campaign_shard_retries_total{reason}``, and the
-    lanes of an in-process harness that fell back to scalar into
-    ``campaign_lane_quarantine_total{reason="compile",target}``.
-    Neither affects the outcomes or the serialised report.
+    requeues into ``campaign_shard_retries_total{reason}``, and an
+    in-process harness adds its ``batchsim_*`` lane utilisation and
+    ``codegen_cache_*`` build series.  Neither affects the outcomes or
+    the serialised report.
 
     ``profile`` (opt in) attaches the fault-free performance baseline
     of the target -- the :mod:`repro.obs.analyze` cycle-accounting /
@@ -560,8 +430,8 @@ def run_campaign(
     baseline profiles the stock design of that name.
 
     ``cache`` names the build-cache directory of the generated
-    lane-parallel modules: the campaign's when ``lanes > 1`` (shipped
-    to workers as a plain string) and the untestability prover's
+    lane-parallel modules: the campaign's (shipped to workers as a
+    plain string) and the untestability prover's
     (``None`` uses the default directory, and an unwritable directory
     degrades to an in-memory build).  It cannot change outcomes, so
     neither the checkpoint fingerprint nor the fabric handshake
@@ -578,6 +448,8 @@ def run_campaign(
     against surviving remote workers.
     """
     cfg = config or CampaignConfig()
+    if cfg.cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cfg.cycles}")
     if lanes < 1:
         raise ValueError("lanes must be >= 1")
     if jobs < 1:
@@ -673,7 +545,11 @@ def run_campaign(
                 injections_per_unit=lanes,
             ).run()
     elif pending:
-        harness = _make_harness(tgt, cfg, lanes, metrics, cache)
+        from repro.faults.batch import BatchCampaignHarness
+
+        harness = BatchCampaignHarness(
+            tgt, cfg, lanes, metrics=metrics, cache=cache
+        )
         for index, chunk in pending:
             record(index, harness.run_chunk(chunk))
 
@@ -805,6 +681,8 @@ def run_processor_campaign(
 ) -> CampaignReport:
     """Sweep behavioural faults over the Sect. 7 elastic processor."""
     cfg = config or ProcessorCampaignConfig()
+    if cfg.cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cfg.cycles}")
     golden = _golden_commits(cfg)
     report = CampaignReport(target="processor", seed=cfg.seed, cycles=cfg.cycles)
     faults = enumerate_processor_faults(cfg)

@@ -4,9 +4,9 @@ Two families, mirroring the two controller implementations:
 
 * **RTL faults** (:class:`Injection`) -- stuck-at-0/1 and transient
   bit-flips on named nets of a :class:`~repro.rtl.netlist.Netlist`,
-  applied through the net-override hook of
-  :class:`~repro.rtl.simulator.TwoPhaseSimulator` by
-  :class:`RtlFaultInjector`;
+  applied as :class:`~repro.rtl.batchsim.LaneOverride` masks at the
+  fault-site hooks of the compiled simulator by
+  :class:`~repro.faults.batch.BatchCampaignHarness`;
 * **behavioural faults** -- wire glitches on settled
   :class:`~repro.elastic.channel.Channel` wires (token drop, spurious
   token/anti-token, handshake glitches on any of ``{V+, S+, V−, S−}``,
@@ -21,12 +21,11 @@ JSON reports are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional
 
 from repro.elastic.behavioral import ElasticBuffer
 from repro.elastic.channel import Channel
-from repro.rtl.logic import Value, lnot
-from repro.rtl.simulator import Override, TwoPhaseSimulator
+from repro.rtl.logic import lnot
 
 #: RTL fault kinds: permanent stuck-ats and the transient bit-flip.
 RTL_FAULT_KINDS = ("stuck0", "stuck1", "flip")
@@ -79,14 +78,6 @@ class Injection:
             return False
         return self.duration is None or time < self.cycle + self.duration
 
-    def override(self) -> Override:
-        """The net override implementing this fault."""
-        if self.kind == "stuck0":
-            return 0
-        if self.kind == "stuck1":
-            return 1
-        return lnot
-
     def label(self) -> str:
         window = "" if self.duration is None else f"+{self.duration}"
         return f"{self.kind}({self.net})@{self.cycle}{window}"
@@ -95,46 +86,6 @@ class Injection:
 def transient_flip(net: str, cycle: int, duration: int = 1) -> Injection:
     """A single-event upset: invert ``net`` for ``duration`` cycles."""
     return Injection(net, "flip", cycle, duration)
-
-
-class RtlFaultInjector:
-    """Replays an injection schedule against a two-phase simulator.
-
-    Wraps (and resets) a :class:`TwoPhaseSimulator`; before each cycle
-    the simulator's override map is rebuilt from the schedule entries
-    active at that cycle, so arbitrary overlapping stuck-ats and
-    transients compose (later schedule entries win on the same net).
-    """
-
-    def __init__(
-        self, sim: TwoPhaseSimulator, schedule: Sequence[Injection] = ()
-    ) -> None:
-        self.sim = sim
-        self.schedule: List[Injection] = list(schedule)
-        unknown = {
-            i.net for i in self.schedule if i.net not in sim.netlist.signals()
-        }
-        if unknown:
-            raise ValueError(f"injection sites not in netlist: {sorted(unknown)}")
-
-    def reset(self, schedule: Optional[Sequence[Injection]] = None) -> None:
-        """Restore the reset state; optionally replace the schedule."""
-        if schedule is not None:
-            self.schedule = list(schedule)
-        self.sim.reset()
-        self.sim.overrides = {}
-
-    def overrides_at(self, time: int) -> Dict[str, Override]:
-        return {
-            inj.net: inj.override()
-            for inj in self.schedule
-            if inj.active(time)
-        }
-
-    def cycle(self, inputs: Optional[Mapping[str, Value]] = None) -> Dict[str, Value]:
-        """Advance one cycle with the schedule's overrides applied."""
-        self.sim.overrides = self.overrides_at(self.sim.time)
-        return self.sim.cycle(inputs)
 
 
 # ----------------------------------------------------------------------

@@ -1,36 +1,34 @@
-"""Online SELF protocol monitors for fault campaigns.
+"""What the online SELF monitors report, and where they look.
 
-Unlike :class:`~repro.elastic.protocol.ProtocolMonitor` (which raises,
-aborting the run), these monitors *report*: each returns the first
-:class:`Violation` it observes so a campaign can record which checker
-caught a fault and at which cycle, then keep sweeping.
+The fault-campaign monitors themselves are word-wide, in
+:mod:`repro.faults.batch`: each checks one rule for every lane of the
+compiled simulator at once.  Unlike
+:class:`~repro.elastic.protocol.ProtocolMonitor` (which raises,
+aborting the run), they *report*: each firing is a :class:`Violation`
+naming the rule, where it broke and the cycle, so a campaign can record
+which checker caught a fault and keep sweeping.  The rules:
 
-Per dual channel ``{V+, S+, V−, S−}``:
+* per dual channel ``{V+, S+, V−, S−}``: equation (2), ``V+ → ¬S−`` and
+  ``V− → ¬S+`` every cycle, and Retry persistence (Retry+ keeps ``V+``
+  asserted, Retry− keeps ``V−``: the ``(I*R*T)*`` language of Fig. 2
+  and its dual);
+* per dual elastic buffer (the Fig. 5 EB, located by an
+  :class:`EbProbe`): the thermometer state encoding (``t1 ≤ t0``,
+  ``a1 ≤ a0``), token/anti-token exclusion (``¬(t0 ∧ a0)``) and token
+  conservation (the signed occupancy changes exactly by the previous
+  cycle's boundary transfers and kills);
+* against the fault-free reference run: every observed wire matches
+  the golden trace cycle by cycle.
 
-* :class:`InvariantMonitor` -- equation (2): ``V+ → ¬S−`` and
-  ``V− → ¬S+`` every cycle;
-* :class:`PersistenceMonitor` -- Retry+ keeps ``V+`` asserted, Retry−
-  keeps ``V−`` (the ``(I*R*T)*`` language of Fig. 2 and its dual);
-
-per dual elastic buffer (the Fig. 5 EB):
-
-* :class:`EncodingMonitor` -- the thermometer state encoding
-  (``t1 ≤ t0``, ``a1 ≤ a0``) and token/anti-token exclusion
-  (``¬(t0 ∧ a0)``: a signed occupancy never holds both);
-* :class:`ConservationMonitor` -- token/anti-token conservation: the
-  signed occupancy read from the state bits changes exactly by the
-  boundary events (transfers and kills) of the previous cycle;
-
-and against a fault-free reference run:
-
-* :class:`GoldenMonitor` -- data/behaviour correctness: every observed
-  wire must match the golden trace cycle by cycle.
+:func:`_bit` is the strict-bit reading every rule uses (X counts as
+0); :meth:`EbProbe.occupancy` decodes the signed occupancy with it,
+which is also how the performance profiler checks conservation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.elastic.gates import GateChannel
 from repro.rtl.logic import Value
@@ -48,73 +46,9 @@ class Violation:
         return f"cycle {self.cycle}: {self.monitor}: {self.detail}"
 
 
-class Monitor:
-    """Base class: observe one settled cycle's signal values."""
-
-    name = "monitor"
-
-    def observe(
-        self, cycle: int, values: Mapping[str, Value]
-    ) -> Optional[Violation]:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Forget history before a new run."""
-
-
 def _bit(values: Mapping[str, Value], sig: str) -> int:
     """Read a wire as a strict bit (X counts as 0)."""
     return 1 if values.get(sig) == 1 else 0
-
-
-class InvariantMonitor(Monitor):
-    """Equation (2) on one channel: ``¬(V− ∧ S+)`` and ``¬(V+ ∧ S−)``."""
-
-    def __init__(self, channel: GateChannel) -> None:
-        self.channel = channel
-        self.name = f"invariant[{channel.name}]"
-
-    def observe(self, cycle, values):
-        ch = self.channel
-        vp, sp = _bit(values, ch.vp), _bit(values, ch.sp)
-        vn, sn = _bit(values, ch.vn), _bit(values, ch.sn)
-        if vn and sp:
-            return Violation(cycle, self.name, "V- and S+ both asserted")
-        if vp and sn:
-            return Violation(cycle, self.name, "V+ and S- both asserted")
-        return None
-
-
-class PersistenceMonitor(Monitor):
-    """Retry persistence on one channel, positive and negative flows."""
-
-    def __init__(self, channel: GateChannel) -> None:
-        self.channel = channel
-        self.name = f"persistence[{channel.name}]"
-        self._pending_pos = False
-        self._pending_neg = False
-
-    def reset(self) -> None:
-        self._pending_pos = False
-        self._pending_neg = False
-
-    def observe(self, cycle, values):
-        ch = self.channel
-        vp, sp = _bit(values, ch.vp), _bit(values, ch.sp)
-        vn, sn = _bit(values, ch.vn), _bit(values, ch.sn)
-        violation = None
-        if self._pending_pos and not vp:
-            violation = Violation(
-                cycle, self.name, "V+ dropped during Retry+"
-            )
-        elif self._pending_neg and not vn:
-            violation = Violation(
-                cycle, self.name, "V- dropped during Retry-"
-            )
-        # A kill resolves both flows; only a genuine retry carries over.
-        self._pending_pos = bool(vp and sp and not vn)
-        self._pending_neg = bool(vn and sn and not vp)
-        return violation
 
 
 @dataclass(frozen=True)
@@ -134,129 +68,3 @@ class EbProbe:
         """Signed occupancy decoded from the thermometer state bits."""
         t0, t1, a0, a1 = (_bit(values, s) for s in self.state_bits)
         return (t0 + t1) - (a0 + a1)
-
-
-class EncodingMonitor(Monitor):
-    """Thermometer-code invariants of the EB state bits."""
-
-    def __init__(self, probe: EbProbe) -> None:
-        self.probe = probe
-        self.name = f"encoding[{probe.prefix}]"
-
-    def observe(self, cycle, values):
-        t0, t1, a0, a1 = (_bit(values, s) for s in self.probe.state_bits)
-        if t1 > t0:
-            return Violation(cycle, self.name, "t1 set without t0")
-        if a1 > a0:
-            return Violation(cycle, self.name, "a1 set without a0")
-        if t0 and a0:
-            return Violation(cycle, self.name, "tokens and anti-tokens coexist")
-        return None
-
-
-def _boundary_delta(
-    probe: EbProbe, values: Mapping[str, Value]
-) -> int:
-    """Occupancy change implied by one cycle's boundary events.
-
-    Mirrors the behavioural :class:`ElasticBuffer` commit arithmetic:
-    ``+1`` for a token entering or a stored anti-token resolving at the
-    input boundary, ``-1`` for a token leaving / being killed at the
-    output boundary or an anti-token entering there.
-    """
-    l, r = probe.left, probe.right
-    lvp, lsp, lvn = _bit(values, l.vp), _bit(values, l.sp), _bit(values, l.vn)
-    lsn = _bit(values, l.sn)
-    rvp, rsp, rvn = _bit(values, r.vp), _bit(values, r.sp), _bit(values, r.vn)
-    rsn = _bit(values, r.sn)
-    in_pos = lvp and not lsp and not lvn
-    kill_left = lvp and lvn
-    out_neg = lvn and not lsn and not lvp
-    out_pos = rvp and not rsp and not rvn
-    kill_right = rvp and rvn
-    in_neg = rvn and not rsn and not rvp
-    return (
-        (1 if in_pos else 0)
-        + (1 if kill_left else 0)
-        + (1 if out_neg else 0)
-        - (1 if out_pos else 0)
-        - (1 if kill_right else 0)
-        - (1 if in_neg else 0)
-    )
-
-
-class ConservationMonitor(Monitor):
-    """Tokens are conserved: occupancy moves only by boundary events.
-
-    With flip-flop state the values observed at cycle ``t`` hold the
-    occupancy *during* ``t`` (pre-update), so the check is
-    ``occ(t) == occ(t-1) + delta(events at t-1)``.
-    """
-
-    def __init__(self, probe: EbProbe) -> None:
-        self.probe = probe
-        self.name = f"conservation[{probe.prefix}]"
-        self._prev: Optional[tuple] = None  # (occupancy, delta)
-
-    def reset(self) -> None:
-        self._prev = None
-
-    def observe(self, cycle, values):
-        occ = self.probe.occupancy(values)
-        delta = _boundary_delta(self.probe, values)
-        violation = None
-        if self._prev is not None:
-            prev_occ, prev_delta = self._prev
-            if occ != prev_occ + prev_delta:
-                violation = Violation(
-                    cycle,
-                    self.name,
-                    f"occupancy {prev_occ} + delta {prev_delta} "
-                    f"!= observed {occ}",
-                )
-        self._prev = (occ, delta)
-        return violation
-
-
-class GoldenMonitor(Monitor):
-    """Lock-step comparison against a fault-free reference trace."""
-
-    name = "golden"
-
-    def __init__(
-        self, wires: Sequence[str], golden: Sequence[Mapping[str, Value]]
-    ) -> None:
-        self.wires = list(wires)
-        self.golden = golden
-
-    def observe(self, cycle, values):
-        if cycle >= len(self.golden):
-            return None
-        reference = self.golden[cycle]
-        for wire in self.wires:
-            got, want = values.get(wire), reference.get(wire)
-            if got != want:
-                return Violation(
-                    cycle,
-                    f"{self.name}[{wire}]",
-                    f"expected {want!r}, observed {got!r}",
-                )
-        return None
-
-
-def channel_monitors(channels: Sequence[GateChannel]) -> List[Monitor]:
-    """The per-channel protocol monitors for a set of channels."""
-    monitors: List[Monitor] = []
-    for ch in channels:
-        monitors.append(InvariantMonitor(ch))
-        monitors.append(PersistenceMonitor(ch))
-    return monitors
-
-
-def buffer_monitors(probes: Sequence[EbProbe]) -> List[Monitor]:
-    """The per-EB state monitors for a set of buffer probes."""
-    monitors: List[Monitor] = []
-    for probe in probes:
-        monitors.append(EncodingMonitor(probe))
-        monitors.append(ConservationMonitor(probe))
-    return monitors

@@ -7,7 +7,9 @@ schedule that still fails -- and then tightens each survivor's activity
 window.  The result is typically the single injection that actually
 triggers the failure, with the benign riders stripped away.
 
-:func:`render_failure` replays a (minimised) schedule and renders the
+:func:`failing_predicate` and :func:`render_failure` replay schedules
+through :meth:`~repro.faults.batch.BatchCampaignHarness.run_schedule`,
+in lane 0 of the campaign's compiled simulator; the second renders the
 cycles up to the first violation through :mod:`repro.verif.traces`, so
 a campaign failure reads like any other counterexample trace.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Sequence, TypeVar
 
-from repro.faults.campaign import CampaignHarness
+from repro.faults.batch import BatchCampaignHarness
 from repro.faults.models import Injection
 from repro.verif.traces import format_trace
 
@@ -130,7 +132,7 @@ def _tighten(
     return schedule[index]
 
 
-def failing_predicate(harness: CampaignHarness) -> Fails:
+def failing_predicate(harness: BatchCampaignHarness) -> Fails:
     """The standard predicate: any online monitor fires on the schedule."""
 
     def fails(schedule: Sequence[Injection]) -> bool:
@@ -141,7 +143,7 @@ def failing_predicate(harness: CampaignHarness) -> Fails:
 
 
 def render_failure(
-    harness: CampaignHarness, schedule: Sequence[Injection]
+    harness: BatchCampaignHarness, schedule: Sequence[Injection]
 ) -> str:
     """Replay ``schedule`` and render the failing prefix as a trace."""
     violation, steps, _ = harness.run_schedule(schedule, record=True)

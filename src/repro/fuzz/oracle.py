@@ -17,9 +17,10 @@ discrepancy as a :class:`FuzzFinding`:
    runs lock-step on the scalar two-phase simulator (the semantic
    reference) and on lane 0 of the compiled lane-parallel simulator
    that fault campaigns use, under a randomized schedule; every channel
-   wire must agree every cycle, and the non-raising SELF monitors of
-   :mod:`repro.faults.monitors` watch the scalar trace (**protocol**
-   stage);
+   wire must agree every cycle, and the word-wide channel monitors of
+   the campaign harness (equation (2) and Retry persistence,
+   :func:`repro.faults.batch.protocol_monitors`) watch that lane
+   (**protocol** stage);
 5. **ctl** -- below an input/state budget, the Kripke structure is
    built and the paper's safety properties (invariant, Retry+/Retry−)
    are model checked; a :class:`~repro.verif.kripke.
@@ -147,7 +148,7 @@ def _gate_differential(
 ) -> Optional[FuzzFinding]:
     from repro.codegen.cache import BuildCache
     from repro.codegen.sim import CompiledSimulator
-    from repro.faults.monitors import channel_monitors
+    from repro.faults.batch import protocol_monitors
     from repro.lint.netlist_rules import lint_netlist
     from repro.rtl.batchsim import pack_stimulus
     from repro.rtl.simulator import TwoPhaseSimulator
@@ -175,7 +176,8 @@ def _gate_differential(
         cache=(config.cache if config.cache is not None
                else BuildCache.in_memory()),
     )
-    monitors = channel_monitors(channels)
+    monitors = protocol_monitors(channels, compiled)
+    v, k = compiled.value_planes, compiled.known_planes
 
     for t, packed in enumerate(pack_stimulus([stimulus])):
         compiled.cycle(packed)
@@ -190,9 +192,9 @@ def _gate_differential(
                     f"compiled[0]={got!r}",
                 )
         for monitor in monitors:
-            violation = monitor.observe(t, values)
-            if violation is not None:
-                return _finding(model, seed, "protocol", str(violation))
+            fired = monitor.observe(t, v, k, 1)
+            if fired:
+                return _finding(model, seed, "protocol", str(fired[0][1]))
     return None
 
 

@@ -81,10 +81,11 @@ class TwoPhaseSimulator:
     :meth:`cycle`, which returns the cycle's settled values;
     :meth:`step_function` exposes the same semantics as a pure function
     of (state, inputs).  It is the semantic reference the compiled
-    lane-parallel simulator is tested against; enumeration
-    (:mod:`repro.verif`, the :mod:`repro.faults` prover) and the
-    gate-level profiler, trace recorder and stall watchdog run on that
-    compiled engine instead.
+    lane-parallel simulator is tested against, and the fuzz oracle's
+    differential runs it beside a compiled lane; fault campaigns,
+    enumeration (:mod:`repro.verif`, the :mod:`repro.faults` prover)
+    and the gate-level profiler, trace recorder and stall watchdog run
+    on that compiled engine instead.
     """
 
     def __init__(
@@ -103,7 +104,8 @@ class TwoPhaseSimulator:
         #: override on a latch corrupts the stored bit as well; a
         #: flip-flop keeps sampling its true ``d`` and recovers once the
         #: override is removed.  The mapping may be mutated between
-        #: cycles; :mod:`repro.faults` drives it per injection schedule.
+        #: cycles; the scalar reference harness of the fault-campaign
+        #: tests drives it per injection schedule.
         self.overrides: Dict[str, Override] = dict(overrides or {})
         self._order = self._schedule()
         self.state: State = self.initial_state()

@@ -1,14 +1,12 @@
 """Campaign runner: coverage, determinism, untestability proofs."""
 
 import json
-import re
 
 import pytest
 
-from repro.codegen.sim import CompiledSimulator
+from repro.faults.batch import BatchCampaignHarness
 from repro.faults.campaign import (
     CampaignConfig,
-    CampaignHarness,
     ProcessorCampaignConfig,
     enumerate_injections,
     make_stimulus,
@@ -19,8 +17,6 @@ from repro.faults.campaign import (
 )
 from repro.faults.models import Injection
 from repro.faults.targets import TARGETS, dual_ehb
-from repro.obs.metrics import MetricsRegistry
-from repro.rtl.toposort import CombinationalCycleError
 
 CONFIG = CampaignConfig(cycles=250, seed=2007)
 
@@ -142,44 +138,35 @@ class TestSweepMechanics:
 
 class TestHarness:
     def test_empty_schedule_matches_golden(self):
-        harness = CampaignHarness(dual_ehb(), CampaignConfig(cycles=80))
+        harness = BatchCampaignHarness(
+            dual_ehb(), CampaignConfig(cycles=80), 1
+        )
         violation, _, final_state = harness.run_schedule([])
         assert violation is None
         assert final_state == harness.golden_final
 
     def test_recording_returns_int_signals(self):
-        harness = CampaignHarness(dual_ehb(), CampaignConfig(cycles=30))
+        harness = BatchCampaignHarness(
+            dual_ehb(), CampaignConfig(cycles=30), 1
+        )
         _, steps, _ = harness.run_schedule([], record=True)
         assert len(steps) == 30
         for step in steps:
             assert all(v in (0, 1) for v in step.signals.values())
 
 
-class TestCompileFallback:
-    def test_uncompilable_netlist_runs_scalar_only(self):
-        # A combinational loop the scalar fixed point settles but the
-        # compiled simulator refuses.
-        target = dual_ehb()
-        target.netlist.OR("cyc.b", "src.choice", out="cyc.a")
-        target.netlist.AND("cyc.a", "snk.stall", out="cyc.b")
-        with pytest.raises(CombinationalCycleError,
-                           match=re.escape("cyc.a -> cyc.b -> cyc.a")):
-            CompiledSimulator(target.netlist, 8)
-        config = CampaignConfig(cycles=60, seed=3)
-        metrics = MetricsRegistry()
-        batched = run_campaign(target, config, lanes=8, metrics=metrics)
-        scalar = run_campaign(target, config, lanes=1)
-        assert len(scalar.outcomes) == 92
-        assert batched.to_json() == scalar.to_json()
-        # The prover cannot compile the netlist either, so it answers
-        # "maybe testable" for the two faults it proves on dual_ehb.
-        status = {o.fault: o.status for o in scalar.outcomes}
-        assert status["stuck1(not$9)@0"] == "undetected"
-        assert status["stuck1(not$10)@0"] == "undetected"
-        assert metrics.counter(
-            "campaign_lane_quarantine_total",
-            reason="compile", target="dual_ehb",
-        ).value == 8
+class TestInputValidation:
+    @pytest.mark.parametrize("cycles", [0, -3])
+    def test_rtl_campaign_rejects_nonpositive_cycles(self, cycles):
+        message = f"cycles must be >= 1, got {cycles}"
+        with pytest.raises(ValueError, match=message):
+            run_campaign("join", CampaignConfig(cycles=cycles))
+
+    @pytest.mark.parametrize("cycles", [0, -3])
+    def test_processor_campaign_rejects_nonpositive_cycles(self, cycles):
+        message = f"cycles must be >= 1, got {cycles}"
+        with pytest.raises(ValueError, match=message):
+            run_processor_campaign(ProcessorCampaignConfig(cycles=cycles))
 
 
 class TestProcessorCampaign:

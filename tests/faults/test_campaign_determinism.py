@@ -91,7 +91,8 @@ def test_chunk_order_never_changes_batch_verdicts():
     injection cycles made this visible: spurious detections of faults
     that never even activate inside the horizon).
     """
-    from repro.faults.campaign import _chunked, _make_harness
+    from repro.faults.batch import BatchCampaignHarness
+    from repro.faults.campaign import _chunked
 
     config = CampaignConfig(
         cycles=40, seed=2007, injection_cycles=tuple(range(0, 109, 7)),
@@ -99,12 +100,12 @@ def test_chunk_order_never_changes_batch_verdicts():
     )
     target = resolve_target("dual_ehb")
     chunks = _chunked(enumerate_injections(target, config), 32)
-    reused = _make_harness(target, config, 32, None)
+    reused = BatchCampaignHarness(target, config, 32)
     in_order = [
         [o.to_dict() for o in reused.run_chunk(chunk)] for chunk in chunks
     ]
     for index in (2, 0, len(chunks) - 1):
-        fresh = _make_harness(target, config, 32, None)
+        fresh = BatchCampaignHarness(target, config, 32)
         assert [
             o.to_dict() for o in fresh.run_chunk(chunks[index])
         ] == in_order[index], f"chunk {index} depends on chunk order"

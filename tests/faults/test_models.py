@@ -16,13 +16,13 @@ from repro.faults.models import (
     BufferFault,
     ChannelFault,
     Injection,
-    RtlFaultInjector,
     StateSaboteur,
     WireSaboteur,
     transient_flip,
 )
 from repro.rtl.netlist import Netlist
 from repro.rtl.simulator import TwoPhaseSimulator
+from tests.faults.scalar_reference import RtlFaultInjector, fault_override
 
 
 def tiny_netlist():
@@ -58,9 +58,10 @@ class TestInjection:
         assert [t for t in range(10) if inj.active(t)] == [5, 6]
 
     def test_overrides(self):
-        assert Injection("n", "stuck0").override() == 0
-        assert Injection("n", "stuck1").override() == 1
-        flip = Injection("n", "flip", duration=1).override()
+        # The scalar reference's net overrides.
+        assert fault_override(Injection("n", "stuck0")) == 0
+        assert fault_override(Injection("n", "stuck1")) == 1
+        flip = fault_override(Injection("n", "flip", duration=1))
         assert callable(flip) and flip(0) == 1 and flip(1) == 0
 
     def test_labels_are_unique_per_fault(self):
@@ -73,6 +74,8 @@ class TestInjection:
 
 
 class TestRtlFaultInjector:
+    """The scalar reference injector of ``tests/faults/scalar_reference``."""
+
     def test_rejects_unknown_net(self):
         sim = TwoPhaseSimulator(tiny_netlist())
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from repro.faults.models import Injection
 from repro.faults.targets import TARGETS, RtlTarget
 from repro.rtl.netlist import Netlist
 from repro.rtl.simulator import TwoPhaseSimulator
+from tests.faults.scalar_reference import fault_override
 
 KINDS = ("stuck0", "stuck1", "flip")
 
@@ -38,7 +39,7 @@ def scalar_prove_untestable(target: RtlTarget, injection: Injection) -> bool:
         return False
     sim = TwoPhaseSimulator(nl)
     base_state = sim.initial_state()
-    fault_override = injection.override()
+    override = fault_override(injection)
     for bits in itertools.product((0, 1), repeat=len(state_bits)):
         state = dict(base_state)
         state.update(zip(state_bits, bits))
@@ -46,7 +47,7 @@ def scalar_prove_untestable(target: RtlTarget, injection: Injection) -> bool:
             env = dict(zip(boundary, env_bits))
             sim.overrides = env
             good_vals, good_next = sim.step_function(state, {})
-            sim.overrides = {**env, injection.net: fault_override}
+            sim.overrides = {**env, injection.net: override}
             bad_vals, bad_next = sim.step_function(state, {})
             if any(good_vals.get(w) != bad_vals.get(w) for w in outputs):
                 return False

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.faults.campaign import CampaignConfig, CampaignHarness
+from repro.faults.batch import BatchCampaignHarness
+from repro.faults.campaign import CampaignConfig
 from repro.faults.models import Injection
 from repro.faults.shrink import (
     failing_predicate,
@@ -166,7 +167,7 @@ class TestEndToEnd:
 
     @pytest.fixture(scope="class")
     def harness(self):
-        return CampaignHarness(dual_ehb(), CampaignConfig(cycles=120))
+        return BatchCampaignHarness(dual_ehb(), CampaignConfig(cycles=120), 1)
 
     def test_multi_fault_schedule_shrinks_to_one(self, harness):
         fails = failing_predicate(harness)

@@ -99,6 +99,32 @@ class TestSeededBugs:
         assert finding.stage == "behavioral"
         assert "invariant" in finding.detail or "Retry" in finding.detail
 
+    def test_gate_level_protocol_bug_is_caught(self, monkeypatch):
+        # S- of the sink channel wired to its V+: scalar and compiled
+        # agree, and the word-wide monitors on the compiled lane flag
+        # equation (2) in the protocol stage.
+        import repro.synthesis.elaborate as elaborate
+        from repro.rtl.netlist import Gate
+
+        real = elaborate.to_gates
+
+        def planted(spec, **kwargs):
+            elab = real(spec, **kwargs)
+            elab.netlist.gates["b0->snk0.sn"] = Gate(
+                "b0->snk0.sn", "BUF", ("b0->snk0.vp",)
+            )
+            return elab
+
+        monkeypatch.setattr(elaborate, "to_gates", planted)
+        finding = run_oracle(_ee_model(), seed=0,
+                             config=OracleConfig(cycles=48,
+                                                 check_verify=False))
+        assert finding is not None
+        assert finding.stage == "protocol"
+        assert finding.detail == (
+            "cycle 0: invariant[b0->snk0]: V+ and S- both asserted"
+        )
+
     def test_mutation_patches_every_early_join(self):
         from repro.synthesis.elaborate import to_behavioral
 

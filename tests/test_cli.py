@@ -126,6 +126,17 @@ class TestInjectMetrics:
         assert meta["injections"] == len(data["faults"])
         assert "batchsim_lane_utilization" in meta["series"]
 
+    def test_one_lane_metrics_carry_the_engine_series(self, tmp_path,
+                                                       capsys):
+        import json
+
+        report = tmp_path / "campaign.json"
+        main(["inject", "--netlist", "join", "--cycles", "60", "--metrics",
+              "--report", str(report)])
+        series = json.loads(report.read_text())["metrics"]["series"]
+        assert "batchsim_lane_utilization" in series
+        assert any(name.startswith("codegen_cache_") for name in series)
+
     def test_default_report_has_no_metrics_key(self, tmp_path):
         import json
 
@@ -196,6 +207,21 @@ class TestInjectLanes:
             main(["inject", "--lanes", "0"])
         with pytest.raises(SystemExit, match="positive"):
             main(["inject", "--jobs", "-1"])
+
+    @pytest.mark.parametrize("netlist", ["join", "processor"])
+    @pytest.mark.parametrize("cycles", ["0", "-3"])
+    def test_nonpositive_cycles_rejected(self, tmp_path, netlist, cycles):
+        report = tmp_path / "campaign.json"
+        with pytest.raises(SystemExit,
+                           match=f"cycles must be >= 1, got {cycles}"):
+            main(["inject", "--netlist", netlist, "--cycles", cycles,
+                  "--report", str(report)])
+        assert not report.exists()
+
+    def test_processor_rejects_shrink(self):
+        with pytest.raises(SystemExit,
+                           match="--shrink needs an RTL netlist"):
+            main(["inject", "--netlist", "processor", "--shrink"])
 
 
 class TestInjectResilience:

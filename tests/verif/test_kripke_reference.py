@@ -156,8 +156,8 @@ def test_random_netlists(nl, max_states):
 
 
 def test_combinational_cycle_is_refused():
-    # The cyclic dual_ehb of TestCompileFallback in
-    # tests/faults/test_campaign.py.
+    # The cyclic dual_ehb of test_cyclic_netlist_campaign_raises in
+    # tests/faults/test_harness_reference.py.
     target = dual_ehb()
     target.netlist.OR("cyc.b", "src.choice", out="cyc.a")
     target.netlist.AND("cyc.a", "snk.stall", out="cyc.b")
