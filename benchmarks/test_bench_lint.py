@@ -1,11 +1,12 @@
 """Static-analysis cost: the dataflow engine vs the legacy sweep.
 
-The ternary constant analysis (LNT006) was re-based onto the generic
-worklist fixpoint engine of :mod:`repro.lint.dataflow`.  This bench
-holds the engine to the bargain on the largest shipped design (the
-Fig. 9 PASSIVE_F3W control layer, ~670 gates): same results as the
-legacy reference sweep, at most 1.5x its wall time, and a full
-``lint_netlist`` pass that stays interactive.
+The ternary constant analysis (LNT006, also the area pipeline's
+constant step) runs on the generic worklist fixpoint engine of
+:mod:`repro.lint.dataflow`.  This bench holds the engine to the bargain
+on the largest shipped design (the Fig. 9 PASSIVE_F3W control layer,
+~670 gates): same results as the legacy reference sweep kept in
+``tests/lint/constant_reference.py``, at most 1.5x its wall time, and a
+full ``lint_netlist`` pass that stays interactive.
 """
 
 import time
@@ -13,13 +14,10 @@ import time
 import pytest
 
 from repro.casestudy.fig9 import Config, build_fig9_spec
-from repro.lint.netlist_rules import (
-    _constant_fixpoint,
-    constant_values,
-    lint_netlist,
-)
+from repro.lint.netlist_rules import constant_values, lint_netlist
 from repro.rtl.logic import X
 from repro.synthesis.elaborate import to_gates
+from tests.lint.constant_reference import constant_fixpoint
 
 #: wall-time budget for the engine, relative to the legacy sweep
 ENGINE_BUDGET = 1.5
@@ -46,14 +44,14 @@ def _best_of(fn, arg, repeats=5):
 def test_engine_matches_legacy_within_budget(largest_netlist):
     nl = largest_netlist
     engine_vals = constant_values(nl)
-    legacy_vals = _constant_fixpoint(nl)
+    legacy_vals = constant_fixpoint(nl)
     # the legacy sweep omits never-known signals; compare .get-X-wise
     assert all(
         engine_vals[sig] == legacy_vals.get(sig, X) for sig in engine_vals
     )
 
     engine = _best_of(constant_values, nl)
-    legacy = _best_of(_constant_fixpoint, nl)
+    legacy = _best_of(constant_fixpoint, nl)
     print(f"\n=== LNT006 on {nl.name} ({len(nl.gates)} gates) ===")
     print(f"engine {engine * 1e3:8.2f} ms")
     print(f"legacy {legacy * 1e3:8.2f} ms  (budget {ENGINE_BUDGET}x)")

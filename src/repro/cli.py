@@ -355,13 +355,21 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
     from repro.faults.models import RTL_FAULT_KINDS
 
-    kinds = tuple(k.strip() for k in args.fault.split(",") if k.strip())
+    if args.netlist == "processor" and args.fault is not None:
+        raise SystemExit(
+            "--fault needs an RTL netlist; the behavioural processor "
+            "campaign injects its own channel and buffer faults"
+        )
+    if args.fault is None:
+        kinds = CampaignConfig().kinds
+    else:
+        kinds = tuple(k.strip() for k in args.fault.split(",") if k.strip())
     unknown_kinds = [k for k in kinds if k not in RTL_FAULT_KINDS]
     if not kinds:
         raise SystemExit(
             f"no fault kinds given; pick from {', '.join(RTL_FAULT_KINDS)}"
         )
-    if unknown_kinds and args.netlist != "processor":
+    if unknown_kinds:
         raise SystemExit(
             f"unknown fault kind(s) {', '.join(unknown_kinds)}; "
             f"pick from {', '.join(RTL_FAULT_KINDS)}"
@@ -383,9 +391,13 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 "--workers replaces --jobs: chunks go to the named "
                 "remote workers instead of local ones"
             )
+        from repro.fabric import parse_workers
+
+        try:
+            parse_workers(args.workers)
+        except ValueError as exc:
+            raise SystemExit(f"--workers: {exc}")
         workers = [w.strip() for w in args.workers.split(",") if w.strip()]
-        if not workers:
-            raise SystemExit("--workers got no addresses")
     if args.resume:
         if checkpoint and checkpoint != args.resume:
             raise SystemExit(
@@ -437,11 +449,14 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 "--shrink needs an RTL netlist; the behavioural processor "
                 "campaign has no injection schedule to shrink"
             )
-        report = run_processor_campaign(
-            ProcessorCampaignConfig(cycles=args.cycles, seed=args.seed),
-            progress=progress,
-            metrics=registry,
-        )
+        try:
+            report = run_processor_campaign(
+                ProcessorCampaignConfig(cycles=args.cycles, seed=args.seed),
+                progress=progress,
+                metrics=registry,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     else:
         if args.netlist not in TARGETS:
             raise SystemExit(
@@ -848,9 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--netlist", default="dual_ehb",
                    help="campaign target (a controller name, or 'processor' "
                         "for the behavioural Sect. 7 pipeline)")
-    p.add_argument("--fault", default="stuck0,stuck1",
+    p.add_argument("--fault", default=None,
                    help="comma-separated RTL fault kinds "
-                        "(stuck0, stuck1, flip)")
+                        "(stuck0, stuck1, flip; default stuck0,stuck1); "
+                        "RTL netlists only")
     p.add_argument("--cycles", type=int, default=400)
     p.add_argument("--seed", type=int, default=2007)
     p.add_argument("--lanes", type=int, default=1,

@@ -70,13 +70,12 @@ def build_elastic_buffer(
     right: GateChannel,
     prefix: str,
     initial_tokens: int = 0,
-    dual: bool = True,
     as_latches: bool = True,
 ) -> None:
-    """A (dual) elastic buffer -- two EHBs, Fig. 3 / Fig. 5.
+    """A dual elastic buffer -- two EHBs, Fig. 3 / Fig. 5.
 
-    State: up to two tokens (bits ``t0 >= t1``) and, when ``dual``, up
-    to two anti-tokens (bits ``a0 >= a1``).  Each bit is a master/slave
+    State: up to two tokens (bits ``t0 >= t1``) and up to two
+    anti-tokens (bits ``a0 >= a1``).  Each bit is a master/slave
     latch pair (2 latches per EHB, as the paper counts area); pass
     ``as_latches=False`` to use plain flip-flops instead, which halves
     the number of state bits for model checking without changing the
@@ -96,14 +95,10 @@ def build_elastic_buffer(
     t1_d = f"{prefix}.t1_d"
     t0 = state_bit(t0_d, f"{prefix}.t0", 1 if initial_tokens >= 1 else 0)
     t1 = state_bit(t1_d, f"{prefix}.t1", 1 if initial_tokens >= 2 else 0)
-    if dual:
-        a0_d = f"{prefix}.a0_d"
-        a1_d = f"{prefix}.a1_d"
-        a0 = state_bit(a0_d, f"{prefix}.a0", 0)
-        a1 = state_bit(a1_d, f"{prefix}.a1", 0)
-    else:
-        a0 = nl.const0(f"{prefix}.a0")
-        a1 = nl.const0(f"{prefix}.a1")
+    a0_d = f"{prefix}.a0_d"
+    a1_d = f"{prefix}.a1_d"
+    a0 = state_bit(a0_d, f"{prefix}.a0", 0)
+    a1 = state_bit(a1_d, f"{prefix}.a1", 0)
 
     # Channel outputs: pure functions of state.
     nl.BUF(t0, out=right.vp)
@@ -147,13 +142,12 @@ def build_elastic_buffer(
         out=t0_d,
     )
     nl.OR(nl.AND(t1, n_down), nl.AND(t0, up), out=t1_d)
-    if dual:
-        nl.OR(
-            nl.AND(a0, nl.OR(n_up, a1)),
-            nl.AND(in_neg, nl.NOT(inc)),
-            out=a0_d,
-        )
-        nl.OR(nl.AND(a1, n_up), nl.AND(a0, down), out=a1_d)
+    nl.OR(
+        nl.AND(a0, nl.OR(n_up, a1)),
+        nl.AND(in_neg, nl.NOT(inc)),
+        out=a0_d,
+    )
+    nl.OR(nl.AND(a1, n_up), nl.AND(a0, down), out=a1_d)
 
 
 def build_join(

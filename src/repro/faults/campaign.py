@@ -302,6 +302,18 @@ def prove_untestable(
     )
 
 
+def _check_horizon(cycles: int, injection_cycles: Sequence[int]) -> None:
+    """Reject a sweep whose faults could never arm inside the run."""
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    for cycle in injection_cycles:
+        if not 0 <= cycle < cycles:
+            raise ValueError(
+                f"injection cycle {cycle} is outside [0, {cycles}): "
+                f"its fault would never arm in a {cycles}-cycle run"
+            )
+
+
 def resolve_target(target: Union[str, RtlTarget]) -> RtlTarget:
     if isinstance(target, RtlTarget):
         return target
@@ -398,7 +410,8 @@ def run_campaign(
     (:class:`~repro.faults.batch.BatchCampaignHarness`), ``lanes=1``
     included; a netlist with a combinational cycle raises
     :class:`~repro.rtl.toposort.CombinationalCycleError` naming the
-    cycle.  ``cycles`` below 1 raises ``ValueError``.  ``jobs > 1``
+    cycle.  ``cycles`` below 1, or an injection cycle outside
+    ``[0, cycles)``, raises ``ValueError``.  ``jobs > 1``
     leases the chunks to that many forked local workers through the same
     :class:`~repro.fabric.FabricCoordinator` as ``workers=``.  A worker
     that dies, or makes no progress for ``shard_timeout`` seconds, is
@@ -448,8 +461,7 @@ def run_campaign(
     against surviving remote workers.
     """
     cfg = config or CampaignConfig()
-    if cfg.cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cfg.cycles}")
+    _check_horizon(cfg.cycles, cfg.injection_cycles)
     if lanes < 1:
         raise ValueError("lanes must be >= 1")
     if jobs < 1:
@@ -679,10 +691,13 @@ def run_processor_campaign(
     progress: Optional[Callable[[int, int], None]] = None,
     metrics: Optional["MetricsRegistry"] = None,
 ) -> CampaignReport:
-    """Sweep behavioural faults over the Sect. 7 elastic processor."""
+    """Sweep behavioural faults over the Sect. 7 elastic processor.
+
+    ``cycles`` below 1, or an injection cycle outside ``[0, cycles)``,
+    raises ``ValueError``.
+    """
     cfg = config or ProcessorCampaignConfig()
-    if cfg.cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cfg.cycles}")
+    _check_horizon(cfg.cycles, cfg.injection_cycles)
     golden = _golden_commits(cfg)
     report = CampaignReport(target="processor", seed=cfg.seed, cycles=cfg.cycles)
     faults = enumerate_processor_faults(cfg)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.lint.frontends.blif import cover_rows, parse_blif
+from repro.lint.frontends.blif import parse_blif
 from repro.lint.frontends.source_map import (
     FrontendParseError,
     ParsedDesign,
@@ -34,7 +34,6 @@ __all__ = [
     "SourceMap",
     "SourceMapInfo",
     "attach_locations",
-    "cover_rows",
     "parse_blif",
     "parse_design_file",
     "parse_verilog",

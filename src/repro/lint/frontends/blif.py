@@ -37,6 +37,7 @@ from repro.lint.frontends.source_map import (
     SourceMapInfo,
     parse_sourcemap_comments,
 )
+from repro.rtl.export import cover_rows
 from repro.rtl.logic import X
 from repro.rtl.netlist import Netlist, Phase
 
@@ -58,36 +59,6 @@ def _token_col(line: str, index: int) -> int:
                 col = pos + 1
                 break
     return col or 1
-
-
-def cover_rows(op: str, n: int) -> List[Tuple[str, str]]:
-    """The canonical ``(plane, output)`` cover of one gate op.
-
-    Mirrors :func:`repro.rtl.export._blif_cover` exactly; both the
-    parser's op recovery and its stale-source-map defence compare
-    against these rows.
-    """
-    if op == "AND":
-        return [("1" * n, "1")]
-    if op == "NAND":
-        return [("-" * i + "0" + "-" * (n - i - 1), "1") for i in range(n)]
-    if op == "OR":
-        return [("-" * i + "1" + "-" * (n - i - 1), "1") for i in range(n)]
-    if op == "NOR":
-        return [("0" * n, "1")]
-    if op == "NOT":
-        return [("0", "1")]
-    if op == "BUF":
-        return [("1", "1")]
-    if op == "XOR":
-        return [("10", "1"), ("01", "1")]
-    if op == "MUX":
-        return [("11-", "1"), ("0-1", "1")]
-    if op == "CONST1":
-        return [("", "1")]
-    if op == "CONST0":
-        return []
-    raise ValueError(f"unknown gate op {op!r}")
 
 
 #: Op recovery order: the canonical spelling of each shared cover comes

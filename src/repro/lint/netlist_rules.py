@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from repro.lint.dataflow import fixpoint, netlist_graph
 from repro.lint.findings import Finding
-from repro.rtl.logic import Value, X, is_known, land, lnot, lor, lxor, lmux
+from repro.rtl.logic import Value, X, eval_op, is_known, lmux, lnot, lxor
 from repro.rtl.netlist import Netlist, Phase
 from repro.rtl.toposort import (
     canonical_cycle,
@@ -209,36 +209,6 @@ def _join(a: Value, b: Value) -> Value:
     return X
 
 
-def _eval_op(op: str, ins: Sequence[Value]) -> Value:
-    """Ternary evaluation of one gate op over resolved input values.
-
-    Mirrors the scalar simulator's ``_eval_gate`` dispatch exactly (one
-    semantics, two drivers); the witness replay below re-runs findings
-    through this same table.
-    """
-    if op == "AND":
-        return land(*ins)
-    if op == "OR":
-        return lor(*ins)
-    if op == "NOT":
-        return lnot(ins[0])
-    if op == "NAND":
-        return lnot(land(*ins))
-    if op == "NOR":
-        return lnot(lor(*ins))
-    if op == "XOR":
-        return lxor(ins[0], ins[1])
-    if op == "MUX":
-        return lmux(ins[0], ins[1], ins[2])
-    if op == "BUF":
-        return ins[0]
-    if op == "CONST0":
-        return 0
-    if op == "CONST1":
-        return 1
-    raise ValueError(f"unknown gate op {op!r}")
-
-
 def _state_table(nl: Netlist) -> Dict[str, Value]:
     state: Dict[str, Value] = {q: latch.init for q, latch in nl.latches.items()}
     state.update((q, flop.init) for q, flop in nl.flops.items())
@@ -258,11 +228,14 @@ def constant_values(nl: Netlist) -> Dict[str, Value]:
     pin can take.  The combinational surface of each round is a Kleene
     descent from top (X) run by :func:`repro.lint.dataflow.fixpoint` --
     the ternary operators are monotone, so the descent reaches the
-    greatest fixpoint regardless of evaluation order and the result
-    matches the legacy sweep (:func:`_constant_fixpoint`) exactly.
-    Latch transparency is abstracted away (the stored value stands in
-    for the output in both phases), which only loses precision, never
+    greatest fixpoint regardless of evaluation order.  Latch
+    transparency is abstracted away (the stored value stands in for the
+    output in both phases), which only loses precision, never
     soundness.
+
+    This one analysis feeds both LNT006 and the area pipeline's
+    sequential constant propagation
+    (:func:`repro.rtl.area.constant_propagate`).
     """
     graph = netlist_graph(nl, state_edges=False)
     gates = nl.gates
@@ -273,7 +246,7 @@ def constant_values(nl: Netlist) -> Dict[str, Value]:
         gate = gates.get(node)
         if gate is None:
             return pinned[node]
-        return _eval_op(gate.op, [get(i) if i in graph else X for i in gate.ins])
+        return eval_op(gate.op, [get(i) if i in graph else X for i in gate.ins])
 
     vals: Dict[str, Value] = dict(state)
     for _ in range(len(state) + 2):  # state only widens; bounded
@@ -283,48 +256,6 @@ def constant_values(nl: Netlist) -> Dict[str, Value]:
         widened = False
         for q in state:
             new = _join(state[q], vals.get(_state_d(nl, q), X))
-            if new is not state[q] and new != state[q]:
-                state[q] = new
-                widened = True
-        if not widened:
-            break
-    vals.update(state)
-    return vals
-
-
-def _constant_fixpoint(nl: Netlist) -> Dict[str, Value]:
-    """Legacy reference implementation of :func:`constant_values`.
-
-    Kept verbatim as the baseline the benchmark suite compares the
-    engine-based re-implementation against (and the tests assert both
-    agree on every design).
-    """
-    from repro.rtl.simulator import _eval_gate
-
-    state: Dict[str, Value] = {}
-    for q, latch in nl.latches.items():
-        state[q] = latch.init
-    for q, flop in nl.flops.items():
-        state[q] = flop.init
-
-    vals: Dict[str, Value] = {}
-    for _ in range(len(state) + 2):  # state only widens; bounded
-        vals = {s: X for s in nl.inputs}
-        vals.update(state)
-        for _ in range(len(nl.gates) + 2):  # combinational fixpoint
-            changed = False
-            for out, gate in nl.gates.items():
-                new = _eval_gate(gate, vals)
-                old = vals.get(out, X)
-                if new is not old and new != old:
-                    vals[out] = new
-                    changed = True
-            if not changed:
-                break
-        widened = False
-        for q in state:
-            d = nl.latches[q].d if q in nl.latches else nl.flops[q].d
-            new = _join(state[q], vals.get(d, X))
             if new is not state[q] and new != state[q]:
                 state[q] = new
                 widened = True
@@ -393,9 +324,9 @@ def _set_not(s: FrozenSet[Value]) -> FrozenSet[Value]:
 def _set_op(op: str, ins: Sequence[FrozenSet[Value]]) -> FrozenSet[Value]:
     """Exact value-set transfer of one gate op.
 
-    Equivalent to evaluating :func:`_eval_op` over the full input
-    product, but the variadic ops are computed set-wise so wide gates
-    stay linear.  Empty (bottom) input sets propagate: a gate fed by an
+    Equivalent to evaluating :func:`~repro.rtl.logic.eval_op` over the
+    full input product, but the variadic ops are computed set-wise so
+    wide gates stay linear.  Empty (bottom) input sets propagate: a gate fed by an
     unreached signal is itself unreached.
     """
     if op == "CONST0":
@@ -662,7 +593,7 @@ def replay_witness(nl: Netlist, finding: Finding) -> bool:
             return False
         if set(inputs) != set(gate.ins):
             return False
-        got = _eval_op(gate.op, [_rvalue(inputs[i]) for i in gate.ins])
+        got = eval_op(gate.op, [_rvalue(inputs[i]) for i in gate.ins])
         return is_known(got) and got == w.get("value")
     if kind == "x-propagation":
         path = w.get("path")
@@ -688,21 +619,18 @@ def replay_witness(nl: Netlist, finding: Finding) -> bool:
     return False
 
 
-def lint_netlist(nl: Netlist, constants: bool = True) -> List[Finding]:
+def lint_netlist(nl: Netlist) -> List[Finding]:
     """Run every netlist rule; returns the findings unsorted.
 
-    ``constants=False`` skips the LNT006 fixpoint (the only rule with
-    super-linear cost) for latency-sensitive callers.  The LNT008/009
-    X analyses short-circuit unless the netlist has X-initialised state,
-    so they stay on in every mode.
+    The LNT008/009 X analyses short-circuit unless the netlist has
+    X-initialised state.
     """
     findings = _drivers(nl)
     findings += _floating(nl)
     findings += _dead_cells(nl)
     findings += _same_phase_paths(nl)
     findings += _cycles(nl)
-    if constants:
-        findings += _constants(nl)
+    findings += _constants(nl)
     findings += _x_state(nl)
     findings += _x_stuck(nl)
     findings += _reset_observable(nl)

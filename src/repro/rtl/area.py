@@ -4,11 +4,12 @@ The paper reports the control-layer cost as *literals in factored form*
 plus latch and flip-flop counts after logic synthesis with SIS.  This
 module regenerates those three numbers from our controller netlists:
 
-* :func:`constant_propagate` -- replaces signals bound to constants
-  (e.g. the ``V−``/``S−`` wires of channels that never see anti-tokens)
-  and simplifies gates until a fixed point, mirroring the paper's
-  "simplification by simple logic synthesis techniques" that removes
-  the negative part of channels such as ``W -> S``;
+* :func:`constant_propagate` -- replaces the signals that LNT006's
+  sequential constant analysis proves constant (e.g. the ``V−``/``S−``
+  wires of channels that never see anti-tokens) and simplifies gates
+  until a fixed point, mirroring the paper's "simplification by simple
+  logic synthesis techniques" that removes the negative part of
+  channels such as ``W -> S``;
 * :func:`prune_dead` -- removes cells outside the transitive fan-in of
   the observable outputs;
 * :func:`count_area` -- counts literals in factored form (inverters and
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
-from repro.rtl.logic import Value, X
+from repro.rtl.logic import is_known
 from repro.rtl.netlist import FlipFlop, Gate, Latch, Netlist
 
 
@@ -150,75 +151,26 @@ def _simplify_gate(
     raise AssertionError(f"unhandled op {op}")
 
 
-def _combinational_constants(
-    netlist: Netlist, const: Dict[str, int]
-) -> Dict[str, int]:
-    """Extend ``const`` with every gate output it forces (pure sweep)."""
-    result = dict(const)
-    changed = True
-    while changed:
-        changed = False
-        for out, gate in netlist.gates.items():
-            if out in result:
-                continue
-            _, _, cval, alias_to = _simplify_gate(gate.op, gate.ins, result)
-            if cval is None and alias_to is not None and alias_to in result:
-                cval = result[alias_to]
-            if cval is not None:
-                result[out] = cval
-                changed = True
-    return result
+def constant_propagate(netlist: Netlist) -> Netlist:
+    """Return a simplified copy with every sequential constant swept.
 
-
-def sequential_constants(
-    netlist: Netlist, bindings: Optional[Mapping[str, int]] = None
-) -> Dict[str, int]:
-    """Sequential constant analysis (greatest fixed point).
-
-    Every latch/flop is assumed stuck at its init value; assumptions are
-    withdrawn whenever the combinational sweep cannot confirm that the
-    element's data input equals its init under the surviving
-    assumptions.  What remains is an inductive invariant: those state
-    bits provably never change.  This is what removes the whole
-    anti-token network when no controller can ever emit a ``V−`` -- the
-    paper's "simplification by simple logic synthesis techniques".
+    The constants are LNT006's:
+    :func:`repro.lint.netlist_rules.constant_values` finds every signal
+    that holds one value in every reachable cycle, including the state
+    bits provably stuck at their init value.  This is what removes the
+    whole anti-token network when no controller can ever emit a ``V−``
+    -- the paper's "simplification by simple logic synthesis
+    techniques".  Constants are then swept through gates, buffers are
+    collapsed and surviving cells are rebuilt.  Iterates to a fixed
+    point.
     """
-    candidates: Dict[str, int] = {}
-    for q, latch in netlist.latches.items():
-        if latch.init is not X:
-            candidates[q] = latch.init
-    for q, flop in netlist.flops.items():
-        if flop.init is not X:
-            candidates[q] = flop.init
+    # Deferred: the lint package imports the synthesis flow, which
+    # imports this module.
+    from repro.lint.netlist_rules import constant_values
 
-    while True:
-        assumed = dict(bindings or {})
-        assumed.update(candidates)
-        known = _combinational_constants(netlist, assumed)
-        drop = []
-        for q in candidates:
-            d = netlist.latches[q].d if q in netlist.latches else netlist.flops[q].d
-            if known.get(d) != candidates[q]:
-                drop.append(q)
-        if not drop:
-            return known
-        for q in drop:
-            del candidates[q]
-
-
-def constant_propagate(
-    netlist: Netlist, bindings: Optional[Mapping[str, int]] = None
-) -> Netlist:
-    """Return a simplified copy with ``bindings`` tied to constants.
-
-    ``bindings`` maps primary-input names to 0/1.  Sequential constants
-    (state bits provably stuck at their init value, see
-    :func:`sequential_constants`) are computed first; then constants
-    are swept through gates, buffers are collapsed and surviving cells
-    are rebuilt.  Iterates to a fixed point.
-    """
-    const: Dict[str, int] = dict(bindings or {})
-    const.update(sequential_constants(netlist, bindings))
+    const: Dict[str, int] = {
+        sig: v for sig, v in constant_values(netlist).items() if is_known(v)
+    }
     alias: Dict[str, str] = {}
 
     def resolve(sig: str) -> str:
@@ -255,20 +207,6 @@ def constant_propagate(
                 changed = True
             elif (new_op, new_ins) != (op, ins):
                 gate_defs[out] = (new_op, new_ins)
-                changed = True
-        for q, latch in netlist.latches.items():
-            if q in const:
-                continue
-            d = resolve(latch.d)
-            if const.get(d) is not None and const[d] == latch.init:
-                const[q] = latch.init
-                changed = True
-        for q, flop in netlist.flops.items():
-            if q in const:
-                continue
-            d = resolve(flop.d)
-            if const.get(d) is not None and const[d] == flop.init:
-                const[q] = flop.init
                 changed = True
 
     # Rebuild.
@@ -338,10 +276,8 @@ def prune_dead(netlist: Netlist, keep: Optional[Iterable[str]] = None) -> Netlis
     return out_nl
 
 
-def synthesize_area(
-    netlist: Netlist, bindings: Optional[Mapping[str, int]] = None
-) -> AreaReport:
+def synthesize_area(netlist: Netlist) -> AreaReport:
     """Constant-propagate, prune and count: the full area pipeline."""
-    simplified = constant_propagate(netlist, bindings)
+    simplified = constant_propagate(netlist)
     pruned = prune_dead(simplified)
     return count_area(pruned)

@@ -196,31 +196,35 @@ def to_verilog(netlist: Netlist, module: Optional[str] = None) -> str:
 # ----------------------------------------------------------------------
 # BLIF
 # ----------------------------------------------------------------------
-def _blif_cover(gate: Gate, nm: Mapping[str, str]) -> List[str]:
-    """The .names cover rows of one gate."""
-    n = len(gate.ins)
-    op = gate.op
+def cover_rows(op: str, n: int) -> List[Tuple[str, str]]:
+    """The ``(plane, output)`` rows of one gate op's BLIF cover.
+
+    ``n`` is the gate's fan-in.  :func:`to_blif` writes these rows, and
+    the BLIF re-parse front-end (:mod:`repro.lint.frontends.blif`)
+    recovers each gate's op by comparing its parsed rows with them.
+    An unknown op raises ``ValueError``.
+    """
     if op == "AND":
-        return ["1" * n + " 1"]
+        return [("1" * n, "1")]
     if op == "NAND":
-        return [("-" * i + "0" + "-" * (n - i - 1) + " 1") for i in range(n)]
+        return [("-" * i + "0" + "-" * (n - i - 1), "1") for i in range(n)]
     if op == "OR":
-        return [("-" * i + "1" + "-" * (n - i - 1) + " 1") for i in range(n)]
+        return [("-" * i + "1" + "-" * (n - i - 1), "1") for i in range(n)]
     if op == "NOR":
-        return ["0" * n + " 1"]
+        return [("0" * n, "1")]
     if op == "NOT":
-        return ["0 1"]
+        return [("0", "1")]
     if op == "BUF":
-        return ["1 1"]
+        return [("1", "1")]
     if op == "XOR":
-        return ["10 1", "01 1"]
+        return [("10", "1"), ("01", "1")]
     if op == "MUX":  # (sel, when1, when0)
-        return ["11- 1", "0-1 1"]
+        return [("11-", "1"), ("0-1", "1")]
     if op == "CONST1":
-        return [" 1"]  # constant-1 function
+        return [("", "1")]  # constant-1 function
     if op == "CONST0":
         return []  # empty cover = constant 0
-    raise AssertionError(f"unhandled op {op}")
+    raise ValueError(f"unknown gate op {op!r}")
 
 
 def to_blif(netlist: Netlist, model: Optional[str] = None) -> str:
@@ -250,7 +254,10 @@ def to_blif(netlist: Netlist, model: Optional[str] = None) -> str:
         ins = " ".join(nm[i] for i in gate.ins)
         header = f".names {ins} {nm[out]}".replace("  ", " ")
         lines.append(header)
-        lines.extend(_blif_cover(gate, nm))
+        lines.extend(
+            f"{plane} {value}"
+            for plane, value in cover_rows(gate.op, len(gate.ins))
+        )
     lines.append(".end")
     lines.extend(_sourcemap_lines(netlist, nm, "#"))
     return "\n".join(lines) + "\n"

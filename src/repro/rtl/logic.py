@@ -12,7 +12,7 @@ operands (e.g. ``land(0, X) == 0``).
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 
 class _Unknown:
@@ -101,6 +101,36 @@ def lmux(sel: Value, when1: Value, when0: Value) -> Value:
             return when1
         return X
     return when1 if sel == 1 else when0
+
+
+def eval_op(op: str, ins: Sequence[Value]) -> Value:
+    """Ternary value of one gate op over its resolved input values.
+
+    The one gate table of the repository: the scalar simulator, the
+    LNT006 constant analysis and its witness replay all evaluate gates
+    here.  An unknown op raises ``ValueError``.
+    """
+    if op == "AND":
+        return land(*ins)
+    if op == "OR":
+        return lor(*ins)
+    if op == "NOT":
+        return lnot(ins[0])
+    if op == "NAND":
+        return lnot(land(*ins))
+    if op == "NOR":
+        return lnot(lor(*ins))
+    if op == "XOR":
+        return lxor(ins[0], ins[1])
+    if op == "MUX":
+        return lmux(ins[0], ins[1], ins[2])
+    if op == "BUF":
+        return ins[0]
+    if op == "CONST0":
+        return 0
+    if op == "CONST1":
+        return 1
+    raise ValueError(f"unknown gate op {op!r}")
 
 
 def AND(vs: Iterable[Value]) -> Value:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.rtl.logic import Value, X, is_known, land, lmux, lnot, lor, lxor
-from repro.rtl.netlist import FlipFlop, Gate, Latch, Netlist, Phase
+from repro.rtl.logic import Value, X, eval_op, is_known
+from repro.rtl.netlist import Latch, Netlist, Phase
 from repro.rtl.toposort import CombinationalCycleError, find_combinational_cycle
 
 __all__ = [
@@ -46,32 +46,6 @@ Override = Union[int, Callable[[Value], Value]]
 
 def _apply_override(override: Override, value: Value) -> Value:
     return override(value) if callable(override) else override
-
-
-def _eval_gate(gate: Gate, vals: Mapping[str, Value]) -> Value:
-    ins = [vals.get(i, X) for i in gate.ins]
-    op = gate.op
-    if op == "AND":
-        return land(*ins)
-    if op == "OR":
-        return lor(*ins)
-    if op == "NOT":
-        return lnot(ins[0])
-    if op == "NAND":
-        return lnot(land(*ins))
-    if op == "NOR":
-        return lnot(lor(*ins))
-    if op == "XOR":
-        return lxor(ins[0], ins[1])
-    if op == "MUX":
-        return lmux(ins[0], ins[1], ins[2])
-    if op == "BUF":
-        return ins[0]
-    if op == "CONST0":
-        return 0
-    if op == "CONST1":
-        return 1
-    raise AssertionError(f"unhandled op {op}")
 
 
 class TwoPhaseSimulator:
@@ -173,6 +147,7 @@ class TwoPhaseSimulator:
     ) -> Values:
         """Least ternary fixed point of one clock phase."""
         nl = self.netlist
+        gates = nl.gates
         ov = self.overrides
         vals: Values = {}
         for sig in nl.inputs:
@@ -202,7 +177,8 @@ class TwoPhaseSimulator:
         for _ in range(max_passes):
             changed = False
             for out in self._order:
-                new = _eval_gate(nl.gates[out], vals)
+                gate = gates[out]
+                new = eval_op(gate.op, [vals.get(i, X) for i in gate.ins])
                 if ov and out in ov:
                     new = _apply_override(ov[out], new)
                 if new is not vals[out] and new != vals[out]:

@@ -168,6 +168,25 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=message):
             run_processor_campaign(ProcessorCampaignConfig(cycles=cycles))
 
+    @pytest.mark.parametrize("late", [40, -1])
+    def test_rtl_campaign_rejects_injections_outside_the_horizon(self, late):
+        config = CampaignConfig(cycles=40, injection_cycles=(0, late, 50))
+        message = rf"injection cycle {late} is outside \[0, 40\)"
+        with pytest.raises(ValueError, match=message):
+            run_campaign("join", config)
+
+    def test_processor_campaign_rejects_injections_outside_the_horizon(self):
+        # the default injection cycle (60) never arms in a 20-cycle run
+        with pytest.raises(ValueError,
+                           match=r"injection cycle 60 is outside \[0, 20\)"):
+            run_processor_campaign(ProcessorCampaignConfig(cycles=20))
+
+    def test_last_cycle_is_inside_the_horizon(self):
+        report = run_campaign("join", CampaignConfig(
+            cycles=40, injection_cycles=(39,), untestable_analysis=False,
+        ))
+        assert report.outcomes
+
 
 class TestProcessorCampaign:
     @pytest.fixture(scope="class")

@@ -199,13 +199,6 @@ def test_lnt006_sequential_constant_through_a_flop():
     assert [f.subject for f in found] == ["feed"]
 
 
-def test_lnt006_opt_out():
-    nl = Netlist("zoo")
-    a = nl.add_input("a")
-    nl.add_output(nl.AND(a, nl.const0(), out="y"))
-    assert by_rule(lint_netlist(nl, constants=False), "LNT006") == []
-
-
 def test_lnt006_free_running_toggle_is_not_constant():
     nl = Netlist("ok")
     nl.add_flop("n", q="q", init=0)

@@ -2,14 +2,16 @@
 
 Every rule gets a positive fixture (the defect, the finding, a witness
 that replays) and a negative fixture (the near-miss that must stay
-silent).  The engine-based ternary constant analysis is held to exact
-agreement with the legacy reference sweep, and the LNT005 cycle report
-is pinned against netlist construction order.
+silent).  The engine-based ternary constant analysis (LNT006 and the
+area pipeline's constant step) is held to exact agreement with the
+legacy reference sweep of ``tests/lint/constant_reference.py``, and the
+LNT005 cycle report is pinned against netlist construction order.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from repro.lint import render_witness, replay_spec_witness, replay_witness
 from repro.lint.elastic_rules import (
@@ -19,15 +21,12 @@ from repro.lint.elastic_rules import (
     lint_spec,
     token_availability,
 )
-from repro.lint.netlist_rules import (
-    _constant_fixpoint,
-    constant_values,
-    lint_netlist,
-    value_sets,
-)
+from repro.lint.netlist_rules import constant_values, lint_netlist, value_sets
 from repro.rtl.logic import X
 from repro.rtl.netlist import Netlist, Phase
 from repro.rtl.toposort import CombinationalCycleError, find_combinational_cycle
+from tests.lint.constant_reference import constant_fixpoint
+from tests.strategies import cyclic_netlists, random_netlists
 
 
 def rules(findings):
@@ -259,7 +258,7 @@ class TestStarvedCounterflow:
 # ----------------------------------------------------------------------
 def legacy_agrees(nl):
     engine = constant_values(nl)
-    legacy = _constant_fixpoint(nl)
+    legacy = constant_fixpoint(nl)
     # the legacy sweep leaves never-known signals out of its dict;
     # compare with .get-X semantics over the full signal set
     for sig in engine:
@@ -294,6 +293,16 @@ class TestConstantEngineEquivalence:
         for seed in range(25):
             nl = build_random_netlist(random.Random(seed))
             assert legacy_agrees(nl), f"seed {seed}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(nl=random_netlists())
+    def test_property_agrees_on_random_netlists(self, nl):
+        assert legacy_agrees(nl)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nl=cyclic_netlists())
+    def test_property_agrees_on_cyclic_netlists(self, nl):
+        assert legacy_agrees(nl)
 
     def test_state_widening_converges(self):
         # toggling flop: q alternates, widens to X, no false constants

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.lint.netlist_rules import constant_values
 from repro.rtl.area import (
     constant_propagate,
     count_area,
     prune_dead,
-    sequential_constants,
     synthesize_area,
 )
+from repro.rtl.logic import X
 from repro.rtl.netlist import Netlist, Phase
 from repro.rtl.simulator import TwoPhaseSimulator
 
@@ -58,30 +59,32 @@ class TestCountArea:
 class TestConstantPropagate:
     def test_and_with_zero_collapses(self):
         nl = Netlist()
-        a, b = nl.add_input("a"), nl.add_input("b")
+        a, b = nl.const0(out="a"), nl.add_input("b")
         nl.AND(a, b, out="q")
         nl.add_output("q")
-        out = constant_propagate(nl, {"a": 0})
+        out = constant_propagate(nl)
         assert count_area(out).literals == 0
 
     def test_and_with_one_drops_literal(self):
         nl = Netlist()
-        a, b, c = (nl.add_input(n) for n in "abc")
+        a = nl.const1(out="a")
+        b, c = nl.add_input("b"), nl.add_input("c")
         nl.AND(a, b, c, out="q")
         nl.add_output("q")
-        out = constant_propagate(nl, {"a": 1})
+        out = constant_propagate(nl)
         assert count_area(out).literals == 2
 
     def test_nand_nor_xor_mux_rules(self):
         nl = Netlist()
-        a, b, s = (nl.add_input(n) for n in "abs")
+        a, b, s = nl.const0(out="a"), nl.add_input("b"), nl.const1(out="s")
         nl.NAND(a, b, out="n1")
         nl.NOR(a, b, out="n2")
         nl.XOR(a, b, out="x")
         nl.MUX(s, a, b, out="m")
         for sig in ("n1", "n2", "x", "m"):
             nl.add_output(sig)
-        out = constant_propagate(nl, {"a": 0, "s": 1})
+        out = constant_propagate(nl)
+        assert count_area(out).literals == 0  # NOR(0, b) is NOT b
         sim = TwoPhaseSimulator(out)
         vals = sim.cycle({"b": 1})
         # NAND(0,1)=1, NOR(0,1)=0, XOR(0,1)=1, MUX(1,a=0,b)=0
@@ -92,7 +95,7 @@ class TestConstantPropagate:
 
     def test_semantics_preserved_on_free_inputs(self):
         nl = _build_sample()
-        out = constant_propagate(nl, {})
+        out = constant_propagate(nl)
         sim_in = TwoPhaseSimulator(nl)
         sim_out = TwoPhaseSimulator(out)
         for a in (0, 1):
@@ -129,16 +132,16 @@ class TestSequentialConstants:
         zero = nl.const0()
         nl.OR(nl.AND(q2, a), zero, out="d1")
         nl.BUF(q1, out="d2")
-        known = sequential_constants(nl)
-        assert known.get("q1") == 0 and known.get("q2") == 0
+        known = constant_values(nl)
+        assert known["q1"] == 0 and known["q2"] == 0
 
     def test_escaping_flop_not_constant(self):
         nl = Netlist()
         a = nl.add_input("a")
         nl.add_flop("d", q="q", init=0)
         nl.OR("q", a, out="d")
-        known = sequential_constants(nl)
-        assert "q" not in known
+        known = constant_values(nl)
+        assert known["q"] is X
 
     def test_constant_propagate_uses_sequential_analysis(self):
         nl = Netlist()

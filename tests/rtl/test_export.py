@@ -8,10 +8,12 @@ from repro.elastic.gates import GateChannel, build_elastic_buffer, build_nd_sink
 from repro.rtl.export import (
     _sanitize,
     channel_specs_smv,
+    cover_rows,
     to_blif,
     to_smv,
     to_verilog,
 )
+from repro.rtl.logic import eval_op
 from repro.rtl.netlist import Netlist, Phase
 
 
@@ -165,3 +167,26 @@ class TestSemanticRoundTrip:
             vals = sim.cycle({"a": a, "b.x": bx})
             assert vals["g1"] == (a & (1 - bx))
             assert vals["g2"] == (a ^ vals["g1"])
+
+
+class TestCoverRows:
+    @pytest.mark.parametrize("op, n", [
+        ("AND", 0), ("AND", 3), ("OR", 0), ("OR", 2), ("NAND", 0),
+        ("NAND", 3), ("NOR", 0), ("NOR", 2), ("NOT", 1), ("BUF", 1),
+        ("XOR", 2), ("MUX", 3), ("CONST0", 0), ("CONST1", 0),
+    ])
+    def test_cover_is_the_gate_table(self, op, n):
+        """Each cover, read as a sum of products, is the op's function."""
+        import itertools
+
+        rows = cover_rows(op, n)
+        for bits in itertools.product((0, 1), repeat=n):
+            on = any(
+                all(c == "-" or int(c) == b for c, b in zip(plane, bits))
+                for plane, _ in rows
+            )
+            assert int(on) == eval_op(op, list(bits)), (op, bits)
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown gate op"):
+            cover_rows("XNOR", 2)

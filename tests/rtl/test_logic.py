@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rtl.logic import X, is_known, land, lmux, lnot, lor, lxor
+from repro.rtl.logic import X, eval_op, is_known, land, lmux, lnot, lor, lxor
 
 VALUES = [0, 1, X]
 
@@ -112,3 +112,8 @@ def test_mux_monotone(sel, a, b):
 def test_double_negation(v):
     r = lnot(lnot(v))
     assert (r is X) if v is X else (r == v)
+
+
+def test_eval_op_rejects_unknown_op():
+    with pytest.raises(ValueError, match="unknown gate op 'XNOR'"):
+        eval_op("XNOR", [0, 1])

@@ -69,6 +69,40 @@ def build_random_netlist(rng: random.Random) -> Netlist:
     return nl
 
 
+def build_cyclic_netlist(rng: random.Random) -> Netlist:
+    """A random netlist whose cells may read any signal, later ones too.
+
+    Forward references close combinational cycles through gates and
+    transparent latches, so most of these netlists have one; latches of
+    both phases and flip-flops start at 0, 1 or X.
+    """
+    nl = Netlist("cyclic")
+    pool = [nl.add_input(f"in{i}") for i in range(rng.randint(1, 3))]
+    cells = [f"c{i}" for i in range(rng.randint(3, 16))]
+    pool += cells
+    for name in cells:
+        r = rng.random()
+        if r < 0.15:
+            nl.add_latch(rng.choice(pool), rng.choice([Phase.HIGH, Phase.LOW]),
+                         q=name, init=rng.choice([0, 1, X]))
+        elif r < 0.25:
+            nl.add_flop(rng.choice(pool), q=name, init=rng.choice([0, 1, X]))
+        elif r < 0.35:
+            nl.MUX(*(rng.choice(pool) for _ in range(3)), out=name)
+        elif r < 0.45:
+            nl.XOR(rng.choice(pool), rng.choice(pool), out=name)
+        elif r < 0.55:
+            op = rng.choice(["NOT", "BUF", "CONST0", "CONST1"])
+            ins = (rng.choice(pool),) if op in ("NOT", "BUF") else ()
+            nl.add_gate(op, ins, out=name)
+        else:
+            op = rng.choice(_VARIADIC)
+            ins = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            nl.add_gate(op, ins, out=name)
+    nl.validate()
+    return nl
+
+
 def random_stimulus(rng: random.Random, netlist: Netlist,
                     lanes: int = LANES, cycles: int = CYCLES):
     """Per-lane, per-cycle input maps with ~15% explicit X drives."""
@@ -139,6 +173,13 @@ def random_netlists(draw):
     """
     seed = draw(st.integers(0, 2**32 - 1))
     return build_random_netlist(random.Random(seed))
+
+
+@st.composite
+def cyclic_netlists(draw):
+    """Random netlists with forward references (:func:`build_cyclic_netlist`)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    return build_cyclic_netlist(random.Random(seed))
 
 
 @st.composite

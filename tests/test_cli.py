@@ -223,6 +223,55 @@ class TestInjectLanes:
                            match="--shrink needs an RTL netlist"):
             main(["inject", "--netlist", "processor", "--shrink"])
 
+    @pytest.mark.parametrize("kinds", ["bogus", "stuck0"])
+    def test_processor_rejects_fault(self, kinds):
+        with pytest.raises(SystemExit,
+                           match="--fault needs an RTL netlist"):
+            main(["inject", "--netlist", "processor", "--fault", kinds,
+                  "--cycles", "20"])
+
+    def test_processor_rejects_a_horizon_before_its_injections(self, tmp_path):
+        report = tmp_path / "campaign.json"
+        with pytest.raises(SystemExit,
+                           match=r"injection cycle 60 is outside \[0, 20\)"):
+            main(["inject", "--netlist", "processor", "--cycles", "20",
+                  "--report", str(report)])
+        assert not report.exists()
+
+
+class TestInjectWorkers:
+    @pytest.mark.parametrize("spec, bad", [
+        ("nonsense", "'nonsense'"),
+        ("127.0.0.1:7000,host:port", "'host:port'"),
+    ])
+    def test_malformed_address_rejected(self, tmp_path, spec, bad):
+        report = tmp_path / "campaign.json"
+        with pytest.raises(SystemExit, match=f"bad worker address {bad}"):
+            main(["inject", "--netlist", "join", "--cycles", "20",
+                  "--workers", spec, "--report", str(report)])
+        assert not report.exists()
+
+    def test_empty_address_list_rejected(self):
+        with pytest.raises(SystemExit, match="no worker addresses"):
+            main(["inject", "--netlist", "join", "--workers", ","])
+
+    def test_malformed_address_exits_with_one_line(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "inject", "--netlist", "join",
+             "--cycles", "20", "--workers", "nonsense"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "--workers: bad worker address 'nonsense'; expected host:port"
+        ]
+
 
 class TestInjectResilience:
     def test_checkpointed_report_is_byte_identical(self, tmp_path):
