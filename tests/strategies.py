@@ -6,7 +6,9 @@ Two families live here:
   differential suites drive (gate soup with latches, flip-flop
   feedback, X stimulus and per-lane fault injections), lifted out of
   ``tests/rtl/test_batchsim_differential.py`` so every differential
-  suite consumes the same distribution;
+  suite consumes the same distribution, plus forward-referencing
+  netlists with combinational cycles for the constant-analysis
+  property;
 * :func:`spec_models`, a Hypothesis strategy over the *system-level*
   :class:`repro.fuzz.model.SpecModel` generator -- valid (lint-clean,
   elaborable) specs by construction, the same distribution ``repro

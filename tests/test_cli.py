@@ -259,8 +259,10 @@ class TestInjectWorkers:
         import os
         import subprocess
         import sys
+        from pathlib import Path
 
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "inject", "--netlist", "join",
              "--cycles", "20", "--workers", "nonsense"],
