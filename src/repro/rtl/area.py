@@ -212,8 +212,7 @@ def constant_propagate(netlist: Netlist) -> Netlist:
     # Rebuild.
     out_nl = Netlist(netlist.name + "+cp")
     for sig in netlist.inputs:
-        if sig not in const:
-            out_nl.add_input(sig)
+        out_nl.add_input(sig)
     const_cache: Dict[int, str] = {}
 
     def materialise(sig: str) -> str:
