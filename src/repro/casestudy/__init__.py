@@ -11,6 +11,7 @@
 from repro.casestudy.fig9 import (
     CHANNELS_REPORTED,
     Config,
+    MEAN_LATENCY,
     OPCODE_PROBABILITIES,
     build_fig9_spec,
 )
@@ -19,6 +20,7 @@ from repro.casestudy.table1 import Table1Row, run_config, run_table1, format_tab
 __all__ = [
     "CHANNELS_REPORTED",
     "Config",
+    "MEAN_LATENCY",
     "OPCODE_PROBABILITIES",
     "build_fig9_spec",
     "Table1Row",

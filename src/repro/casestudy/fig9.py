@@ -40,6 +40,19 @@ OPCODE_PROBABILITIES: Dict[str, float] = {"I": 0.6, "F": 0.3, "M": 0.1}
 #: the five channels reported in Table 1
 CHANNELS_REPORTED: List[str] = ["F2->F3", "F3->W", "S->M1", "M1->M2", "M2->W"]
 
+#: latency distributions ``{cycles: probability}`` of the VL units (Sect. 6)
+VL_LATENCIES: Dict[str, Dict[int, float]] = {
+    "M1": {2: 0.8, 10: 0.2},
+    "M2": {1: 0.5, 2: 0.5},
+}
+
+#: their means (E[M1] = 3.6, E[M2] = 1.5): the latencies the DMG
+#: abstraction assumes for the lazy bound and the model comparison
+MEAN_LATENCY: Dict[str, float] = {
+    unit: sum(cycles * p for cycles, p in dist.items())
+    for unit, dist in VL_LATENCIES.items()
+}
+
 #: EJ input order: C (select), I, F, M
 _EJ_INPUTS = {"C": 0, "I": 1, "F": 2, "M": 3}
 
@@ -112,8 +125,8 @@ def build_fig9_spec(config: Config = Config.ACTIVE, seed: int = 0) -> SystemSpec
         spec.add_register(reg)
     # M: input buffer, two VL units, output register.
     spec.add_register("EB_M0")
-    spec.add_block("M1", latency=distribution_latency({2: 0.8, 10: 0.2}))
-    spec.add_block("M2", latency=distribution_latency({1: 0.5, 2: 0.5}))
+    for unit in ("M1", "M2"):
+        spec.add_block(unit, latency=distribution_latency(VL_LATENCIES[unit]))
     spec.add_register("EB_M")
     # C: the control buffer on the S -> W channel (dropped in NO_BUFFER).
     has_c = config is not Config.NO_BUFFER

@@ -51,7 +51,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.casestudy.fig9 import Config, build_fig9_spec
+from repro.casestudy.fig9 import MEAN_LATENCY, Config, build_fig9_spec
 from repro.casestudy.table1 import format_table, run_config, run_table1
 
 _CONFIGS = {c.name.lower(): c for c in Config}
@@ -198,7 +198,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
     spec = build_fig9_spec(_config(args.config))
     live = check_liveness(spec)
-    bound = throughput_bound(spec, mean_latency={"M1": 3.6, "M2": 1.5})
+    bound = throughput_bound(spec, mean_latency=MEAN_LATENCY)
     print(f"configuration: {args.config}")
     print(f"structurally live: {live}")
     print(f"lazy throughput bound (min cycle ratio): {bound} = {float(bound):.3f}")
@@ -208,23 +208,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def _trace_network(config: str, seed: int):
     """Build the network to trace: a Fig. 9 config or the Fig. 5 chain."""
     if config == "pipeline":
-        from repro.elastic.behavioral import (
-            ElasticBuffer,
-            ElasticNetwork,
-            Sink,
-            Source,
-        )
+        from repro.obs.analyze import _pipeline_network
 
-        net = ElasticNetwork("fig5")
-        din = net.add_channel("Din")
-        mid = net.add_channel("mid")
-        dout = net.add_channel("Dout")
-        net.add(Source("src", din))
-        net.add(ElasticBuffer("EB0", din, mid, initial_tokens=1,
-                              initial_data=["t0"]))
-        net.add(ElasticBuffer("EB1", mid, dout))
-        net.add(Sink("snk", dout))
-        return net
+        return _pipeline_network(seed)
     from repro.synthesis.elaborate import to_behavioral
 
     spec = build_fig9_spec(_config(config), seed=seed)

@@ -95,6 +95,33 @@ class Controller:
         return f"{type(self).__name__}({self.name!r})"
 
 
+def controller_ports(ctrl: Controller) -> Tuple[List[Channel], List[Channel]]:
+    """``(consumed, produced)`` channels of one controller.
+
+    A controller consumes tokens from the first (it drives their
+    ``{S+, V-}`` wires) and produces tokens into the second (it drives
+    ``{V+, S-}``).  Read from the port attributes every controller here
+    uses: ``left``/``right`` (buffers, pipes, VL units), ``up``/``down``
+    (the passive interface), ``inputs`` or ``input``, and ``outputs`` or
+    ``output``.  A controller with none of them (a probe) has no ports.
+    """
+    if hasattr(ctrl, "left") and hasattr(ctrl, "right"):
+        return [ctrl.left], [ctrl.right]
+    if hasattr(ctrl, "up") and hasattr(ctrl, "down"):
+        return [ctrl.up], [ctrl.down]
+    consumed: List[Channel] = []
+    produced: List[Channel] = []
+    if hasattr(ctrl, "inputs"):
+        consumed += ctrl.inputs
+    elif hasattr(ctrl, "input"):
+        consumed.append(ctrl.input)
+    if hasattr(ctrl, "outputs"):
+        produced += ctrl.outputs
+    elif hasattr(ctrl, "output"):
+        produced.append(ctrl.output)
+    return consumed, produced
+
+
 # ----------------------------------------------------------------------
 # Elastic buffer (dual EB = two EHBs, Fig. 5)
 # ----------------------------------------------------------------------
@@ -361,13 +388,29 @@ class EarlyJoin(Controller):
             changed |= ch.drive_sp(land(lnot(fire), lnot(vn_i)))
         return changed
 
+    def owing(self) -> Optional[List[int]]:
+        """The inputs this cycle's firing leaves owing an anti-token.
+
+        ``None`` when the join does not fire (its output offers no token
+        or is stopped).  Otherwise the indices of the inputs whose token
+        is absent or masked by a pending anti-token; the firing is early
+        when the list is not empty.  Reads the settled wires and the
+        counters as they stand before :meth:`commit`.
+        """
+        out = self.output
+        if not (out.vp == 1 and out.sp == 0):
+            return None
+        return [
+            i for i, ch in enumerate(self.inputs)
+            if not (ch.vp == 1 and self.apend[i] == 0)
+        ]
+
     def commit(self) -> None:
         out = self.output
-        fire = out.vp == 1 and out.sp == 0
+        owing = self.owing() or ()
         accepted = out.neg_transfer
         for i, ch in enumerate(self.inputs):
-            masked_valid = ch.vp == 1 and self.apend[i] == 0
-            generated = fire and not masked_valid
+            generated = i in owing
             offered = ch.vn == 1
             delivered = offered and (ch.vp == 1 or ch.sn == 0)
             incoming = 1 if (accepted or generated) else 0

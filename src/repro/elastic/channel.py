@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.elastic.protocol import (
+    CATEGORY,
+    MOVED,
     DualChannelEvent,
     ProtocolMonitor,
     ProtocolViolation,
@@ -41,59 +43,43 @@ class ChannelStats:
     """Per-channel event counters (the Table 1 columns)."""
 
     cycles: int = 0
-    positive: int = 0
-    negative: int = 0
-    kills: int = 0
-    retries_pos: int = 0
-    retries_neg: int = 0
-    idle: int = 0
+    #: cycles counted per event of the six-event table
+    counts: Dict[DualChannelEvent, int] = field(
+        default_factory=lambda: dict.fromkeys(DualChannelEvent, 0)
+    )
 
     def record(self, event: DualChannelEvent) -> None:
         self.cycles += 1
-        if event is DualChannelEvent.POSITIVE_TRANSFER:
-            self.positive += 1
-        elif event is DualChannelEvent.NEGATIVE_TRANSFER:
-            self.negative += 1
-        elif event is DualChannelEvent.KILL:
-            self.kills += 1
-        elif event is DualChannelEvent.RETRY_POS:
-            self.retries_pos += 1
-        elif event is DualChannelEvent.RETRY_NEG:
-            self.retries_neg += 1
-        else:
-            self.idle += 1
+        self.counts[event] += 1
+
+    positive = property(lambda self: self.counts[DualChannelEvent.POSITIVE_TRANSFER])
+    negative = property(lambda self: self.counts[DualChannelEvent.NEGATIVE_TRANSFER])
+    kills = property(lambda self: self.counts[DualChannelEvent.KILL])
+    retries_pos = property(lambda self: self.counts[DualChannelEvent.RETRY_POS])
+    retries_neg = property(lambda self: self.counts[DualChannelEvent.RETRY_NEG])
+    idle = property(lambda self: self.counts[DualChannelEvent.IDLE])
+
+    @property
+    def moved(self) -> int:
+        """Cycles in which a token, an anti-token or both moved."""
+        return sum(self.counts[event] for event in MOVED)
 
     @property
     def throughput(self) -> float:
-        """(positive + negative + kills) per cycle -- the paper's Th."""
+        """Moved cycles per cycle -- the paper's Th."""
         if self.cycles == 0:
             return 0.0
-        return (self.positive + self.negative + self.kills) / self.cycles
+        return self.moved / self.cycles
 
     def accounting(self) -> Dict[str, int]:
-        """Cycle accounting keyed by the strict-bit category names.
-
-        The keys match the gate-level classifier used by
-        :mod:`repro.obs.analyze`, so behavioural and RTL profiles share
-        one report schema.
-        """
-        return {
-            "transfer+": self.positive,
-            "transfer-": self.negative,
-            "kill": self.kills,
-            "retry+": self.retries_pos,
-            "retry-": self.retries_neg,
-            "idle": self.idle,
-        }
+        """The counts keyed by category name, the report schema that
+        behavioural and RTL profiles share."""
+        return {CATEGORY[event]: n for event, n in self.counts.items()}
 
     def rates(self) -> Dict[str, float]:
         """Per-cycle rates of the three moving events."""
         c = self.cycles or 1
-        return {
-            "+": self.positive / c,
-            "-": self.negative / c,
-            "±": self.kills / c,
-        }
+        return {event.value: self.counts[event] / c for event in MOVED}
 
     def __str__(self) -> str:
         r = self.rates()

@@ -24,13 +24,18 @@ and the channel invariants of equation (2)::
 The throughput of a channel is the sum of the three event rates, which
 by the repetitive behaviour of SCDMGs is identical on every channel of a
 strongly connected system.
+
+Every other cycle is a **retry+** (``V+ and S+``), a **retry−** (``V−
+and S−``) or **idle**.  :func:`event_of` is the one six-event table;
+:data:`CATEGORY`, :data:`MOVED` and :data:`RETRYING` name and group
+its events for every counter, monitor, profiler and watchdog.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class ChannelState(enum.Enum):
@@ -64,6 +69,50 @@ def invariant_holds(vp: int, sp: int, vn: int, sn: int) -> bool:
     return not (vn and sp) and not (vp and sn)
 
 
+# Module-level names for the members, in definition order: the table
+# below runs once per channel-cycle, where a class attribute lookup on
+# the enum costs more than the comparisons.
+_T_POS, _T_NEG, _KILL, _R_POS, _R_NEG, _IDLE = DualChannelEvent
+
+#: each event's name in reports and traces, in table order
+CATEGORY: Dict[DualChannelEvent, str] = dict(zip(DualChannelEvent, (
+    "transfer+", "transfer-", "kill", "retry+", "retry-", "idle",
+)))
+CATEGORIES: Tuple[str, ...] = tuple(CATEGORY.values())
+
+#: the events in which something moves: the paper's throughput counts
+#: them, and a no-progress watchdog waits for one
+MOVED = (_T_POS, _T_NEG, _KILL)
+
+#: the events in which an offer is refused, each with the Stop wire
+#: asserted against it (a blocked Stop wire *is* a retry)
+RETRYING: Dict[DualChannelEvent, str] = {_R_POS: "sp", _R_NEG: "sn"}
+
+
+def event_of(vp, sp, vn, sn) -> DualChannelEvent:
+    """Classify one channel-cycle from its four wire values.
+
+    The six-event table of Sects. 3--4.  It never raises: a wire that
+    is unknown (``X``) or absent (``None``) matches no test, so a cycle
+    whose deciding wire is unknown reads as idle -- safe on reset
+    transients and fault-corrupted runs.  :func:`classify_dual` is the
+    raising form for settled wires.
+    """
+    if vp == 1:
+        if vn == 1:
+            return _KILL
+        if sp == 0:
+            return _T_POS
+        if sp == 1:
+            return _R_POS
+    elif vn == 1:
+        if sn == 0:
+            return _T_NEG
+        if sn == 1:
+            return _R_NEG
+    return _IDLE
+
+
 def classify_dual(vp: int, sp: int, vn: int, sn: int) -> DualChannelEvent:
     """Classify one cycle of a dual channel.
 
@@ -74,17 +123,7 @@ def classify_dual(vp: int, sp: int, vn: int, sn: int) -> DualChannelEvent:
         raise ProtocolViolation(
             f"invariant (2) violated: V+={vp} S+={sp} V-={vn} S-={sn}"
         )
-    if vp and vn:
-        return DualChannelEvent.KILL
-    if vp and not sp:
-        return DualChannelEvent.POSITIVE_TRANSFER
-    if vp and sp:
-        return DualChannelEvent.RETRY_POS
-    if vn and not sn:
-        return DualChannelEvent.NEGATIVE_TRANSFER
-    if vn and sn:
-        return DualChannelEvent.RETRY_NEG
-    return DualChannelEvent.IDLE
+    return event_of(vp, sp, vn, sn)
 
 
 class ProtocolViolation(AssertionError):
@@ -111,7 +150,6 @@ class ProtocolMonitor:
     _pending_pos: bool = field(default=False, repr=False)
     _pending_data: object = field(default=None, repr=False)
     _pending_neg: bool = field(default=False, repr=False)
-    history: List[DualChannelEvent] = field(default_factory=list, repr=False)
 
     def observe(
         self, vp: int, sp: int, vn: int, sn: int, data: object = None
@@ -138,43 +176,7 @@ class ProtocolMonitor:
                 f"{self.name}: V- dropped during Retry- (persistence broken)"
             )
 
-        self._pending_pos = event is DualChannelEvent.RETRY_POS
+        self._pending_pos = event is _R_POS
         self._pending_data = data if self._pending_pos else None
-        self._pending_neg = event is DualChannelEvent.RETRY_NEG
-        self.history.append(event)
+        self._pending_neg = event is _R_NEG
         return event
-
-    def language_ok(self) -> bool:
-        """Whether the observed positive trace is a prefix of (I*R*T)*.
-
-        Equivalent to never having seen a Retry followed by Idle, which
-        :meth:`observe` already raises on; provided for explicit checks
-        over recorded histories.
-        """
-        pending = False
-        for ev in self.history:
-            pos_valid = ev in (
-                DualChannelEvent.POSITIVE_TRANSFER,
-                DualChannelEvent.RETRY_POS,
-                DualChannelEvent.KILL,
-            )
-            if pending and not pos_valid:
-                return False
-            pending = ev is DualChannelEvent.RETRY_POS
-        return True
-
-    def throughput(self) -> float:
-        """Transfers + kills per observed cycle (the paper's Th metric)."""
-        if not self.history:
-            return 0.0
-        moving = sum(
-            1
-            for ev in self.history
-            if ev
-            in (
-                DualChannelEvent.POSITIVE_TRANSFER,
-                DualChannelEvent.NEGATIVE_TRANSFER,
-                DualChannelEvent.KILL,
-            )
-        )
-        return moving / len(self.history)

@@ -40,17 +40,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.elastic.behavioral import (
     Controller,
-    EagerFork,
     EarlyJoin,
     ElasticBuffer,
     ElasticNetwork,
-    Join,
-    LazyFork,
     PassiveAntiToken,
-    Pipe,
-    Sink,
-    Source,
-    VariableLatency,
+    controller_ports,
 )
 from repro.elastic.ee import MuxEE, ThresholdEE
 from repro.lint.dataflow import fixpoint, spec_graph, spec_in_channels
@@ -552,42 +546,6 @@ def lint_spec(spec: SystemSpec) -> List[Finding]:
 # ----------------------------------------------------------------------
 # Network-level rules
 # ----------------------------------------------------------------------
-def _roles(ctrl: Controller) -> Tuple[List, List]:
-    """``(consumed, produced)`` channels of one controller.
-
-    Consumed channels are those the controller reads tokens from (it
-    drives their ``{S+, V-}`` wires); produced channels are those it
-    emits tokens into (it drives ``{V+, S-}``).  Custom controllers
-    (e.g. the Sect. 7 processor's fetch/commit units) are covered by
-    the isinstance checks on their base class, with an attribute-shape
-    fallback for anything else.
-    """
-    if isinstance(ctrl, (ElasticBuffer, Pipe, VariableLatency)):
-        return [ctrl.left], [ctrl.right]
-    if isinstance(ctrl, (Join, EarlyJoin)):
-        return list(ctrl.inputs), [ctrl.output]
-    if isinstance(ctrl, (EagerFork, LazyFork)):
-        return [ctrl.input], list(ctrl.outputs)
-    if isinstance(ctrl, PassiveAntiToken):
-        return [ctrl.up], [ctrl.down]
-    if isinstance(ctrl, Source):
-        return [], [ctrl.output]
-    if isinstance(ctrl, Sink):
-        return [ctrl.input], []
-    consumed, produced = [], []
-    if hasattr(ctrl, "left") and hasattr(ctrl, "right"):
-        return [ctrl.left], [ctrl.right]
-    if hasattr(ctrl, "inputs"):
-        consumed += list(ctrl.inputs)
-    elif hasattr(ctrl, "input"):
-        consumed.append(ctrl.input)
-    if hasattr(ctrl, "outputs"):
-        produced += list(ctrl.outputs)
-    elif hasattr(ctrl, "output"):
-        produced.append(ctrl.output)
-    return consumed, produced
-
-
 def _network_polarity(net: ElasticNetwork) -> List[Finding]:
     """ELX002: one producer and one consumer per channel."""
     target = net.name
@@ -595,7 +553,7 @@ def _network_polarity(net: ElasticNetwork) -> List[Finding]:
     consumers: Dict[str, List[str]] = {name: [] for name in net.channels}
     findings = []
     for ctrl in net.controllers:
-        consumed, produced = _roles(ctrl)
+        consumed, produced = controller_ports(ctrl)
         for ch in consumed:
             consumers.setdefault(ch.name, []).append(ctrl.name)
         for ch in produced:
@@ -636,7 +594,7 @@ def _network_deadlocks(net: ElasticNetwork) -> List[Finding]:
     by_name: Dict[str, Controller] = {}
     for ctrl in net.controllers:
         by_name[ctrl.name] = ctrl
-        consumed, produced = _roles(ctrl)
+        consumed, produced = controller_ports(ctrl)
         for ch in consumed:
             consumers[ch.name] = ctrl.name
         for ch in produced:

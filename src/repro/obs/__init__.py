@@ -27,7 +27,6 @@ from repro.obs.analyze import (
     NetworkProfiler,
     PerformanceReport,
     RtlChannelProfiler,
-    classify_strict,
     profile_designs,
     run_profile,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "PerformanceReport",
     "RtlChannelProfiler",
     "TraceEvent",
-    "classify_strict",
     "profile_designs",
     "run_profile",
     "Counter",

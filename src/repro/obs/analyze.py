@@ -7,14 +7,22 @@ behavioural network or, for an RTL design, on one lane of the compiled
 simulator:
 
 * **cycle accounting** -- every channel-cycle lands in exactly one of
-  the six strict-bit categories (``transfer+``/``transfer-``/``kill``/
-  ``retry+``/``retry-``/``idle``), plus token/anti-token conservation
-  totals per elastic buffer (occupancy delta must equal boundary flux,
-  the same invariant the fault-campaign monitors check online);
-* **backpressure attribution** -- each blocked Stop wire is walked
-  backwards through the asserted-Stop chain (the resilience watchdogs'
-  wait-for-graph machinery) to the root-cause wire, and the lost
-  channel-cycles are tallied per blocking sink and per root;
+  the six events of :func:`repro.elastic.protocol.event_of`, counted
+  in one :class:`~repro.elastic.channel.ChannelStats` per channel and
+  reported under the :data:`~repro.elastic.protocol.CATEGORY` names
+  (``transfer+``/``transfer-``/``kill``/``retry+``/``retry-``/
+  ``idle``).  The behavioural profiler reads the channels' own
+  counters; the gate-level one classifies each lane cycle's wires
+  (an unknown wire reads as idle).  Token/anti-token conservation is
+  checked per elastic buffer: the occupancy delta must equal the
+  moved events (transfers and kills) in minus those out, the same
+  invariant the fault-campaign monitors check online;
+* **backpressure attribution** -- each blocked Stop wire (the Stop
+  wire of a ``retry+`` or ``retry-`` channel) is walked backwards
+  through the asserted-Stop chain to the root-cause wire, on the
+  stall watchdogs' wait-for graph (the controller-port graph of a
+  network, the fan-in cones of a netlist), and the lost channel-cycles
+  are tallied per blocking sink and per root;
 * **critical-cycle analysis** -- the DMG abstraction's
   throughput-bounding cycle is named arc by arc, the timed DMG
   simulator predicts the throughput with early evaluation, and the
@@ -42,56 +50,29 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
+from repro.elastic.channel import ChannelStats
 from repro.obs.metrics import _canon
-from repro.rtl.logic import X
 
 __all__ = [
-    "CATEGORIES",
     "NetworkProfiler",
     "PerformanceReport",
     "RtlChannelProfiler",
-    "classify_strict",
     "model_section",
     "profile_designs",
     "run_profile",
 ]
 
-#: the six cycle-accounting buckets (every channel-cycle lands in one)
-CATEGORIES = ("transfer+", "transfer-", "kill", "retry+", "retry-", "idle")
-
 #: no-progress window of the embedded (non-raising) stall watchdogs
 _WINDOW = 64
-
-_EMPTY: Dict[str, Set[str]] = {}
-
-
-def classify_strict(vp, sp, vn, sn) -> str:
-    """Classify one settled channel-cycle from its four wire values.
-
-    Mirrors :func:`repro.elastic.protocol.classify_dual` but never
-    raises: unknown (``X``) wires fall through to ``idle``, so the
-    classifier is safe on reset transients and fault-corrupted runs.
-    """
-    if vp == 1 and vn == 1:
-        return "kill"
-    if vp == 1 and sp == 0:
-        return "transfer+"
-    if vn == 1 and sn == 0:
-        return "transfer-"
-    if vp == 1 and sp == 1:
-        return "retry+"
-    if vn == 1 and sn == 1:
-        return "retry-"
-    return "idle"
 
 
 def _walk_root(
     wire: str,
     blocked: Set[str],
-    primary: Mapping[str, Set[str]],
-    fallback: Mapping[str, Set[str]],
+    primary: Mapping[str, Iterable[str]],
+    fallback: Mapping[str, Iterable[str]],
 ) -> str:
     """Walk a blocked Stop wire back to its root cause.
 
@@ -105,9 +86,9 @@ def _walk_root(
     seen = {wire}
     node = wire
     while True:
-        deps = sorted((primary.get(node, set()) & blocked) - seen)
+        deps = sorted(blocked.intersection(primary.get(node, ())) - seen)
         if not deps:
-            deps = sorted((fallback.get(node, set()) & blocked) - seen)
+            deps = sorted(blocked.intersection(fallback.get(node, ())) - seen)
         if not deps:
             return node
         node = deps[0]
@@ -133,10 +114,87 @@ def _fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+class _ChannelProfiler:
+    """What both profilers report from: one :class:`ChannelStats` per
+    channel (:attr:`stats`, by channel name) and the lost channel-cycles
+    of each blocked Stop wire, tallied per root cause."""
+
+    stats: Mapping[str, ChannelStats]
+
+    def __init__(self) -> None:
+        self.lost: Dict[str, int] = {}
+        self.roots: Dict[str, Dict[str, int]] = {}
+
+    def _attribute(
+        self,
+        blocked: Set[str],
+        primary: Mapping[str, Iterable[str]],
+        fallback: Mapping[str, Iterable[str]],
+    ) -> None:
+        for wire in sorted(blocked):
+            root = _walk_root(wire, blocked, primary, fallback)
+            self.lost[wire] = self.lost.get(wire, 0) + 1
+            by_root = self.roots.setdefault(wire, {})
+            by_root[root] = by_root.get(root, 0) + 1
+
+    def throughput(self, channel: str) -> float:
+        return self.stats[channel].throughput
+
+    def channel_section(self) -> Dict[str, Dict[str, object]]:
+        section: Dict[str, Dict[str, object]] = {}
+        for name, stats in sorted(self.stats.items()):
+            entry: Dict[str, object] = stats.accounting()
+            entry["throughput"] = _canon(stats.throughput)
+            section[name] = entry
+        return section
+
+    def _conservation(self, buffers) -> Dict[str, object]:
+        """Token/anti-token conservation over ``buffers``, each
+        ``(name, initial, final, left channel, right channel)``: a
+        buffer's occupancy delta must equal the events moved in on its
+        left channel minus those moved out on its right one."""
+        stats = self.stats
+        section: Dict[str, object] = {}
+        complete = True
+        for name, initial, final, left, right in buffers:
+            flux = stats[left].moved - stats[right].moved
+            residual = (final - initial) - flux
+            if residual != 0:
+                complete = False
+            section[name] = {
+                "initial": initial, "final": final,
+                "delta": final - initial, "flux": flux,
+                "residual": residual,
+            }
+        return {
+            "tokens_moved": sum(s.positive for s in stats.values()),
+            "anti_tokens_moved": sum(s.negative for s in stats.values()),
+            "annihilated": sum(s.kills for s in stats.values()),
+            "buffers": section,
+            "complete": complete,
+        }
+
+    def attribution_section(
+        self, diagnoses: Sequence = ()
+    ) -> Dict[str, object]:
+        sinks: Dict[str, object] = {}
+        for wire in sorted(self.lost):
+            roots = self.roots.get(wire, {})
+            sinks[wire] = {
+                "lost": self.lost[wire],
+                "roots": {r: roots[r] for r in sorted(roots)},
+            }
+        return {
+            "lost_cycles": sum(self.lost.values()),
+            "sinks": sinks,
+            "stalls": [_stall_dict(d) for d in diagnoses],
+        }
+
+
 # ----------------------------------------------------------------------
 # Gate-level profiler (one lane of the compiled engine)
 # ----------------------------------------------------------------------
-class RtlChannelProfiler:
+class RtlChannelProfiler(_ChannelProfiler):
     """Per-channel cycle accounting and stall attribution at gate level.
 
     :meth:`attach_lane` hooks one lane of a
@@ -151,15 +209,13 @@ class RtlChannelProfiler:
     """
 
     def __init__(self, target, enabled: bool = True, ee=None) -> None:
+        super().__init__()
         self.target = target
         self.enabled = enabled
         self.ee = ee
-        self.cycles = 0
-        self.counts: Dict[str, Dict[str, int]] = {
-            ch.name: {cat: 0 for cat in CATEGORIES} for ch in target.channels
+        self.stats: Dict[str, ChannelStats] = {
+            ch.name: ChannelStats() for ch in target.channels
         }
-        self.lost: Dict[str, int] = {}
-        self.roots: Dict[str, Dict[str, int]] = {}
         self.ee_fires = 0
         self.ee_early = 0
         self.ee_generated = 0
@@ -209,23 +265,16 @@ class RtlChannelProfiler:
 
     # -- per-cycle accounting ------------------------------------------
     def _account(self, values: Mapping[str, object]) -> None:
-        from repro.resilience.watchdog import blocked_wires
+        from repro.resilience.watchdog import blocked_wires, channel_events
 
-        self.cycles += 1
-        for ch in self.target.channels:
-            cat = classify_strict(
-                values.get(ch.vp), values.get(ch.sp),
-                values.get(ch.vn), values.get(ch.sn),
-            )
-            self.counts[ch.name][cat] += 1
-        blocked = blocked_wires(self.target.channels, values)
-        for wire in sorted(blocked):
-            root = _walk_root(
-                wire, blocked, self._fanin_comb, self._fanin_seq
-            )
-            self.lost[wire] = self.lost.get(wire, 0) + 1
-            by_root = self.roots.setdefault(wire, {})
-            by_root[root] = by_root.get(root, 0) + 1
+        channels = self.target.channels
+        events = channel_events(channels, values)
+        for ch, event in zip(channels, events):
+            self.stats[ch.name].record(event)
+        self._attribute(
+            blocked_wires(channels, events),
+            self._fanin_comb, self._fanin_seq,
+        )
         if self._ee_out is not None:
             out = self._ee_out
             if values.get(out.vp) == 1 and values.get(out.sp) == 0:
@@ -236,59 +285,24 @@ class RtlChannelProfiler:
                 if missing:
                     self.ee_early += 1
                     self.ee_generated += missing
-            return
 
     # -- report sections -----------------------------------------------
     def _final_state(self) -> Mapping[str, object]:
         return self._sim.lane_state(self._lane)
 
-    def channel_section(self) -> Dict[str, Dict[str, object]]:
-        cycles = self.cycles or 1
-        section: Dict[str, Dict[str, object]] = {}
-        for name in sorted(self.counts):
-            counts = self.counts[name]
-            moved = counts["transfer+"] + counts["transfer-"] + counts["kill"]
-            entry: Dict[str, object] = dict(counts)
-            entry["throughput"] = _canon(moved / cycles)
-            section[name] = entry
-        return section
-
     def conservation_section(self) -> Dict[str, object]:
         netlist = self.target.netlist
-        buffers: Dict[str, object] = {}
-        complete = True
         final_state = self._final_state() if self.target.ebs else {}
-        for probe in self.target.ebs:
-            initial = probe.occupancy(_initial_bits(netlist, probe))
-            final = probe.occupancy(final_state)
-            left = self.counts[probe.left.name]
-            right = self.counts[probe.right.name]
-            flux = (
-                left["transfer+"] + left["kill"] + left["transfer-"]
-                - right["transfer+"] - right["kill"] - right["transfer-"]
+        return self._conservation(
+            (
+                probe.prefix,
+                probe.occupancy(_initial_bits(netlist, probe)),
+                probe.occupancy(final_state),
+                probe.left.name,
+                probe.right.name,
             )
-            residual = (final - initial) - flux
-            if residual != 0:
-                complete = False
-            buffers[probe.prefix] = {
-                "initial": initial, "final": final,
-                "delta": final - initial, "flux": flux,
-                "residual": residual,
-            }
-        totals = _conservation_totals(self.counts.values())
-        totals["buffers"] = buffers
-        totals["complete"] = complete
-        return totals
-
-    def attribution_section(
-        self, diagnoses: Sequence = ()
-    ) -> Dict[str, object]:
-        return _attribution(self.lost, self.roots, diagnoses)
-
-    def throughput(self, channel: str) -> float:
-        counts = self.counts[channel]
-        moved = counts["transfer+"] + counts["transfer-"] + counts["kill"]
-        return moved / (self.cycles or 1)
+            for probe in self.target.ebs
+        )
 
 
 def _initial_bits(netlist, probe) -> Dict[str, object]:
@@ -302,85 +316,37 @@ def _initial_bits(netlist, probe) -> Dict[str, object]:
     return bits
 
 
-def _conservation_totals(channel_counts) -> Dict[str, object]:
-    tokens = anti = kills = 0
-    for counts in channel_counts:
-        tokens += counts["transfer+"]
-        anti += counts["transfer-"]
-        kills += counts["kill"]
-    return {
-        "tokens_moved": tokens,
-        "anti_tokens_moved": anti,
-        "annihilated": kills,
-    }
-
-
-def _attribution(
-    lost: Mapping[str, int],
-    roots: Mapping[str, Mapping[str, int]],
-    diagnoses: Sequence,
-) -> Dict[str, object]:
-    sinks: Dict[str, object] = {}
-    for wire in sorted(lost):
-        sinks[wire] = {
-            "lost": lost[wire],
-            "roots": {r: roots[wire][r] for r in sorted(roots.get(wire, {}))},
-        }
-    return {
-        "lost_cycles": sum(lost.values()),
-        "sinks": sinks,
-        "stalls": [_stall_dict(d) for d in diagnoses],
-    }
-
-
 # ----------------------------------------------------------------------
 # Behavioural-network profiler
 # ----------------------------------------------------------------------
-class NetworkProfiler:
+class NetworkProfiler(_ChannelProfiler):
     """Cycle accounting and stall attribution for an ElasticNetwork.
 
-    The channel counters come straight from each channel's
-    :class:`~repro.elastic.channel.ChannelStats` (the behavioural
-    classifier); the attribution probe and the early-join observers are
-    the only per-cycle additions.  With ``enabled=False``,
-    :meth:`attach` is a no-op.
+    The channel counters are each channel's own
+    :class:`~repro.elastic.channel.ChannelStats`; the attribution probe
+    and the early-join observers are the only per-cycle additions.
+    With ``enabled=False``, :meth:`attach` is a no-op.
     """
 
     def __init__(self, enabled: bool = True) -> None:
+        super().__init__()
         self.enabled = enabled
-        self.lost: Dict[str, int] = {}
-        self.roots: Dict[str, Dict[str, int]] = {}
         self.joins: Dict[str, Dict[str, int]] = {}
         self._net = None
-        self._adjacency: Dict[str, Set[str]] = {}
         self._ebs: List = []
         self._initial: Dict[str, int] = {}
+
+    @property
+    def stats(self) -> Dict[str, ChannelStats]:
+        return {name: ch.stats for name, ch in self._net.channels.items()}
 
     def attach(self, net) -> "NetworkProfiler":
         if not self.enabled:
             return self
         from repro.elastic.behavioral import EarlyJoin, ElasticBuffer
-        from repro.resilience.watchdog import _controller_ports
+        from repro.resilience.watchdog import network_blocked, port_waits
 
         self._net = net
-        adjacency: Dict[str, Set[str]] = {}
-        for ctrl in net.controllers:
-            ports = _controller_ports(ctrl)
-            if ports is None:
-                continue
-            ins, outs = ports
-            # A full controller stops its inputs because its outputs
-            # are stopped (in.sp waits on out.sp); anti-token
-            # back-pressure flows the other way (out.sn on in.sn).
-            for i in ins:
-                adjacency.setdefault(f"{i.name}.sp", set()).update(
-                    f"{o.name}.sp" for o in outs
-                )
-            for o in outs:
-                adjacency.setdefault(f"{o.name}.sn", set()).update(
-                    f"{i.name}.sn" for i in ins
-                )
-        self._adjacency = adjacency
         self._ebs = [
             c for c in net.controllers if isinstance(c, ElasticBuffer)
         ]
@@ -390,81 +356,34 @@ class NetworkProfiler:
                 tally = {"fires": 0, "early": 0, "generated": 0}
                 self.joins[ctrl.name] = tally
                 ctrl.output.observers.append(self._ee_observer(ctrl, tally))
-        net.add_probe(self._probe)
+        waits = port_waits(net)
+
+        def probe(net) -> None:
+            self._attribute(network_blocked(net), waits, {})
+
+        net.add_probe(probe)
         return self
 
     def _ee_observer(self, ctrl, tally: Dict[str, int]):
         def observe(channel) -> None:
-            out = ctrl.output
-            if not (out.vp == 1 and out.sp == 0):
+            owing = ctrl.owing()
+            if owing is None:
                 return
             tally["fires"] += 1
-            missing = sum(
-                1 for i, ch in enumerate(ctrl.inputs)
-                if not (ch.vp == 1 and ctrl.apend[i] == 0)
-            )
+            missing = len(owing)
             if missing:
                 tally["early"] += 1
                 tally["generated"] += missing
 
         return observe
 
-    def _probe(self, net) -> None:
-        blocked: Set[str] = set()
-        for name, ch in net.channels.items():
-            if ch.vp == 1 and ch.sp == 1 and ch.vn != 1:
-                blocked.add(f"{name}.sp")
-            if ch.vn == 1 and ch.sn == 1 and ch.vp != 1:
-                blocked.add(f"{name}.sn")
-        for wire in sorted(blocked):
-            root = _walk_root(wire, blocked, self._adjacency, _EMPTY)
-            self.lost[wire] = self.lost.get(wire, 0) + 1
-            by_root = self.roots.setdefault(wire, {})
-            by_root[root] = by_root.get(root, 0) + 1
-
     # -- report sections -----------------------------------------------
-    def channel_section(self) -> Dict[str, Dict[str, object]]:
-        net = self._net
-        section: Dict[str, Dict[str, object]] = {}
-        for name in sorted(net.channels):
-            stats = net.channels[name].stats
-            entry: Dict[str, object] = stats.accounting()
-            entry["throughput"] = _canon(stats.throughput)
-            section[name] = entry
-        return section
-
     def conservation_section(self) -> Dict[str, object]:
-        buffers: Dict[str, object] = {}
-        complete = True
-        channels = self._net.channels
-        for eb in self._ebs:
-            initial = self._initial[eb.name]
-            final = eb.count
-            ls = channels[eb.left.name].stats
-            rs = channels[eb.right.name].stats
-            flux = (
-                ls.positive + ls.kills + ls.negative
-                - rs.positive - rs.kills - rs.negative
-            )
-            residual = (final - initial) - flux
-            if residual != 0:
-                complete = False
-            buffers[eb.name] = {
-                "initial": initial, "final": final,
-                "delta": final - initial, "flux": flux,
-                "residual": residual,
-            }
-        totals = _conservation_totals(
-            ch.stats.accounting() for ch in channels.values()
+        return self._conservation(
+            (eb.name, self._initial[eb.name], eb.count,
+             eb.left.name, eb.right.name)
+            for eb in self._ebs
         )
-        totals["buffers"] = buffers
-        totals["complete"] = complete
-        return totals
-
-    def attribution_section(
-        self, diagnoses: Sequence = ()
-    ) -> Dict[str, object]:
-        return _attribution(self.lost, self.roots, diagnoses)
 
 
 # ----------------------------------------------------------------------
@@ -690,9 +609,6 @@ _FIG9_CONFIGS = ("active", "no_buffer", "passive_f3w", "passive_m2w", "lazy")
 
 _NETWORK_DESIGNS = ("pipeline", "processor") + _FIG9_CONFIGS
 
-#: Fig. 9 mean VL latencies (E[M1] = .8*2 + .2*10, E[M2] = .5*1 + .5*2)
-_FIG9_MEAN = {"M1": 3.6, "M2": 1.5}
-
 
 def profile_designs() -> List[str]:
     """Every design name :func:`run_profile` accepts."""
@@ -827,7 +743,7 @@ def _profile_rtl(
         twin_name = _RTL_LATE_TWIN[design]
         twin, _ = _run_rtl(TARGETS[twin_name](), cycles, cache, None)
         lazy_th = twin.throughput(_RTL_REFERENCE[twin_name])
-        tokens = profiler.counts[reference]["transfer+"]
+        tokens = profiler.stats[reference].positive
         ee_section = {
             "joins": {
                 ee_spec["output"]: {
@@ -837,7 +753,7 @@ def _profile_rtl(
                 },
             },
             "anti_tokens_annihilated": sum(
-                c["kill"] for c in profiler.counts.values()
+                s.kills for s in profiler.stats.values()
             ),
             "late_replay": _late_replay(twin_name, lazy_th, tokens, cycles),
         }
@@ -875,7 +791,8 @@ def _late_replay(
 
 
 def _pipeline_network(seed: int):
-    """The deterministic Fig. 5 dual-EB chain (as ``repro trace``)."""
+    """The deterministic Fig. 5 dual-EB chain of ``repro trace``, ``repro
+    stats`` and ``repro profile`` (``pipeline``)."""
     from repro.elastic.behavioral import (
         ElasticBuffer,
         ElasticNetwork,
@@ -941,7 +858,7 @@ def _profile_network(
             )
             return twin
     else:
-        from repro.casestudy.fig9 import Config, build_fig9_spec
+        from repro.casestudy.fig9 import MEAN_LATENCY, Config, build_fig9_spec
         from repro.synthesis.elaborate import to_behavioral
 
         config = Config[design.upper()]
@@ -949,7 +866,7 @@ def _profile_network(
         net = to_behavioral(spec, seed=seed)
         reference = "Din->S"
         guards = _fig9_guards(spec)
-        mean = _FIG9_MEAN
+        mean = MEAN_LATENCY
         if config is not Config.LAZY:
 
             def twin_builder():
@@ -976,14 +893,14 @@ def _profile_network(
                 for name, tally in sorted(profiler.joins.items())
             },
             "anti_tokens_annihilated": sum(
-                ch.stats.kills for ch in net.channels.values()
+                s.kills for s in profiler.stats.values()
             ),
         }
         if twin_builder is not None:
             twin = twin_builder()
             twin.run(cycles)
             lazy_th = twin.throughput(reference)
-            tokens = net.channels[reference].stats.positive
+            tokens = profiler.stats[reference].positive
             twin_name = (
                 "lazy" if design in _FIG9_CONFIGS else "in_order_writeback"
             )

@@ -38,17 +38,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.elastic.protocol import CATEGORIES
+
 __all__ = ["EVENT_KINDS", "TraceEvent"]
 
 EVENT_KINDS = (
     "edge",
     "x-onset",
-    "transfer+",
-    "transfer-",
-    "kill",
-    "retry+",
-    "retry-",
-    "idle",
+    *CATEGORIES,
     "ee-fire",
     "invariant",
     "stall",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
 
-from repro.elastic.protocol import DualChannelEvent, ProtocolViolation, classify_dual
+from repro.elastic.protocol import CATEGORY, ProtocolViolation, classify_dual
 from repro.obs.events import TraceEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.rtl.logic import X
@@ -34,15 +34,6 @@ from repro.rtl.logic import X
 __all__ = ["JsonlSink", "TraceRecorder", "collect_network_metrics"]
 
 _WIRE_NAMES = ("vp", "sp", "vn", "sn")
-
-_EVENT_KIND = {
-    DualChannelEvent.POSITIVE_TRANSFER: "transfer+",
-    DualChannelEvent.NEGATIVE_TRANSFER: "transfer-",
-    DualChannelEvent.KILL: "kill",
-    DualChannelEvent.RETRY_POS: "retry+",
-    DualChannelEvent.RETRY_NEG: "retry-",
-    DualChannelEvent.IDLE: "idle",
-}
 
 
 class JsonlSink:
@@ -171,7 +162,7 @@ class TraceRecorder:
             except ProtocolViolation as exc:
                 self.emit(t, "invariant", ch.name, extra={"detail": str(exc)})
                 return
-            kind = _EVENT_KIND[event]
+            kind = CATEGORY[event]
             if kind == "idle" and not include_idle:
                 return
             self.emit(t, kind, ch.name)
@@ -188,14 +179,10 @@ class TraceRecorder:
             early = metrics.counter("ee_early_firings_total", join=ctrl.name)
 
         def observe(channel) -> None:
-            out = ctrl.output
-            if not (out.vp == 1 and out.sp == 0):
+            owing = ctrl.owing()
+            if owing is None:
                 return
-            missing = [
-                ctrl.inputs[i].name
-                for i in range(len(ctrl.inputs))
-                if not (ctrl.inputs[i].vp == 1 and ctrl.apend[i] == 0)
-            ]
+            missing = [ctrl.inputs[i].name for i in owing]
             if fires is not None:
                 fires.inc()
                 if missing:

@@ -1,7 +1,7 @@
 """repro.resilience -- hardened execution for long-running workloads.
 
-Two capabilities, threaded through the campaign, sweep and
-model-checking drivers:
+Two capabilities, threaded through the campaign and model-checking
+drivers:
 
 * **checkpoint/resume** (:mod:`~repro.resilience.checkpoint`) --
   atomic, fingerprint-validated on-disk stores; a resumed run emits the
@@ -14,8 +14,9 @@ model-checking drivers:
 Crash-tolerant sharding (``jobs=N``, dead and hung worker detection,
 requeues, :class:`~repro.fabric.ShardFailure`) lives in
 :mod:`repro.fabric`, which runs local and remote workers alike.  A
-lane-parallel campaign whose netlist the compiled simulator cannot
-compile runs on the scalar engine instead
+campaign whose netlist has a combinational cycle, which the compiled
+simulator cannot compile, raises
+:class:`~repro.rtl.toposort.CombinationalCycleError` at any lane count
 (:func:`repro.faults.campaign.run_campaign`).  See the "Resilience"
 section of DESIGN.md for formats and criteria.
 """

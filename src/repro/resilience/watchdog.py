@@ -32,9 +32,12 @@ A watchdog turns that spin into a diagnosis:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
-from repro.elastic.protocol import DualChannelEvent
+from repro.elastic.behavioral import controller_ports
+from repro.elastic.protocol import MOVED, RETRYING, DualChannelEvent, event_of
 from repro.obs.events import TraceEvent
 from repro.rtl.netlist import Netlist
 from repro.rtl.toposort import canonical_cycle, order_or_cycle
@@ -45,17 +48,6 @@ __all__ = [
     "StallDiagnosis",
     "StallError",
 ]
-
-_PROGRESS = (
-    DualChannelEvent.POSITIVE_TRANSFER,
-    DualChannelEvent.NEGATIVE_TRANSFER,
-    DualChannelEvent.KILL,
-)
-_PENDING = (
-    DualChannelEvent.RETRY_POS,
-    DualChannelEvent.RETRY_NEG,
-)
-
 
 @dataclass(frozen=True)
 class StallDiagnosis:
@@ -191,10 +183,10 @@ class NetworkStallWatchdog:
         progress = False
         pending = False
         for ch in net.channels.values():
-            if ch.last_event in _PROGRESS:
+            if ch.last_event in MOVED:
                 progress = True
                 break
-            if ch.last_event in _PENDING:
+            if ch.last_event in RETRYING:
                 pending = True
         if progress or not pending:
             self.last_progress = cycle
@@ -211,43 +203,14 @@ class NetworkStallWatchdog:
             raise StallError(diagnosis)
         self.last_progress = cycle  # restart the window
 
-    # -- wait-for graph over controller ports --------------------------
     def _diagnose(self, net, cycle: int) -> StallDiagnosis:
-        blocked: Set[str] = set()
-        for name, ch in net.channels.items():
-            # A pending token refused by back-pressure (retry+)...
-            if ch.vp == 1 and ch.sp == 1 and ch.vn != 1:
-                blocked.add(f"{name}.sp")
-            # ...or a pending anti-token refused (retry-).
-            if ch.vn == 1 and ch.sn == 1 and ch.vp != 1:
-                blocked.add(f"{name}.sn")
+        blocked = network_blocked(net)
         waits_on: Dict[str, Tuple[str, ...]] = {}
-        for ctrl in net.controllers:
-            ports = _controller_ports(ctrl)
-            if ports is None:
-                continue
-            ins, outs = ports
-            # A full controller asserts Stop+ on its inputs because its
-            # outputs are stopped: in.sp waits on out.sp.  Symmetrically
-            # anti-token back-pressure flows forward: out.sn on in.sn.
-            for i in ins:
-                src = f"{i.name}.sp"
-                if src in blocked:
-                    deps = tuple(
-                        f"{o.name}.sp" for o in outs
-                        if f"{o.name}.sp" in blocked
-                    )
-                    if deps:
-                        waits_on[src] = deps
-            for o in outs:
-                src = f"{o.name}.sn"
-                if src in blocked:
-                    deps = tuple(
-                        f"{i.name}.sn" for i in ins
-                        if f"{i.name}.sn" in blocked
-                    )
-                    if deps:
-                        waits_on[src] = deps
+        for wire, deps in port_waits(net).items():
+            if wire in blocked:
+                deps = tuple(dep for dep in deps if dep in blocked)
+                if deps:
+                    waits_on[wire] = deps
         return _diagnose(
             cycle, self.window, self.last_progress, sorted(blocked),
             waits_on,
@@ -255,41 +218,59 @@ class NetworkStallWatchdog:
         )
 
 
-def _controller_ports(ctrl) -> Optional[Tuple[List, List]]:
-    """(input channels, output channels) of a behavioural controller.
+def network_blocked(net) -> Set[str]:
+    """The Stop wire (``<channel>.sp`` or ``.sn``) of every channel of a
+    behavioural network that retried in the cycle just settled."""
+    return {
+        f"{name}.{RETRYING[ch.last_event]}"
+        for name, ch in net.channels.items()
+        if ch.last_event in RETRYING
+    }
 
-    Duck-typed over the port attribute conventions of
-    :mod:`repro.elastic.behavioral`: joins expose ``inputs``/``output``,
-    forks ``input``/``outputs``, buffers/pipes/VL ``left``/``right``,
-    the passive interface ``up``/``down``, sources a bare ``output`` and
-    sinks a bare ``input``.
+
+def port_waits(net) -> Dict[str, List[str]]:
+    """The wait-for graph of a behavioural network's Stop wires.
+
+    Maps each Stop wire to the Stop wires it waits on, from the
+    controller ports: a full controller asserts Stop+ on its inputs
+    because its outputs are stopped (``in.sp`` waits on ``out.sp``),
+    and anti-token back-pressure flows forward (``out.sn`` on
+    ``in.sn``).
     """
-    if hasattr(ctrl, "inputs") and hasattr(ctrl, "output"):
-        return list(ctrl.inputs), [ctrl.output]
-    if hasattr(ctrl, "input") and hasattr(ctrl, "outputs"):
-        return [ctrl.input], list(ctrl.outputs)
-    if hasattr(ctrl, "left") and hasattr(ctrl, "right"):
-        return [ctrl.left], [ctrl.right]
-    if hasattr(ctrl, "up") and hasattr(ctrl, "down"):
-        return [ctrl.up], [ctrl.down]
-    if hasattr(ctrl, "output"):
-        return [], [ctrl.output]
-    if hasattr(ctrl, "input"):
-        return [ctrl.input], []
-    return None
+    graph: Dict[str, List[str]] = {}
+    for ctrl in net.controllers:
+        ins, outs = controller_ports(ctrl)
+        for i in ins:
+            graph.setdefault(f"{i.name}.sp", []).extend(
+                f"{o.name}.sp" for o in outs
+            )
+        for o in outs:
+            graph.setdefault(f"{o.name}.sn", []).extend(
+                f"{i.name}.sn" for i in ins
+            )
+    return graph
 
 
-def blocked_wires(channels: Sequence, values: Dict[str, object]) -> Set[str]:
-    """Stop wires asserted against a pending token/anti-token."""
-    blocked: Set[str] = set()
-    for ch in channels:
-        vp, sp = values.get(ch.vp), values.get(ch.sp)
-        vn, sn = values.get(ch.vn), values.get(ch.sn)
-        if vp == 1 and sp == 1 and vn != 1:
-            blocked.add(ch.sp)
-        if vn == 1 and sn == 1 and vp != 1:
-            blocked.add(ch.sn)
-    return blocked
+def channel_events(
+    channels: Sequence, values: Mapping[str, object]
+) -> List[DualChannelEvent]:
+    """The event of each gate-level channel in one cycle's values."""
+    return [
+        event_of(values.get(ch.vp), values.get(ch.sp),
+                 values.get(ch.vn), values.get(ch.sn))
+        for ch in channels
+    ]
+
+
+def blocked_wires(
+    channels: Sequence, events: Sequence[DualChannelEvent]
+) -> Set[str]:
+    """The Stop wire net of each retrying gate-level channel."""
+    return {
+        getattr(ch, RETRYING[event])
+        for ch, event in zip(channels, events)
+        if event in RETRYING
+    }
 
 
 def _diagnose_rtl(
@@ -312,7 +293,7 @@ def _diagnose_rtl(
     -- a retry that persists because another retry persisted last
     cycle.
     """
-    blocked = blocked_wires(channels, values)
+    blocked = blocked_wires(channels, channel_events(channels, values))
     waits_on: Dict[str, Tuple[str, ...]] = {}
     for fanin in (fanin_comb, fanin_seq):
         for wire in blocked:

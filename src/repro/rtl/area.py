@@ -202,7 +202,12 @@ def constant_propagate(netlist: Netlist) -> Netlist:
                 del gate_defs[out]
                 changed = True
             elif alias_to is not None:
-                alias[out] = resolve(alias_to)
+                target = resolve(alias_to)
+                if target == out:
+                    # A buffer-like gate on a combinational loop through
+                    # itself: an alias would point at itself.  Keep it.
+                    continue
+                alias[out] = target
                 del gate_defs[out]
                 changed = True
             elif (new_op, new_ins) != (op, ins):

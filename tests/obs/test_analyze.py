@@ -23,10 +23,10 @@ from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.targets import TARGETS
 from repro.obs import analyze
+from repro.elastic.protocol import CATEGORY, event_of
 from repro.obs.analyze import (
     NetworkProfiler,
     RtlChannelProfiler,
-    classify_strict,
     profile_designs,
     run_profile,
 )
@@ -41,6 +41,10 @@ SEED = 2007
 
 def report_json(design, cycles=CYCLES, **kw):
     return run_profile(design, cycles=cycles, seed=SEED, **kw).to_json()
+
+
+def classify_strict(vp, sp, vn, sn) -> str:
+    return CATEGORY[event_of(vp, sp, vn, sn)]
 
 
 class TestClassifyStrict:
@@ -59,6 +63,7 @@ class TestClassifyStrict:
     def test_x_falls_through_to_idle(self):
         assert classify_strict(X, 0, 0, 0) == "idle"
         assert classify_strict(1, X, 0, 0) == "idle"
+        assert classify_strict(None, 0, 1, X) == "idle"
 
 
 class TestDeterminism:

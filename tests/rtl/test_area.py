@@ -1,6 +1,10 @@
 """Tests for the area pipeline: constants, pruning, literal counts."""
 
+import contextlib
+import signal
+
 import pytest
+from hypothesis import given, settings
 
 from repro.lint.netlist_rules import constant_values
 from repro.rtl.area import (
@@ -12,6 +16,7 @@ from repro.rtl.area import (
 from repro.rtl.logic import X
 from repro.rtl.netlist import Netlist, Phase
 from repro.rtl.simulator import TwoPhaseSimulator
+from tests.strategies import cyclic_netlists
 
 
 def _build_sample():
@@ -19,6 +24,50 @@ def _build_sample():
     a, b = nl.add_input("a"), nl.add_input("b")
     q = nl.AND(a, nl.NOT(b), out="q")
     nl.add_output(q)
+    return nl
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _self_buffer():
+    nl = Netlist("self_buf")
+    a = nl.add_input("a")
+    nl.BUF("c2", out="c2")
+    nl.AND(a, "c2", out="o")
+    nl.add_output("o")
+    return nl
+
+
+def _self_or():
+    nl = Netlist("self_or")
+    a = nl.add_input("a")
+    nl.OR("c0", out="c0")
+    nl.AND(a, "c0", out="o")
+    nl.add_output("o")
+    return nl
+
+
+def _buffer_pair():
+    nl = Netlist("buf_pair")
+    a = nl.add_input("a")
+    nl.BUF("c1", out="c0")
+    nl.BUF("c0", out="c1")
+    nl.AND(a, "c0", out="o")
+    nl.add_output("o")
     return nl
 
 
@@ -120,6 +169,25 @@ class TestConstantPropagate:
         nl.add_output(q)
         out = constant_propagate(nl)
         assert len(out.flops) == 1
+
+
+    @pytest.mark.parametrize(
+        "build", [_self_buffer, _self_or, _buffer_pair],
+        ids=["buf_self", "or_self", "buf_pair"],
+    )
+    def test_buffer_loop_kept(self, build):
+        nl = build()
+        with _deadline(5):
+            out = constant_propagate(nl)
+        out.validate()
+        # The loop survives, so the output stays unknown.
+        assert TwoPhaseSimulator(out).cycle({"a": 1})["o"] is X
+
+    @settings(max_examples=300, deadline=None)
+    @given(nl=cyclic_netlists())
+    def test_property_returns_on_cyclic_netlists(self, nl):
+        with _deadline(5):
+            constant_propagate(nl)
 
 
 class TestSequentialConstants:
