@@ -11,7 +11,8 @@ Two implementation layers reproduce the paper's controllers:
   netlists (Figs. 3--7) for area accounting and model checking.
 
 :mod:`repro.elastic.protocol` defines the channel states, the
-``(I*R*T)*`` language monitor and the dual-channel invariants.
+six-event table of a dual channel, the ``(I*R*T)*`` language monitor
+and the dual-channel invariants.
 """
 
 from repro.elastic.protocol import (
