@@ -114,6 +114,25 @@ class TestCapacityTwo:
         assert net.channels["b"].last_event.value == "±"
 
 
+    def test_early_firing_owes_a_masked_input_again(self):
+        """A firing that does not use an input whose token is doomed
+        leaves that input owing one more anti-token: the arriving
+        token cancels the pending one, the firing adds its own."""
+        net, (ps, pa, pb), ej, cons = make_ej(anti_capacity=2)
+        cons.set(0, 0)
+        pb.set(0, 1)
+        ps.set(1, 0, data=True)
+        pa.set(1, 0, data="A0")
+        net.step()  # apend[b] = 1
+        ps.set(1, 0, data=True)
+        pa.set(1, 0, data="A1")
+        pb.set(1, 0, data="DOOMED")
+        net.step()
+        assert net.channels["z"].last_event.value == "+"
+        assert net.channels["b"].last_event.value == "±"
+        assert ej.apend == [0, 0, 1]
+
+
 class TestThroughputEffect:
     def _run(self, anti_capacity, cycles=2000, seed=7):
         """Bursty anti-token drain on b (mean adequate, high variance)."""
