@@ -82,7 +82,7 @@ def test_disabled_profilers_attach_nothing():
     the timing gate above locks.
     """
     from repro.obs import NetworkProfiler, RtlChannelProfiler
-    from repro.obs.analyze import _pipeline_network
+    from repro.obs.analyze import pipeline_network
     from repro.codegen.sim import CompiledSimulator
 
     target = resolve_target("dual_ehb")
@@ -90,7 +90,7 @@ def test_disabled_profilers_attach_nothing():
     RtlChannelProfiler(target, enabled=False).attach_lane(batch, 0)
     assert not batch.observers
 
-    net = _pipeline_network(seed=2007)
+    net = pipeline_network()
     probes = len(net.probes)
     observers = sum(len(c.observers) for c in net.channels.values())
     NetworkProfiler(enabled=False).attach(net)

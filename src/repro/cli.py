@@ -208,9 +208,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def _trace_network(config: str, seed: int):
     """Build the network to trace: a Fig. 9 config or the Fig. 5 chain."""
     if config == "pipeline":
-        from repro.obs.analyze import _pipeline_network
+        from repro.obs.analyze import pipeline_network
 
-        return _pipeline_network(seed)
+        return pipeline_network()
     from repro.synthesis.elaborate import to_behavioral
 
     spec = build_fig9_spec(_config(config), seed=seed)

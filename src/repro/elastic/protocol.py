@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 
 class ChannelState(enum.Enum):
@@ -69,24 +69,25 @@ def invariant_holds(vp: int, sp: int, vn: int, sn: int) -> bool:
     return not (vn and sp) and not (vp and sn)
 
 
-# Module-level names for the members, in definition order: the table
-# below runs once per channel-cycle, where a class attribute lookup on
-# the enum costs more than the comparisons.
-_T_POS, _T_NEG, _KILL, _R_POS, _R_NEG, _IDLE = DualChannelEvent
-
 #: each event's name in reports and traces, in table order
 CATEGORY: Dict[DualChannelEvent, str] = dict(zip(DualChannelEvent, (
     "transfer+", "transfer-", "kill", "retry+", "retry-", "idle",
 )))
-CATEGORIES: Tuple[str, ...] = tuple(CATEGORY.values())
 
 #: the events in which something moves: the paper's throughput counts
 #: them, and a no-progress watchdog waits for one
-MOVED = (_T_POS, _T_NEG, _KILL)
+MOVED = (
+    DualChannelEvent.POSITIVE_TRANSFER,
+    DualChannelEvent.NEGATIVE_TRANSFER,
+    DualChannelEvent.KILL,
+)
 
 #: the events in which an offer is refused, each with the Stop wire
 #: asserted against it (a blocked Stop wire *is* a retry)
-RETRYING: Dict[DualChannelEvent, str] = {_R_POS: "sp", _R_NEG: "sn"}
+RETRYING: Dict[DualChannelEvent, str] = {
+    DualChannelEvent.RETRY_POS: "sp",
+    DualChannelEvent.RETRY_NEG: "sn",
+}
 
 
 def event_of(vp, sp, vn, sn) -> DualChannelEvent:
@@ -100,17 +101,17 @@ def event_of(vp, sp, vn, sn) -> DualChannelEvent:
     """
     if vp == 1:
         if vn == 1:
-            return _KILL
+            return DualChannelEvent.KILL
         if sp == 0:
-            return _T_POS
+            return DualChannelEvent.POSITIVE_TRANSFER
         if sp == 1:
-            return _R_POS
+            return DualChannelEvent.RETRY_POS
     elif vn == 1:
         if sn == 0:
-            return _T_NEG
+            return DualChannelEvent.NEGATIVE_TRANSFER
         if sn == 1:
-            return _R_NEG
-    return _IDLE
+            return DualChannelEvent.RETRY_NEG
+    return DualChannelEvent.IDLE
 
 
 def classify_dual(vp: int, sp: int, vn: int, sn: int) -> DualChannelEvent:
@@ -176,7 +177,7 @@ class ProtocolMonitor:
                 f"{self.name}: V- dropped during Retry- (persistence broken)"
             )
 
-        self._pending_pos = event is _R_POS
+        self._pending_pos = event is DualChannelEvent.RETRY_POS
         self._pending_data = data if self._pending_pos else None
-        self._pending_neg = event is _R_NEG
+        self._pending_neg = event is DualChannelEvent.RETRY_NEG
         return event

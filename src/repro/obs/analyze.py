@@ -54,12 +54,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.elastic.channel import ChannelStats
 from repro.obs.metrics import _canon
+from repro.rtl.logic import X
 
 __all__ = [
     "NetworkProfiler",
     "PerformanceReport",
     "RtlChannelProfiler",
     "model_section",
+    "pipeline_network",
     "profile_designs",
     "run_profile",
 ]
@@ -790,7 +792,7 @@ def _late_replay(
     }
 
 
-def _pipeline_network(seed: int):
+def pipeline_network():
     """The deterministic Fig. 5 dual-EB chain of ``repro trace``, ``repro
     stats`` and ``repro profile`` (``pipeline``)."""
     from repro.elastic.behavioral import (
@@ -838,7 +840,7 @@ def _profile_network(
     mean: Optional[Dict[str, float]] = None
     twin_builder = None
     if design == "pipeline":
-        net = _pipeline_network(seed)
+        net = pipeline_network()
         reference = "Din"
         spec = _pipeline_spec()
     elif design == "processor":

@@ -38,14 +38,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.elastic.protocol import CATEGORIES
+from repro.elastic.protocol import CATEGORY
 
 __all__ = ["EVENT_KINDS", "TraceEvent"]
 
 EVENT_KINDS = (
     "edge",
     "x-onset",
-    *CATEGORIES,
+    *CATEGORY.values(),
     "ee-fire",
     "invariant",
     "stall",

@@ -104,6 +104,24 @@ class TestAccountingAndConservation:
             )
             assert total == CYCLES, name
 
+    def test_unknown_wires_count_as_idle(self):
+        # A missing input is all-X: both channels' Valid wires are
+        # unknown, and every such lane cycle counts idle.
+        target = TARGETS["dual_ehb"]()
+        sim = CompiledSimulator(
+            target.netlist, lanes=1, hooks=frozenset(),
+            observe=frozenset(target.observe),
+        )
+        profiler = RtlChannelProfiler(target).attach_lane(sim, 0)
+        planes = {name: broadcast(0, 1)
+                  for name in ("src.accept", "snk.stall", "snk.kill")}
+        for _ in range(3):
+            sim.cycle(planes)
+        assert sim.lane_value("L.vp", 0) is X
+        for name, counts in profiler.channel_section().items():
+            assert counts["idle"] == 3, name
+            assert counts["throughput"] == 0, name
+
     def test_conservation_closes_on_rtl_targets(self):
         for design in ("dual_ehb", "early_join", "vl"):
             report = run_profile(design, cycles=200, seed=SEED)
@@ -154,9 +172,9 @@ class TestAttribution:
         RtlChannelProfiler(target, enabled=False).attach_lane(sim, 0)
         assert not sim.observers
 
-        from repro.obs.analyze import _pipeline_network
+        from repro.obs.analyze import pipeline_network
 
-        net = _pipeline_network(SEED)
+        net = pipeline_network()
         probes = len(net.probes)
         observers = sum(len(c.observers) for c in net.channels.values())
         NetworkProfiler(enabled=False).attach(net)
