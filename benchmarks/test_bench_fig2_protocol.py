@@ -8,7 +8,6 @@ language property, and times the monitor on long traces.
 import random
 
 from repro.elastic.protocol import (
-    ChannelState,
     ProtocolMonitor,
     classify,
 )

@@ -24,13 +24,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.codegen.fingerprint import netlist_fingerprint  # noqa: E402
-from repro.lint import (  # noqa: E402
-    LintReport,
-    lint_file,
-    lint_netlist,
-    parse_design_file,
-    sarif_json,
-)
+from repro.lint import LintReport, lint_netlist  # noqa: E402
+from repro.lint.frontends import parse_design_file  # noqa: E402
+from repro.lint.sarif import sarif_json  # noqa: E402
+from repro.lint.targets import lint_file  # noqa: E402
 from repro.rtl.export import to_blif, to_verilog  # noqa: E402
 
 

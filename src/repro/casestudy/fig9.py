@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.performance import distribution_latency
 from repro.elastic.ee import MuxEE

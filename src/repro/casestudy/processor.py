@@ -26,7 +26,7 @@ for measurement (IPC, flush counts, committed trace).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.performance import distribution_latency
@@ -42,7 +42,6 @@ from repro.elastic.behavioral import (
 )
 from repro.elastic.channel import Channel
 from repro.elastic.ee import MuxEE
-from repro.rtl.logic import lnot
 
 
 @dataclass(frozen=True)

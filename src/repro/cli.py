@@ -52,7 +52,7 @@ import sys
 from typing import List, Optional
 
 from repro.casestudy.fig9 import MEAN_LATENCY, Config, build_fig9_spec
-from repro.casestudy.table1 import format_table, run_config, run_table1
+from repro.casestudy.table1 import format_table, run_table1
 
 _CONFIGS = {c.name.lower(): c for c in Config}
 
@@ -565,22 +565,18 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        FrontendParseError,
+    from repro.lint.baseline import load_baseline, new_findings, write_baseline
+    from repro.lint.findings import RULES, Severity, render_witness
+    from repro.lint.frontends import FrontendParseError
+    from repro.lint.sarif import sarif_json
+    from repro.lint.targets import (
+        LINT_TARGETS,
         all_targets,
         lint_file,
-        load_baseline,
-        new_findings,
-        render_witness,
         run_lint,
-        sarif_json,
-        write_baseline,
     )
-    from repro.lint.findings import RULES, Severity
 
     if args.list:
-        from repro.lint import LINT_TARGETS
-
         for name in sorted(LINT_TARGETS):
             print(name)
         return 0

@@ -36,7 +36,7 @@ planes for both.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.codegen import kernel
 from repro.codegen.fingerprint import (

@@ -18,10 +18,10 @@ This package implements Section 2 of the paper:
 from repro.core.mg import Arc, MarkedGraph
 from repro.core.dmg import DualMarkedGraph, Enabling, FiringEvent
 from repro.core.analysis import (
+    critical_cycle_arcs,
     cycle_token_sums,
     is_live,
     max_throughput,
-    max_throughput_arcs,
     reachable_markings,
     verify_repetitive_behavior,
     verify_token_preservation,
@@ -35,10 +35,10 @@ __all__ = [
     "DualMarkedGraph",
     "Enabling",
     "FiringEvent",
+    "critical_cycle_arcs",
     "cycle_token_sums",
     "is_live",
     "max_throughput",
-    "max_throughput_arcs",
     "to_dot",
     "reachable_markings",
     "verify_repetitive_behavior",

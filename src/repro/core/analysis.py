@@ -68,8 +68,7 @@ def is_live(graph: MarkedGraph) -> bool:
     """
     if not graph.is_strongly_connected():
         raise ValueError("liveness criterion requires a strongly connected graph")
-    m0 = graph.initial_marking
-    return all(graph.marking_of(m0, c) > 0 for c in graph.simple_cycles())
+    return all(total > 0 for total in cycle_token_sums(graph).values())
 
 
 def max_throughput(
@@ -81,59 +80,44 @@ def max_throughput(
     is ``min over cycles phi of M0(phi) / D(phi)`` where ``D(phi)`` sums
     the latencies of the nodes on the cycle.  This is the classical
     marked-graph performance bound; early evaluation can beat it, which
-    is exactly what Table 1 of the paper demonstrates.
+    is exactly what Table 1 of the paper demonstrates.  Each node's
+    latency sits on the arcs leaving it: on a simple cycle every node is
+    the source of exactly one arc, so the cycle's delay is unchanged.
 
     Returns:
         The bound as an exact :class:`fractions.Fraction`.
     """
-    lat = dict(latency) if latency is not None else {}
-    m0 = graph.initial_marking
-    best: Optional[Fraction] = None
-    for cycle in graph.simple_cycles():
-        nodes = {graph.arc(a).src for a in cycle}
-        d = sum(lat.get(n, 1) for n in nodes)
-        if d == 0:
-            continue
-        ratio = Fraction(graph.marking_of(m0, cycle), d)
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
-        raise ValueError("graph has no cycles; throughput bound undefined")
-    return best
+    lat = latency if latency is not None else {}
+    delay = {a.name: lat.get(a.src, 1) for a in graph.arcs}
+    return critical_cycle_arcs(graph, delay)[0]
 
 
-def max_throughput_arcs(
+def ranked_cycles(
     graph: MarkedGraph, arc_delay: Mapping[str, int]
-) -> Fraction:
-    """Minimum cycle ratio with *per-arc* delays.
+) -> List[Tuple[Fraction, Tuple[str, ...]]]:
+    """Every positive-delay simple cycle with its ratio, tightest first.
 
-    ``min over cycles phi of M0(phi) / D(phi)`` where ``D(phi)`` sums
-    the delays of the arcs on the cycle.  Arc delays model systems
-    where forward data arcs carry the producer's latency while
-    backward capacity arcs return instantly (an elastic buffer's slot
-    frees when the consumer *initiates*, not when it finishes) --
-    the appropriate model for bounds on elastic control networks.
+    The ratio of a cycle ``phi`` is ``M0(phi) / D(phi)``, where
+    ``D(phi)`` sums the delays of its arcs (an arc missing from
+    ``arc_delay`` is free); cycles with ``D(phi) == 0`` bound nothing
+    and are left out.  Each cycle is a tuple of arc names in canonical
+    rotation (starting at its smallest arc name), and the ranking is
+    ordered by (ratio, cycle length, canonical arcs), so repeated runs
+    list equal-ratio cycles in the same order.  Its head bounds the
+    throughput: see :func:`critical_cycle_arcs`.
     """
     m0 = graph.initial_marking
-    best: Optional[Fraction] = None
+    ranked: List[Tuple[Fraction, int, Tuple[str, ...]]] = []
     for cycle in graph.simple_cycles():
         d = sum(arc_delay.get(a, 0) for a in cycle)
         if d == 0:
             continue
+        start = cycle.index(min(cycle))
+        arcs = tuple(cycle[start:] + cycle[:start])
         ratio = Fraction(graph.marking_of(m0, cycle), d)
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
-        raise ValueError("no cycle with positive delay; bound undefined")
-    return best
-
-
-def _canonical_rotation(cycle: Tuple[str, ...]) -> Tuple[str, ...]:
-    """Lexicographically smallest rotation of a cyclic arc sequence."""
-    if not cycle:
-        return cycle
-    rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
-    return min(rotations)
+        ranked.append((ratio, len(arcs), arcs))
+    ranked.sort()
+    return [(ratio, arcs) for ratio, _, arcs in ranked]
 
 
 def critical_cycle_arcs(
@@ -141,25 +125,18 @@ def critical_cycle_arcs(
 ) -> Tuple[Fraction, Tuple[str, ...]]:
     """The throughput-bounding cycle under per-arc delays.
 
-    Argmin companion to :func:`max_throughput_arcs`: returns both the
-    minimum cycle ratio and the cycle achieving it, as a tuple of arc
-    names in canonical (lexicographically smallest) rotation.  Ties are
-    broken deterministically by (ratio, cycle length, canonical arcs),
-    so repeated runs name the same cycle.
+    The head of :func:`ranked_cycles`: the minimum cycle ratio ``min
+    over cycles phi of M0(phi) / D(phi)`` and the cycle achieving it.
+    Arc delays model systems where forward data arcs carry the
+    producer's latency while backward capacity arcs return instantly
+    (an elastic buffer's slot frees when the consumer *initiates*, not
+    when it finishes) -- the appropriate model for bounds on elastic
+    control networks.
     """
-    m0 = graph.initial_marking
-    best: Optional[Tuple[Fraction, int, Tuple[str, ...]]] = None
-    for cycle in graph.simple_cycles():
-        d = sum(arc_delay.get(a, 0) for a in cycle)
-        if d == 0:
-            continue
-        ratio = Fraction(graph.marking_of(m0, cycle), d)
-        key = (ratio, len(cycle), _canonical_rotation(tuple(cycle)))
-        if best is None or key < best:
-            best = key
-    if best is None:
+    ranking = ranked_cycles(graph, arc_delay)
+    if not ranking:
         raise ValueError("no cycle with positive delay; bound undefined")
-    return best[0], best[2]
+    return ranking[0]
 
 
 def reachable_markings(

@@ -31,9 +31,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Set, Tuple
 
-from repro.core.mg import Arc, MarkedGraph, Marking
+from repro.core.mg import MarkedGraph, Marking
 
 
 class Enabling(enum.Enum):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Set
 
 from repro.core.dmg import DualMarkedGraph
 from repro.core.mg import Marking

@@ -46,9 +46,9 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.elastic.channel import Channel
-from repro.elastic.ee import AndEE, EarlyEvalFunction
+from repro.elastic.ee import EarlyEvalFunction
 from repro.elastic.protocol import ProtocolViolation
-from repro.rtl.logic import Value, X, is_known, land, lnot, lor
+from repro.rtl.logic import Value, land, lnot, lor
 
 
 def _b(value: object) -> Value:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, List, Mapping, Optional, Sequence
 
-from repro.rtl.logic import Value, X, is_known, land, lnot, lor
+from repro.rtl.logic import Value, X, is_known, land
 
 
 class EarlyEvalFunction:

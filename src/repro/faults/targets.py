@@ -17,7 +17,7 @@ stubs the model-checking testbenches use), and records
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 from repro.elastic.gates import (
     GateChannel,

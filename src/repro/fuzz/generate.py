@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.fuzz.model import (
     BlockModel,
     ConnModel,
     EndpointModel,
-    InvalidSpecModel,
     RegisterModel,
     SinkModel,
     SourceModel,

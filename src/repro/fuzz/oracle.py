@@ -35,8 +35,8 @@ replayable from ``(model, seed)`` alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from repro.fuzz.model import InvalidSpecModel, SpecModel
 

@@ -29,9 +29,13 @@ Findings serialise to deterministic JSON and SARIF 2.1.0
 ``repro lint`` drives the built-in target registry
 (:mod:`repro.lint.targets`); :func:`repro.synthesis.elasticize` runs
 the spec rules at build time and fails fast on errors.
+
+The package root re-exports only the netlist rules, the dataflow
+engine and the findings they report with -- what the area pipeline's
+``constant_values`` import loads anyway.  Import the elastic rules,
+the front-ends, the targets, SARIF and baselines from their modules.
 """
 
-from repro.lint.baseline import load_baseline, new_findings, write_baseline
 from repro.lint.dataflow import (
     FixpointDivergence,
     FixpointResult,
@@ -39,13 +43,6 @@ from repro.lint.dataflow import (
     fixpoint,
     netlist_graph,
     spec_graph,
-)
-from repro.lint.elastic_rules import (
-    lint_dmg,
-    lint_network,
-    lint_spec,
-    replay_spec_witness,
-    token_availability,
 )
 from repro.lint.findings import (
     RULES,
@@ -56,15 +53,6 @@ from repro.lint.findings import (
     SourceLocation,
     render_witness,
 )
-from repro.lint.frontends import (
-    FrontendParseError,
-    ParsedDesign,
-    SourceMap,
-    attach_locations,
-    parse_blif,
-    parse_design_file,
-    parse_verilog,
-)
 from repro.lint.netlist_rules import (
     combinational_cycle_finding,
     constant_values,
@@ -72,47 +60,24 @@ from repro.lint.netlist_rules import (
     replay_witness,
     value_sets,
 )
-from repro.lint.sarif import sarif_json, to_sarif
-from repro.lint.targets import LINT_TARGETS, all_targets, lint_file, run_lint
 
 __all__ = [
     "RULES",
     "Finding",
     "FixpointDivergence",
     "FixpointResult",
-    "FrontendParseError",
     "LintReport",
-    "ParsedDesign",
     "Rule",
     "Severity",
     "SourceLocation",
-    "SourceMap",
-    "LINT_TARGETS",
-    "all_targets",
-    "attach_locations",
     "combinational_cycle_finding",
     "constant_values",
     "dmg_graph",
     "fixpoint",
-    "lint_dmg",
-    "lint_file",
     "lint_netlist",
-    "lint_network",
-    "lint_spec",
-    "load_baseline",
     "netlist_graph",
-    "new_findings",
-    "parse_blif",
-    "parse_design_file",
-    "parse_verilog",
     "render_witness",
-    "replay_spec_witness",
     "replay_witness",
-    "run_lint",
-    "sarif_json",
     "spec_graph",
-    "to_sarif",
-    "token_availability",
     "value_sets",
-    "write_baseline",
 ]

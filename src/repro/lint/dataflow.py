@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,

@@ -36,8 +36,9 @@ attach witness chains replayed by :func:`replay_spec_witness`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
+from repro.core.analysis import cycle_token_sums
 from repro.elastic.behavioral import (
     Controller,
     EarlyJoin,
@@ -50,7 +51,7 @@ from repro.elastic.ee import MuxEE, ThresholdEE
 from repro.lint.dataflow import fixpoint, spec_graph, spec_in_channels
 from repro.lint.findings import Finding
 from repro.rtl.toposort import canonical_cycle, order_or_cycle
-from repro.synthesis.spec import Connection, SystemSpec
+from repro.synthesis.spec import SystemSpec
 
 __all__ = [
     "lint_spec",
@@ -100,6 +101,55 @@ def _find_cycles(
 
 def _loop_text(names: Sequence[str]) -> str:
     return " -> ".join(list(names) + [names[0]])
+
+
+def _deadlocks(
+    target: str,
+    arcs: Sequence[Tuple[str, str]],
+    tokens: Dict[str, int],
+    spare: Dict[str, int],
+    early: Set[str],
+    annihilated: Callable[[List[str]], bool],
+    words: Tuple[str, str],
+    name: Callable[[str], str] = str,
+) -> List[Finding]:
+    """ELX004 / ELX005 / ELX006 over a producer -> consumer graph.
+
+    An arc holds what its producer holds: ``tokens[n]`` tokens and
+    ``spare[n]`` free slots.  A cycle of token-free arcs is ELX006 when
+    it passes an ``early`` node and ``annihilated(cycle)`` finds no
+    buffer or passive interface on it, else ELX004; a cycle of arcs
+    with no spare slot that holds a token is ELX005.  ``words`` are the
+    level's ELX004 opening (with ``{}`` for the loop) and ELX005
+    ending; ``name`` maps a node to the name findings print.
+    """
+    findings = []
+    for cycle in _find_cycles([a for a in arcs if tokens[a[0]] == 0]):
+        shown = tuple(map(name, cycle))
+        joins = sorted(early.intersection(cycle))
+        if joins and not annihilated(cycle):
+            rule, message = "ELX006", (
+                f"anti-tokens from early join {name(joins[0])!r} "
+                f"circulate the cycle {_loop_text(shown)} with no "
+                "annihilating buffer or passive interface to die in"
+            )
+        else:
+            rule, message = "ELX004", (
+                f"{words[0].format(_loop_text(shown))}: no transfer can "
+                "ever fire on it"
+            )
+        findings.append(Finding(rule, target, shown[0], message, path=shown))
+
+    for cycle in _find_cycles([a for a in arcs if spare[a[0]] == 0]):
+        if not any(tokens[n] > 0 for n in cycle):
+            continue  # token-free cycles are ELX004's
+        shown = tuple(map(name, cycle))
+        findings.append(Finding(
+            "ELX005", target, shown[0],
+            f"cycle {_loop_text(shown)} has no spare EB capacity: {words[1]}",
+            path=shown,
+        ))
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -180,84 +230,47 @@ def _spec_node(endpoint: Tuple[str, str, str]) -> str:
     return f"{endpoint[0]}:{endpoint[1]}"
 
 
-def _display(nodes: Sequence[str]) -> Tuple[str, ...]:
-    return tuple(n.split(":", 1)[1] for n in nodes)
+def _display(node: str) -> str:
+    return node.split(":", 1)[1]
 
 
 def _spec_deadlocks(spec: SystemSpec) -> List[Finding]:
-    """ELX004 / ELX005 / ELX006 over the connection graph."""
-    target = spec.name
-    findings = []
+    """ELX004 / ELX005 / ELX006 over the connection graph.
 
-    def tokens_of(conn: Connection) -> int:
-        if conn.src[0] == "register":
-            return spec.registers[conn.src[1]].initial_tokens
-        return 0
-
-    def spare_of(conn: Connection) -> int:
+    A connection holds its producing register's initial tokens and
+    spare slots; any other producer is a direct channel, which holds
+    no token between cycles.
+    """
+    tokens: Dict[str, int] = {}
+    spare: Dict[str, int] = {}
+    for conn in spec.connections:
+        node = _spec_node(conn.src)
+        tokens[node] = spare[node] = 0
         if conn.src[0] == "register":
             r = spec.registers[conn.src[1]]
-            return max(getattr(r, "capacity", 2) - r.initial_tokens, 0)
-        return 0  # a direct channel holds no token between cycles
-
-    early = {b.name for b in spec.blocks.values() if b.is_early}
-    registers = set(spec.registers)
+            tokens[node] = r.initial_tokens
+            spare[node] = max(getattr(r, "capacity", 2) - r.initial_tokens, 0)
     passive_pairs = {
         (_spec_node(c.src), _spec_node(c.dst))
         for c in spec.connections if c.passive
     }
 
-    def classify(cycle: List[str]) -> Tuple[str, str]:
-        names = _display(cycle)
-        on_register = any(
-            node.startswith("register:") for node in cycle
-        )
-        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        on_passive = any(a in passive_pairs for a in arcs)
-        if not on_register and not on_passive and early & set(names):
-            join = sorted(early & set(names))[0]
-            return "ELX006", (
-                f"anti-tokens from early join {join!r} circulate the "
-                f"cycle {_loop_text(names)} with no annihilating buffer "
-                "or passive interface to die in"
-            )
-        return "ELX004", (
-            f"channel cycle {_loop_text(names)} carries no token: "
-            "no transfer can ever fire on it"
-        )
+    def annihilated(cycle: List[str]) -> bool:
+        arcs = zip(cycle, cycle[1:] + cycle[:1])
+        return (any(node.startswith("register:") for node in cycle)
+                or any(a in passive_pairs for a in arcs))
 
-    zero_token = [
-        (_spec_node(c.src), _spec_node(c.dst))
-        for c in spec.connections if tokens_of(c) == 0
-    ]
-    token_free: Set[Tuple[str, ...]] = set()
-    for cycle in _find_cycles(zero_token):
-        token_free.add(tuple(cycle))
-        rule, message = classify(cycle)
-        names = _display(cycle)
-        findings.append(Finding(rule, target, names[0], message, path=names))
-
-    zero_spare = [
-        (_spec_node(c.src), _spec_node(c.dst))
-        for c in spec.connections if spare_of(c) == 0
-    ]
-    for cycle in _find_cycles(zero_spare):
-        has_token = any(
-            node.startswith("register:")
-            and spec.registers[node.split(":", 1)[1]].initial_tokens > 0
-            for node in cycle
-        )
-        if not has_token or tuple(cycle) in token_free:
-            continue  # token-free cycles are ELX004's
-        names = _display(cycle)
-        findings.append(Finding(
-            "ELX005", target, names[0],
-            f"cycle {_loop_text(names)} has no spare EB capacity: every "
-            "buffer is full, so no token can advance (undersized loop; "
-            "give one register more capacity or fewer initial tokens)",
-            path=names,
-        ))
-    return findings
+    return _deadlocks(
+        spec.name,
+        [(_spec_node(c.src), _spec_node(c.dst)) for c in spec.connections],
+        tokens, spare,
+        {f"block:{b.name}" for b in spec.blocks.values() if b.is_early},
+        annihilated,
+        ("channel cycle {} carries no token",
+         "every buffer is full, so no token can advance (undersized loop; "
+         "give one register more capacity or fewer initial tokens)"),
+        _display,
+    )
 
 
 def _spec_passive_use(spec: SystemSpec) -> List[Finding]:
@@ -586,9 +599,11 @@ def _network_polarity(net: ElasticNetwork) -> List[Finding]:
 
 
 def _network_deadlocks(net: ElasticNetwork) -> List[Finding]:
-    """ELX004 / ELX005 / ELX006 over the controller graph."""
-    target = net.name
-    findings = []
+    """ELX004 / ELX005 / ELX006 over the controller graph.
+
+    A channel holds its producer's tokens and spare slots, which only
+    an elastic buffer has.
+    """
     producers: Dict[str, str] = {}
     consumers: Dict[str, str] = {}
     by_name: Dict[str, Controller] = {}
@@ -599,63 +614,33 @@ def _network_deadlocks(net: ElasticNetwork) -> List[Finding]:
             consumers[ch.name] = ctrl.name
         for ch in produced:
             producers[ch.name] = ctrl.name
-    arcs = [
-        (producers[name], consumers[name])
-        for name in sorted(net.channels)
-        if name in producers and name in consumers
-    ]
-
-    def is_annihilator(name: str) -> bool:
-        return isinstance(by_name[name], (ElasticBuffer, PassiveAntiToken))
-
-    def tokens(name: str) -> int:
-        ctrl = by_name[name]
+    tokens: Dict[str, int] = {}
+    spare: Dict[str, int] = {}
+    for name, ctrl in by_name.items():
+        tokens[name] = spare[name] = 0
         if isinstance(ctrl, ElasticBuffer):
-            return max(ctrl.count, 0)
-        return 0
+            tokens[name] = max(ctrl.count, 0)
+            spare[name] = max(ctrl.capacity - tokens[name], 0)
 
-    def spare(name: str) -> int:
-        ctrl = by_name[name]
-        if isinstance(ctrl, ElasticBuffer):
-            return max(ctrl.capacity - max(ctrl.count, 0), 0)
-        return 0
-
-    zero_token = [a for a in arcs if tokens(a[0]) == 0]
-    token_free: Set[Tuple[str, ...]] = set()
-    for cycle in _find_cycles(zero_token):
-        token_free.add(tuple(cycle))
-        ee = sorted(
-            n for n in cycle if isinstance(by_name[n], EarlyJoin)
+    def annihilated(cycle: List[str]) -> bool:
+        return any(
+            isinstance(by_name[n], (ElasticBuffer, PassiveAntiToken))
+            for n in cycle
         )
-        if ee and not any(is_annihilator(n) for n in cycle):
-            findings.append(Finding(
-                "ELX006", target, cycle[0],
-                f"anti-tokens from early join {ee[0]!r} circulate the "
-                f"cycle {_loop_text(cycle)} with no annihilating buffer "
-                "or passive interface to die in",
-                path=tuple(cycle),
-            ))
-        else:
-            findings.append(Finding(
-                "ELX004", target, cycle[0],
-                f"controller cycle {_loop_text(cycle)} holds no token: "
-                "no transfer can ever fire on it",
-                path=tuple(cycle),
-            ))
 
-    zero_spare = [a for a in arcs if spare(a[0]) == 0]
-    for cycle in _find_cycles(zero_spare):
-        if tuple(cycle) in token_free:
-            continue
-        if not any(tokens(n) > 0 for n in cycle):
-            continue  # token-free variants belong to ELX004
-        findings.append(Finding(
-            "ELX005", target, cycle[0],
-            f"cycle {_loop_text(cycle)} has no spare EB capacity: every "
-            "buffer on it is full, so no token can advance",
-            path=tuple(cycle),
-        ))
-    return findings
+    return _deadlocks(
+        net.name,
+        [
+            (producers[name], consumers[name])
+            for name in sorted(net.channels)
+            if name in producers and name in consumers
+        ],
+        tokens, spare,
+        {n for n, ctrl in by_name.items() if isinstance(ctrl, EarlyJoin)},
+        annihilated,
+        ("controller cycle {} holds no token",
+         "every buffer on it is full, so no token can advance"),
+    )
 
 
 def lint_network(net: ElasticNetwork) -> List[Finding]:
@@ -676,16 +661,13 @@ def lint_dmg(graph, target: str = "dmg") -> List[Finding]:
     Accepts any :class:`~repro.core.mg.MarkedGraph`; by token
     preservation the verdict holds for every reachable marking.
     """
-    findings = []
-    m0 = graph.initial_marking
-    for cycle in graph.simple_cycles():
-        total = graph.marking_of(m0, cycle)
-        if total <= 0:
-            names = tuple(cycle)
-            findings.append(Finding(
-                "ELX004", target, names[0],
-                f"cycle [{', '.join(names)}] sums to {total} tokens: "
-                "a non-positive cycle can never fire around",
-                path=names,
-            ))
-    return findings
+    return [
+        Finding(
+            "ELX004", target, cycle[0],
+            f"cycle [{', '.join(cycle)}] sums to {total} tokens: "
+            "a non-positive cycle can never fire around",
+            path=cycle,
+        )
+        for cycle, total in cycle_token_sums(graph).items()
+        if total <= 0
+    ]

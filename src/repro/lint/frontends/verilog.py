@@ -27,9 +27,9 @@ original fingerprint bit-for-bit.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.lint.frontends.blif import _Cell, _build, _token_col
+from repro.lint.frontends.blif import _Cell, _build
 from repro.lint.frontends.source_map import (
     FrontendParseError,
     ParsedDesign,

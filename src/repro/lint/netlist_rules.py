@@ -32,7 +32,7 @@ test suite replays every one).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.dataflow import fixpoint, netlist_graph
 from repro.lint.findings import Finding

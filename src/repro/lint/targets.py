@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.lint.elastic_rules import lint_network, lint_spec
 from repro.lint.findings import Finding, LintReport

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
@@ -415,28 +415,25 @@ def model_section(
     """
     from repro.core.analysis import critical_cycle_arcs
     from repro.core.performance import TimedDMGSimulator
-    from repro.synthesis.abstraction import spec_to_dmg, throughput_bound
+    from repro.synthesis.abstraction import spec_to_dmg
 
-    graph, lat = spec_to_dmg(spec, mean_latency)
-
-    def forward(arc) -> bool:
-        return not (arc.name.startswith("~") or arc.name.startswith("env:"))
-
-    delays = {a.name: lat.get(a.src, 0) for a in graph.arcs if forward(a)}
-    limit = "structural"
+    graph, delays = spec_to_dmg(spec, mean_latency)
     try:
         ratio, arcs = critical_cycle_arcs(graph, delays)
     except ValueError:
-        ratio = None
-        arcs = ()
-    if ratio is None or ratio >= 1:
+        # No latency-weighted cycle at all: the lazy system is
+        # clock-limited too.
+        ratio, arcs = Fraction(1), ()
+    # The lazy bound is the latency-weighted critical ratio itself
+    # (what ``throughput_bound`` returns), capped at one per clock.
+    lazy = min(ratio, Fraction(1))
+    limit = "structural"
+    if ratio >= 1:
         # No latency-weighted cycle binds below one firing per clock:
         # the clock itself is the limit.  Name the bounding cycle with
         # unit delays on the forward arcs (every hop costs one cycle).
         limit = "clock"
-        ratio, arcs = critical_cycle_arcs(
-            graph, {a.name: 1 for a in graph.arcs if forward(a)}
-        )
+        ratio, arcs = critical_cycle_arcs(graph, dict.fromkeys(delays, 1))
     bound = min(ratio, Fraction(1))
 
     # Sources and sinks model the eager environment: they must not add
@@ -456,12 +453,6 @@ def model_section(
     )
     estimate = sim.run(cycles)
     predicted = estimate.throughput(graph.arc(reference).src)
-    try:
-        lazy = min(throughput_bound(spec, mean_latency), Fraction(1))
-    except ValueError:
-        # No latency-weighted cycle at all: the lazy system is
-        # clock-limited too.
-        lazy = Fraction(1)
     if predicted > 0:
         divergence = abs(measured - predicted) / predicted
     else:

@@ -35,7 +35,7 @@ variable mapping documented in DESIGN.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.elastic.protocol import CATEGORY

@@ -24,7 +24,7 @@ guarantee the overhead benchmark locks.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
+from typing import Dict, Iterable, Optional, Sequence, TextIO, Union
 
 from repro.elastic.protocol import CATEGORY, ProtocolViolation, classify_dual
 from repro.obs.events import TraceEvent

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.rtl.logic import is_known
-from repro.rtl.netlist import FlipFlop, Gate, Latch, Netlist
+from repro.rtl.netlist import Netlist
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import re
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.rtl.logic import X
-from repro.rtl.netlist import FlipFlop, Gate, Latch, Netlist, Phase
+from repro.rtl.netlist import Gate, Netlist, Phase
 
 _IDENT = re.compile(r"[^A-Za-z0-9_]")
 

@@ -19,10 +19,10 @@ signal names so controller constructors read like structural Verilog.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.rtl.logic import Value, X
+from repro.rtl.logic import Value
 
 
 class Phase(enum.Enum):

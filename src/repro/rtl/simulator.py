@@ -22,7 +22,7 @@ verifies this claim (`strict_x=True` raises on unresolved signals).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.rtl.logic import Value, X, eval_op, is_known
 from repro.rtl.netlist import Latch, Netlist, Phase

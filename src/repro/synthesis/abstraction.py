@@ -19,9 +19,9 @@ The abstraction serves two purposes:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.analysis import is_live, max_throughput_arcs
+from repro.core.analysis import critical_cycle_arcs, is_live
 from repro.core.dmg import DualMarkedGraph
 from repro.synthesis.spec import SystemSpec
 
@@ -30,7 +30,7 @@ def spec_to_dmg(
     spec: SystemSpec,
     mean_latency: Optional[Dict[str, float]] = None,
 ) -> Tuple[DualMarkedGraph, Dict[str, int]]:
-    """Abstract ``spec`` into a DMG plus per-node latencies.
+    """Abstract ``spec`` into a DMG plus its forward-arc delays.
 
     Registers get latency 1 (one EB = one pipeline stage); blocks get
     latency 0 (combinational) unless variable-latency, in which case
@@ -38,17 +38,20 @@ def spec_to_dmg(
     connected back to sources with a high-capacity environment arc so
     the graph is strongly connected, as the paper assumes.
 
-    For throughput bounds the node latencies are placed on the
-    *forward* arcs leaving each node; backward (capacity) arcs carry
-    zero delay, because an elastic stage's slot frees when its consumer
-    initiates.
+    For throughput bounds a forward arc carries the latency of the node
+    it leaves; the backward capacity arcs (``~<connection>``) and the
+    environment closure (``env:`` and ``~env:``) are free, because an
+    elastic stage's slot frees when its consumer initiates.  The delay
+    map holds exactly the forward arcs.
 
     Returns:
-        ``(dmg, latencies)`` ready for :func:`throughput_bound`.
+        ``(dmg, delays)`` ready for
+        :func:`~repro.core.analysis.critical_cycle_arcs`.
     """
     spec.validate()
     g = DualMarkedGraph()
     latencies: Dict[str, int] = {}
+    delays: Dict[str, int] = {}
 
     for s in spec.sources.values():
         g.add_node(s.name)
@@ -76,6 +79,7 @@ def spec_to_dmg(
         if conn.src[0] == "register":
             tokens = spec.registers[src].initial_tokens
         g.add_arc(src, dst, tokens=tokens, name=conn.name)
+        delays[conn.name] = latencies[src]
         # Spare capacity: an EB holds ``capacity`` tokens; a direct
         # channel one in-flight handshake slot.
         capacity = (
@@ -92,7 +96,7 @@ def spec_to_dmg(
                       name=f"env:{snk.name}->{src.name}")
             g.add_arc(src.name, snk.name, tokens=0,
                       name=f"~env:{snk.name}->{src.name}")
-    return g, latencies
+    return g, delays
 
 
 def throughput_bound(
@@ -101,16 +105,11 @@ def throughput_bound(
 ) -> Fraction:
     """Minimum-cycle-ratio throughput bound of the lazy system.
 
-    Delays live on forward arcs (the producing node's latency); the
-    environment closure and backward capacity arcs are free.
+    The ratio of the critical cycle under :func:`spec_to_dmg`'s
+    forward-arc delays.
     """
-    g, lat = spec_to_dmg(spec, mean_latency)
-    arc_delay: Dict[str, int] = {}
-    for arc in g.arcs:
-        if arc.name.startswith("~") or arc.name.startswith("env:"):
-            continue
-        arc_delay[arc.name] = lat.get(arc.src, 0)
-    return max_throughput_arcs(g, arc_delay)
+    g, delays = spec_to_dmg(spec, mean_latency)
+    return critical_cycle_arcs(g, delays)[0]
 
 
 def check_liveness(spec: SystemSpec) -> bool:

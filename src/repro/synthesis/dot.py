@@ -9,8 +9,6 @@ counterflow of channels that carry anti-tokens.
 
 from __future__ import annotations
 
-from typing import Set
-
 from repro.synthesis.spec import SystemSpec
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.elastic.behavioral import (
-    Controller,
     EagerFork,
     EarlyJoin,
     ElasticBuffer,

@@ -14,7 +14,7 @@ deadlock on purpose and watch the watchdog catch it).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.elastic.behavioral import ElasticNetwork
 from repro.synthesis.elaborate import to_behavioral

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.analysis import ranked_cycles
 from repro.synthesis.abstraction import spec_to_dmg
 from repro.synthesis.elaborate import to_behavioral
 from repro.synthesis.spec import SystemSpec
@@ -70,25 +71,16 @@ def critical_cycles(
 ) -> List[Tuple[Fraction, List[str]]]:
     """The ``top`` tightest cycles of the DMG abstraction.
 
-    Returns ``(ratio, arc names)`` pairs sorted by increasing ratio --
-    the first entry is the structural throughput bottleneck a designer
-    (or :func:`optimize_buffers`) should attack first.
+    Returns the first ``top`` ``(ratio, arc names)`` pairs of the
+    abstraction's cycle ranking (:func:`~repro.core.analysis.
+    ranked_cycles`) -- the first entry is the structural throughput
+    bottleneck a designer (or :func:`optimize_buffers`) should attack
+    first.
     """
-    g, lat = spec_to_dmg(spec, mean_latency)
-    arc_delay: Dict[str, int] = {}
-    for arc in g.arcs:
-        if arc.name.startswith("~") or arc.name.startswith("env:"):
-            continue
-        arc_delay[arc.name] = lat.get(arc.src, 0)
-    m0 = g.initial_marking
-    rated: List[Tuple[Fraction, List[str]]] = []
-    for cycle in g.simple_cycles():
-        d = sum(arc_delay.get(a, 0) for a in cycle)
-        if d == 0:
-            continue
-        rated.append((Fraction(g.marking_of(m0, cycle), d), list(cycle)))
-    rated.sort(key=lambda item: item[0])
-    return rated[:top]
+    g, delays = spec_to_dmg(spec, mean_latency)
+    return [
+        (ratio, list(arcs)) for ratio, arcs in ranked_cycles(g, delays)[:top]
+    ]
 
 
 def _simulated_throughput(

@@ -17,7 +17,7 @@ The spec captures the designer-facing choices of Sect. 6:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.elastic.ee import EarlyEvalFunction

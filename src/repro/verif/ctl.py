@@ -17,7 +17,7 @@ infinitely often -- the explicit-state analogue of NuSMV ``FAIRNESS``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.verif.kripke import KripkeStructure
 

@@ -18,8 +18,8 @@ value on mismatch", which the alternating check would then catch).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.elastic.behavioral import (
     EagerFork,
@@ -32,7 +32,6 @@ from repro.elastic.behavioral import (
 )
 from repro.elastic.channel import Channel
 from repro.elastic.ee import ThresholdEE
-from repro.elastic.protocol import ProtocolViolation
 
 
 class DataMismatch(AssertionError):

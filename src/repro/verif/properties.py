@@ -18,7 +18,7 @@ NuSMV ``FAIRNESS`` declarations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.elastic.gates import GateChannel
 from repro.rtl.netlist import Netlist

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from repro.verif.ctl import AG, AP, Formula, ModelChecker, Not
+from repro.verif.ctl import Formula, ModelChecker
 from repro.verif.kripke import KripkeStructure
 
 

@@ -11,30 +11,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analysis import cycle_token_sums
-from repro.core.dmg import DualMarkedGraph
-
-
-@st.composite
-def ring_of_rings_dmg(draw):
-    """A strongly connected DMG: a hub node with several marked rings.
-
-    Every ring passes through the hub, so the graph is strongly
-    connected; each ring carries at least one token, so it is live.
-    """
-    n_rings = draw(st.integers(min_value=1, max_value=3))
-    g = DualMarkedGraph()
-    for r in range(n_rings):
-        length = draw(st.integers(min_value=1, max_value=4))
-        token_at = draw(st.integers(min_value=0, max_value=length))
-        prev = "hub"
-        for i in range(length):
-            node = f"r{r}n{i}"
-            g.add_arc(prev, node, tokens=1 if token_at == i else 0)
-            prev = node
-        g.add_arc(prev, "hub", tokens=1 if token_at == length else 0)
-    if draw(st.booleans()):
-        g.mark_early("hub")
-    return g
+from tests.strategies import ring_of_rings_dmg
 
 
 @given(ring_of_rings_dmg(), st.integers(min_value=0, max_value=2**32 - 1))

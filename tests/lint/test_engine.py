@@ -1,21 +1,17 @@
 """The common lint engine: reports, fingerprints, SARIF, baselines, obs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    RULES,
-    Finding,
-    LintReport,
-    Severity,
-    load_baseline,
-    new_findings,
-    run_lint,
-    sarif_json,
-    to_sarif,
-    write_baseline,
-)
+from repro.lint import RULES, Finding, LintReport, Severity
+from repro.lint.baseline import load_baseline, new_findings, write_baseline
+from repro.lint.sarif import sarif_json, to_sarif
+from repro.lint.targets import run_lint
 from repro.obs import TraceRecorder
 
 
@@ -28,6 +24,33 @@ def sample_report():
                 path=("loop", "back")),
         Finding("LNT006", "netA", "g1", "AND gate is constant 0"),
     ])
+
+
+# ----------------------------------------------------------------------
+# Package root
+# ----------------------------------------------------------------------
+def test_constant_propagate_loads_no_front_end():
+    """The area pipeline's ``constant_values`` import stays cheap: the
+    package root does not pull in the front-ends, targets or SARIF."""
+    script = (
+        "import sys\n"
+        "from repro.casestudy.fig9 import Config, build_fig9_spec\n"
+        "from repro.rtl.area import constant_propagate\n"
+        "from repro.synthesis.elaborate import to_gates\n"
+        "netlist = to_gates(build_fig9_spec(Config.ACTIVE)).netlist\n"
+        "constant_propagate(netlist)\n"
+        "assert 'repro.lint.netlist_rules' in sys.modules\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.split()
+    for module in ("repro.lint.frontends", "repro.lint.targets",
+                   "repro.lint.sarif"):
+        assert module not in out
 
 
 # ----------------------------------------------------------------------

@@ -17,16 +17,16 @@ import pytest
 from hypothesis import given, settings
 
 from repro.codegen.fingerprint import netlist_fingerprint
-from repro.lint import (
+from repro.lint import LintReport
+from repro.lint.frontends import (
     FrontendParseError,
-    LintReport,
     attach_locations,
-    lint_file,
     parse_blif,
     parse_design_file,
     parse_verilog,
-    sarif_json,
 )
+from repro.lint.sarif import sarif_json
+from repro.lint.targets import lint_file
 from repro.rtl.export import to_blif, to_verilog
 from repro.rtl.logic import X
 from repro.rtl.netlist import Netlist, Phase
@@ -244,7 +244,8 @@ class TestSourceMap:
         assert len(q_lines) == 1
 
     def test_unmapped_subject_falls_back_to_line_one(self):
-        from repro.lint import Finding, SourceMap
+        from repro.lint import Finding
+        from repro.lint.frontends import SourceMap
 
         source_map = SourceMap(file="f.blif", anchors={})
         [located] = attach_locations(

@@ -13,7 +13,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.lint import render_witness, replay_spec_witness, replay_witness
+from repro.lint import render_witness, replay_witness
+from repro.lint.elastic_rules import replay_spec_witness
 from repro.lint.elastic_rules import (
     ALWAYS,
     NEVER,

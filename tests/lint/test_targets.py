@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.lint import LINT_TARGETS, LintReport, all_targets, run_lint
+from repro.lint import LintReport
+from repro.lint.targets import LINT_TARGETS, all_targets, run_lint
 
 
 @pytest.mark.parametrize("target", all_targets())

@@ -27,12 +27,14 @@ from repro.elastic.protocol import CATEGORY, event_of
 from repro.obs.analyze import (
     NetworkProfiler,
     RtlChannelProfiler,
+    model_section,
     profile_designs,
     run_profile,
 )
 from repro.rtl.batchsim import broadcast
 from repro.rtl.logic import X
 from repro.rtl.simulator import TwoPhaseSimulator
+from repro.synthesis.spec import SystemSpec
 from tests.obs import scalar_reference
 
 CYCLES = 400
@@ -194,6 +196,27 @@ class TestModelComparison:
         # critical cycle is one input's forward/return pair.
         assert model["critical_cycle"]["limit"] == "clock"
         assert model["critical_cycle"]["arcs"] == ["I0", "~I0"]
+        assert model["lazy_bound"] == "1/1"
+
+    def test_clock_limit_leaves_the_lazy_bound_at_one(self):
+        """With no latency-weighted cycle the lazy bound is one per
+        clock, even where the unit-delay cycle the report names binds
+        lower (three combinational hops around a two-token closure)."""
+        spec = SystemSpec("chain")
+        spec.add_source("P")
+        spec.add_sink("K")
+        for name in "ABC":
+            spec.add_block(name)
+        spec.connect(spec.source("P"), spec.block_in("A"))
+        spec.connect(spec.block_out("A"), spec.block_in("B"))
+        spec.connect(spec.block_out("B"), spec.block_in("C"))
+        spec.connect(spec.block_out("C"), spec.sink("K"))
+        model = model_section(spec, reference="P->A", measured=1.0,
+                              cycles=50, seed=SEED, tolerance=0.1)
+        assert model["critical_cycle"] == {
+            "arcs": ["A->B", "B->C", "C->K", "env:K->P", "P->A"],
+            "ratio": "1/2", "throughput": 0.5, "limit": "clock",
+        }
         assert model["lazy_bound"] == "1/1"
 
     def test_fig9_active_reproduces_the_paper(self):

@@ -1,6 +1,6 @@
 """Shared Hypothesis strategies and random-circuit generators.
 
-Two families live here:
+Three families live here:
 
 * the random *netlist* generators that the compiled-vs-scalar
   differential suites drive (gate soup with latches, flip-flop
@@ -12,7 +12,9 @@ Two families live here:
 * :func:`spec_models`, a Hypothesis strategy over the *system-level*
   :class:`repro.fuzz.model.SpecModel` generator -- valid (lint-clean,
   elaborable) specs by construction, the same distribution ``repro
-  fuzz`` samples.
+  fuzz`` samples;
+* :func:`ring_of_rings_dmg`, strongly connected live dual marked
+  graphs for the Sect. 2.2 properties and the cycle ranking.
 
 Import from ``tests.strategies``; ``tests/conftest.py`` re-exports the
 module as the ``strategies`` fixture for tests that prefer fixtures
@@ -23,6 +25,7 @@ import random
 
 from hypothesis import strategies as st
 
+from repro.core.dmg import DualMarkedGraph
 from repro.fuzz.generate import GeneratorConfig, generate_model
 from repro.rtl.batchsim import LaneOverride
 from repro.rtl.logic import X, lnot
@@ -202,6 +205,14 @@ def differential_cases(draw, lanes: int = LANES, cycles: int = CYCLES):
 # ----------------------------------------------------------------------
 # System-level spec models (the repro.fuzz generator as a strategy)
 # ----------------------------------------------------------------------
+def spec_model(seed: int, max_blocks: int = 16,
+               config: GeneratorConfig = None):
+    """The model :func:`spec_models` draws for ``seed``."""
+    rng = random.Random(f"hyp:{seed}")
+    cfg = config or GeneratorConfig(max_blocks=max_blocks)
+    return generate_model(rng, cfg, name=f"hyp{seed}")
+
+
 @st.composite
 def spec_models(draw, max_blocks: int = 16, config: GeneratorConfig = None):
     """Valid :class:`~repro.fuzz.model.SpecModel`s, fuzz-distribution.
@@ -211,7 +222,30 @@ def spec_models(draw, max_blocks: int = 16, config: GeneratorConfig = None):
     and elaborates to both the behavioural network and (when all
     register capacities are 2) the gate netlist.
     """
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = random.Random(f"hyp:{seed}")
-    cfg = config or GeneratorConfig(max_blocks=max_blocks)
-    return generate_model(rng, cfg, name=f"hyp{seed}")
+    return spec_model(draw(st.integers(0, 2**32 - 1)), max_blocks, config)
+
+
+# ----------------------------------------------------------------------
+# Dual marked graphs
+# ----------------------------------------------------------------------
+@st.composite
+def ring_of_rings_dmg(draw):
+    """A strongly connected DMG: a hub node with several marked rings.
+
+    Every ring passes through the hub, so the graph is strongly
+    connected; each ring carries at least one token, so it is live.
+    """
+    n_rings = draw(st.integers(min_value=1, max_value=3))
+    g = DualMarkedGraph()
+    for r in range(n_rings):
+        length = draw(st.integers(min_value=1, max_value=4))
+        token_at = draw(st.integers(min_value=0, max_value=length))
+        prev = "hub"
+        for i in range(length):
+            node = f"r{r}n{i}"
+            g.add_arc(prev, node, tokens=1 if token_at == i else 0)
+            prev = node
+        g.add_arc(prev, "hub", tokens=1 if token_at == length else 0)
+    if draw(st.booleans()):
+        g.mark_early("hub")
+    return g

@@ -1,15 +1,19 @@
 """Tests for the DMG abstraction of system specs."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from repro.casestudy.fig9 import Config, build_fig9_spec
-from repro.core.analysis import max_throughput_arcs
+from repro.cli import main
+from repro.core.analysis import critical_cycle_arcs
 from repro.core.mg import MarkedGraph
 from repro.synthesis.abstraction import check_liveness, spec_to_dmg, throughput_bound
 from repro.synthesis.elaborate import to_behavioral
 from repro.synthesis.spec import SystemSpec
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def ring_spec(initial_tokens=1):
@@ -33,17 +37,27 @@ def ring_spec(initial_tokens=1):
 
 class TestSpecToDmg:
     def test_nodes_cover_everything(self):
-        g, lat = spec_to_dmg(ring_spec())
+        g, _ = spec_to_dmg(ring_spec())
         assert set(g.nodes) == {"P", "C", "B", "R1", "R2", "R3"}
 
     def test_latencies(self):
-        g, lat = spec_to_dmg(ring_spec())
-        assert lat["R1"] == 1 and lat["B"] == 0 and lat["P"] == 0
+        """A forward arc carries its source's latency; no other arc
+        (capacity or environment closure) has a delay."""
+        spec = ring_spec()
+        g, delays = spec_to_dmg(spec)
+        assert set(delays) == {c.name for c in spec.connections}
+        assert delays["R1->B"] == 1 and delays["B->R2"] == 0
+        assert delays["P->R1"] == 0
 
     def test_vl_latency_from_mean(self):
         spec = build_fig9_spec(Config.ACTIVE)
-        _, lat = spec_to_dmg(spec, mean_latency={"M1": 3.6, "M2": 1.5})
-        assert lat["M1"] == 4 and lat["M2"] == 2
+        g, delays = spec_to_dmg(spec, mean_latency={"M1": 3.6, "M2": 1.5})
+
+        def leaving(node):
+            return {delays[a.name] for a in g.arcs
+                    if a.src == node and a.name in delays}
+
+        assert leaving("M1") == {4} and leaving("M2") == {2}
 
     def test_register_tokens_on_forward_arc(self):
         g, _ = spec_to_dmg(ring_spec())
@@ -107,16 +121,27 @@ class TestThroughputBound:
         assert net.throughput("Din->S") > bound
 
 
-class TestMaxThroughputArcs:
+class TestCriticalCycleArcs:
     def test_arc_delay_model(self):
         g = MarkedGraph()
         g.add_arc("a", "b", tokens=1, name="fwd")
         g.add_arc("b", "a", tokens=0, name="bwd")
-        assert max_throughput_arcs(g, {"fwd": 3, "bwd": 0}) == Fraction(1, 3)
+        assert critical_cycle_arcs(g, {"fwd": 3, "bwd": 0}) == (
+            Fraction(1, 3), ("bwd", "fwd"))
 
     def test_zero_delay_cycles_skipped(self):
         g = MarkedGraph()
         g.add_arc("a", "b", tokens=1, name="f")
         g.add_arc("b", "a", tokens=1, name="g")
         with pytest.raises(ValueError):
-            max_throughput_arcs(g, {})
+            critical_cycle_arcs(g, {})
+
+
+@pytest.mark.parametrize(
+    "config", ["active", "no_buffer", "passive_f3w", "passive_m2w", "lazy"]
+)
+def test_repro_bound_matches_golden(config, capsys):
+    """``repro bound --config C``, byte for byte (CI ``cmp``s it too)."""
+    assert main(["bound", "--config", config]) == 0
+    golden = (GOLDEN / f"bound-{config}.txt").read_text()
+    assert capsys.readouterr().out == golden
