@@ -5,7 +5,6 @@ from repro.elastic.behavioral import (
     EarlyJoin,
     ElasticBuffer,
     ElasticNetwork,
-    Join,
     Pipe,
     Sink,
     Source,

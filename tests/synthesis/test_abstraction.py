@@ -44,7 +44,7 @@ class TestSpecToDmg:
         """A forward arc carries its source's latency; no other arc
         (capacity or environment closure) has a delay."""
         spec = ring_spec()
-        g, delays = spec_to_dmg(spec)
+        _, delays = spec_to_dmg(spec)
         assert set(delays) == {c.name for c in spec.connections}
         assert delays["R1->B"] == 1 and delays["B->R2"] == 0
         assert delays["P->R1"] == 0
