@@ -25,7 +25,8 @@ def test_reproduce_framework_outputs(elaborated, tmp_path):
     verilog = to_verilog(nl, module="fig9_control")
     blif = to_blif(nl, model="fig9_control")
     specs = channel_specs_smv(elaborated.channels.values())
-    fairness = [f"{sig} = TRUE" for sig in elaborated.env_inputs]
+    fairness = [f"{sig} = {'TRUE' if value else 'FALSE'}"
+                for sig, value in elaborated.fairness.items()]
     smv = to_smv(nl, specs=specs, fairness=fairness)
 
     (tmp_path / "fig9_control.v").write_text(verilog)
@@ -42,6 +43,7 @@ def test_reproduce_framework_outputs(elaborated, tmp_path):
     assert verilog.count("endmodule") == 1
     assert blif.count(".latch") == nl.stats()["latches"] + nl.stats()["flops"]
     assert smv.count("SPEC") == 4 * len(elaborated.channels)
+    assert "FAIRNESS Dout_stall = FALSE" in smv
 
 
 def test_bench_verilog_writer(benchmark, elaborated):

@@ -182,7 +182,8 @@ def cmd_export(args: argparse.Namespace) -> int:
             text = to_blif(elab.netlist, model="fig9_control")
         else:
             specs = channel_specs_smv(elab.channels.values())
-            fairness = [f"{sig} = TRUE" for sig in elab.env_inputs]
+            fairness = [f"{sig} = {'TRUE' if value else 'FALSE'}"
+                        for sig, value in elab.fairness.items()]
             text = to_smv(elab.netlist, specs=specs, fairness=fairness)
     if args.output:
         with open(args.output, "w") as handle:

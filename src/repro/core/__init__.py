@@ -24,7 +24,6 @@ from repro.core.analysis import (
     max_throughput,
     reachable_markings,
     verify_repetitive_behavior,
-    verify_token_preservation,
 )
 from repro.core.export import to_dot
 from repro.core.performance import TimedDMGSimulator, ThroughputEstimate
@@ -42,7 +41,6 @@ __all__ = [
     "to_dot",
     "reachable_markings",
     "verify_repetitive_behavior",
-    "verify_token_preservation",
     "TimedDMGSimulator",
     "ThroughputEstimate",
 ]

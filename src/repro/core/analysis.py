@@ -11,7 +11,9 @@ Implements the properties reviewed in Sect. 2 and 2.2 of the paper:
   regardless of the enabling rules used.
 * **Throughput bound** -- for unit-latency nodes, the sustainable
   firing rate of a live SCMG is bounded by the minimum cycle ratio
-  ``min_phi M0(phi) / |phi|``.
+  ``min_phi M0(phi) / |phi|``; it and liveness are decided without
+  listing cycles, by a parametric Bellman--Ford search over exact
+  integer weights (Dasdan, TODAES 2004).
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.dmg import DualMarkedGraph, FiringEvent
-from repro.core.mg import MarkedGraph, Marking
+from repro.core.mg import Arc, MarkedGraph, Marking
 
 
 def cycle_token_sums(
@@ -38,37 +40,17 @@ def cycle_token_sums(
     return {tuple(c): graph.marking_of(m, c) for c in graph.simple_cycles()}
 
 
-def verify_token_preservation(
-    graph: MarkedGraph,
-    markings: Iterable[Mapping[str, int]],
-) -> bool:
-    """Check that every marking in ``markings`` preserves all cycle sums.
-
-    Raises ``AssertionError`` naming the first violated cycle; returns
-    ``True`` when every marking passes.
-    """
-    reference = cycle_token_sums(graph)
-    for m in markings:
-        for cycle, expected in reference.items():
-            actual = graph.marking_of(m, cycle)
-            if actual != expected:
-                raise AssertionError(
-                    f"cycle {cycle} sums to {actual}, expected {expected}"
-                )
-    return True
-
-
 def is_live(graph: MarkedGraph) -> bool:
     """Liveness of a strongly connected (dual) marked graph.
 
     An SCMG is live iff every simple cycle carries at least one token at
-    M0.  The same criterion applies to SCDMGs: the token-preservation
-    property guarantees no cycle can ever be drained, hence no deadlock
-    can be produced even in the presence of negative tokens.
+    M0, i.e. iff the minimum cycle ratio under unit arc delays is
+    positive.  The same criterion applies to SCDMGs: token preservation
+    means no cycle can ever be drained, even with negative tokens.
     """
     if not graph.is_strongly_connected():
         raise ValueError("liveness criterion requires a strongly connected graph")
-    return all(total > 0 for total in cycle_token_sums(graph).values())
+    return not graph.arcs or _min_ratio(graph, {a.name: 1 for a in graph.arcs})[0] > 0
 
 
 def max_throughput(
@@ -101,22 +83,15 @@ def ranked_cycles(
     ``D(phi)`` sums the delays of its arcs (an arc missing from
     ``arc_delay`` is free); cycles with ``D(phi) == 0`` bound nothing
     and are left out.  Each cycle is a tuple of arc names in canonical
-    rotation (starting at its smallest arc name), and the ranking is
-    ordered by (ratio, cycle length, canonical arcs), so repeated runs
-    list equal-ratio cycles in the same order.  Its head bounds the
-    throughput: see :func:`critical_cycle_arcs`.
+    rotation, and the ranking is ordered by (ratio, cycle length,
+    canonical arcs).  Its head is :func:`critical_cycle_arcs`.
     """
     m0 = graph.initial_marking
-    ranked: List[Tuple[Fraction, int, Tuple[str, ...]]] = []
-    for cycle in graph.simple_cycles():
-        d = sum(arc_delay.get(a, 0) for a in cycle)
-        if d == 0:
-            continue
-        start = cycle.index(min(cycle))
-        arcs = tuple(cycle[start:] + cycle[:start])
-        ratio = Fraction(graph.marking_of(m0, cycle), d)
-        ranked.append((ratio, len(arcs), arcs))
-    ranked.sort()
+    ranked = sorted(
+        (Fraction(graph.marking_of(m0, cycle), d), len(cycle), tuple(cycle))
+        for cycle in graph.simple_cycles()
+        if (d := sum(arc_delay.get(a, 0) for a in cycle))
+    )
     return [(ratio, arcs) for ratio, _, arcs in ranked]
 
 
@@ -125,18 +100,108 @@ def critical_cycle_arcs(
 ) -> Tuple[Fraction, Tuple[str, ...]]:
     """The throughput-bounding cycle under per-arc delays.
 
-    The head of :func:`ranked_cycles`: the minimum cycle ratio ``min
-    over cycles phi of M0(phi) / D(phi)`` and the cycle achieving it.
-    Arc delays model systems where forward data arcs carry the
-    producer's latency while backward capacity arcs return instantly
-    (an elastic buffer's slot frees when the consumer *initiates*, not
-    when it finishes) -- the appropriate model for bounds on elastic
-    control networks.
+    The head of :func:`ranked_cycles`, found without listing cycles:
+    the minimum cycle ratio ``min over cycles phi of M0(phi) / D(phi)``
+    and the cycle achieving it.  Arc delays (none negative) model
+    systems where forward data arcs carry the producer's latency while
+    backward capacity arcs return instantly (an elastic buffer's slot
+    frees when the consumer *initiates*, not when it finishes) -- the
+    appropriate model for bounds on elastic control networks.  Raises
+    ``ValueError`` when no cycle has a positive delay, or when a
+    zero-delay cycle has a negative token sum (``ranked_cycles`` leaves
+    it out, but its ratio is unbounded below).
+
+    The cycle is the shortest positive-delay one of zero reduced weight,
+    ties going to the smallest canonical arcs: each such arc, in name
+    order, starts a breadth-first search (arcs in name order) over the
+    later-named ones, on states (node, positive delay passed).  A
+    shortest positive-delay closed walk is simple, or it would split.
     """
-    ranking = ranked_cycles(graph, arc_delay)
-    if not ranking:
+    ratio, reduced = _min_ratio(graph, arc_delay)
+    positive = {a: arc_delay.get(a, 0) > 0 for a in reduced}
+    tight = sorted((a for a in graph.arcs if reduced[a.name] == 0),
+                   key=lambda a: a.name)
+    out: Dict[str, List[Arc]] = {n: [] for n in graph.nodes}
+    for arc in tight:
+        out[arc.src].append(arc)
+    best: Tuple[str, ...] = ()
+    for first in tight:
+        target = (first.src, True)
+        paths = {(first.dst, positive[first.name]): (first.name,)}
+        queue = deque(paths)
+        while queue and target not in paths:
+            node, passed = state = queue.popleft()
+            if best and len(paths[state]) + 1 >= len(best):
+                break
+            for arc in out[node]:
+                nxt = (arc.dst, passed or positive[arc.name])
+                if arc.name > first.name and nxt not in paths:
+                    paths[nxt] = paths[state] + (arc.name,)
+                    queue.append(nxt)
+        if target in paths and (not best or len(paths[target]) < len(best)):
+            best = paths[target]
+    return ratio, best
+
+
+def _min_ratio(
+    graph: MarkedGraph, arc_delay: Mapping[str, int]
+) -> Tuple[Fraction, Dict[str, int]]:
+    """The minimum cycle ratio and every arc's reduced weight at it.
+
+    Starts above every ratio; while a cycle is negative under the
+    integer weights ``q*M0(a) - p*D(a)``, its smaller ratio replaces
+    ``p/q``.  At the end no reduced weight is negative, and a cycle of
+    zero ones has ratio ``p/q`` or no delay and no token.
+    """
+    m0 = graph.initial_marking
+    delay = {a.name: arc_delay.get(a.name, 0) for a in graph.arcs}
+    ratio, found = Fraction(1 + sum(t for t in m0.values() if t > 0)), False
+    while True:
+        p, q = ratio.numerator, ratio.denominator
+        weight = {a: q * m0[a] - p * delay[a] for a in delay}
+        dist, cycle = _negative_cycle(graph, weight)
+        if cycle is None:
+            break
+        tokens, d = graph.marking_of(m0, cycle), sum(delay[a] for a in cycle)
+        if d == 0:
+            raise ValueError(f"zero-delay cycle [{', '.join(cycle)}] sums to "
+                             f"{tokens} tokens; bound undefined")
+        ratio, found = Fraction(tokens, d), True
+    if not found:
         raise ValueError("no cycle with positive delay; bound undefined")
-    return ranking[0]
+    return ratio, {a.name: weight[a.name] + dist[a.src] - dist[a.dst]
+                   for a in graph.arcs}
+
+
+def _negative_cycle(
+    graph: MarkedGraph, weight: Mapping[str, int]
+) -> Tuple[Dict[str, int], Optional[List[str]]]:
+    """Bellman--Ford distances from a virtual root joined to every node,
+    and a negative cycle (arc names in flow order) or ``None``.
+
+    Every cycle of the predecessor arcs is negative, and one closes
+    among them while a negative cycle exists; each pass looks for it.
+    """
+    dist = dict.fromkeys(graph.nodes, 0)
+    pred: Dict[str, Arc] = {}
+    changed = True
+    while changed:
+        changed = False
+        for arc in graph.arcs:
+            if dist[arc.src] + weight[arc.name] < dist[arc.dst]:
+                dist[arc.dst] = dist[arc.src] + weight[arc.name]
+                pred[arc.dst], changed = arc, True
+        walked: Dict[str, str] = {}
+        for origin in pred:
+            node = origin
+            while node in pred and node not in walked:
+                walked[node], node = origin, pred[node].src
+            if walked.get(node) == origin:
+                cycle = [pred[node]]
+                while cycle[-1].src != node:
+                    cycle.append(pred[cycle[-1].src])
+                return dist, [a.name for a in reversed(cycle)]
+    return dist, None
 
 
 def reachable_markings(

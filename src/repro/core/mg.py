@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-import networkx as nx
-
 Marking = Dict[str, int]
 
 
@@ -140,63 +138,49 @@ class MarkedGraph:
         """Names of the outgoing arcs of ``node`` (the paper's ``n•``)."""
         return tuple(self._postset[node])
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export the structure as a :class:`networkx.MultiDiGraph`.
-
-        Arc names are stored as edge keys so that cycles found on the
-        networkx graph can be mapped back to arcs.
-        """
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(self._nodes)
-        for arc in self._arcs.values():
-            g.add_edge(arc.src, arc.dst, key=arc.name)
-        return g
-
     def is_strongly_connected(self) -> bool:
         """True if the underlying digraph is strongly connected.
 
         The paper models elastic systems with strongly connected MGs
         (SCMG); open systems close the environment with a feedback node.
+        Two walks from one node decide it, along the arcs and against.
         """
-        if not self._nodes:
-            return True
-        return nx.is_strongly_connected(nx.DiGraph(self.to_networkx()))
+        for arcs, end in ((self._postset, "dst"), (self._preset, "src")):
+            seen, stack = set(self._nodes[:1]), self._nodes[:1]
+            while stack:
+                for name in arcs[stack.pop()]:
+                    nxt = getattr(self._arcs[name], end)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            if len(seen) < len(self._nodes):
+                return False
+        return True
 
     def simple_cycles(self) -> List[List[str]]:
-        """All simple cycles, each returned as a list of *arc names*.
+        """All simple cycles, each a list of *arc names* starting at its
+        smallest arc name (its canonical rotation).
 
         Cycles are the carriers of the token-preservation invariant: for
         every cycle ``phi`` and reachable marking ``M``,
-        ``M(phi) == M0(phi)``.
+        ``M(phi) == M0(phi)``.  A depth-first walk from each arc over
+        later-named arcs lists each cycle once.  The count can grow
+        exponentially: cycle *facts* are decided without the list.
         """
-        g = self.to_networkx()
         cycles: List[List[str]] = []
-        for node_cycle in nx.simple_cycles(nx.DiGraph(g)):
-            # Expand a node cycle into every combination of parallel arcs.
-            expanded = self._expand_node_cycle(node_cycle)
-            cycles.extend(expanded)
+        for first in sorted(self._arcs):
+            stack = [([first], {self._arcs[first].dst})]
+            while stack:
+                path, visited = stack.pop()
+                end = self._arcs[path[-1]].dst
+                if end == self._arcs[first].src:
+                    cycles.append(path)
+                    continue
+                for name in reversed(self._postset[end]):
+                    dst = self._arcs[name].dst
+                    if name > first and dst not in visited:
+                        stack.append((path + [name], visited | {dst}))
         return cycles
-
-    def _expand_node_cycle(self, node_cycle: List[str]) -> List[List[str]]:
-        """Expand a cycle over nodes into cycles over arcs.
-
-        Parallel arcs between consecutive nodes yield one cycle per
-        combination; this is exponential in the number of parallel arc
-        groups, which is tiny for controller graphs.
-        """
-        hops: List[List[str]] = []
-        n = len(node_cycle)
-        for i in range(n):
-            src = node_cycle[i]
-            dst = node_cycle[(i + 1) % n]
-            parallel = [a for a in self._postset[src] if self._arcs[a].dst == dst]
-            if not parallel:
-                return []
-            hops.append(parallel)
-        results: List[List[str]] = [[]]
-        for group in hops:
-            results = [prefix + [a] for prefix in results for a in group]
-        return results
 
     # ------------------------------------------------------------------
     # Behaviour

@@ -221,9 +221,10 @@ def _expected_ports(model: SpecModel) -> Dict[EndpointModel, str]:
 
 def _structural_repair(model: SpecModel) -> None:
     """Port-completeness and attribute clamping (in place)."""
-    # Deduplicate component names (first declaration wins).
+    # Deduplicate component names across kinds, one namespace as in
+    # component_names() (first declaration wins).
+    seen: Set[str] = set()
     for items in (model.sources, model.sinks, model.blocks, model.registers):
-        seen: Set[str] = set()
         items[:] = [x for x in items
                     if x.name not in seen and not seen.add(x.name)]
     # Clamp attributes into their palettes.

@@ -1,6 +1,6 @@
 """Elastic front-end of the static analyzer (the ``ELX0xx`` rules).
 
-Three entry points, one per abstraction level:
+Two entry points, one per abstraction level:
 
 * :func:`lint_spec` -- a :class:`~repro.synthesis.spec.SystemSpec`
   before elaboration: connectivity (ELX001), controller shape (ELX003),
@@ -9,9 +9,7 @@ Three entry points, one per abstraction level:
 * :func:`lint_network` -- a hand-built or elaborated
   :class:`~repro.elastic.behavioral.ElasticNetwork`: channel polarity
   (ELX002) plus the same deadlock/counterflow cycle rules over the
-  live controller graph;
-* :func:`lint_dmg` -- a :class:`~repro.core.dmg.DualMarkedGraph`:
-  token-free cycles (ELX004) straight off the marking.
+  live controller graph.
 
 The deadlock rules encode the two-level liveness story of the paper:
 ELX004 is the classical Sect. 2.2 criterion (every cycle positively
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
-from repro.core.analysis import cycle_token_sums
 from repro.elastic.behavioral import (
     Controller,
     EarlyJoin,
@@ -50,13 +47,12 @@ from repro.elastic.behavioral import (
 from repro.elastic.ee import MuxEE, ThresholdEE
 from repro.lint.dataflow import fixpoint, spec_graph, spec_in_channels
 from repro.lint.findings import Finding
-from repro.rtl.toposort import canonical_cycle, order_or_cycle
+from repro.rtl.toposort import hunt_cycles
 from repro.synthesis.spec import SystemSpec
 
 __all__ = [
     "lint_spec",
     "lint_network",
-    "lint_dmg",
     "replay_spec_witness",
     "token_availability",
 ]
@@ -68,35 +64,12 @@ NEVER, SOMETIMES, ALWAYS = 0, 1, 2
 # ----------------------------------------------------------------------
 # Cycle hunting over a generic arc list
 # ----------------------------------------------------------------------
-def _find_cycles(
-    arcs: Sequence[Tuple[str, str]], max_cycles: int = 8
-) -> List[List[str]]:
-    """Up to ``max_cycles`` distinct simple cycles of a digraph.
-
-    Reuses the shared :func:`~repro.rtl.toposort.order_or_cycle` walker:
-    find one cycle, cut its closing arc, rescan.  Node order is the
-    canonical rotation, in flow order; the hunt runs over the graph
-    with sorted keys and predecessors, so *which* cycles are found is
-    independent of arc declaration order.
-    """
+def _find_cycles(arcs: Sequence[Tuple[str, str]]) -> List[List[str]]:
+    """:func:`~repro.rtl.toposort.hunt_cycles` over ``(src, dst)`` arcs."""
     preds: Dict[str, List[str]] = {}
     for src, dst in arcs:
-        preds.setdefault(src, [])
         preds.setdefault(dst, []).append(src)
-    graph = {n: tuple(sorted(preds[n])) for n in sorted(preds)}
-    cycles: List[List[str]] = []
-    seen: Set[Tuple[str, ...]] = set()
-    for _ in range(max_cycles):
-        _, cycle = order_or_cycle(graph)
-        if cycle is None:
-            break
-        key = tuple(canonical_cycle(list(cycle)))
-        if key not in seen:
-            seen.add(key)
-            cycles.append(list(key))
-        first, last = key[0], key[-1]
-        graph[first] = tuple(p for p in graph[first] if p != last)
-    return cycles
+    return hunt_cycles(preds)
 
 
 def _loop_text(names: Sequence[str]) -> str:
@@ -650,24 +623,3 @@ def lint_network(net: ElasticNetwork) -> List[Finding]:
     if not any(f.rule == "ELX002" for f in findings):
         findings += _network_deadlocks(net)
     return findings
-
-
-# ----------------------------------------------------------------------
-# DMG-level rule
-# ----------------------------------------------------------------------
-def lint_dmg(graph, target: str = "dmg") -> List[Finding]:
-    """ELX004 over a (dual) marked graph: non-positive cycle sums.
-
-    Accepts any :class:`~repro.core.mg.MarkedGraph`; by token
-    preservation the verdict holds for every reachable marking.
-    """
-    return [
-        Finding(
-            "ELX004", target, cycle[0],
-            f"cycle [{', '.join(cycle)}] sums to {total} tokens: "
-            "a non-positive cycle can never fire around",
-            path=cycle,
-        )
-        for cycle, total in cycle_token_sums(graph).items()
-        if total <= 0
-    ]

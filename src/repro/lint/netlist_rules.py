@@ -38,12 +38,7 @@ from repro.lint.dataflow import fixpoint, netlist_graph
 from repro.lint.findings import Finding
 from repro.rtl.logic import Value, X, eval_op, is_known, lmux, lnot, lxor
 from repro.rtl.netlist import Netlist, Phase
-from repro.rtl.toposort import (
-    canonical_cycle,
-    canonical_nodes,
-    order_or_cycle,
-    phase_nodes,
-)
+from repro.rtl.toposort import canonical_cycle, hunt_cycles, phase_nodes
 
 __all__ = [
     "combinational_cycle_finding",
@@ -178,25 +173,16 @@ def _same_phase_paths(nl: Netlist) -> List[Finding]:
 def _cycles(nl: Netlist) -> List[Finding]:
     """LNT005: one finding per distinct combinational cycle, both phases.
 
-    The hunt runs over the *canonical* graph (sorted keys, sorted
-    fan-in), so which cycles are found -- and in which order -- is a
-    function of the netlist's structure, not of its construction order.
+    Each phase's :func:`~repro.rtl.toposort.hunt_cycles`, in order; a
+    cycle both phases share is reported once.
     """
     findings = []
     seen: Set[Tuple[str, ...]] = set()
     for phase in (Phase.HIGH, Phase.LOW):
-        nodes = canonical_nodes(phase_nodes(nl, phase))
-        for _ in range(8):  # cap the per-phase cycle hunt
-            _, cycle = order_or_cycle(nodes)
-            if cycle is None:
-                break
-            key = tuple(canonical_cycle(list(cycle)))
-            if key not in seen:
-                seen.add(key)
+        for cycle in hunt_cycles(phase_nodes(nl, phase)):
+            if tuple(cycle) not in seen:
+                seen.add(tuple(cycle))
                 findings.append(combinational_cycle_finding(cycle, nl.name, phase))
-            # break the cycle (drop the closing dependency) and rescan
-            first, last = key[0], key[-1]
-            nodes[first] = tuple(i for i in nodes[first] if i != last)
     return findings
 
 

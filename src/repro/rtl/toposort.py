@@ -25,7 +25,7 @@ produce byte-identical diagnostics for the same netlist.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.rtl.netlist import Netlist, Phase
 
@@ -68,21 +68,6 @@ def canonical_cycle(cycle: List[str]) -> List[str]:
     """Rotate a cycle so the smallest signal name comes first."""
     pivot = cycle.index(min(cycle))
     return cycle[pivot:] + cycle[:pivot]
-
-
-def canonical_nodes(
-    nodes: Dict[str, Tuple[str, ...]],
-) -> Dict[str, Tuple[str, ...]]:
-    """The same dependency graph with sorted keys and sorted fan-in.
-
-    :func:`order_or_cycle` walks roots and dependencies in the order
-    given, so *which* cycle it extracts from a multi-cycle graph depends
-    on dict insertion order.  Hunting over the canonicalised graph makes
-    the reported cycle a function of the graph alone -- LNT005 findings
-    and :class:`CombinationalCycleError` diagnostics stay byte-stable
-    across construction-order changes.
-    """
-    return {sig: tuple(sorted(nodes[sig])) for sig in sorted(nodes)}
 
 
 def phase_nodes(netlist: Netlist, phase: Phase) -> Dict[str, Tuple[str, ...]]:
@@ -149,6 +134,32 @@ def order_or_cycle(
     return order, None
 
 
+#: The most cycles one :func:`hunt_cycles` call reports.
+CYCLE_HUNT_CAP = 8
+
+
+def hunt_cycles(nodes: Dict[str, Sequence[str]]) -> List[List[str]]:
+    """Up to :data:`CYCLE_HUNT_CAP` distinct cycles of a dependency graph.
+
+    Finds one cycle with :func:`order_or_cycle`, takes its canonical
+    rotation, cuts its closing dependency (so it is not found again)
+    and rescans.  The hunt runs with sorted keys and sorted fan-in, so
+    the cycles found are a function of the graph alone: lint findings
+    and :class:`CombinationalCycleError` diagnostics stay byte-stable
+    across construction-order changes.
+    """
+    graph = {n: tuple(sorted(nodes[n])) for n in sorted(nodes)}
+    cycles: List[List[str]] = []
+    for _ in range(CYCLE_HUNT_CAP):
+        _, cycle = order_or_cycle(graph)
+        if cycle is None:
+            break
+        cycle = canonical_cycle(cycle)
+        cycles.append(cycle)
+        graph[cycle[0]] = tuple(i for i in graph[cycle[0]] if i != cycle[-1])
+    return cycles
+
+
 def topo_order(netlist: Netlist, phase: Phase) -> List[str]:
     """Topological order of one phase's combinational nodes.
 
@@ -160,12 +171,10 @@ def topo_order(netlist: Netlist, phase: Phase) -> List[str]:
     nodes = phase_nodes(netlist, phase)
     order, cycle = order_or_cycle(nodes)
     if cycle is not None:
-        # Re-hunt over the canonical graph so the reported cycle does
-        # not depend on netlist construction order.  Only the error path
-        # pays for this; the happy-path order is untouched (the compiled
+        # Report the canonical hunt's first cycle.  Only the error path
+        # pays for it; the happy-path order is untouched (the compiled
         # simulator's instruction stream keys on it).
-        _, cycle = order_or_cycle(canonical_nodes(nodes))
-        raise CombinationalCycleError.from_cycle(cycle)
+        raise CombinationalCycleError.from_cycle(hunt_cycles(nodes)[0])
     return order
 
 

@@ -187,9 +187,9 @@ class GateElaboration:
     channels: Dict[str, GateChannel]
     #: data wires per connection name (primary inputs, for EE functions)
     data_wires: Dict[str, List[str]]
-    #: environment choice inputs (source offers, sink stalls/kills, VL
-    #: done signals) -- useful for fairness constraints
-    env_inputs: List[str] = field(default_factory=list)
+    #: each environment input -> the value a fair run takes infinitely
+    #: often (1 for source offers and VL done, 0 for sink stalls/kills)
+    fairness: Dict[str, int] = field(default_factory=dict)
 
 
 def to_gates(
@@ -209,7 +209,7 @@ def to_gates(
     nl = Netlist(spec.name)
     channels: Dict[str, GateChannel] = {}
     data_wires: Dict[str, List[str]] = {}
-    env_inputs: List[str] = []
+    fairness: Dict[str, int] = {}
     src_side: Dict[str, GateChannel] = {}
     dst_side: Dict[str, GateChannel] = {}
 
@@ -242,7 +242,7 @@ def to_gates(
         ch, _ = channel_at(("source", s.name, "out"), "src")
         if include_env:
             choice = nl.add_input(f"{s.name}.choice")
-            env_inputs.append(choice)
+            fairness[choice] = 1
             build_nd_source(nl, ch, prefix=s.name, choice_input=choice)
         else:
             nl.add_input(ch.vp)
@@ -252,11 +252,11 @@ def to_gates(
         ch, _ = channel_at(("sink", s.name, "in"), "dst")
         if include_env:
             stall = nl.add_input(f"{s.name}.stall")
-            env_inputs.append(stall)
+            fairness[stall] = 0
             kill = None
             if s.p_kill > 0:
                 kill = nl.add_input(f"{s.name}.kill")
-                env_inputs.append(kill)
+                fairness[kill] = 0
             build_nd_sink(nl, ch, prefix=s.name, stall_input=stall, kill_input=kill)
         else:
             nl.add_input(ch.sp)
@@ -283,14 +283,14 @@ def to_gates(
         )
 
     for b in spec.blocks.values():
-        _gate_block(nl, spec, b, channel_at, data_wires, env_inputs, include_env)
+        _gate_block(nl, spec, b, channel_at, data_wires, fairness, include_env)
 
     for name, ch in channels.items():
         for wire in ch.wires():
             nl.add_output(wire)
     nl.validate()
     return GateElaboration(
-        netlist=nl, channels=channels, data_wires=data_wires, env_inputs=env_inputs
+        netlist=nl, channels=channels, data_wires=data_wires, fairness=fairness
     )
 
 
@@ -308,7 +308,7 @@ def _gate_block(
     b: BlockSpec,
     channel_at,
     data_wires: Dict[str, List[str]],
-    env_inputs: List[str],
+    fairness: Dict[str, int],
     include_env: bool,
 ) -> None:
     ins: List[GateChannel] = []
@@ -324,7 +324,7 @@ def _gate_block(
 
     if b.latency is not None:
         done = nl.add_input(f"{b.name}.done")
-        env_inputs.append(done)
+        fairness[done] = 1
         build_variable_latency(nl, ins[0], outs[0], prefix=b.name, done_input=done)
         return
 

@@ -142,8 +142,11 @@ class SystemSpec:
         return self._register(self.registers, RegisterSpec(name, **kwargs))
 
     def _register(self, table: Dict[str, object], item):
-        if item.name in table:
-            raise ValueError(f"duplicate {type(item).__name__} {item.name!r}")
+        # One namespace: the DMG abstraction names nodes by name alone.
+        for kind in (self.sources, self.sinks, self.blocks, self.registers):
+            if item.name in kind:
+                raise ValueError(f"duplicate {type(item).__name__} {item.name!r}: "
+                                 f"already a {type(kind[item.name]).__name__}")
         table[item.name] = item
         return item
 

@@ -1,14 +1,17 @@
-"""Reference cycle ratios: the per-function loops ``src/`` used to keep.
+"""Reference cycle analyses: enumerate every simple cycle, then decide.
 
-``repro.core.analysis`` ranks the positive-delay simple cycles of a
-graph once, and ``max_throughput``, ``critical_cycle_arcs``,
-``throughput_bound`` and ``sizing.critical_cycles`` all read that one
-ranking.  Before that, each walked ``simple_cycles()`` on its own, and
-the DMG abstraction's forward-arc delay rule was restated by each
-caller.  Those loops are kept here, verbatim in behaviour, as the
-reference ``tests/core/test_cycle_ranking.py`` holds the ranking
-against:
+``repro.core.analysis`` decides the minimum cycle ratio, its critical
+cycle and liveness by a parametric Bellman--Ford search, without
+listing cycles, and ``MarkedGraph.simple_cycles`` is a plain
+depth-first walk.  The code they replaced is kept here, verbatim in
+behaviour, as the reference ``tests/core/test_cycle_ranking.py`` holds
+them against.  It lists cycles through networkx itself, never through
+the ``simple_cycles`` it checks:
 
+* :func:`simple_cycles` -- networkx's node cycles, expanded into one
+  arc cycle per combination of parallel arcs;
+* :func:`is_strongly_connected` and :func:`is_live` -- networkx's
+  strong connectivity, and every cycle positively marked;
 * :func:`max_throughput` -- node latencies (default 1), summed over
   the set of nodes the cycle passes through;
 * :func:`max_throughput_arcs` -- per-arc delays (default 0);
@@ -18,12 +21,53 @@ against:
   networkx order with each cycle in its raw rotation;
 * :func:`spec_delays` -- the DMG abstraction's node latencies put on
   the forward arcs (``~`` capacity and ``env:`` closure arcs free).
+
+Zero-delay cycles bound nothing and are skipped, whatever their tokens.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import networkx as nx
+
 from repro.core.mg import MarkedGraph
+
+
+def to_networkx(graph: MarkedGraph) -> nx.MultiDiGraph:
+    """The structure as a multigraph, arc names as edge keys."""
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(graph.nodes)
+    for arc in graph.arcs:
+        g.add_edge(arc.src, arc.dst, key=arc.name)
+    return g
+
+
+def simple_cycles(graph: MarkedGraph) -> List[List[str]]:
+    """Every simple cycle as a list of arc names, in networkx order."""
+    cycles: List[List[str]] = []
+    for node_cycle in nx.simple_cycles(nx.DiGraph(to_networkx(graph))):
+        hops = []
+        for i, src in enumerate(node_cycle):
+            dst = node_cycle[(i + 1) % len(node_cycle)]
+            hops.append([a for a in graph.postset(src) if graph.arc(a).dst == dst])
+        expanded: List[List[str]] = [[]]
+        for group in hops:
+            expanded = [prefix + [a] for prefix in expanded for a in group]
+        cycles.extend(expanded)
+    return cycles
+
+
+def is_strongly_connected(graph: MarkedGraph) -> bool:
+    if not graph.nodes:
+        return True
+    return nx.is_strongly_connected(nx.DiGraph(to_networkx(graph)))
+
+
+def is_live(graph: MarkedGraph) -> bool:
+    if not is_strongly_connected(graph):
+        raise ValueError("liveness criterion requires a strongly connected graph")
+    m0 = graph.initial_marking
+    return all(graph.marking_of(m0, c) > 0 for c in simple_cycles(graph))
 
 
 def max_throughput(
@@ -32,7 +76,7 @@ def max_throughput(
     lat = dict(latency) if latency is not None else {}
     m0 = graph.initial_marking
     best: Optional[Fraction] = None
-    for cycle in graph.simple_cycles():
+    for cycle in simple_cycles(graph):
         nodes = {graph.arc(a).src for a in cycle}
         d = sum(lat.get(n, 1) for n in nodes)
         if d == 0:
@@ -50,7 +94,7 @@ def max_throughput_arcs(
 ) -> Fraction:
     m0 = graph.initial_marking
     best: Optional[Fraction] = None
-    for cycle in graph.simple_cycles():
+    for cycle in simple_cycles(graph):
         d = sum(arc_delay.get(a, 0) for a in cycle)
         if d == 0:
             continue
@@ -75,7 +119,7 @@ def critical_cycle_arcs(
 ) -> Tuple[Fraction, Tuple[str, ...]]:
     m0 = graph.initial_marking
     best: Optional[Tuple[Fraction, int, Tuple[str, ...]]] = None
-    for cycle in graph.simple_cycles():
+    for cycle in simple_cycles(graph):
         d = sum(arc_delay.get(a, 0) for a in cycle)
         if d == 0:
             continue
@@ -93,7 +137,7 @@ def rated_cycles(
 ) -> List[Tuple[Fraction, List[str]]]:
     m0 = graph.initial_marking
     rated: List[Tuple[Fraction, List[str]]] = []
-    for cycle in graph.simple_cycles():
+    for cycle in simple_cycles(graph):
         d = sum(arc_delay.get(a, 0) for a in cycle)
         if d == 0:
             continue

@@ -11,7 +11,6 @@ from repro.core.analysis import (
     max_throughput,
     reachable_markings,
     verify_repetitive_behavior,
-    verify_token_preservation,
 )
 from repro.core.dmg import DualMarkedGraph, FiringEvent, Enabling, fig1_dmg
 from repro.core.mg import MarkedGraph, linear_pipeline
@@ -32,7 +31,7 @@ class TestCycleSums:
 class TestTokenPreservation:
     def test_holds_along_random_walk(self):
         g = fig1_dmg()
-        markings = [g.initial_marking]
+        sums = cycle_token_sums(g)
         m = g.initial_marking
         import random
 
@@ -40,15 +39,13 @@ class TestTokenPreservation:
         for _ in range(100):
             ev = rng.choice(g.enabled_events(m))
             m = g.apply_firing(ev.node, m)
-            markings.append(m)
-        assert verify_token_preservation(g, markings)
+            assert cycle_token_sums(g, m) == sums
 
     def test_detects_corrupted_marking(self):
         g = fig1_dmg()
         bad = g.initial_marking
         bad["n1->n2"] += 1
-        with pytest.raises(AssertionError):
-            verify_token_preservation(g, [bad])
+        assert cycle_token_sums(g, bad) != cycle_token_sums(g)
 
 
 class TestLiveness:

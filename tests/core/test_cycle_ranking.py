@@ -1,29 +1,38 @@
-"""The one cycle ranking against the per-function reference loops.
+"""Cycle facts against the enumerating reference.
 
-``max_throughput``, ``critical_cycle_arcs``, ``throughput_bound`` and
-``sizing.critical_cycles`` all read one ranking of a graph's
-positive-delay simple cycles, ordered by (M0/D, length, canonical
-arcs).  The loops each of them used to run are kept in
-``tests/core/cycle_reference.py``; the properties here hold the ranking
-equal to them on random ring-of-rings DMGs and on the DMG abstractions
-of random specs.
+``critical_cycle_arcs`` (hence ``max_throughput`` and
+``throughput_bound``) and ``is_live`` decide their answers by a
+parametric Bellman--Ford search without listing cycles;
+``sizing.critical_cycles`` ranks the cycles ``simple_cycles()`` lists,
+ordered by (M0/D, length, canonical arcs).  The networkx enumeration
+and the loops each of them used to run are kept in
+``tests/core/cycle_reference.py``; the properties here hold the search,
+the walk and the ranking equal to them on random multigraphs, on
+random ring-of-rings DMGs and on the DMG abstractions of random specs.
 """
 
 import itertools
+import signal
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.casestudy.fig9 import MEAN_LATENCY, Config, build_fig9_spec
-from repro.core.analysis import critical_cycle_arcs, max_throughput
-from repro.synthesis.abstraction import spec_to_dmg, throughput_bound
+from repro.core.analysis import critical_cycle_arcs, is_live, max_throughput
+from repro.core.mg import MarkedGraph
+from repro.synthesis.abstraction import (
+    check_liveness,
+    spec_to_dmg,
+    throughput_bound,
+)
 from repro.synthesis.sizing import critical_cycles
 from tests.core import cycle_reference as ref
-from tests.strategies import ring_of_rings_dmg, spec_models
+from tests.strategies import ring_of_rings_dmg, spec_model, spec_models
 
-#: Specs whose abstraction has more simple cycles than this are skipped
-#: (the environment closure multiplies them; enumeration dominates).
+#: Specs whose abstraction has more simple cycles than this are not
+#: compared with the reference (the environment closure multiplies
+#: them; enumeration dominates).
 MAX_CYCLES = 400
 
 
@@ -51,6 +60,84 @@ def latency_maps(draw, names):
     return {n: draw(st.integers(0, 3)) for n in chosen}
 
 
+@st.composite
+def multigraphs(draw, min_tokens=0):
+    """A graph of 1-6 nodes and up to 12 arcs, with its arc delays.
+
+    Parallel arcs, self-loops and zero delays all occur; tokens range
+    over ``min_tokens..3`` and delays over 0..3.  Arc names are a
+    shuffle of the insertion order, so canonical rotations and the
+    tie-break do not follow it.
+    """
+    n = draw(st.integers(1, 6))
+    ends = st.integers(0, n - 1)
+    specs = draw(st.lists(
+        st.tuples(ends, ends, st.integers(min_tokens, 3), st.integers(0, 3)),
+        max_size=12,
+    ))
+    names = draw(st.permutations(range(len(specs))))
+    g = MarkedGraph()
+    for i in range(n):
+        g.add_node(f"v{i}")
+    delays = {}
+    for (src, dst, tokens, delay), name in zip(specs, names):
+        arc = g.add_arc(f"v{src}", f"v{dst}", tokens=tokens, name=f"a{name}")
+        delays[arc.name] = delay
+    return g, delays
+
+
+def canonical_cycles(cycles):
+    return sorted(ref.canonical_rotation(tuple(c)) for c in cycles)
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_multigraph_facts_match_reference(case, data):
+    g, delays = case
+    latency = data.draw(latency_maps(g.nodes))
+    assert outcome(critical_cycle_arcs, g, delays) == outcome(
+        ref.critical_cycle_arcs, g, delays)
+    assert outcome(max_throughput, g, latency) == outcome(
+        ref.max_throughput, g, latency)
+    assert g.is_strongly_connected() == ref.is_strongly_connected(g)
+    assert outcome(is_live, g) == outcome(ref.is_live, g)
+    # Each cycle once, already in canonical rotation.
+    assert sorted(map(tuple, g.simple_cycles())) == canonical_cycles(
+        ref.simple_cycles(g))
+
+
+@given(multigraphs(min_tokens=-3))
+@settings(max_examples=400, deadline=None)
+def test_negative_markings_match_reference(case):
+    """Liveness agrees; the bound differs only on a zero-delay cycle
+    with a negative token sum, which the search rejects and the
+    reference skips."""
+    g, delays = case
+    assert outcome(is_live, g) == outcome(ref.is_live, g)
+    m0 = g.initial_marking
+    unbounded = any(
+        g.marking_of(m0, c) < 0 and not sum(delays[a] for a in c)
+        for c in ref.simple_cycles(g)
+    )
+    got = outcome(critical_cycle_arcs, g, delays)
+    if unbounded:
+        assert got is ValueError
+    else:
+        assert got == outcome(ref.critical_cycle_arcs, g, delays)
+
+
+def test_zero_delay_negative_cycle_raises():
+    g = MarkedGraph()
+    g.add_arc("a", "b", tokens=1, name="slow")
+    g.add_arc("b", "a", tokens=1, name="back")
+    g.add_arc("a", "c", tokens=-1, name="free")
+    g.add_arc("c", "a", tokens=0, name="free2")
+    delays = {"slow": 1}
+    assert ref.critical_cycle_arcs(g, delays) == (2, ("back", "slow"))
+    with pytest.raises(ValueError, match="zero-delay cycle"):
+        critical_cycle_arcs(g, delays)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_ring_of_rings_matches_reference(data):
@@ -66,7 +153,7 @@ def test_ring_of_rings_matches_reference(data):
 
 def few_cycles(graph):
     """True when ``graph`` has at most ``MAX_CYCLES`` node cycles."""
-    cycles = nx.simple_cycles(nx.DiGraph(graph.to_networkx()))
+    cycles = nx.simple_cycles(nx.DiGraph(ref.to_networkx(graph)))
     return len(list(itertools.islice(cycles, MAX_CYCLES + 1))) <= MAX_CYCLES
 
 
@@ -77,18 +164,37 @@ def test_spec_abstraction_matches_reference(model, data):
     vl = sorted(b.name for b in spec.blocks.values() if b.latency is not None)
     mean = {n: data.draw(st.floats(0.5, 5.0)) for n in vl} or None
     graph, delays = spec_to_dmg(spec, mean)
-    assume(few_cycles(graph))
     expected = ref.spec_delays(graph, spec, mean)
     assert delays == expected
-    assert outcome(throughput_bound, spec, mean) == outcome(
-        ref.max_throughput_arcs, graph, expected)
-    assert outcome(critical_cycle_arcs, graph, delays) == outcome(
-        ref.critical_cycle_arcs, graph, expected)
+    bound = outcome(throughput_bound, spec, mean)
+    critical = outcome(critical_cycle_arcs, graph, delays)
+    if not few_cycles(graph):
+        return
+    assert bound == outcome(ref.max_throughput_arcs, graph, expected)
+    assert critical == outcome(ref.critical_cycle_arcs, graph, expected)
     top = data.draw(st.integers(1, 50))
     ranked = critical_cycles(spec, mean, top=top)
     assert [r for r, _ in ranked] == [
         r for r, _ in ref.rated_cycles(graph, expected)[:top]]
     assert ranked == ranking(graph, expected)[:top]
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_large_abstractions_return_within_a_second(seed):
+    """Two specs whose abstractions have too many cycles to list."""
+    spec = spec_model(seed, max_blocks=8).build()
+
+    def expire(signum, frame):
+        raise TimeoutError(f"spec_model({seed}, 8) took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    pending = signal.alarm(1)
+    try:
+        throughput_bound(spec)
+        check_liveness(spec)
+    finally:
+        signal.alarm(pending)
+        signal.signal(signal.SIGALRM, previous)
 
 
 CASES = [

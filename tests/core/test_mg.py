@@ -113,10 +113,6 @@ class TestStructure:
         cycles = g.simple_cycles()
         assert len(cycles) == 2
 
-    def test_to_networkx_preserves_arcs(self, ring2):
-        nxg = ring2.to_networkx()
-        assert nxg.number_of_edges() == 2
-
 
 class TestLinearPipeline:
     def test_structure(self):

@@ -98,6 +98,24 @@ class TestEdgeCases:
         assert fixed.blocks == []
         assert _errors(fixed.build()) == []
 
+    def test_name_shared_across_kinds_keeps_the_first(self):
+        model = SpecModel(
+            "shared",
+            sources=[SourceModel("src0")],
+            sinks=[SinkModel("C")],
+            blocks=[BlockModel("C")],
+            connections=[
+                ConnModel(("source", "src0", "out"), ("block", "C", "in0")),
+                ConnModel(("block", "C", "out0"), ("sink", "C", "in")),
+            ],
+        )
+        with pytest.raises(InvalidSpecModel, match="duplicate BlockSpec 'C'"):
+            model.build()
+        fixed = repair_model(model)
+        assert fixed.component_names()["C"] == "sink"
+        assert fixed.blocks == []
+        assert _errors(fixed.build()) == []
+
     def test_self_loop_register_repairs_cleanly(self):
         model = SpecModel(
             "selfloop",

@@ -1,6 +1,5 @@
 """The ELX0xx defect zoo: spec-, network- and DMG-level protocol rules."""
 
-from repro.core.mg import MarkedGraph
 from repro.elastic.behavioral import (
     EarlyJoin,
     ElasticBuffer,
@@ -10,7 +9,7 @@ from repro.elastic.behavioral import (
     Source,
 )
 from repro.elastic.ee import AndEE
-from repro.lint.elastic_rules import lint_dmg, lint_network, lint_spec
+from repro.lint.elastic_rules import lint_network, lint_spec
 from repro.lint.findings import Severity
 from repro.synthesis.spec import SystemSpec
 
@@ -328,22 +327,3 @@ def test_elx006_network_early_join_loop_without_buffer():
 
 def test_network_with_buffer_on_early_loop_is_clean():
     assert lint_network(buffered_early_loop_network()) == []
-
-
-# ----------------------------------------------------------------------
-# DMG level
-# ----------------------------------------------------------------------
-def test_elx004_dmg_non_positive_cycle():
-    g = MarkedGraph()
-    g.add_arc("a", "b", tokens=0)
-    g.add_arc("b", "a", tokens=0)
-    found = lint_dmg(g, target="toy")
-    assert codes(found) == ["ELX004"]
-    assert "sums to 0 tokens" in found[0].message
-
-
-def test_elx004_dmg_marked_cycle_is_clean():
-    g = MarkedGraph()
-    g.add_arc("a", "b", tokens=1)
-    g.add_arc("b", "a", tokens=0)
-    assert lint_dmg(g) == []

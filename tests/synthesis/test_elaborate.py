@@ -57,6 +57,11 @@ def diamond_spec(early=False, passive=None, vl=False):
     return spec
 
 
+def fair_runs(elab):
+    """The elaboration's fairness constraints as CTL atoms."""
+    return [AP(sig, value) for sig, value in elab.fairness.items()]
+
+
 class TestBehavioralBackend:
     def test_controller_kinds(self):
         net = to_behavioral(diamond_spec(early=True, vl=True))
@@ -122,7 +127,7 @@ class TestGateBackend:
     def test_netlist_validates(self):
         elab = to_gates(diamond_spec(early=True, vl=True))
         elab.netlist.validate()
-        assert elab.env_inputs  # sources, sinks, VL done
+        assert elab.fairness == {"P.choice": 1, "C.stall": 0, "VLU.done": 1}
 
     def test_area_mode_has_no_env_state(self):
         elab = to_gates(diamond_spec(), include_env=False)
@@ -134,16 +139,29 @@ class TestGateBackend:
         res = verify_netlist(
             elab.netlist,
             list(elab.channels.values()),
-            fairness=[AP("C.stall", 0), AP("P.choice", 1)],
+            fairness=fair_runs(elab),
         )
         assert res.ok, res.failures()
+
+    def test_fairness_polarity_decides_liveness(self):
+        """A sink that may stall forever starves every channel: under
+        the all-high fairness the SMV export used to write, liveness
+        fails on all six."""
+        elab = to_gates(diamond_spec(), as_latches=False)
+        channels = list(elab.channels.values())
+        assert verify_netlist(elab.netlist, channels,
+                              fairness=fair_runs(elab)).ok
+        all_high = [AP(sig, 1) for sig in elab.fairness]
+        res = verify_netlist(elab.netlist, channels, fairness=all_high)
+        assert len(channels) == 6
+        assert res.failures() == [(ch.name, "liveness") for ch in channels]
 
     def test_model_checking_early_diamond_with_vl(self):
         elab = to_gates(diamond_spec(early=True, vl=True), as_latches=False)
         res = verify_netlist(
             elab.netlist,
             list(elab.channels.values()),
-            fairness=[AP("C.stall", 0), AP("P.choice", 1), AP("VLU.done", 1)],
+            fairness=fair_runs(elab),
             max_states=800_000,
         )
         assert res.ok, res.failures()

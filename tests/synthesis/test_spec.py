@@ -24,6 +24,17 @@ class TestDeclarations:
         with pytest.raises(ValueError):
             spec.add_block("B")
 
+    def test_name_shared_across_kinds_rejected(self):
+        """A sink named like a block would be one node of the DMG
+        abstraction: source -> A -> B -> C -> sink C has no path to
+        the sink, only self-loops at C."""
+        spec = SystemSpec("s")
+        spec.add_source("P")
+        for name in "ABC":
+            spec.add_block(name)
+        with pytest.raises(ValueError, match="duplicate SinkSpec 'C': already a BlockSpec"):
+            spec.add_sink("C")
+
     def test_vl_block_must_be_1in_1out(self):
         with pytest.raises(ValueError):
             BlockSpec("m", n_inputs=2, latency=fixed_latency(2))

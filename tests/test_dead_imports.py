@@ -1,14 +1,18 @@
-"""No module in ``src/`` imports a name it never reads.
+"""No module in ``src/`` imports a name it never reads, or a package
+from outside the standard library.
 
 An AST scan of every non-``__init__`` module under ``src/repro``: a
 name bound by a module-level ``import`` (including one under a
 top-level ``if`` or ``try``) must be read somewhere in the module --
 as a name, the root of an attribute chain, inside a string annotation
 -- or be listed in ``__all__``.  Package ``__init__`` modules are
-skipped: importing to re-export is their job.
+skipped: importing to re-export is their job.  Every import in every
+module, at any level, names ``repro`` or a standard-library module:
+the runtime has no third-party dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+ALL_MODULES = sorted(SRC.rglob("*.py"))
 
 
 def _module_imports(tree):
@@ -96,3 +102,36 @@ def test_scanner_finds_an_unread_import(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unread_module_import(path):
     assert dead_imports(path) == []
+
+
+def foreign_imports(path):
+    """``line: module`` for every import outside ``repro`` and the
+    standard library, at module or function level."""
+    roots = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.append((node.module, node.lineno))
+    allowed = sys.stdlib_module_names | {"repro"}
+    return [f"{line}: {name}" for name, line in roots
+            if name.split(".")[0] not in allowed]
+
+
+def test_scanner_finds_a_foreign_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os, json\n"
+        "from . import sibling\n"
+        "from repro.core import mg\n"
+        "def f():\n"
+        "    import networkx as nx\n"
+        "    from numpy.linalg import norm\n"
+    )
+    assert foreign_imports(module) == ["5: networkx", "6: numpy.linalg"]
+
+
+@pytest.mark.parametrize(
+    "path", ALL_MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_imports_only_the_standard_library(path):
+    assert foreign_imports(path) == []
