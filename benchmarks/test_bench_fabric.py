@@ -9,12 +9,14 @@ dual-EHB target:
   parallel hardware: on a single-core host the test degrades to an
   overhead bound -- the fabric must stay within 2x of the serial
   sweep even with zero usable parallelism;
-* adaptive lease sizing shrinks the tail -- the grant-to-last-result
-  latency of the final chunk -- versus static fixed-size chunks,
-  because leases near the drain are small enough that no worker sits
-  on a long run while the others idle.  Work stealing is disabled in
-  *both* arms of that comparison so it measures the sizing policy
-  alone (stealing would smooth the fixed baseline's drain too).
+* the shipped schedule -- leases of ``ceil(pending / workers)`` units
+  with work stealing -- shrinks the tail, the grant-to-last-result
+  latency of the final lease, versus classic static partitioning (a
+  quarter of the sweep per worker, nothing stolen), because leases
+  near the drain are small enough that no worker sits on a long run
+  while the others idle.  The baseline is :class:`StaticSplit`, a
+  scheduler subclass swapped into the coordinator here: no fabric
+  option sets a lease size or turns stealing off.
 
 Workers are long-lived servers: the fixture warms each one's runner
 cache with a one-unit run first, so the timed runs measure steady-state
@@ -29,7 +31,7 @@ import time
 
 import pytest
 
-from repro.fabric import FabricConfig, FabricCoordinator, serve
+from repro.fabric import FabricCoordinator, WorkStealingScheduler, serve
 from repro.fabric.jobs import encode_campaign_config, encode_injection
 from repro.faults.campaign import (
     CampaignConfig,
@@ -50,6 +52,21 @@ CONFIG = CampaignConfig(
 )
 
 
+class StaticSplit(WorkStealingScheduler):
+    """The tail baseline: every lease is a ``1/workers`` share of the
+    whole sweep, and idle workers steal nothing."""
+
+    def __init__(self, units, workers):
+        super().__init__(units, workers)
+        self.share = -(-len(units) // workers)
+
+    def lease_size(self):
+        return self.share
+
+    def steal(self, thief):
+        return None, []
+
+
 def _serve(queue):
     serve("127.0.0.1", 0, on_ready=lambda host, port: queue.put(port))
 
@@ -64,7 +81,8 @@ def fabric_units():
     ]
 
 
-def run_fabric(worker_addresses, units=None, **fabric_kwargs):
+def run_fabric(worker_addresses, units=None, static_split=False):
+    units = fabric_units() if units is None else units
     coordinator = FabricCoordinator(
         "campaign",
         {
@@ -73,11 +91,11 @@ def run_fabric(worker_addresses, units=None, **fabric_kwargs):
             "lanes": LANES,
             "cache": None,
         },
-        fabric_units() if units is None else units,
+        units,
         worker_addresses,
-        config=FabricConfig(**fabric_kwargs),
-        injections_per_unit=LANES,
     )
+    if static_split:
+        coordinator.scheduler = StaticSplit(units, len(worker_addresses))
     started = time.perf_counter()
     results = coordinator.run()
     wall = time.perf_counter() - started
@@ -111,9 +129,7 @@ def test_four_workers_beat_single_process(workers):
     serial = run_campaign("dual_ehb", CONFIG, lanes=LANES)
     serial_wall = time.perf_counter() - t0
 
-    results, fabric_wall, coordinator = run_fabric(
-        workers, lease_target_s=0.1,
-    )
+    results, fabric_wall, coordinator = run_fabric(workers)
     merged = [o for index in sorted(results) for o in results[index]]
     assert [o["fault"] for o in merged] == [
         o.fault for o in serial.outcomes
@@ -143,39 +159,35 @@ def test_four_workers_beat_single_process(workers):
         )
 
 
-def test_adaptive_leases_cut_tail_latency(workers):
-    # Static baseline: classic fixed partitioning, a quarter of the
-    # queue per worker and no stealing -- the final chunk keeps one
-    # worker busy long after the others drain.
-    units = len(fabric_units())
-    fixed_size = max(1, (units + 3) // 4)
-    _, fixed_wall, fixed = run_fabric(
-        workers, fixed_lease=fixed_size, allow_steal=False,
-    )
+def test_guided_leases_cut_tail_latency(workers):
+    # Static baseline: the final quarter-sweep lease keeps one worker
+    # busy long after the others drain.
+    _, fixed_wall, fixed = run_fabric(workers, static_split=True)
     fixed_tail = fixed.scheduler.tail_latency()
 
-    _, adaptive_wall, adaptive = run_fabric(
-        workers, lease_target_s=0.05, max_lease=fixed_size,
-        allow_steal=False,
-    )
-    adaptive_tail = adaptive.scheduler.tail_latency()
+    _, guided_wall, guided = run_fabric(workers)
+    guided_tail = guided.scheduler.tail_latency()
 
-    print(f"\n=== tail latency ({units} units) ===")
-    print(f"fixed ({fixed_size}/lease): tail {fixed_tail * 1e3:7.1f}ms "
-          f"wall {fixed_wall:.2f}s "
-          f"(last lease {fixed.scheduler.stats()['last_lease']} units)")
-    print(f"adaptive:          tail {adaptive_tail * 1e3:7.1f}ms "
-          f"wall {adaptive_wall:.2f}s "
-          f"(last lease {adaptive.scheduler.stats()['last_lease']} units)")
-    assert adaptive_tail < fixed_tail, (
-        f"adaptive lease sizing (tail {adaptive_tail:.3f}s) must cut the "
-        f"last-chunk latency of fixed chunks (tail {fixed_tail:.3f}s)"
+    fixed_stats, guided_stats = fixed.stats(), guided.stats()
+    print(f"\n=== tail latency ({fixed_stats['units']} units) ===")
+    print(f"static split ({fixed.scheduler.share}/lease): "
+          f"tail {fixed_tail * 1e3:7.1f}ms wall {fixed_wall:.2f}s "
+          f"(last lease {fixed_stats['last_lease']} units)")
+    print(f"guided + stealing:      tail {guided_tail * 1e3:7.1f}ms "
+          f"wall {guided_wall:.2f}s "
+          f"(last lease {guided_stats['last_lease']} units, "
+          f"{guided_stats['leases']} leases, {guided_stats['steals']} "
+          f"steals)")
+    assert guided_tail < fixed_tail, (
+        f"guided leases with stealing (tail {guided_tail:.3f}s) must cut "
+        f"the last-lease latency of a static split (tail "
+        f"{fixed_tail:.3f}s)"
     )
 
 
 def test_bench_fabric_four_workers(benchmark, workers):
     def sweep():
-        results, _, coordinator = run_fabric(workers, lease_target_s=0.1)
+        results, _, coordinator = run_fabric(workers)
         return results, coordinator
 
     results, coordinator = benchmark.pedantic(sweep, rounds=3, iterations=1)

@@ -35,7 +35,6 @@ from repro.obs import MetricsRegistry  # noqa: E402
 
 CONFIG = CampaignConfig(cycles=120, seed=2007)
 FABRIC = FabricConfig(
-    fixed_lease=6,  # every worker holds a real lease when chaos strikes
     heartbeat_interval=0.05,
     degraded_after=0.4,
     dead_after=1.0,
@@ -77,9 +76,10 @@ def main() -> None:
 
     def kill_on_first_chunk(done, total):
         # Kill the last worker already granted a lease: one still
-        # binding would take no leased work down with it.  At the first
-        # result a leased worker still holds most of its fixed 6-unit
-        # lease, so that work must be requeued onto the survivors.
+        # binding would take no leased work down with it.  Three workers
+        # lease the 23 chunks as 8, 5, 4, ... units, so at the first
+        # result a leased worker still holds most of its lease, and
+        # that work must be requeued onto the survivors.
         if killed:
             return
         leased = {

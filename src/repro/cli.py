@@ -107,6 +107,11 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 def _fabric_verify(args: argparse.Namespace) -> int:
     """``repro verify --workers``: distribute designs over the fabric."""
+    if args.checkpoint:
+        raise SystemExit(
+            "--checkpoint needs a local build; --workers distributes the "
+            "Kripke builds, which take no checkpoint"
+        )
     from repro.fabric import (
         FabricCoordinator,
         FabricError,
@@ -453,7 +458,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
         config = CampaignConfig(
             cycles=args.cycles, seed=args.seed, kinds=kinds
         )
-        from repro.fabric import FabricError, ShardFailure
+        from repro.fabric import FabricConfig, FabricError, ShardFailure
         from repro.resilience import CheckpointMismatch
 
         try:
@@ -461,11 +466,13 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 args.netlist, config, lanes=args.lanes, jobs=args.jobs,
                 progress=progress, metrics=registry,
                 checkpoint=checkpoint,
-                shard_timeout=args.shard_timeout,
-                max_retries=args.max_retries,
                 profile=args.profile,
                 cache=args.cache,
                 workers=workers,
+                fabric=FabricConfig(
+                    unit_timeout=args.shard_timeout,
+                    max_retries=args.max_retries,
+                ),
             )
         except KeyboardInterrupt:
             hint = (
@@ -761,7 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None,
                    help="directory for periodic state-space snapshots; "
                         "rerunning with the same directory resumes an "
-                        "interrupted build")
+                        "interrupted build (local builds only, not with "
+                        "--workers)")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="build-cache directory serving completed "
                         "state-space explorations for unchanged netlists "

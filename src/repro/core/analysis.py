@@ -34,7 +34,10 @@ def cycle_token_sums(
 
     Returns a mapping from the cycle (as a tuple of arc names) to its
     token sum.  By token preservation, this mapping is invariant across
-    all reachable markings.
+    all reachable markings.  Raises
+    :class:`~repro.core.mg.TooManyCycles` (a ``ValueError``) when the
+    graph has more than :data:`~repro.core.mg.CYCLE_BUDGET` simple
+    cycles.
     """
     m = marking if marking is not None else graph.initial_marking
     return {tuple(c): graph.marking_of(m, c) for c in graph.simple_cycles()}
@@ -84,7 +87,9 @@ def ranked_cycles(
     ``arc_delay`` is free); cycles with ``D(phi) == 0`` bound nothing
     and are left out.  Each cycle is a tuple of arc names in canonical
     rotation, and the ranking is ordered by (ratio, cycle length,
-    canonical arcs).  Its head is :func:`critical_cycle_arcs`.
+    canonical arcs).  Its head is :func:`critical_cycle_arcs`.  Raises
+    :class:`~repro.core.mg.TooManyCycles` past
+    :data:`~repro.core.mg.CYCLE_BUDGET` cycles.
     """
     m0 = graph.initial_marking
     ranked = sorted(

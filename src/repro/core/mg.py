@@ -22,6 +22,15 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 Marking = Dict[str, int]
 
+#: How many simple cycles :meth:`MarkedGraph.simple_cycles` lists before
+#: it gives up: the count grows exponentially with the graph, and the
+#: DMG abstraction of an eight-block spec passes it in under a second.
+CYCLE_BUDGET = 100_000
+
+
+class TooManyCycles(ValueError):
+    """A graph has more simple cycles than :data:`CYCLE_BUDGET`."""
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -165,7 +174,9 @@ class MarkedGraph:
         every cycle ``phi`` and reachable marking ``M``,
         ``M(phi) == M0(phi)``.  A depth-first walk from each arc over
         later-named arcs lists each cycle once.  The count can grow
-        exponentially: cycle *facts* are decided without the list.
+        exponentially: cycle *facts* are decided without the list, and
+        the walk raises :class:`TooManyCycles` once it has found more
+        than :data:`CYCLE_BUDGET` cycles.
         """
         cycles: List[List[str]] = []
         for first in sorted(self._arcs):
@@ -175,6 +186,12 @@ class MarkedGraph:
                 end = self._arcs[path[-1]].dst
                 if end == self._arcs[first].src:
                     cycles.append(path)
+                    if len(cycles) > CYCLE_BUDGET:
+                        raise TooManyCycles(
+                            f"a graph of {len(self._nodes)} nodes and "
+                            f"{len(self._arcs)} arcs has more than "
+                            f"{CYCLE_BUDGET:,} simple cycles"
+                        )
                     continue
                 for name in reversed(self._postset[end]):
                     dst = self._arcs[name].dst

@@ -3,11 +3,12 @@
 Socket workers -- remote ``repro worker --listen HOST:PORT`` daemons,
 or the loopback workers :func:`local_workers` forks for ``jobs=N`` --
 serve registered job kinds (fault-injection campaign chunks, Kripke
-verification builds) to a coordinator that leases work adaptively,
-steals from stragglers, tracks every worker through a CONNECTING/
-HEALTHY/DEGRADED/DEAD health machine, and merges results keyed by unit
-index so the report bytes never depend on scheduling, crashes or
-retries.
+verification builds) to a coordinator that leases ``ceil(pending /
+workers)`` units at a time (guided self-scheduling: large leases
+early, small ones at the drain), steals from stragglers, tracks every
+worker through a CONNECTING/HEALTHY/DEGRADED/DEAD health machine, and
+merges results keyed by unit index so the report bytes never depend on
+scheduling, crashes or retries.
 """
 
 from repro.fabric.coordinator import (

@@ -98,18 +98,12 @@ def parse_workers(spec: str) -> List[Tuple[str, int]]:
 
 @dataclass(frozen=True)
 class FabricConfig:
-    """Scheduling and fault-handling knobs of one fabric run."""
+    """Deadlines and fault-handling knobs of one fabric run.
 
-    #: adaptive lease sizing: target seconds of work per lease.
-    lease_target_s: float = 1.0
-    min_lease: int = 1
-    max_lease: int = 64
-    #: pin every lease to this many units instead (benchmark baseline).
-    fixed_lease: Optional[int] = None
-    #: let idle workers steal the back half of the biggest outstanding
-    #: run.  Off, the fabric degrades to classic static partitioning --
-    #: the tail-latency benchmark's baseline.
-    allow_steal: bool = True
+    Lease sizes are not configurable: the scheduler derives them from
+    the queue length and the number of worker addresses.
+    """
+
     #: seconds between pings (also the health/top-up check cadence).
     heartbeat_interval: float = 0.25
     #: silence thresholds of the worker health ladder.
@@ -135,13 +129,12 @@ class FabricConfig:
 class _Session:
     """Live connection state for one bound worker."""
 
-    __slots__ = ("writer", "lock", "last_progress", "leased_at")
+    __slots__ = ("writer", "lock", "last_progress")
 
     def __init__(self, writer: asyncio.StreamWriter, now: float) -> None:
         self.writer = writer
         self.lock = asyncio.Lock()
         self.last_progress = now
-        self.leased_at = now
 
     async def send(self, message: Dict[str, object]) -> None:
         async with self.lock:
@@ -161,7 +154,6 @@ class FabricCoordinator:
         config: Optional[FabricConfig] = None,
         metrics=None,
         on_result: Optional[Callable[[int, object], None]] = None,
-        injections_per_unit: int = 1,
         clock: Clock = MONOTONIC,
     ) -> None:
         if not workers:
@@ -173,14 +165,7 @@ class FabricCoordinator:
         self._metrics = metrics
         self._on_result = on_result
         self._clock = clock
-        self.scheduler = WorkStealingScheduler(
-            units,
-            injections_per_unit=injections_per_unit,
-            lease_target_s=self.config.lease_target_s,
-            min_lease=self.config.min_lease,
-            max_lease=self.config.max_lease,
-            fixed_lease=self.config.fixed_lease,
-        )
+        self.scheduler = WorkStealingScheduler(units, len(self.addresses))
         self.results: Dict[int, object] = {}
         self.health: Dict[str, WorkerHealth] = {}
         self._sessions: Dict[str, _Session] = {}
@@ -234,7 +219,7 @@ class FabricCoordinator:
             return
         units = sched.grant(name)
         victim = None
-        if not units and self.config.allow_steal:
+        if not units:
             victim, units = sched.steal(name)
         if not units:
             return
@@ -252,9 +237,7 @@ class FabricCoordinator:
                     })
                 except (ConnectionError, OSError):
                     pass
-        now = self._clock()
-        session.last_progress = now
-        session.leased_at = now
+        session.last_progress = self._clock()
         await session.send({"type": "lease", "units": [[i, p] for i, p in units]})
         if self._metrics is not None:
             self._metrics.counter(
@@ -402,9 +385,6 @@ class FabricCoordinator:
             kind = frame.get("type")
             if kind == "result":
                 index = int(frame["index"])
-                seconds = frame.get("seconds")
-                if isinstance(seconds, (int, float)):
-                    sched.observe(float(seconds))
                 session.last_progress = self._clock()
                 if sched.complete(index):
                     self.results[index] = frame.get("payload")

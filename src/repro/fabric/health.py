@@ -19,7 +19,9 @@ Semantics the coordinator builds on:
 
 * only **HEALTHY** workers receive new leases;
 * a **DEGRADED** worker keeps its outstanding work (it may just be
-  slow) but gets nothing new and is first in line for stealing;
+  slow) but gets nothing new; stealing never reads health -- an idle
+  HEALTHY worker steals from whichever worker holds the most
+  outstanding units (ties: the smallest name), degraded or not;
 * a **DEAD** worker's outstanding units are requeued immediately, and
   reconnection follows the capped exponential schedule of
   :func:`backoff_for`;

@@ -1,4 +1,4 @@
-"""Work-stealing scheduler with adaptive, determinism-preserving chunks.
+"""Work-stealing scheduler with guided, determinism-preserving leases.
 
 The scheduler hands out *leases* -- runs of work units (chunk index +
 payload), ordered by index -- to workers, and rebalances them without
@@ -7,13 +7,14 @@ ever being able to change the merged report:
 * **results are keyed by unit index.**  A unit's result is a pure
   function of its payload, so *which* worker runs it, in *what* order,
   after *how many* retries is invisible to the merge (``sorted`` by
-  index).  Scheduling is free to be greedy and adaptive.
-* **adaptive lease sizing.**  Per-injection wall time is tracked as an
-  EWMA (workers report each unit's compute seconds); a lease targets
-  ``lease_target_s`` seconds of work, so chunks are large mid-campaign
-  (amortising round trips) and naturally small near the tail (cutting
-  last-chunk latency and the cost of losing a worker late).  A
-  ``fixed_lease`` pins the size instead -- the benchmark's baseline.
+  index).  Scheduling is free to be greedy.
+* **guided self-scheduling** (Polychronopoulos & Kuck, IEEE Trans.
+  Computers C-36(12), 1987).  A lease takes ``ceil(pending / workers)``
+  units, where ``workers`` is the number of worker addresses, so leases
+  are large early (amortising round trips) and shrink as the queue
+  drains (cutting last-chunk latency and the cost of losing a worker
+  late).  The size is a pure function of the queue: no clock reading
+  ever changes a lease.
 * **deterministic stealing.**  When the queue drains and a worker
   idles, the victim is the worker with the most outstanding units
   (ties: lexicographically smallest name), and the steal takes the
@@ -23,8 +24,8 @@ ever being able to change the merged report:
   least likely to have started.
 
 The scheduler is synchronous and transport-free; the coordinator owns
-sockets and time, and feeds completions/observations in.  Lease
-history (size, seconds) is kept for the tail-latency benchmark.
+sockets and time, and feeds completions in.  Each lease's grant and
+finish times are kept for the tail-latency statistic only.
 """
 
 from __future__ import annotations
@@ -54,36 +55,20 @@ class WorkStealingScheduler:
     def __init__(
         self,
         units: Sequence[Tuple[int, object]],
-        injections_per_unit: int = 1,
-        lease_target_s: float = 1.0,
-        ewma_alpha: float = 0.3,
-        min_lease: int = 1,
-        max_lease: int = 64,
-        fixed_lease: Optional[int] = None,
+        workers: int,
         clock: Clock = MONOTONIC,
     ) -> None:
-        if injections_per_unit < 1:
-            raise ValueError("injections_per_unit must be >= 1")
-        if fixed_lease is not None and fixed_lease < 1:
-            raise ValueError("fixed_lease must be >= 1")
-        if not 0 < ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         self.payloads: Dict[int, object] = {i: p for i, p in units}
         if len(self.payloads) != len(units):
             raise ValueError("unit indices must be unique")
+        self.workers = workers
         #: not-yet-leased unit indices, always sorted ascending.
         self.pending: List[int] = sorted(self.payloads)
         #: per-worker outstanding unit indices, each list sorted.
         self.outstanding: Dict[str, List[int]] = {}
         self.completed: set = set()
-        self.injections_per_unit = injections_per_unit
-        self.lease_target_s = lease_target_s
-        self.ewma_alpha = ewma_alpha
-        self.min_lease = min_lease
-        self.max_lease = max_lease
-        self.fixed_lease = fixed_lease
-        #: EWMA of observed seconds per injection (None until first obs).
-        self.ewma_per_injection: Optional[float] = None
         #: (worker, size) per granted lease, in grant order.
         self.lease_log: List[Tuple[str, int]] = []
         self.steals = 0
@@ -93,34 +78,11 @@ class WorkStealingScheduler:
         self._leases: List[_Lease] = []
         self._lease_of: Dict[int, _Lease] = {}
 
-    # -- observations ---------------------------------------------------
-    def observe(self, seconds: float, injections: Optional[int] = None) -> None:
-        """Fold one unit's measured compute time into the EWMA."""
-        injections = injections or self.injections_per_unit
-        if injections < 1 or seconds < 0:
-            return
-        per_injection = seconds / injections
-        if self.ewma_per_injection is None:
-            self.ewma_per_injection = per_injection
-        else:
-            a = self.ewma_alpha
-            self.ewma_per_injection = (
-                a * per_injection + (1 - a) * self.ewma_per_injection
-            )
-
-    def lease_size(self) -> int:
-        """How many units the next lease should carry."""
-        if self.fixed_lease is not None:
-            return self.fixed_lease
-        if not self.ewma_per_injection:
-            return self.min_lease  # calibrate on a small first lease
-        per_unit = self.ewma_per_injection * self.injections_per_unit
-        if per_unit <= 0:
-            return self.max_lease
-        want = round(self.lease_target_s / per_unit)
-        return max(self.min_lease, min(self.max_lease, want))
-
     # -- leasing --------------------------------------------------------
+    def lease_size(self) -> int:
+        """Units in the next lease: ``ceil(pending / workers)``."""
+        return -(-len(self.pending) // self.workers)
+
     def grant(self, worker: str) -> List[Tuple[int, object]]:
         """Lease the next run of pending units to ``worker``.
 
@@ -189,16 +151,20 @@ class WorkStealingScheduler:
         return True
 
     def requeue(self, worker: str, indices: Sequence[int]) -> List[int]:
-        """Take ``indices`` back from ``worker`` and queue the unfinished.
+        """Take ``indices`` back from ``worker`` and queue them again.
 
         The worker keeps the rest of its outstanding run.  Returns the
-        requeued units: ``indices`` minus those already completed.
+        requeued units: those of ``indices`` the worker still held.  A
+        unit it no longer holds is completed, or was stolen and is
+        another worker's to finish (a late revoke lets the victim
+        report an error on it).
         """
         drop = set(indices)
-        kept = [i for i in self.outstanding.pop(worker, []) if i not in drop]
+        held = self.outstanding.pop(worker, [])
+        kept = [i for i in held if i not in drop]
         if kept:
             self.outstanding[worker] = kept
-        units = [i for i in indices if i not in self.completed]
+        units = [i for i in held if i in drop]
         self.pending = sorted(set(self.pending) | set(units))
         return units
 
@@ -209,10 +175,10 @@ class WorkStealingScheduler:
     def tail_latency(self) -> float:
         """Duration of the lease that finished last.
 
-        The metric adaptive sizing exists to shrink: a big fixed chunk
-        granted near the end keeps one worker busy while the rest
-        idle, so its grant-to-last-result time bounds the campaign's
-        drain.  0.0 until a lease has completed.
+        The metric shrinking leases exist to cut: a big chunk granted
+        near the end keeps one worker busy while the rest idle, so its
+        grant-to-last-result time bounds the campaign's drain.  0.0
+        until a lease has completed.
         """
         finished = [l for l in self._leases if l.finished_at is not None]
         if not finished:
@@ -226,9 +192,6 @@ class WorkStealingScheduler:
             "units": len(self.payloads),
             "leases": len(self.lease_log),
             "steals": self.steals,
-            "min_lease": min(sizes) if sizes else 0,
-            "max_lease": max(sizes) if sizes else 0,
             "last_lease": sizes[-1] if sizes else 0,
             "tail_latency_s": self.tail_latency(),
-            "ewma_per_injection": self.ewma_per_injection,
         }

@@ -12,8 +12,7 @@ Layout per connection:
   frames immediately -- heartbeats flow even while a chunk crunches;
 * **compute** runs in a single worker thread (one unit at a time, in
   lease order) so the socket never starves; results stream back as
-  ``result`` frames carrying the measured compute seconds the
-  coordinator's EWMA feeds on;
+  ``result`` frames;
 * a ``revoke`` frame (work stealing) drops not-yet-started units from
   the local queue; the unit already in flight finishes and its result
   is deduplicated coordinator-side;
@@ -38,7 +37,6 @@ import hashlib
 import json
 import os
 import socket
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.fabric.frames import FrameError, encode_frame, read_frame
@@ -243,7 +241,6 @@ class WorkerServer:
                     await send({"type": "idle"})
                     continue
                 index, payload = queue.pop(0)
-                started = time.perf_counter()
                 future = loop.run_in_executor(None, runner, payload)
                 try:
                     if self.shard_timeout is not None:
@@ -265,7 +262,6 @@ class WorkerServer:
                     continue
                 await send({
                     "type": "result", "index": index, "payload": result,
-                    "seconds": time.perf_counter() - started,
                 })
 
         consumer = asyncio.ensure_future(compute())

@@ -396,8 +396,6 @@ def run_campaign(
     progress: Optional[Callable[[int, int], None]] = None,
     metrics: Optional["MetricsRegistry"] = None,
     checkpoint: Optional[str] = None,
-    shard_timeout: Optional[float] = None,
-    max_retries: int = 2,
     profile: bool = False,
     cache: Optional[str] = None,
     workers: Optional[Sequence[str]] = None,
@@ -414,10 +412,10 @@ def run_campaign(
     ``[0, cycles)``, raises ``ValueError``.  ``jobs > 1``
     leases the chunks to that many forked local workers through the same
     :class:`~repro.fabric.FabricCoordinator` as ``workers=``.  A worker
-    that dies, or makes no progress for ``shard_timeout`` seconds, is
-    dropped (never replaced) and its chunks requeued onto the
-    survivors, each up to ``max_retries`` times.  Every combination
-    yields a byte-identical report for the same seed.
+    that dies, or makes no progress for ``fabric.unit_timeout`` seconds,
+    is dropped (never replaced) and its chunks requeued onto the
+    survivors, each up to ``fabric.max_retries`` times.  Every
+    combination yields a byte-identical report for the same seed.
 
     ``checkpoint`` names a directory that receives one atomic JSON file
     per classified chunk; rerunning with the same directory (after a
@@ -456,9 +454,9 @@ def run_campaign(
     worker rebuilds it from the name, and the handshake rejects any
     worker whose netlist fingerprints differently.  ``fabric``
     optionally carries a :class:`~repro.fabric.FabricConfig` with the
-    scheduling knobs.  ``checkpoint`` composes: the coordinator (never
-    a worker) persists each chunk, so a killed coordinator resumes
-    against surviving remote workers.
+    deadlines and the retry budget.  ``checkpoint`` composes: the
+    coordinator (never a worker) persists each chunk, so a killed
+    coordinator resumes against surviving remote workers.
     """
     cfg = config or CampaignConfig()
     _check_horizon(cfg.cycles, cfg.injection_cycles)
@@ -525,9 +523,7 @@ def run_campaign(
             encode_injection,
         )
 
-        fabric_config = fabric or FabricConfig(
-            unit_timeout=shard_timeout, max_retries=max_retries,
-        )
+        fabric_config = fabric or FabricConfig()
         if workers:
             launcher = nullcontext(parse_workers(",".join(workers)))
         else:
@@ -554,7 +550,6 @@ def run_campaign(
                 on_result=lambda index, payload: record(
                     index, [FaultOutcome(**d) for d in payload]
                 ),
-                injections_per_unit=lanes,
             ).run()
     elif pending:
         from repro.faults.batch import BatchCampaignHarness

@@ -75,7 +75,12 @@ def critical_cycles(
     abstraction's cycle ranking (:func:`~repro.core.analysis.
     ranked_cycles`) -- the first entry is the structural throughput
     bottleneck a designer (or :func:`optimize_buffers`) should attack
-    first.
+    first.  The ranking lists every simple cycle first, so an
+    abstraction with more than :data:`~repro.core.mg.CYCLE_BUDGET` of
+    them raises :class:`~repro.core.mg.TooManyCycles` (a
+    ``ValueError`` naming the graph's node and arc counts);
+    :func:`~repro.synthesis.abstraction.throughput_bound` still gives
+    the head.
     """
     g, delays = spec_to_dmg(spec, mean_latency)
     return [

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.casestudy.fig9 import MEAN_LATENCY, Config, build_fig9_spec
 from repro.core.analysis import critical_cycle_arcs, is_live, max_throughput
-from repro.core.mg import MarkedGraph
+from repro.core.mg import CYCLE_BUDGET, MarkedGraph, TooManyCycles
 from repro.synthesis.abstraction import (
     check_liveness,
     spec_to_dmg,
@@ -195,6 +195,20 @@ def test_large_abstractions_return_within_a_second(seed):
     finally:
         signal.alarm(pending)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_ranking_raises_past_the_cycle_budget():
+    """``critical_cycles`` used to walk this abstraction's cycles for
+    minutes; it stops once the list passes ``CYCLE_BUDGET``."""
+    spec = spec_model(2, max_blocks=8).build()
+    graph, _ = spec_to_dmg(spec)
+    message = (
+        f"{len(graph.nodes)} nodes and {len(graph.arcs)} arcs has more "
+        f"than {CYCLE_BUDGET:,} simple cycles"
+    )
+    with pytest.raises(TooManyCycles, match=message):
+        critical_cycles(spec)
+    assert issubclass(TooManyCycles, ValueError)
 
 
 CASES = [

@@ -207,8 +207,9 @@ class TestChaos:
 
         def kill_on_first_chunk(done, total):
             # At the first completed chunk a leased worker still holds
-            # most of its fixed 6-unit lease; killing it now
-            # guarantees outstanding work is lost and requeued.
+            # most of its lease (23 units lease as 12, 6, 3, ...);
+            # killing it now guarantees outstanding work is lost and
+            # requeued.
             victim = last_leased(metrics, addresses)
             if not killed and victim is not None:
                 killed.append(victim)
@@ -218,7 +219,7 @@ class TestChaos:
             report = run_campaign(
                 "dual_ehb", CFG, lanes=4,
                 workers=addresses,
-                fabric=FabricConfig(fixed_lease=6, **FAST),
+                fabric=FabricConfig(**FAST),
                 metrics=metrics,
                 progress=kill_on_first_chunk,
             )
@@ -239,7 +240,7 @@ class TestChaos:
                 workers=[
                     f"127.0.0.1:{evil_port}", f"127.0.0.1:{good_port}",
                 ],
-                fabric=FabricConfig(fixed_lease=6, **FAST),
+                fabric=FabricConfig(**FAST),
                 metrics=metrics,
             )
         finally:
@@ -266,7 +267,7 @@ class TestChaos:
             report = run_campaign(
                 "dual_ehb", CFG, lanes=4,
                 workers=addresses,
-                fabric=FabricConfig(fixed_lease=6, **FAST),
+                fabric=FabricConfig(**FAST),
                 metrics=metrics,
                 progress=stop_on_first_chunk,
             )

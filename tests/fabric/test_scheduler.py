@@ -1,102 +1,109 @@
-"""Scheduler tests: adaptive leases, deterministic stealing, dedup."""
+"""Scheduler tests: guided leases, deterministic stealing, dedup.
+
+Clock-free: a lease size is a function of the queue alone, so nothing
+here sleeps or fakes a clock.
+"""
+
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fabric.scheduler import WorkStealingScheduler
 
 
-def sched(n=20, **kwargs):
-    return WorkStealingScheduler([(i, f"p{i}") for i in range(n)], **kwargs)
+def sched(n=20, workers=1):
+    return WorkStealingScheduler([(i, f"p{i}") for i in range(n)], workers)
+
+
+def ceil_div(a, b):
+    return -(-a // b)
+
+
+def top_up(s, worker):
+    """What the coordinator does for an idle worker: grant, else steal."""
+    if s.outstanding.get(worker):
+        return []
+    return s.grant(worker) or s.steal(worker)[1]
+
+
+def assert_each_unit_in_one_place(s, units):
+    """Every unfinished unit is pending or held by exactly one worker;
+    a finished one is neither."""
+    assert s.pending == sorted(s.pending)
+    places = Counter(s.pending)
+    for held in s.outstanding.values():
+        assert held == sorted(held)
+        places.update(held)
+    for index in range(units):
+        assert places[index] == (0 if index in s.completed else 1), index
 
 
 class TestLeasing:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("units", [0, 1, 2, 5, 16, 23, 157])
+    def test_grants_take_ceil_pending_over_workers(self, units, workers):
+        s = sched(units, workers)
+        names = [f"w{k}" for k in range(workers)]
+        leased = []
+        for turn in range(units + 1):
+            pending = len(s.pending)
+            lease = s.grant(names[turn % workers])
+            assert len(lease) == ceil_div(pending, workers)
+            assert lease == [(i, f"p{i}") for i in range(
+                len(leased), len(leased) + len(lease))]
+            leased += lease
+        assert len(leased) == units
+        assert s.pending == []
+        assert s.grant("late") == []
+
     def test_grants_are_index_ordered_runs(self):
-        s = sched(10, fixed_lease=4)
-        assert [i for i, _ in s.grant("a")] == [0, 1, 2, 3]
-        assert [i for i, _ in s.grant("b")] == [4, 5, 6, 7]
-        assert [i for i, _ in s.grant("a")] == [8, 9]
-        assert s.grant("b") == []
-
-    def test_first_lease_is_minimal_for_calibration(self):
-        s = sched(100, min_lease=2, max_lease=64)
-        assert s.lease_size() == 2
-
-    def test_ewma_grows_leases_for_fast_units(self):
-        s = sched(1000, lease_target_s=1.0, min_lease=1, max_lease=64)
-        for _ in range(5):
-            s.observe(0.05)  # 50ms/unit -> ~20 units per second
-        assert s.lease_size() == 20
-
-    def test_ewma_shrinks_leases_for_slow_units(self):
-        s = sched(1000, lease_target_s=1.0, max_lease=64)
-        s.observe(0.05)
-        for _ in range(20):
-            s.observe(5.0)  # units got slow
-        assert s.lease_size() == 1
-
-    def test_lease_respects_bounds(self):
-        s = sched(1000, lease_target_s=1.0, min_lease=2, max_lease=8)
-        s.observe(1e-9)
-        assert s.lease_size() == 8
-        s2 = sched(1000, lease_target_s=1.0, min_lease=2, max_lease=8)
-        s2.observe(100.0)
-        assert s2.lease_size() == 2
-
-    def test_injections_per_unit_scales_the_estimate(self):
-        # 64 injections per unit at 1ms each -> 64ms per unit.
-        s = sched(1000, injections_per_unit=64, lease_target_s=0.64,
-                  max_lease=100)
-        s.observe(0.064)
-        assert s.lease_size() == 10
-
-    def test_fixed_lease_ignores_observations(self):
-        s = sched(100, fixed_lease=7)
-        s.observe(100.0)
-        assert s.lease_size() == 7
+        s = sched(10, 2)
+        assert [i for i, _ in s.grant("a")] == [0, 1, 2, 3, 4]
+        assert [i for i, _ in s.grant("b")] == [5, 6, 7]
+        assert [i for i, _ in s.grant("a")] == [8]
+        assert [i for i, _ in s.grant("b")] == [9]
+        assert s.grant("a") == []
+        assert s.stats()["last_lease"] == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sched(fixed_lease=0)
-        with pytest.raises(ValueError):
-            sched(injections_per_unit=0)
-        with pytest.raises(ValueError):
-            sched(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
-            WorkStealingScheduler([(0, "a"), (0, "b")])
+        with pytest.raises(ValueError, match="workers"):
+            sched(4, 0)
+        with pytest.raises(ValueError, match="unique"):
+            WorkStealingScheduler([(0, "a"), (0, "b")], 1)
 
 
 class TestStealing:
     def test_steals_back_half_from_biggest_victim(self):
-        s = sched(12, fixed_lease=6)
+        s = sched(12, 2)
         s.grant("a")  # a: 0..5
-        s.grant("b")  # b: 6..11
-        s.complete(6)
-        s.complete(7)  # b: 8..11 (4 left); a: 6 left
+        s.grant("b")  # b: 6..8
+        s.complete(6)  # b: 7, 8
         victim, stolen = s.steal("c")
         assert victim == "a"
         assert [i for i, _ in stolen] == [3, 4, 5]  # back half by index
         assert s.outstanding["a"] == [0, 1, 2]
 
     def test_tie_breaks_lexicographically(self):
-        s = sched(8, fixed_lease=4)
-        s.grant("zeta")  # 0..3
-        s.grant("alpha")  # 4..7
+        s = sched(6, 3)
+        s.grant("zeta")  # 0, 1
+        s.grant("alpha")  # 2, 3
         victim, stolen = s.steal("thief")
         assert victim == "alpha"
-        assert [i for i, _ in stolen] == [6, 7]
+        assert [i for i, _ in stolen] == [3]
 
     def test_never_steals_a_lone_unit(self):
-        s = sched(1, fixed_lease=1)
+        s = sched(1, 1)
         s.grant("a")
         assert s.steal("b") == (None, [])
 
     def test_thief_is_never_its_own_victim(self):
-        s = sched(4, fixed_lease=4)
+        s = sched(4, 1)
         s.grant("a")
         assert s.steal("a") == (None, [])
 
     def test_steal_counts_in_stats(self):
-        s = sched(4, fixed_lease=4)
+        s = sched(4, 1)
         s.grant("a")
         s.steal("b")
         assert s.stats()["steals"] == 1
@@ -104,13 +111,13 @@ class TestStealing:
 
 class TestCompletionAndLoss:
     def test_duplicate_results_first_wins(self):
-        s = sched(4, fixed_lease=4)
+        s = sched(4, 1)
         s.grant("a")
         assert s.complete(0) is True
         assert s.complete(0) is False
 
     def test_requeue_returns_only_incomplete_units(self):
-        s = sched(6, fixed_lease=6)
+        s = sched(6, 1)
         s.grant("a")
         s.complete(0)
         s.complete(1)
@@ -120,14 +127,16 @@ class TestCompletionAndLoss:
         assert "a" not in s.outstanding
 
     def test_requeued_units_regrant_in_index_order(self):
-        s = sched(6, fixed_lease=3)
-        s.grant("a")  # 0,1,2
-        s.grant("b")  # 3,4,5
+        s = sched(6, 2)
+        s.grant("a")  # 0, 1, 2
+        s.grant("b")  # 3, 4
         s.requeue("a", [0, 1, 2])
-        assert [i for i, _ in s.grant("b")] == [0, 1, 2]
+        assert s.pending == [0, 1, 2, 5]
+        assert [i for i, _ in s.grant("c")] == [0, 1]
+        assert s.pending == [2, 5]
 
     def test_done_only_when_every_unit_completed(self):
-        s = sched(3, fixed_lease=3)
+        s = sched(3, 1)
         s.grant("a")
         for i in range(3):
             assert not s.done
@@ -135,18 +144,29 @@ class TestCompletionAndLoss:
         assert s.done
 
     def test_requeue_takes_back_only_the_given_units(self):
-        s = sched(4, fixed_lease=4)
+        s = sched(4, 1)
         s.grant("a")
         assert s.requeue("a", [2, 3]) == [2, 3]
         assert s.outstanding["a"] == [0, 1]
         assert s.pending == [2, 3]
+
+    def test_requeue_leaves_a_stolen_unit_with_its_thief(self):
+        # The victim reports an error on a unit it had started before
+        # the revoke arrived: the thief still holds it, so it is not
+        # queued a second time.
+        s = sched(4, 1)
+        s.grant("victim")  # 0..3
+        s.steal("thief")  # 2, 3
+        assert s.requeue("victim", [2]) == []
+        assert s.pending == []
+        assert s.outstanding == {"victim": [0, 1], "thief": [2, 3]}
 
 
 class TestScheduleInvariance:
     """Any schedule yields the same completed set -- the determinism core."""
 
     def test_chaotic_schedule_completes_every_unit_exactly_once(self):
-        s = sched(50, fixed_lease=5)
+        s = sched(50, 4)
         s.grant("a")
         s.grant("b")
         s.grant("c")
@@ -164,3 +184,51 @@ class TestScheduleInvariance:
                 if s.complete(index):
                     results.append(index)
         assert sorted(results) == list(range(50))
+
+    @given(
+        units=st.integers(0, 40),
+        workers=st.integers(1, 5),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(("top_up", "complete", "requeue")),
+                st.integers(0, 5),
+                st.integers(0, 2**40),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_unfinished_unit_is_pending_or_held_once(
+        self, units, workers, ops
+    ):
+        """Grants, steals, completions and requeues in any order.
+
+        A requeue names any units at all -- the worker's own (a lost
+        connection), or one it lost to a thief (an error reported after
+        a late revoke) -- and every grant still takes
+        ``ceil(pending / workers)`` units from the front of the queue.
+        """
+        s = sched(units, workers)
+        names = [f"w{k}" for k in range(6)]
+        for op, who, pick in ops:
+            name = names[who]
+            if op == "top_up":
+                idle, pending = not s.outstanding.get(name), list(s.pending)
+                lease = top_up(s, name)
+                if idle and pending:
+                    size = ceil_div(len(pending), workers)
+                    assert [i for i, _ in lease] == pending[:size]
+            elif op == "complete":
+                held = s.outstanding.get(name)
+                if held:
+                    s.complete(held[pick % len(held)])
+            else:
+                s.requeue(name, [i for i in range(units) if pick >> i & 1])
+            assert_each_unit_in_one_place(s, units)
+        for held in list(s.outstanding.values()):
+            for index in list(held):
+                s.complete(index)
+        while not s.done:
+            for index, _ in top_up(s, "drain"):
+                s.complete(index)
+        assert s.completed == set(range(units))

@@ -18,17 +18,18 @@ from repro.faults import (
     resolve_target,
     run_campaign,
 )
+from repro.faults.targets import TARGETS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "dual_ehb_c120_s2007.json"
 CONFIG = CampaignConfig(cycles=120, seed=2007)
 
 
 @functools.lru_cache(maxsize=None)
-def _report_json(lanes: int, jobs: int, kinds=None) -> str:
+def _report_json(lanes: int, jobs: int, kinds=None, target="dual_ehb") -> str:
     config = CONFIG if kinds is None else CampaignConfig(
         cycles=120, seed=2007, kinds=kinds
     )
-    return run_campaign("dual_ehb", config, lanes=lanes, jobs=jobs).to_json()
+    return run_campaign(target, config, lanes=lanes, jobs=jobs).to_json()
 
 
 def test_matches_checked_in_golden():
@@ -38,6 +39,14 @@ def test_matches_checked_in_golden():
 @pytest.mark.parametrize("lanes,jobs", [(64, 1), (64, 4), (1, 3), (7, 2)])
 def test_sharded_report_is_byte_identical(lanes, jobs):
     assert _report_json(lanes, jobs) == _report_json(1, 1)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_every_target_shards_identically(target):
+    """The ledger's ``lanes=16, jobs=2`` split on every stock target:
+    campaigns of 1 to 7 leased units."""
+    assert _report_json(16, 2, target=target) == _report_json(
+        1, 1, target=target)
 
 
 def test_flip_faults_shard_identically():

@@ -33,11 +33,12 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def _first_attempt(marker_dir, payload):
-    """True exactly once per (marker_dir, payload)."""
-    marker = Path(marker_dir) / f"seen-{payload}"
-    if marker.exists():
+    """True exactly once per (marker_dir, payload), even when two
+    workers race on the unit: the marker is created exclusively."""
+    try:
+        (Path(marker_dir) / f"seen-{payload}").open("x").close()
+    except FileExistsError:
         return False
-    marker.write_text("")
     return True
 
 
@@ -52,7 +53,7 @@ def _crash_once(params, payload):
 
 
 def _hang_once(params, payload):
-    if payload == 1 and _first_attempt(params["markers"], payload):
+    if payload == 2 and _first_attempt(params["markers"], payload):
         time.sleep(120)
     return payload + 100
 
@@ -153,21 +154,24 @@ class TestHappyPath:
 class TestCrashRecovery:
     def test_killed_worker_shard_requeued(self, tmp_path):
         metrics = MetricsRegistry()
+        # Two workers lease 4 units as [0, 1], [2], [3]: the dead worker
+        # holds exactly the crashing unit.
         results = run_local(
             _crash_once, [(i, i) for i in range(4)],
             params={"markers": str(tmp_path)}, metrics=metrics,
-            fixed_lease=1,  # the dead worker held exactly the crashing unit
         )
         assert results == {i: i * 10 for i in range(4)}
         assert retries(metrics) == {("crash", "1"): 1}
 
     def test_hung_worker_killed_and_shard_requeued(self, tmp_path):
         metrics = MetricsRegistry()
+        # Two workers lease 3 units as [0, 1], [2]: the hung worker
+        # holds unit 2 alone, and a lone unit is never stolen.
         with local_workers(2) as addresses:
             results = FabricCoordinator(
                 "local_hang_once", {"markers": str(tmp_path)},
                 [(i, i) for i in range(3)], addresses,
-                config=FabricConfig(unit_timeout=0.6, fixed_lease=1, **FAST),
+                config=FabricConfig(unit_timeout=0.6, **FAST),
                 metrics=metrics,
             ).run()
             # The hung worker exits once the coordinator drops it, long
@@ -208,10 +212,11 @@ class TestCrashRecovery:
                 os.kill(victim.pid, signal.SIGSTOP)
                 stopped.append(victim.pid)
 
+        # Leased as [0, 1, 2], [3, 4], [5]: at the first result both
+        # workers hold unfinished units.
         results = run_local(
             _slow, [(i, i) for i in range(6)], metrics=metrics,
             on_result=stop_one,
-            fixed_lease=2,  # both workers hold unfinished units
         )
         assert stopped, "the chaos hook never fired"
         assert results == {i: i for i in range(6)}
@@ -234,8 +239,7 @@ class TestExhaustedRetries:
         started = time.monotonic()
         with pytest.raises(FabricError, match=r"incomplete \(units 1\b"):
             run_local(
-                _poison, [(0, 0), (1, "poison"), (2, 2)],
-                fixed_lease=1, max_retries=5,
+                _poison, [(0, 0), (1, "poison"), (2, 2)], max_retries=5,
             )
         assert time.monotonic() - started < 10
 

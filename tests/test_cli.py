@@ -324,6 +324,15 @@ class TestInjectResilience:
 
 
 class TestVerifyCheckpoint:
+    def test_workers_reject_checkpoint(self, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="^--checkpoint needs a local "
+                           "build; --workers") as exc:
+            main(["verify", "--design", "all", "--workers", "127.0.0.1:1",
+                  "--checkpoint", str(store)])
+        assert "\n" not in str(exc.value.code)
+        assert not store.exists()
+
     def test_verify_with_checkpoint_passes_and_persists(self, tmp_path, capsys):
         store = tmp_path / "store"
         assert main(["verify", "--design", "early",
