@@ -370,6 +370,13 @@ def cmd_inject(args: argparse.Namespace) -> int:
         raise SystemExit("--lanes and --jobs must be positive")
     if args.cycles < 1:
         raise SystemExit(f"cycles must be >= 1, got {args.cycles}")
+    if ((args.shard_timeout is not None or args.max_retries is not None)
+            and args.jobs == 1 and not args.workers):
+        raise SystemExit(
+            "--shard-timeout/--max-retries: only a campaign with --jobs > 1 "
+            "or --workers times out or retries chunks; this one runs in "
+            "this process"
+        )
     checkpoint = args.checkpoint
     workers = None
     if args.workers:
@@ -471,7 +478,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
                 workers=workers,
                 fabric=FabricConfig(
                     unit_timeout=args.shard_timeout,
-                    max_retries=args.max_retries,
+                    max_retries=(FabricConfig.max_retries
+                                 if args.max_retries is None
+                                 else args.max_retries),
                 ),
             )
         except KeyboardInterrupt:
@@ -899,13 +908,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "(errors if no manifest is present; implies "
                         "--checkpoint)")
     p.add_argument("--shard-timeout", type=float, default=None,
-                   help="progress deadline in seconds when --jobs > 1 or "
-                        "--workers is set: a worker holding chunks that "
+                   help="progress deadline in seconds, needs --jobs > 1 "
+                        "or --workers: a worker holding chunks that "
                         "returns no result for this long is dropped and "
-                        "its chunks requeued")
-    p.add_argument("--max-retries", type=int, default=2,
+                        "its chunks requeued (a --jobs campaign with one "
+                        "pending chunk runs in this process)")
+    p.add_argument("--max-retries", type=int, default=None,
                    help="how many times a crashed/hung/erroring chunk is "
-                        "requeued before the campaign fails (default 2)")
+                        "requeued before the campaign fails (default 2), "
+                        "needs --jobs > 1 or --workers (a --jobs campaign "
+                        "with one pending chunk runs in this process)")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="build-cache directory for the generated "
                         "lane-parallel modules of every RTL campaign, "

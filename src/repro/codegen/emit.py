@@ -2,16 +2,22 @@
 
 The emitted module is plain source on disk -- importable, diffable,
 inspectable -- with no imports of its own.  It carries the netlist's
-slot layout as module constants plus up to four **fused cycle
-functions**, each one whole clock cycle as straight-line code:
+slot layout as module constants plus the **fused cycle functions** of
+:data:`KERNELS` that can run on it, each one whole clock cycle as
+straight-line code:
 
 ====================  ================================================
 ``cycle``             two-plane ternary semantics, override guards at
-                      the hook slots (fault-injection runs)
-``cycle_clean``       two-plane, no override code at all (golden runs)
-``kcycle``            value-plane-only "known" dialect (guarded)
-``kcycle_clean``      known dialect, no override code
+                      the hook slots (modules with hook slots)
+``cycle_clean``       two-plane, no override code (every module)
+``kcycle``            value-plane-only "known" dialect, guarded
+                      (hook slots and ``KNOWN_OK``)
+``kcycle_clean``      known dialect, no override code (``KNOWN_OK``)
 ====================  ================================================
+
+A hook-free module carries no guarded kernel: only an installed
+override selects one, and :class:`~repro.codegen.sim.CompiledSimulator`
+rejects an override on any net outside the hooks.
 
 A fused function folds input loading, both phase programs, latch
 captures, state reloads and the flip-flop update into one body whose
@@ -47,7 +53,16 @@ from repro.codegen.fingerprint import (
 from repro.rtl.logic import is_known
 from repro.rtl.netlist import Netlist, Phase
 
-__all__ = ["Layout", "build_layout", "emit_module"]
+__all__ = ["KERNELS", "Layout", "build_layout", "emit_module"]
+
+#: Every fused kernel a module can carry, in source order, as
+#: ``(name, known dialect, override guards)``.
+KERNELS = (
+    ("cycle", False, True),
+    ("cycle_clean", False, False),
+    ("kcycle", True, True),
+    ("kcycle_clean", True, False),
+)
 
 
 class Layout:
@@ -252,7 +267,8 @@ def emit_module(
     (``set_overrides`` on anything else must be rejected by the
     caller); ``observe`` restricts which named slots are written back
     to the plane arrays each cycle.  ``None`` means all named signals
-    for either.
+    for either.  A module with no hook slot carries no guarded kernel
+    (see :data:`KERNELS`).
     """
     layout = build_layout(netlist)
     hook_slots = frozenset(_resolve(layout, hooks, "hook"))
@@ -283,31 +299,14 @@ def emit_module(
         ),
         f"HOOKS = frozenset({sorted(hook_slots)!r})",
         f"OBSERVED = {tuple(observed)!r}",
-        "",
-        "",
     ]
     parts: List[str] = list(head)
-    parts.extend(_emit_cycle(
-        layout, "cycle", hook_slots, observed, known=False, guarded=True
-    ))
-    parts.append("")
-    parts.append("")
-    parts.extend(_emit_cycle(
-        layout, "cycle_clean", hook_slots, observed,
-        known=False, guarded=False,
-    ))
-    if layout.known_ok:
-        parts.append("")
-        parts.append("")
+    for name, known, guarded in KERNELS:
+        if (known and not layout.known_ok) or (guarded and not hook_slots):
+            continue
+        parts.extend(["", ""])
         parts.extend(_emit_cycle(
-            layout, "kcycle", hook_slots, observed,
-            known=True, guarded=True,
-        ))
-        parts.append("")
-        parts.append("")
-        parts.extend(_emit_cycle(
-            layout, "kcycle_clean", hook_slots, observed,
-            known=True, guarded=False,
+            layout, name, hook_slots, observed, known=known, guarded=guarded
         ))
     parts.append("")
     return "\n".join(parts)

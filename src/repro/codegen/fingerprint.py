@@ -32,6 +32,7 @@ from repro.rtl.netlist import Netlist
 
 __all__ = [
     "CODEGEN_VERSION",
+    "canonical_digest",
     "netlist_to_dict",
     "netlist_fingerprint",
     "artifact_key",
@@ -39,7 +40,8 @@ __all__ = [
 
 #: Bump whenever the emitted module's shape or semantics change; every
 #: previously cached artifact is invalidated (its key changes).
-CODEGEN_VERSION = 2
+#: 3: a module with no hook slot carries no guarded kernel.
+CODEGEN_VERSION = 3
 
 
 def _init(value: Value) -> object:
@@ -70,14 +72,17 @@ def netlist_to_dict(netlist: Netlist) -> Dict[str, object]:
     }
 
 
-def _digest(payload: object) -> str:
+def canonical_digest(payload: object) -> str:
+    """SHA-256 hex digest of ``payload`` as canonical JSON (sorted keys,
+    compact separators): the module, Kripke and lint cache keys and the
+    fabric's runner-cache key all take this form."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def netlist_fingerprint(netlist: Netlist) -> str:
     """SHA-256 hex digest of the canonical netlist document."""
-    return _digest(netlist_to_dict(netlist))
+    return canonical_digest(netlist_to_dict(netlist))
 
 
 def artifact_key(
@@ -92,7 +97,7 @@ def artifact_key(
     set -- harmless: both keys name byte-identical artifacts, they are
     just built once each.
     """
-    return _digest({
+    return canonical_digest({
         "kind": "compiled-simulator",
         "codegen_version": CODEGEN_VERSION,
         "netlist": netlist_to_dict(netlist),

@@ -33,26 +33,19 @@ socket its parent bound before forking.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import os
 import socket
 from typing import Dict, List, Optional, Tuple
 
+from repro.codegen.fingerprint import canonical_digest
 from repro.fabric.frames import FrameError, encode_frame, read_frame
 from repro.fabric.jobs import get_job
 
-__all__ = ["PROTOCOL_VERSION", "WorkerServer", "fingerprint_digest"]
+__all__ = ["PROTOCOL_VERSION", "WorkerServer"]
 
 #: Bump on any incompatible frame-sequence change; the handshake
 #: rejects version skew before any work is exchanged.
 PROTOCOL_VERSION = 1
-
-
-def fingerprint_digest(fingerprint: Dict[str, object]) -> str:
-    """Stable digest of a job fingerprint document (runner-cache key)."""
-    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def fingerprint_diff(
@@ -204,7 +197,7 @@ class WorkerServer:
                 "fingerprint": ours,
             })
             return None
-        digest = fingerprint_digest(ours)
+        digest = canonical_digest(ours)
         runner = self._runners.get(digest)
         cached = runner is not None
         if runner is None:

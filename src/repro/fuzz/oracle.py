@@ -27,9 +27,12 @@ discrepancy as a :class:`FuzzFinding`:
    StateSpaceLimitError` is a skip, not a finding.
 
 Stages 4-5 are skipped when a register capacity is not 2 (the one
-configuration the gate backend cannot emit).  All randomness derives
-from ``random.Random(f"fuzz:{seed}:...")`` streams, so a finding is
-replayable from ``(model, seed)`` alone.
+configuration the gate backend cannot emit).  They share one gate
+elaboration, one observe set (:func:`~repro.verif.properties.
+observed_signals`) and one build cache, so the Kripke builder loads the
+differential's compiled module instead of compiling its own.  All
+randomness derives from ``random.Random(f"fuzz:{seed}:...")`` streams,
+so a finding is replayable from ``(model, seed)`` alone.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class OracleConfig:
     verify_max_inputs: int = 6
     verify_max_states: int = 20_000
     #: optional BuildCache for compiled modules and Kripke structures;
-    #: without one, modules are built in memory and Kripke structures
-    #: are not cached
+    #: without one, each run_oracle call builds in one in-memory cache
+    #: that both gate stages share
     cache: object = None
 
 
@@ -132,36 +135,48 @@ def run_oracle(
     ):
         return None
 
+    # Stages 4-5 share one elaboration, observe set and build cache.
+    from repro.codegen.cache import BuildCache
+    from repro.synthesis.elaborate import to_gates
+    from repro.verif.properties import observed_signals
+
+    elab = to_gates(spec, include_env=True, as_latches=False)
+    nl = elab.netlist
+    channels = [elab.channels[k] for k in sorted(elab.channels)]
+    observe = observed_signals(nl, channels)
+    cache = (config.cache if config.cache is not None
+             else BuildCache.in_memory())
+
     # Stage 4: scalar vs compiled on the gate netlist.
-    finding = _gate_differential(model, spec, seed, config)
+    finding = _gate_differential(
+        model, nl, channels, observe, cache, seed, config
+    )
     if finding is not None:
         return finding
 
     # Stage 5: bounded Kripke/CTL spot check.
     if config.check_verify:
-        return _ctl_spot_check(model, spec, seed, config)
+        return _ctl_spot_check(
+            model, nl, channels, observe, cache, seed, config
+        )
     return None
 
 
 def _gate_differential(
-    model: SpecModel, spec, seed: int, config: OracleConfig
+    model: SpecModel, nl, channels, observe, cache, seed: int,
+    config: OracleConfig,
 ) -> Optional[FuzzFinding]:
-    from repro.codegen.cache import BuildCache
     from repro.codegen.sim import CompiledSimulator
     from repro.faults.batch import protocol_monitors
     from repro.lint.netlist_rules import lint_netlist
     from repro.rtl.batchsim import pack_stimulus
     from repro.rtl.simulator import TwoPhaseSimulator
-    from repro.synthesis.elaborate import to_gates
 
-    elab = to_gates(spec, include_env=True, as_latches=False)
-    nl = elab.netlist
     nl_errors = [f for f in lint_netlist(nl) if f.severity.name == "ERROR"]
     if nl_errors:
         return _finding(model, seed, "netlist-lint",
                         "; ".join(str(f) for f in nl_errors))
 
-    channels = [elab.channels[k] for k in sorted(elab.channels)]
     wires = [w for ch in channels for w in ch.wires()]
     inputs = sorted(nl.inputs)
     rng = random.Random(f"fuzz:{seed}:{model.name}:env:0")
@@ -172,9 +187,7 @@ def _gate_differential(
 
     scalar = TwoPhaseSimulator(nl)
     compiled = CompiledSimulator(
-        nl, 1, hooks=frozenset(), observe=frozenset(wires),
-        cache=(config.cache if config.cache is not None
-               else BuildCache.in_memory()),
+        nl, 1, hooks=frozenset(), observe=frozenset(observe), cache=cache,
     )
     monitors = protocol_monitors(channels, compiled)
     v, k = compiled.value_planes, compiled.known_planes
@@ -199,23 +212,23 @@ def _gate_differential(
 
 
 def _ctl_spot_check(
-    model: SpecModel, spec, seed: int, config: OracleConfig
+    model: SpecModel, nl, channels, observe, cache, seed: int,
+    config: OracleConfig,
 ) -> Optional[FuzzFinding]:
-    from repro.synthesis.elaborate import to_gates
-    from repro.verif.kripke import StateSpaceLimitError
-    from repro.verif.properties import verify_netlist
+    from repro.verif.kripke import StateSpaceLimitError, build_kripke
+    from repro.verif.properties import verify_channel_properties
 
-    elab = to_gates(spec, include_env=True, as_latches=False)
-    if len(elab.netlist.inputs) > config.verify_max_inputs:
+    if len(nl.inputs) > config.verify_max_inputs:
         return None
-    channels = [elab.channels[k] for k in sorted(elab.channels)]
     try:
-        result = verify_netlist(
-            elab.netlist, channels, include_liveness=False,
-            max_states=config.verify_max_states, cache=config.cache,
+        kripke = build_kripke(
+            nl, observe=observe, max_states=config.verify_max_states,
+            cache=cache,
         )
     except StateSpaceLimitError:
         return None  # over budget: a skip, not a finding
+    result = verify_channel_properties(kripke, channels,
+                                       include_liveness=False)
     if not result.ok:
         return _finding(
             model, seed, "ctl",

@@ -36,8 +36,6 @@ evaluated.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Callable, Dict, List, Sequence
 
 from repro.lint.elastic_rules import lint_network, lint_spec
@@ -60,14 +58,13 @@ LINT_RULES_VERSION = 2
 
 def _lint_key(netlist) -> str:
     """The findings-cache key of one netlist at the current rules."""
-    from repro.codegen.fingerprint import netlist_fingerprint
+    from repro.codegen.fingerprint import canonical_digest, netlist_fingerprint
 
-    blob = json.dumps({
+    return canonical_digest({
         "kind": "lint-findings",
         "rules_version": LINT_RULES_VERSION,
         "netlist": netlist_fingerprint(netlist),
-    }, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    })
 
 
 def _finding_from_dict(d: Dict[str, object]) -> Finding:

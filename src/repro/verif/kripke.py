@@ -37,14 +37,12 @@ stored tables into the identical :class:`KripkeStructure`.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.codegen.cache import BuildCache
-from repro.codegen.fingerprint import netlist_fingerprint
+from repro.codegen.fingerprint import canonical_digest, netlist_fingerprint
 from repro.codegen.sim import CompiledSimulator
 from repro.resilience.checkpoint import CheckpointStore
 from repro.rtl.batchsim import broadcast, truth_table_columns
@@ -58,15 +56,24 @@ StateKey = Tuple[int, ...]
 KRIPKE_VERSION = 1
 
 
-def _kripke_key(netlist: Netlist, observed: Sequence[str]) -> str:
-    """The state-space cache key of one netlist + observation set."""
-    blob = json.dumps({
+def _kripke_identity(
+    netlist: Netlist, observed: Sequence[str]
+) -> Dict[str, object]:
+    """What one exploration depends on: the checkpoint manifest, and
+    the document the cache key digests.  The netlist fingerprint fixes
+    the input and state names; the version refuses a resume across a
+    :data:`KRIPKE_VERSION` bump."""
+    return {
         "kind": "kripke-structure",
         "version": KRIPKE_VERSION,
         "netlist": netlist_fingerprint(netlist),
         "observe": list(observed),
-    }, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    }
+
+
+def _kripke_key(netlist: Netlist, observed: Sequence[str]) -> str:
+    """The state-space cache key of one netlist + observation set."""
+    return canonical_digest(_kripke_identity(netlist, observed))
 
 
 def _pack_label(label: Tuple[int, ...]) -> int:
@@ -110,6 +117,24 @@ def _encode_value(value: object) -> object:
 
 def _decode_value(value: object) -> object:
     return X if value == "x" else value
+
+
+def _decode_tables(
+    payload: Mapping[str, object], state_names: List[str], width: int
+) -> Tuple[List[Dict[str, object]],
+           Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]]]:
+    """The ``seq_states`` and ``transition`` tables of a stored
+    exploration (a cache artifact or a checkpoint snapshot), decoded;
+    ``width`` is the number of observed signals."""
+    seq_states = [
+        {n: _decode_value(v) for n, v in zip(state_names, values)}
+        for values in payload["seq_states"]
+    ]
+    transition = {
+        (int(si), int(ii)): (int(next_si), _unpack_label(int(packed), width))
+        for si, ii, next_si, packed in payload["transition"]
+    }
+    return seq_states, transition
 
 
 @dataclass
@@ -227,16 +252,9 @@ def build_kripke(
         payload = cache.load_json(cache_key)
         if (isinstance(payload, dict)
                 and len(payload.get("seq_states", ())) <= max_states):
-            seq_states = [
-                {n: _decode_value(v) for n, v in zip(state_names, values)}
-                for values in payload["seq_states"]
-            ]
-            transition = {
-                (int(si), int(ii)): (
-                    int(next_si), _unpack_label(int(packed), len(observed))
-                )
-                for si, ii, next_si, packed in payload["transition"]
-            }
+            seq_states, transition = _decode_tables(
+                payload, state_names, len(observed)
+            )
             return _fold_structure(
                 seq_states, transition, observed, inputs, input_combos,
                 state_names,
@@ -268,13 +286,7 @@ def build_kripke(
     store: Optional[CheckpointStore] = None
     if checkpoint is not None:
         store = CheckpointStore(checkpoint)
-        store.ensure_manifest({
-            "kind": "kripke",
-            "netlist": netlist_fingerprint(netlist),
-            "inputs": inputs,
-            "state_names": state_names,
-            "observe": observed,
-        })
+        store.ensure_manifest(_kripke_identity(netlist, observed))
 
     def encode_tables() -> Dict[str, object]:
         return {
@@ -295,17 +307,13 @@ def build_kripke(
 
     snapshot = store.load_snapshot() if store is not None else None
     if isinstance(snapshot, dict):
-        for values in snapshot["seq_states"]:
-            state = {
-                n: _decode_value(v) for n, v in zip(state_names, values)
-            }
-            seq_index[state_key(state)] = len(seq_states)
-            seq_states.append(state)
+        seq_states, transition = _decode_tables(
+            snapshot, state_names, len(observed)
+        )
+        seq_index = {
+            state_key(state): si for si, state in enumerate(seq_states)
+        }
         frontier = [int(si) for si in snapshot["frontier"]]
-        for si, ii, next_si, packed in snapshot["transition"]:
-            transition[(int(si), int(ii))] = (
-                int(next_si), _unpack_label(int(packed), len(observed))
-            )
     else:
         initial_state = sim.lane_state(0)
         seq_index[state_key(initial_state)] = 0

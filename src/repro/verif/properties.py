@@ -26,6 +26,20 @@ from repro.verif.ctl import AF, AG, AP, AX, And, Formula, Implies, ModelChecker,
 from repro.verif.kripke import KripkeStructure, build_kripke
 
 
+def observed_signals(
+    netlist: Netlist, channels: Sequence[GateChannel]
+) -> List[str]:
+    """The signals a gate-level channel check observes, in label order.
+
+    Every channel's wires, channel by channel, then the netlist inputs
+    (fairness constraints range over environment choices), then the
+    declared outputs; a repeated signal keeps its first place.  The
+    order fixes the Kripke labels and the Kripke cache key.
+    """
+    wires = [w for ch in channels for w in ch.wires()]
+    return list(dict.fromkeys([*wires, *netlist.inputs, *netlist.outputs]))
+
+
 def channel_properties(ch: GateChannel) -> Dict[str, Formula]:
     """The four CTL properties for one channel."""
     vp, sp, vn, sn = AP(ch.vp), AP(ch.sp), AP(ch.vn), AP(ch.sn)
@@ -84,27 +98,15 @@ def verify_netlist(
 ) -> VerificationResult:
     """Build the Kripke structure of ``netlist`` and verify its channels.
 
-    All channel wires (plus the netlist inputs, needed for fairness
-    constraints over environment choices) are observed.  ``checkpoint``
+    The structure observes :func:`observed_signals`.  ``checkpoint``
     and ``cache`` are forwarded to
     :func:`~repro.verif.kripke.build_kripke`: the former makes an
     interrupted state-space build resumable, the latter serves repeat
     explorations from the content-addressed build cache.
     """
-    observe: List[str] = []
-    for ch in channels:
-        observe.extend(ch.wires())
-    observe.extend(netlist.inputs)
-    # Keep declared outputs observable as well (deduplicated).
-    seen = set()
-    unique = []
-    for sig in observe + list(netlist.outputs):
-        if sig not in seen:
-            seen.add(sig)
-            unique.append(sig)
     kripke = build_kripke(
-        netlist, observe=unique, max_states=max_states,
-        checkpoint=checkpoint, cache=cache,
+        netlist, observe=observed_signals(netlist, channels),
+        max_states=max_states, checkpoint=checkpoint, cache=cache,
     )
     return verify_channel_properties(
         kripke, channels, fairness=fairness, include_liveness=include_liveness

@@ -1,6 +1,9 @@
 """The build cache: keys, tiers, counters, invalidation, maintenance."""
 
+import hashlib
 import json
+
+import pytest
 
 from repro.codegen.cache import (
     BuildCache,
@@ -11,13 +14,15 @@ from repro.codegen.cache import (
 from repro.codegen.fingerprint import (
     CODEGEN_VERSION,
     artifact_key,
+    canonical_digest,
     netlist_fingerprint,
 )
 from repro.obs import MetricsRegistry
+from repro.rtl.logic import X
 from repro.rtl.netlist import Netlist
 
 
-def _small_netlist(flavor=0):
+def _small_netlist(flavor=0, init=0):
     nl = Netlist(f"cachetest{flavor}")
     a = nl.add_input("a")
     b = nl.add_input("b")
@@ -25,10 +30,40 @@ def _small_netlist(flavor=0):
         nl.add_gate("OR", (a, b), out="y")
     else:
         nl.add_gate("AND", (a, b), out="y")
-    nl.add_flop("y", q="q", init=0)
+    nl.add_flop("y", q="q", init=init)
     nl.add_output("q")
     nl.validate()
     return nl
+
+
+def test_canonical_digest_is_sorted_compact_sha256():
+    doc = {"b": [1, "x"], "a": {"d": None, "c": 2}}
+    blob = b'{"a":{"c":2,"d":null},"b":[1,"x"]}'
+    assert canonical_digest(doc) == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("init, known_ok", [(0, True), (X, False)])
+def test_hook_free_modules_carry_only_clean_kernels(init, known_ok):
+    from repro.codegen.sim import CompiledSimulator
+    from repro.rtl.batchsim import LaneOverride
+
+    nl = _small_netlist(init=init)
+    cache = BuildCache.in_memory()
+    module = cache.load_module(nl, hooks=frozenset())
+    assert module.KNOWN_OK is known_ok and module.HOOKS == frozenset()
+    assert hasattr(module, "cycle_clean")
+    assert hasattr(module, "kcycle_clean") is known_ok
+    assert not hasattr(module, "cycle") and not hasattr(module, "kcycle")
+    hooked = cache.load_module(nl, hooks=frozenset(["y"]))
+    assert hasattr(hooked, "cycle")
+    assert hasattr(hooked, "kcycle") is known_ok
+    # No override can select a guarded kernel of a hook-free module.
+    sim = CompiledSimulator(nl, 4, hooks=frozenset(), cache=cache)
+    with pytest.raises(ValueError, match="not a hook"):
+        sim.set_overrides({"y": LaneOverride(set1=0b1111)})
+    sim.set_overrides({})
+    sim.cycle({"a": (0b1010, 0b1111), "b": (0b0110, 0b1111)})
+    assert sim.planes("y") == (0b0010, 0b1111)
 
 
 def test_fingerprint_and_key_stability():

@@ -53,6 +53,51 @@ class TestCleanSpecs:
         assert run_oracle(_ee_model(), seed=0, config=config) is None
 
 
+class TestBuildOnce:
+    def test_gate_stages_share_one_elaboration_and_module(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.synthesis.elaborate as elaborate
+        import repro.verif.kripke as kripke
+        from repro.codegen.cache import BuildCache
+        from repro.obs import MetricsRegistry
+
+        calls = {"to_gates": 0, "build_kripke": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(elaborate, "to_gates")
+        counted(kripke, "build_kripke")
+        registry = MetricsRegistry()
+        config = OracleConfig(
+            cycles=48, cache=BuildCache(tmp_path / "c", metrics=registry)
+        )
+        assert run_oracle(_ee_model(), seed=0, config=config) is None
+        assert calls == {"to_gates": 1, "build_kripke": 1}
+
+        def modules(series):
+            return {
+                c.labels: c.value for c in registry.series(series)
+                if ("kind", "module") in c.labels
+            }
+
+        # The differential compiles the module; the Kripke builder
+        # loads it from the memory tier.
+        assert modules("codegen_cache_misses_total") == {
+            (("kind", "module"), ("tier", "disk")): 1
+        }
+        assert modules("codegen_cache_hits_total") == {
+            (("kind", "module"), ("tier", "memory")): 1
+        }
+
+
 class TestStages:
     def test_build_stage_finding(self):
         model = SpecModel("broken", blocks=[BlockModel("b0", n_inputs=2,

@@ -314,6 +314,23 @@ class TestInjectResilience:
             main(["inject", "--netlist", "processor",
                   "--checkpoint", str(tmp_path / "store")])
 
+    @pytest.mark.parametrize("flags", [
+        ["--shard-timeout", "5", "--max-retries", "7"],
+        ["--max-retries", "2"],
+        ["--shard-timeout", "5", "--jobs", "1"],
+    ])
+    def test_fabric_flags_rejected_in_process(self, tmp_path, flags):
+        report = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["inject", "--netlist", "join", "--cycles", "20", *flags,
+                  "--report", str(report)])
+        assert exc.value.code == (
+            "--shard-timeout/--max-retries: only a campaign with --jobs > 1 "
+            "or --workers times out or retries chunks; this one runs in "
+            "this process"
+        )
+        assert not report.exists()
+
     def test_shard_timeout_and_retries_accepted(self, tmp_path):
         report = tmp_path / "r.json"
         assert main(["inject", "--netlist", "dual_ehb", "--cycles", "120",

@@ -1,17 +1,21 @@
 """Bounded and resumable state-space exploration."""
 
+import json
+
 import pytest
 
+from repro.codegen.fingerprint import canonical_digest, netlist_fingerprint
 from repro.elastic.gates import (
     GateChannel,
     build_elastic_buffer,
     build_nd_sink,
     build_nd_source,
 )
-from repro.resilience import CheckpointMismatch
+from repro.resilience import CheckpointMismatch, CheckpointStore
 from repro.rtl.netlist import Gate, Netlist
+from repro.verif import kripke
 from repro.verif.gatedata import alternating_pipeline
-from repro.verif.kripke import StateSpaceLimitError, build_kripke
+from repro.verif.kripke import StateSpaceLimitError, _kripke_key, build_kripke
 from repro.verif.properties import verify_netlist
 
 
@@ -121,6 +125,43 @@ class TestCheckpointResume:
         build_kripke(nl, checkpoint=ck)
         with pytest.raises(CheckpointMismatch, match="observe"):
             build_kripke(nl, observe=[channels[0].vp], checkpoint=ck)
+
+    def test_manifest_is_the_cache_key_document(self, tmp_path):
+        nl, _ = small_chain()
+        ck = tmp_path / "ck"
+        build_kripke(nl, checkpoint=str(ck))
+        manifest = json.loads((ck / CheckpointStore.MANIFEST).read_text())
+        observed = list(nl.outputs) + list(nl.inputs)
+        assert canonical_digest(manifest) == _kripke_key(nl, observed)
+
+    def test_version_bump_refuses_the_resume(self, tmp_path, monkeypatch):
+        nl, _ = small_chain()
+        ck = str(tmp_path / "ck")
+        with pytest.raises(StateSpaceLimitError):
+            build_kripke(nl, max_states=5, checkpoint=ck)
+        monkeypatch.setattr(kripke, "KRIPKE_VERSION",
+                            kripke.KRIPKE_VERSION + 1)
+        with pytest.raises(CheckpointMismatch,
+                           match=r"mismatched keys: version\)"):
+            build_kripke(nl, checkpoint=ck)
+
+    def test_checkpoint_of_the_older_manifest_rejected(self, tmp_path):
+        # The manifest a checkpoint directory held before it became the
+        # cache key's document: no version, a different kind, and the
+        # input and state names the netlist fingerprint already fixes.
+        nl, _ = small_chain()
+        ck = tmp_path / "ck"
+        CheckpointStore(ck).ensure_manifest({
+            "kind": "kripke",
+            "netlist": netlist_fingerprint(nl),
+            "inputs": list(nl.inputs),
+            "state_names": sorted([*nl.latches, *nl.flops]),
+            "observe": list(nl.outputs) + list(nl.inputs),
+        })
+        with pytest.raises(CheckpointMismatch, match=(
+            r"mismatched keys: inputs, kind, state_names, version\)"
+        )):
+            build_kripke(nl, checkpoint=str(ck))
 
 
 class TestVerifyNetlistCheckpoint:
