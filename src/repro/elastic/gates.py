@@ -12,7 +12,7 @@ cross-checked, and the netlists feed
   transparent-latch pairs (2 latches per EHB, 4 per EB, 8 per dual EB,
   matching the paper's counts), while the pending-token bits of forks
   and joins are flip-flops (the paper's ``ff`` column);
-* the explicit-state model checker of :mod:`repro.verif` (Fig. 8(a)).
+* the model checker of :mod:`repro.verif` (Fig. 8(a)).
 """
 
 from __future__ import annotations

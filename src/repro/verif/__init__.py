@@ -1,15 +1,17 @@
 """Formal verification of elastic controllers (Sect. 5 of the paper).
 
-Replaces the paper's NuSMV flow with an in-repo explicit-state model
-checker:
+Replaces the paper's NuSMV flow with an in-repo model checker:
 
 * :mod:`repro.verif.kripke` -- builds a Kripke structure from a gate
-  netlist by enumerating reachable (state, input) pairs; primary inputs
-  are non-deterministic, which models the paper's "units with
-  non-deterministic delays" and free environments.
+  netlist: one row per reachable sequential state, holding its
+  successor and its observed signals under every input vector
+  (``2^k``-bit words); primary inputs are non-deterministic, which
+  models the paper's "units with non-deterministic delays" and free
+  environments.
 * :mod:`repro.verif.ctl` -- CTL formulas and a fair-CTL model checker
-  (fairness constraints are needed for the ``AG AF`` liveness property
-  under environments that may stall forever).
+  holding each satisfying set as one ``2^k``-bit mask per sequential
+  state (fairness constraints are needed for the ``AG AF`` liveness
+  property under environments that may stall forever).
 * :mod:`repro.verif.properties` -- the four channel properties checked
   in the paper (Retry+, Retry−, invariant (2), liveness) plus helpers
   to run them on every channel of a netlist.

@@ -1,9 +1,13 @@
-"""CTL model checking with fairness over explicit Kripke structures.
+"""CTL model checking with fairness over factored Kripke structures.
 
 Implements the classical labelling algorithm [Clarke-Emerson-Sistla,
 the paper's reference [5]]: the set of states satisfying a formula is
 computed bottom-up using the primitives ``EX``, ``EU`` and ``EG``;
-the universal operators are derived by duality.
+the universal operators are derived by duality.  A satisfying set is
+held as one ``2^k``-bit mask per sequential state of a
+:class:`~repro.verif.kripke.KripkeStructure` (bit ``i`` is the state
+under input vector ``i``), so the (state, input) pairs are never
+listed.
 
 Fairness constraints (sets of states that must occur infinitely often
 on a path) use the Emerson-Lei iteration for fair ``EG``; ``EX``/``EU``
@@ -11,17 +15,20 @@ are relativised to states admitting a fair path.  Fairness is needed
 for the paper's liveness property ``AG AF (transfer)``: with a fully
 non-deterministic environment the consumer may stall forever, so the
 check is run under the constraint that the environment makes progress
-infinitely often -- the explicit-state analogue of NuSMV ``FAIRNESS``.
+infinitely often -- the analogue of NuSMV ``FAIRNESS``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.verif.kripke import KripkeStructure
 
-StateSet = FrozenSet[int]
+#: One mask per sequential state; bit i of entry s is Kripke state
+#: ``s * 2^k + i``.
+StateSet = List[int]
 
 
 class Formula:
@@ -144,7 +151,14 @@ def AU(f: Formula, g: Formula) -> Formula:
 
 
 class ModelChecker:
-    """Labelling-based CTL checker over one Kripke structure."""
+    """Labelling-based CTL checker over one Kripke structure.
+
+    A state set is one ``2^k``-bit mask per sequential state: bit ``i``
+    of entry ``s`` stands for Kripke state ``s * 2^k + i``.  The
+    connectives are word operations; ``EX``, ``EU`` and ``EG`` walk the
+    sequential graph, whose edge from ``s`` to ``t`` carries the mask of
+    input vectors that take ``s`` to ``t``.
+    """
 
     def __init__(
         self,
@@ -152,9 +166,19 @@ class ModelChecker:
         fairness: Sequence[Formula] = (),
     ):
         self.k = kripke
-        self.n = len(kripke)
-        self.all_states: StateSet = frozenset(range(self.n))
-        self.preds = kripke.predecessors()
+        self.full = (1 << kripke.lanes) - 1
+        self.all_states: StateSet = [self.full] * len(kripke.next_state)
+        # preds[t]: (s, mask of the input vectors taking s to t)
+        self.preds: List[List[Tuple[int, int]]] = [
+            [] for _ in kripke.next_state
+        ]
+        bits = [1 << i for i in range(kripke.lanes)]
+        for s, row in enumerate(kripke.next_state):
+            edges: Dict[int, int] = {}
+            for i, t in enumerate(row):
+                edges[t] = edges.get(t, 0) | bits[i]
+            for t, mask in edges.items():
+                self.preds[t].append((s, mask))
         self._cache: Dict[object, StateSet] = {}
         # Fairness sets are plain formulas evaluated without fairness.
         self.fair_sets: List[StateSet] = [self._sat(f) for f in fairness]
@@ -166,46 +190,54 @@ class ModelChecker:
     # -- basic set operations ------------------------------------------
     def _pre_exists(self, target: StateSet) -> StateSet:
         """States with at least one successor in ``target``."""
-        result = set()
-        for t in target:
-            result.update(self.preds[t])
-        return frozenset(result)
+        result = [0] * len(target)
+        for t, hit in enumerate(target):
+            if hit:
+                for s, mask in self.preds[t]:
+                    result[s] |= mask
+        return result
 
     def _eu(self, p: StateSet, q: StateSet) -> StateSet:
-        """E[p U q]: backward reachability of q through p-states."""
-        result = set(q)
-        frontier = list(q)
+        """E[p U q]: backward reachability of q through p-states.
+
+        A state's successors all share one sequential state, so a
+        sequential state propagates once, when its mask turns nonzero.
+        """
+        result = list(q)
+        frontier = [t for t, hit in enumerate(q) if hit]
         while frontier:
             t = frontier.pop()
-            for s in self.preds[t]:
-                if s not in result and s in p:
-                    result.add(s)
-                    frontier.append(s)
-        return frozenset(result)
+            for s, mask in self.preds[t]:
+                add = p[s] & mask & ~result[s]
+                if add:
+                    if not result[s]:
+                        frontier.append(s)
+                    result[s] |= add
+        return result
 
     def _eg(self, p: StateSet) -> StateSet:
         """EG p: largest subset of p closed under 'has successor inside'."""
-        current = set(p)
-        changed = True
-        while changed:
-            changed = False
-            drop = [s for s in current if not any(t in current for t in self.k.successors[s])]
-            if drop:
-                current.difference_update(drop)
-                changed = True
-        return frozenset(current)
+        current = list(p)
+        dead = [t for t, hit in enumerate(current) if not hit]
+        while dead:
+            t = dead.pop()
+            for s, mask in self.preds[t]:
+                if current[s] & mask:
+                    current[s] &= ~mask
+                    if not current[s]:
+                        dead.append(s)
+        return current
 
     def _fair_eg(self, p: StateSet) -> StateSet:
         """Emerson-Lei fair EG: infinite p-paths hitting every fair set."""
         if not self.fair_sets:
             return self._eg(p)
-        z = frozenset(p)
+        z = p
         while True:
             new_z = z
             for fair in self.fair_sets:
-                target = new_z & fair
-                reach = self._eu(p, target)
-                new_z = new_z & self._pre_exists(reach) & p
+                reach = self._eu(p, _and(new_z, fair))
+                new_z = _and(_and(new_z, self._pre_exists(reach)), p)
             if new_z == z:
                 return z
             z = new_z
@@ -220,27 +252,32 @@ class ModelChecker:
         return result
 
     def _compute(self, f: Formula) -> StateSet:
+        full = self.full
         if isinstance(f, TrueF):
             return self.all_states
         if isinstance(f, AP):
-            idx = self.k.signal_index(f.signal)
-            return frozenset(
-                s for s in range(self.n) if self.k.labels[s][idx] == f.value
-            )
+            j = self.k.signals.index(f.signal)
+            flip = 0 if f.value else full
+            return [row[j] ^ flip for row in self.k.words]
         if isinstance(f, Not):
-            return self.all_states - self._sat(f.child)
+            return [full ^ m for m in self._sat(f.child)]
         if isinstance(f, And):
-            sets = [self._sat(c) for c in f.children]
-            return frozenset.intersection(*sets) if sets else self.all_states
+            return functools.reduce(
+                _and, (self._sat(c) for c in f.children), self.all_states
+            )
         if isinstance(f, Or):
-            sets = [self._sat(c) for c in f.children]
-            return frozenset.union(*sets) if sets else frozenset()
+            return functools.reduce(
+                _or, (self._sat(c) for c in f.children),
+                [0] * len(self.all_states),
+            )
         if isinstance(f, Implies):
-            return (self.all_states - self._sat(f.lhs)) | self._sat(f.rhs)
+            return [(full ^ a) | b for a, b
+                    in zip(self._sat(f.lhs), self._sat(f.rhs))]
         if isinstance(f, EX):
-            return self._pre_exists(self._sat(f.child) & self.fair_states)
+            return self._pre_exists(_and(self._sat(f.child), self.fair_states))
         if isinstance(f, EU):
-            return self._eu(self._sat(f.lhs), self._sat(f.rhs) & self.fair_states)
+            return self._eu(self._sat(f.lhs),
+                            _and(self._sat(f.rhs), self.fair_states))
         if isinstance(f, EG):
             return self._fair_eg(self._sat(f.child))
         raise TypeError(f"unknown formula {f!r}")
@@ -251,15 +288,20 @@ class ModelChecker:
 
     def holds(self, f: Formula) -> bool:
         """Whether every initial state satisfies ``f``."""
-        return all(s in self._sat(f) for s in self.k.initial)
+        return self._sat(f)[0] == self.full
 
     def counterexample_state(self, f: Formula) -> Optional[int]:
-        """An initial state violating ``f`` (or None)."""
-        satisfying = self._sat(f)
-        for s in self.k.initial:
-            if s not in satisfying:
-                return s
-        return None
+        """An initial state violating ``f`` (or None): the lowest."""
+        missing = self.full & ~self._sat(f)[0]
+        return (missing & -missing).bit_length() - 1 if missing else None
+
+
+def _and(a: StateSet, b: StateSet) -> StateSet:
+    return [x & y for x, y in zip(a, b)]
+
+
+def _or(a: StateSet, b: StateSet) -> StateSet:
+    return [x | y for x, y in zip(a, b)]
 
 
 def check(

@@ -29,12 +29,12 @@ from repro.verif.kripke import KripkeStructure, build_kripke
 def observed_signals(
     netlist: Netlist, channels: Sequence[GateChannel]
 ) -> List[str]:
-    """The signals a gate-level channel check observes, in label order.
+    """The signals a gate-level channel check observes, in word order.
 
     Every channel's wires, channel by channel, then the netlist inputs
     (fairness constraints range over environment choices), then the
     declared outputs; a repeated signal keeps its first place.  The
-    order fixes the Kripke labels and the Kripke cache key.
+    order fixes the Kripke words and the Kripke cache key.
     """
     wires = [w for ch in channels for w in ch.wires()]
     return list(dict.fromkeys([*wires, *netlist.inputs, *netlist.outputs]))

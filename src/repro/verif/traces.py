@@ -4,16 +4,16 @@ When a safety property ``AG p`` fails, the practical question is *how*
 the controller gets into the bad state.  :func:`counterexample_trace`
 extracts a shortest path from an initial Kripke state to a violating
 one and renders each step's signal values and primary-input choices --
-the explicit-state analogue of NuSMV's counterexample output.
+the analogue of NuSMV's counterexample output.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.verif.ctl import Formula, ModelChecker
+from repro.verif.ctl import Formula, ModelChecker, StateSet
 from repro.verif.kripke import KripkeStructure
 
 
@@ -32,37 +32,49 @@ class TraceStep:
 
 
 def shortest_path_to(
-    kripke: KripkeStructure, targets: FrozenSet[int]
+    kripke: KripkeStructure, targets: StateSet
 ) -> Optional[List[int]]:
-    """BFS from the initial states to any state in ``targets``."""
-    parent: Dict[int, Optional[int]] = {}
-    queue: deque[int] = deque()
-    for s in kripke.initial:
-        parent[s] = None
-        queue.append(s)
-    goal: Optional[int] = None
+    """BFS from the initial states to any Kripke state in ``targets``
+    (a :class:`~repro.verif.ctl.ModelChecker` state set).
+
+    A Kripke state's successors are every input vector of one
+    sequential state, so the search runs over sequential states: it
+    visits them in the order a search over (state, input) pairs would,
+    and stops at the lowest target input vector of the first sequential
+    state holding one.
+    """
+    lanes = kripke.lanes
+    # sequential state -> the Kripke state that first reached it
+    parent: Dict[int, Optional[int]] = {0: None}
+    queue: deque[int] = deque([0])
     while queue:
         s = queue.popleft()
-        if s in targets:
-            goal = s
+        hit = targets[s]
+        if hit:
+            goal = s * lanes + (hit & -hit).bit_length() - 1
             break
-        for t in kripke.successors[s]:
+        for i, t in enumerate(kripke.next_state[s]):
             if t not in parent:
-                parent[t] = s
+                parent[t] = s * lanes + i
                 queue.append(t)
-    if goal is None:
+    else:
         return None
     path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])  # type: ignore[index]
+    via = parent[s]
+    while via is not None:
+        path.append(via)
+        via = parent[via // lanes]
     path.reverse()
     return path
 
 
 def _step(kripke: KripkeStructure, state: int) -> TraceStep:
-    raw_state, raw_inputs = kripke.raw_states[state]
-    inputs = dict(zip(kripke.input_names, raw_inputs))
-    signals = dict(zip(kripke.signals, kripke.labels[state]))
+    s, i = divmod(state, kripke.lanes)
+    top = len(kripke.input_names) - 1
+    inputs = {name: (i >> (top - j)) & 1
+              for j, name in enumerate(kripke.input_names)}
+    signals = {name: (word >> i) & 1
+               for name, word in zip(kripke.signals, kripke.words[s])}
     return TraceStep(state=state, inputs=inputs, signals=signals)
 
 
@@ -79,11 +91,9 @@ def counterexample_trace(
     produce; safety covers the paper's Retry/invariant properties.)
     """
     checker = ModelChecker(kripke, fairness)
-    bad = frozenset(range(len(kripke))) - checker.sat(invariant)
-    if not bad:
-        return None
+    bad = [checker.full ^ m for m in checker.sat(invariant)]
     path = shortest_path_to(kripke, bad)
-    if path is None:  # violating states exist but are unreachable
+    if path is None:  # no violating state is reachable
         return None
     return [_step(kripke, s) for s in path]
 

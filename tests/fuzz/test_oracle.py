@@ -1,6 +1,10 @@
 """The differential oracle: clean specs pass, planted bugs are caught."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,38 @@ class TestCleanSpecs:
         config = OracleConfig(cycles=64, verify_max_inputs=6,
                               verify_max_states=50_000)
         assert run_oracle(_ee_model(), seed=0, config=config) is None
+
+
+class TestCtlMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from /proc")
+    def test_ctl_stage_memory_follows_sequential_states(self):
+        """``fuzz2007_0035`` explores 1,313 sequential states x 64 input
+        vectors; rows per sequential state keep the oracle call in tens
+        of MB, where one node per (state, input) pair took ~1 GB.
+
+        The child reports ``VmHWM``, the peak RSS of its own address
+        space: Linux carries the pre-exec peak of the forked test
+        process into the child's ``ru_maxrss``.
+        """
+        script = (
+            "import random\n"
+            "from repro.fuzz import GeneratorConfig, generate_model\n"
+            "from repro.fuzz.oracle import run_oracle\n"
+            "model = generate_model(random.Random('fuzz:2007:35'),\n"
+            "    GeneratorConfig(max_blocks=8), name='fuzz2007_0035')\n"
+            "assert run_oracle(model, seed=2007) is None\n"
+            "print(open('/proc/self/status').read())\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout
+        peak_kb = next(int(line.split()[1]) for line in out.splitlines()
+                       if line.startswith("VmHWM:"))
+        assert peak_kb < 200 * 1024
 
 
 class TestBuildOnce:

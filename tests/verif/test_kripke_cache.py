@@ -1,16 +1,21 @@
 """Regression tests: Kripke structures through the build cache.
 
 Mirrors the lint-findings caching contract: a first build is a miss
-that stores the exploration tables, a rebuild of the same netlist +
-observation set is a hit that folds the stored tables into a
-structurally identical Kripke structure, and changing the observation
-set changes the key.
+that stores the exploration rows, a rebuild of the same netlist +
+observation set is a hit that returns an identical Kripke structure,
+and changing the observation set changes the key.
 """
 
 from repro.codegen.cache import BuildCache, process_stats
 from repro.obs.metrics import MetricsRegistry
 from repro.rtl.netlist import Netlist
-from repro.verif.kripke import _kripke_key, build_kripke
+from repro.codegen.fingerprint import canonical_digest
+from repro.verif.kripke import (
+    KRIPKE_VERSION,
+    _kripke_identity,
+    _kripke_key,
+    build_kripke,
+)
 from repro.verif.properties import verify_netlist
 from repro.verif.testbenches import DESIGNS, diamond_with_feedback
 
@@ -22,13 +27,6 @@ def toggler():
     nl.XOR(q, en, out="d")
     nl.add_output("q")
     return nl
-
-
-def _equal(a, b):
-    return (a.signals == b.signals and a.labels == b.labels
-            and a.successors == b.successors and a.initial == b.initial
-            and a.input_names == b.input_names
-            and a.raw_states == b.raw_states)
 
 
 class TestKripkeCache:
@@ -49,7 +47,7 @@ class TestKripkeCache:
         after_hit = process_stats()
         assert after_hit["hits"] == after_miss["hits"] + 1
         assert after_hit["misses"] == after_miss["misses"]
-        assert _equal(fresh, cached)
+        assert fresh == cached
 
     def test_cached_structure_is_identical(self, tmp_path):
         cache = BuildCache(tmp_path / "cache")
@@ -63,6 +61,29 @@ class TestKripkeCache:
     def test_observe_set_is_part_of_the_key(self):
         nl = toggler()
         assert _kripke_key(nl, ["q"]) != _kripke_key(nl, ["q", "en"])
+
+    def test_version_one_artifacts_are_never_read(self):
+        # The rows replaced version 1's (state, input) transition table;
+        # the version is part of the key, so an old artifact is a miss.
+        nl = toggler()
+        old = canonical_digest({
+            **_kripke_identity(nl, ["q"]), "version": 1,
+        })
+        assert KRIPKE_VERSION == 2
+        assert _kripke_key(nl, ["q"]) != old
+
+    def test_wide_words_round_trip_as_hex(self, tmp_path):
+        # 14 inputs: 16,384-bit words, past CPython's 4,300-digit limit
+        # on int-to-decimal conversion.
+        nl = Netlist("wide")
+        ins = [nl.add_input(f"i{j}") for j in range(14)]
+        nl.add_flop(nl.AND(*ins), q="q", init=0)
+        nl.add_output("q")
+        cache = BuildCache(tmp_path / "cache")
+        fresh = build_kripke(nl, cache=cache)
+        cached = build_kripke(nl, cache=BuildCache(tmp_path / "cache"))
+        assert fresh == cached
+        assert fresh.words[0][-1].bit_length() == 1 << 14
 
     def test_netlist_change_changes_key(self):
         a = toggler()

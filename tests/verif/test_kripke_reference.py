@@ -3,8 +3,9 @@
 ``scalar_build_kripke`` is the one-pair-at-a-time exploration that
 ``repro.verif.kripke.build_kripke`` ran before it moved onto the
 compiled simulator: it steps ``TwoPhaseSimulator.step_function`` once
-per (sequential state, input) pair.  It stays here as the reference;
-both builders fold their tables with the same ``_fold_structure``.
+per (sequential state, input) pair and sets bit ``i`` of a signal's
+word when the signal is 1 under input vector ``i``.  It stays here as
+the reference; both builders emit the same rows and words.
 """
 
 import itertools
@@ -20,12 +21,14 @@ from repro.fuzz import GeneratorConfig, generate_model
 from repro.rtl.simulator import TwoPhaseSimulator
 from repro.rtl.toposort import CombinationalCycleError
 from repro.synthesis.elaborate import to_gates
+from repro.verif.ctl import AP
 from repro.verif.gatedata import alternating_pipeline
 from repro.verif.kripke import (
+    KripkeStructure,
     StateSpaceLimitError,
-    _fold_structure,
     build_kripke,
 )
+from repro.verif.properties import observed_signals
 from repro.verif.testbenches import DESIGNS, diamond_with_feedback
 from tests.strategies import random_netlists
 
@@ -49,52 +52,37 @@ def scalar_build_kripke(netlist, observe=None, max_states=500_000):
     initial_state = sim.initial_state()
     seq_index = {state_key(initial_state): 0}
     seq_states = [dict(initial_state)]
-    transition = {}
+    next_state, words = [None], [None]
     frontier = [0]
     while frontier:
         si = frontier.pop()
         state = seq_states[si]
+        row, row_words = [], [0] * len(observed)
         for ii, input_map in enumerate(input_combos):
-            values, next_state = sim.step_function(state, input_map)
-            label = tuple(1 if values.get(s) == 1 else 0 for s in observed)
-            nk = state_key(next_state)
+            values, successor = sim.step_function(state, input_map)
+            for j, s in enumerate(observed):
+                if values.get(s) == 1:
+                    row_words[j] |= 1 << ii
+            nk = state_key(successor)
             if nk not in seq_index:
                 if len(seq_index) >= max_states:
                     raise StateSpaceLimitError(max_states, state)
                 seq_index[nk] = len(seq_states)
-                seq_states.append({n: next_state[n] for n in state_names})
+                seq_states.append({n: successor[n] for n in state_names})
+                next_state.append(None)
+                words.append(None)
                 frontier.append(seq_index[nk])
-            transition[(si, ii)] = (seq_index[nk], label)
-    return _fold_structure(
-        seq_states, transition, observed, inputs, input_combos, state_names
-    )
-
-
-def assert_same_structure(a, b):
-    assert a.signals == b.signals
-    assert a.labels == b.labels
-    assert a.successors == b.successors
-    assert a.initial == b.initial
-    assert a.input_names == b.input_names
-    assert a.raw_states == b.raw_states
-
-
-def verify_observe(netlist, channels):
-    """The observation list ``verify_netlist`` builds."""
-    wires = [w for ch in channels for w in ch.wires()]
-    return list(dict.fromkeys(
-        wires + list(netlist.inputs) + list(netlist.outputs)
-    ))
+            row.append(seq_index[nk])
+        next_state[si], words[si] = row, row_words
+    return KripkeStructure(observed, inputs, next_state, words)
 
 
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_fig8a_designs(design):
     nl, channels, _ = diamond_with_feedback(**DESIGNS[design])
-    observe = verify_observe(nl, channels)
-    assert_same_structure(
-        build_kripke(nl, observe=observe),
-        scalar_build_kripke(nl, observe=observe),
-    )
+    observe = observed_signals(nl, channels)
+    assert (build_kripke(nl, observe=observe)
+            == scalar_build_kripke(nl, observe=observe))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -103,16 +91,15 @@ def test_fig8a_designs(design):
 def test_fig8b_pipelines(kwargs):
     nl, errors = alternating_pipeline(**kwargs)
     observe = list(errors) + list(nl.inputs)
-    assert_same_structure(
-        build_kripke(nl, observe=observe),
-        scalar_build_kripke(nl, observe=observe),
-    )
+    assert (build_kripke(nl, observe=observe)
+            == scalar_build_kripke(nl, observe=observe))
 
 
 def ledger_fuzz_netlists():
     """The gate netlists of the ledger's ``fuzz`` specs that reach CTL:
     the first six of ``repro fuzz --seed 2007 --max-blocks 8`` with
-    all-capacity-2 registers and at most six inputs."""
+    all-capacity-2 registers and at most six inputs, as (netlist,
+    channels, observed signals, fairness) tuples."""
     cases = []
     for index in range(6):
         model = generate_model(
@@ -126,17 +113,18 @@ def ledger_fuzz_netlists():
         if len(elab.netlist.inputs) > 6:
             continue
         channels = [elab.channels[k] for k in sorted(elab.channels)]
-        cases.append((elab.netlist, verify_observe(elab.netlist, channels)))
+        cases.append((
+            elab.netlist, channels, observed_signals(elab.netlist, channels),
+            [AP(sig, value) for sig, value in elab.fairness.items()],
+        ))
     return cases
 
 
 def test_ledger_fuzz_specs():
     cases = ledger_fuzz_netlists()
     assert len(cases) == 5
-    for nl, observe in cases:
-        assert_same_structure(
-            build_kripke(nl, observe), scalar_build_kripke(nl, observe)
-        )
+    for nl, _, observe, _ in cases:
+        assert build_kripke(nl, observe) == scalar_build_kripke(nl, observe)
 
 
 @settings(max_examples=60, deadline=None,
@@ -152,7 +140,7 @@ def test_random_netlists(nl, max_states):
             build_kripke(nl, observe, max_states)
         assert got.value.last_state == exc.last_state
         return
-    assert_same_structure(build_kripke(nl, observe, max_states), expected)
+    assert build_kripke(nl, observe, max_states) == expected
 
 
 def test_combinational_cycle_is_refused():

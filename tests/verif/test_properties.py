@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.casestudy.fig9 import Config, build_fig9_spec
 from repro.elastic.gates import (
     GateChannel,
     build_elastic_buffer,
@@ -11,6 +12,7 @@ from repro.elastic.gates import (
     build_nd_source,
 )
 from repro.rtl.netlist import Netlist
+from repro.synthesis.elaborate import to_gates
 from repro.verif.ctl import AP
 from repro.verif.properties import (
     channel_properties,
@@ -144,3 +146,16 @@ class TestChannelProperties:
         nl, chans = closed_buffer_chain(n_buffers=1)
         result = verify_netlist(nl, chans, fairness=FAIRNESS)
         assert "PASS" in str(result)
+
+
+class TestFig9Configurations:
+    def test_lazy_passes_every_channel_property(self):
+        """Table 1's LAZY configuration, environment included: 20
+        channels, 597 sequential states x 256 input vectors."""
+        elab = to_gates(build_fig9_spec(Config.LAZY), include_env=True)
+        channels = [elab.channels[k] for k in sorted(elab.channels)]
+        fairness = [AP(sig, value) for sig, value in elab.fairness.items()]
+        result = verify_netlist(elab.netlist, channels, fairness=fairness)
+        assert result.states == 152_832
+        assert len(result.results) == 80
+        assert result.ok, result.failures()
