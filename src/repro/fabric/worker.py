@@ -4,7 +4,7 @@
 stateless between coordinator connections (re-adoption after a
 coordinator crash is just a reconnect plus a matching handshake) and
 keeps a runner cache keyed by fingerprint digest, so rebinding to the
-same campaign skips the harness rebuild and its golden run.
+same campaign skips the harness rebuild and its module load.
 
 Layout per connection:
 

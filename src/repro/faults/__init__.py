@@ -16,7 +16,8 @@ The subsystem has five layers:
   and optionally sharded over fabric workers (``jobs``/``workers``);
 * :mod:`repro.faults.batch` -- the campaign harness every RTL campaign
   runs on: word-wide monitor bank and ``lanes``-injections-per-pass
-  harness over :class:`repro.codegen.sim.CompiledSimulator`;
+  harness over :class:`repro.codegen.sim.CompiledSimulator`, with the
+  fault-free run in one lane more;
 * :mod:`repro.faults.shrink` -- ddmin minimisation of failing
   schedules, replayed in lane 0 and rendered as counterexample traces.
 """

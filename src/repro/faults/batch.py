@@ -4,7 +4,11 @@
 :class:`~repro.codegen.sim.CompiledSimulator` classifies up to
 ``lanes`` injections of the same sweep simultaneously, each in its own
 bit lane, under the broadcast campaign stimulus (``lanes=1`` is the
-one-fault-per-run sweep).  :meth:`~BatchCampaignHarness.run_schedule`
+one-fault-per-run sweep).  The simulator has one lane more than that:
+the top lane never receives an override, so it is the fault-free
+(golden) run of the same stimulus, computed in the same kernel call as
+the faulty lanes -- parallel fault simulation with the good machine in
+one bit of the word.  :meth:`~BatchCampaignHarness.run_schedule`
 replays a whole injection schedule in lane 0, for
 :mod:`repro.faults.shrink`.
 
@@ -13,29 +17,32 @@ The online SELF monitors (the rules listed in
 for all lanes with a few integer operations on the simulator's plane
 arrays (signal slots are resolved once, at bank construction), and
 per-lane values are only unpacked on a violation, to build the detail
-string.  A lane's verdict depends only on its own trace, under a
-fixed bank order, if/elif precedence inside each monitor and
+string.  A lane's verdict depends only on its own trace and the
+golden lane's, which every chunk computes alike, under a fixed bank
+order, if/elif precedence inside each monitor and
 first-detection-wins rule, which is what makes a report byte-identical
 for every lanes/jobs split (locked by
 ``tests/faults/test_campaign_determinism.py``).  The scalar harness and
 monitor bank these replaced are the reference in
 ``tests/faults/scalar_reference.py``.
 
-Signed occupancy arithmetic for the conservation monitor runs on
-bit-plane ripple-carry adders: a lane-parallel 4-bit two's-complement
-number is four machine words, bit ``i`` of plane ``j`` holding bit
-``j`` of lane ``i``'s value.
+The conservation monitor checks ``occ(t) == occ(t-1) + delta(t-1)``
+by counting: with every term moved to the side where it is added, both
+sides are sums of seven bits, and two lane-parallel popcounts (four
+full adders each, a count of 0..7 as three planes, bit ``i`` of plane
+``j`` holding bit ``j`` of lane ``i``'s count) are compared plane by
+plane.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -80,55 +87,19 @@ def _lanes_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# ----------------------------------------------------------------------
-# Lane-parallel signed arithmetic (bit planes, two's complement)
-# ----------------------------------------------------------------------
-def _sext(planes: Sequence[int], width: int) -> List[int]:
-    sign = planes[-1]
-    return list(planes) + [sign] * (width - len(planes))
-
-
-def _add(a: Sequence[int], b: Sequence[int], width: int, mask: int) -> List[int]:
-    a = _sext(a, width)
-    b = _sext(b, width)
-    out: List[int] = []
-    carry = 0
-    for ai, bi in zip(a, b):
-        out.append((ai ^ bi ^ carry) & mask)
-        carry = ((ai & bi) | (carry & (ai | bi))) & mask
-    return out
-
-
-def _neg(planes: Sequence[int], width: int, mask: int) -> List[int]:
-    inverted = [(~p) & mask for p in _sext(planes, width)]
-    one = [mask] + [0] * (width - 1)
-    return _add(inverted, one, width, mask)
-
-
-def _sub(a: Sequence[int], b: Sequence[int], width: int, mask: int) -> List[int]:
-    return _add(_sext(a, width), _neg(b, width, mask), width, mask)
-
-
-def _count2(x: int, y: int) -> List[int]:
-    """Lane-parallel unsigned count of two bits (0..2) as 3 planes."""
-    return [x ^ y, x & y, 0]
-
-
-def _count3(x: int, y: int, z: int) -> List[int]:
-    """Lane-parallel unsigned count of three bits (0..3) as 3 planes."""
-    return [x ^ y ^ z, (x & y) | (x & z) | (y & z), 0]
-
-
-def _plane_int(planes: Sequence[int], lane: int) -> int:
-    """One lane's signed value out of two's-complement bit planes."""
-    bit = 1 << lane
-    value = 0
-    for i, plane in enumerate(planes):
-        if plane & bit:
-            value |= 1 << i
-    if planes[-1] & bit:
-        value -= 1 << len(planes)
-    return value
+def _count7(
+    x1: int, x2: int, x3: int, x4: int, x5: int, x6: int, x7: int
+) -> Tuple[int, int, int]:
+    """Lane-parallel count of seven bits (0..7) as three planes, lowest
+    first: four full adders, each ``(a ^ b ^ c, majority(a, b, c))``."""
+    h = x1 ^ x2
+    s1, c1 = h ^ x3, (x1 & x2) | (h & x3)
+    h = x4 ^ x5
+    s2, c2 = h ^ x6, (x4 & x5) | (h & x6)
+    h = s1 ^ s2
+    b0, c3 = h ^ x7, (s1 & s2) | (h & x7)
+    h = c1 ^ c2
+    return b0, h ^ c3, (c1 & c2) | (h & c3)
 
 
 # ----------------------------------------------------------------------
@@ -243,120 +214,98 @@ class BatchEncodingMonitor(BatchMonitor):
 
 
 class BatchConservationMonitor(BatchMonitor):
-    """Word-wide token conservation via bit-plane occupancy arithmetic."""
+    """Word-wide token conservation, checked by counting.
 
-    #: two's-complement width: occupancy+delta spans [-5, 5]
-    _WIDTH = 4
+    ``occ(t) == occ(t-1) + delta(t-1)``, with ``occ = t0 + t1 - a0 - a1``
+    and ``delta`` the previous cycle's boundary flux (tokens in and
+    anti-tokens out on the left, tokens out and anti-tokens in on the
+    right, kills on either side), is rearranged so both sides only add;
+    primes mark the previous cycle::
+
+        t0 + t1 + a0' + a1' + out_pos' + kill_right' + in_neg'
+          == a0 + a1 + t0' + t1' + in_pos' + kill_left' + out_neg'
+
+    Each side is a popcount of seven bit planes, so comparing the two
+    counts plane by plane is exact.  The integers of the detail string
+    are only decoded for the lanes that fire.
+    """
 
     def __init__(self, probe: EbProbe, sim: CompiledSimulator) -> None:
         self.name = f"conservation[{probe.prefix}]"
-        self.mask = sim.mask
-        self._bits = tuple(sim.slot(s) for s in probe.state_bits)
         left, right = probe.left, probe.right
-        self._lvp, self._lsp = sim.slot(left.vp), sim.slot(left.sp)
-        self._lvn, self._lsn = sim.slot(left.vn), sim.slot(left.sn)
-        self._rvp, self._rsp = sim.slot(right.vp), sim.slot(right.sp)
-        self._rvn, self._rsn = sim.slot(right.vn), sim.slot(right.sn)
-        self._prev: Optional[Tuple[List[int], List[int]]] = None
-
-    def _occupancy(self, v: List[int]) -> List[int]:
-        t0, t1, a0, a1 = (v[s] for s in self._bits)
-        return _sub(_count2(t0, t1), _count2(a0, a1), self._WIDTH, self.mask)
-
-    def _delta(self, v: List[int]) -> List[int]:
-        mask = self.mask
-        lvp, lsp, lvn, lsn = v[self._lvp], v[self._lsp], v[self._lvn], v[self._lsn]
-        rvp, rsp, rvn, rsn = v[self._rvp], v[self._rsp], v[self._rvn], v[self._rsn]
-        in_pos = lvp & (mask ^ lsp) & (mask ^ lvn)
-        kill_left = lvp & lvn
-        out_neg = lvn & (mask ^ lsn) & (mask ^ lvp)
-        out_pos = rvp & (mask ^ rsp) & (mask ^ rvn)
-        kill_right = rvp & rvn
-        in_neg = rvn & (mask ^ rsn) & (mask ^ rvp)
-        return _sub(
-            _count3(in_pos, kill_left, out_neg),
-            _count3(out_pos, kill_right, in_neg),
-            self._WIDTH,
-            self.mask,
-        )
+        self._read = itemgetter(*(
+            sim.slot(s) for s in (
+                *probe.state_bits,
+                left.vp, left.sp, left.vn, left.sn,
+                right.vp, right.sp, right.vn, right.sn,
+            )
+        ))
+        #: the previous cycle's ``(t0, t1, a0, a1, in_pos, kill_left,
+        #: out_neg, out_pos, kill_right, in_neg)`` planes
+        self._prev: Optional[Tuple[int, ...]] = None
 
     def observe(self, cycle, v, k, alive):
-        occ = self._occupancy(v)
-        delta = self._delta(v)
+        t0, t1, a0, a1, lvp, lsp, lvn, lsn, rvp, rsp, rvn, rsn = self._read(v)
+        prev = self._prev
+        self._prev = (
+            t0, t1, a0, a1,
+            lvp & ~(lsp | lvn), lvp & lvn, lvn & ~(lsn | lvp),
+            rvp & ~(rsp | rvn), rvp & rvn, rvn & ~(rsn | rvp),
+        )
+        if prev is None:
+            return []
+        (pt0, pt1, pa0, pa1, in_pos, kill_left, out_neg,
+         out_pos, kill_right, in_neg) = prev
+        g0, g1, g2 = _count7(t0, t1, pa0, pa1, out_pos, kill_right, in_neg)
+        h0, h1, h2 = _count7(a0, a1, pt0, pt1, in_pos, kill_left, out_neg)
+        mismatch = ((g0 ^ h0) | (g1 ^ h1) | (g2 ^ h2)) & alive
         out: List[Tuple[int, Violation]] = []
-        if self._prev is not None:
-            prev_occ, prev_delta = self._prev
-            expected = _add(prev_occ, prev_delta, self._WIDTH, self.mask)
-            mismatch = 0
-            for got, want in zip(occ, expected):
-                mismatch |= got ^ want
-            for lane in _lanes_of(mismatch & alive):
-                out.append((
-                    lane,
-                    Violation(
-                        cycle,
-                        self.name,
-                        f"occupancy {_plane_int(prev_occ, lane)} + delta "
-                        f"{_plane_int(prev_delta, lane)} "
-                        f"!= observed {_plane_int(occ, lane)}",
-                    ),
-                ))
-        self._prev = (occ, delta)
+        for lane in _lanes_of(mismatch):
+            b = [(word >> lane) & 1 for word in (*prev, t0, t1, a0, a1)]
+            occupancy = b[0] + b[1] - b[2] - b[3]
+            delta = b[4] + b[5] + b[6] - b[7] - b[8] - b[9]
+            observed = b[10] + b[11] - b[12] - b[13]
+            out.append((lane, Violation(
+                cycle, self.name,
+                f"occupancy {occupancy} + delta {delta} "
+                f"!= observed {observed}",
+            )))
         return out
 
 
 class BatchGoldenMonitor(BatchMonitor):
-    """Word-wide lock-step comparison against a golden plane trace.
+    """Word-wide lock-step comparison against the golden (top) lane.
 
-    ``golden[cycle]`` holds one ``(gv, gk)`` pair per observed wire;
-    lanes are claimed by the first mismatching wire in ``wires`` order.
-    With both sides canonical (``v & ~k == 0``), ``(k ^ gk) | (v ^ gv)``
-    is nonzero exactly on the lanes whose ternary value differs from
-    the golden one -- ``X`` matches only ``X``.
+    The caller runs ``sim``'s top lane ``g`` on the same stimulus
+    without faults.  The planes never carry bits above the lane mask, so
+    ``w >> g`` is exactly the golden bit of a plane word ``w``,
+    ``-(w >> g)`` spreads it to every lane, and with both planes
+    canonical (``v & ~k == 0``) ``(v ^ -(v >> g)) | (k ^ -(k >> g))`` is
+    set exactly on the lanes whose ternary value differs from the golden
+    one -- ``X`` matches only ``X``.  Lanes are claimed by the first
+    mismatching wire in ``wires`` order.
     """
 
     name = "golden"
 
-    def __init__(
-        self,
-        wires: Sequence[str],
-        golden: Sequence[Sequence[Tuple[int, int]]],
-        sim: CompiledSimulator,
-    ) -> None:
+    def __init__(self, wires: Sequence[str], sim: CompiledSimulator) -> None:
         self.wires = list(wires)
         self._slots = [sim.slot(w) for w in wires]
-        self.golden = golden
-
-    @classmethod
-    def from_scalar(
-        cls,
-        wires: Sequence[str],
-        golden: Sequence[Mapping[str, Value]],
-        sim: CompiledSimulator,
-    ) -> "BatchGoldenMonitor":
-        """Broadcast a scalar golden trace to every lane."""
-        lanes = sim.lanes
-        trace = [
-            [broadcast(reference.get(w), lanes) for w in wires]
-            for reference in golden
-        ]
-        return cls(wires, trace, sim)
+        #: the golden lane; only the top one makes ``w >> g`` one bit
+        self.lane = sim.lanes - 1
 
     def observe(self, cycle, v, k, alive):
-        if cycle >= len(self.golden):
-            return []
+        g = self.lane
         out: List[Tuple[int, Violation]] = []
-        claimed = 0
-        reference = self.golden[cycle]
         for i, slot in enumerate(self._slots):
-            gv, gk = reference[i]
-            mismatch = ((k[slot] ^ gk) | (v[slot] ^ gv)) & alive & ~claimed
+            vs, ks = v[slot], k[slot]
+            mismatch = ((vs ^ -(vs >> g)) | (ks ^ -(ks >> g))) & alive
             if not mismatch:
                 continue
-            claimed |= mismatch
+            alive &= ~mismatch
+            want = unpack_lane((vs, ks), g)
             for lane in _lanes_of(mismatch):
-                want = unpack_lane((gv, gk), lane)
-                got = unpack_lane((v[slot], k[slot]), lane)
+                got = unpack_lane((vs, ks), lane)
                 out.append((
                     lane,
                     Violation(
@@ -365,6 +314,8 @@ class BatchGoldenMonitor(BatchMonitor):
                         f"expected {want!r}, observed {got!r}",
                     ),
                 ))
+            if not alive:
+                break
         return out
 
 
@@ -380,14 +331,18 @@ def protocol_monitors(
 
 
 def batch_monitor_bank(
-    target: RtlTarget, sim: CompiledSimulator, golden: BatchGoldenMonitor
+    target: RtlTarget, sim: CompiledSimulator
 ) -> List[BatchMonitor]:
-    """A fresh monitor bank: channel protocol, EB state, then golden."""
+    """A fresh monitor bank: channel protocol, EB state, then golden.
+
+    The golden monitor compares ``target.observe`` with the simulator's
+    top lane, which the caller runs fault-free.
+    """
     bank = protocol_monitors(target.channels, sim)
     for probe in target.ebs:
         bank.append(BatchEncodingMonitor(probe, sim))
         bank.append(BatchConservationMonitor(probe, sim))
-    bank.append(golden)
+    bank.append(BatchGoldenMonitor(target.observe, sim))
     return bank
 
 
@@ -444,7 +399,9 @@ class BatchCampaignHarness:
     :meth:`run_chunk` classifies up to ``lanes`` injections, one per
     lane, in a single run and returns their :class:`FaultOutcome`
     objects in sweep order; :meth:`run_schedule` replays one injection
-    schedule in lane 0.
+    schedule in lane 0.  The simulator runs ``lanes + 1`` lanes: lane
+    ``lanes`` never receives an override and is the golden run every
+    sweep compares against.
 
     ``cache`` is the build cache of the generated module: a
     :class:`~repro.codegen.cache.BuildCache`, a directory path, or
@@ -461,6 +418,8 @@ class BatchCampaignHarness:
         metrics: Optional["MetricsRegistry"] = None,
         cache: Union[BuildCache, str, None] = None,
     ) -> None:
+        if lanes < 1:
+            raise ValueError("need at least one lane")
         self.target = target
         self.config = config
         self.lanes = lanes
@@ -471,41 +430,28 @@ class BatchCampaignHarness:
             target.free_inputs, config.cycles, config.seed
         )
         self.packed = [
-            {name: broadcast(value, lanes) for name, value in inputs.items()}
+            {name: broadcast(value, self.sim.lanes)
+             for name, value in inputs.items()}
             for inputs in self.stimulus
         ]
-        self.golden: List[Dict[str, Value]] = []
-        self.golden_final: Dict[str, Value] = {}
-        self._record_golden()
-        self._golden_monitor = BatchGoldenMonitor.from_scalar(
-            target.observe, self.golden, self.sim
-        )
 
     def _make_sim(self) -> CompiledSimulator:
         """The simulator restricted to what a campaign touches.
 
         Override hooks sit at the target's fault sites only, and
         end-of-cycle writeback covers the target's observed wires (the
-        union of every monitor's read set).
+        union of every monitor's read set).  One lane above ``lanes``
+        carries the golden run; generated modules are lane-agnostic, so
+        it costs no other build.
         """
         return CompiledSimulator(
             self.target.netlist,
-            self.lanes,
+            self.lanes + 1,
             hooks=frozenset(self.target.fault_sites),
             observe=frozenset(self.target.observe),
             cache=self.cache,
             metrics=self.metrics,
         )
-
-    def _record_golden(self) -> None:
-        sim = self.sim
-        sim.set_overrides({})
-        sim.reset()
-        observe = self.target.observe
-        for packed in self.packed:
-            sim.cycle(packed)
-            self.golden.append({w: sim.lane_value(w, 0) for w in observe})
-        self.golden_final = sim.lane_state(0)
 
     def _sweep(
         self,
@@ -517,7 +463,8 @@ class BatchCampaignHarness:
         """Run the stimulus from reset until every ``alive`` lane is caught.
 
         ``overrides_at(t)`` is installed at each cycle of ``edges`` (the
-        cycles where some fault switches on or off).  Returns each
+        cycles where some fault switches on or off); it never touches
+        the golden lane, which ``alive`` leaves out.  Returns each
         caught lane's first violation; ``steps``, when given, receives
         lane 0's trace up to and including the last cycle run.
         """
@@ -530,7 +477,7 @@ class BatchCampaignHarness:
         # verdict depend on which chunk the harness ran before, i.e. on
         # scheduling.
         sim.set_overrides({})
-        bank = batch_monitor_bank(self.target, sim, self._golden_monitor)
+        bank = batch_monitor_bank(self.target, sim)
         found: Dict[int, Violation] = {}
         value_planes = sim.value_planes
         known_planes = sim.known_planes
@@ -584,6 +531,9 @@ class BatchCampaignHarness:
             _activity_edges(injections),
             (1 << len(injections)) - 1,
         )
+        # A lane that survives kept the sweep going to the horizon, so
+        # the golden lane's state is then the golden final state.
+        golden_final: Optional[Dict[str, Value]] = None
         outcomes: List[FaultOutcome] = []
         for lane, injection in enumerate(injections):
             violation = found.get(lane)
@@ -596,11 +546,12 @@ class BatchCampaignHarness:
                     detail=violation.detail,
                 ))
                 continue
+            if golden_final is None:
+                golden_final = self.sim.lane_state(self.lanes)
             final = self.sim.lane_state(lane)
-            if final != self.golden_final:
+            if final != golden_final:
                 diverged = sorted(
-                    s for s, v in final.items()
-                    if self.golden_final.get(s) != v
+                    s for s, v in final.items() if golden_final.get(s) != v
                 )
                 outcomes.append(FaultOutcome(
                     fault=injection.label(),

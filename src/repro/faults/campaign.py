@@ -28,7 +28,8 @@ compiled lane-parallel simulator.
 
 RTL campaigns run on the compiled lane-parallel simulator
 (:class:`~repro.faults.batch.BatchCampaignHarness`), which classifies
-``lanes`` injections per simulation, one per bit lane.  They scale two
+``lanes`` injections per simulation, one per bit lane, beside the
+fault-free run in one lane more.  They scale two
 ways, composable and both byte-identical to the one-lane sweep: more
 ``lanes``, and ``jobs > 1`` (or ``workers=``), which leases the
 injection chunks to socket workers of :mod:`repro.fabric` (dead/hung

@@ -17,8 +17,9 @@ which checker caught a fault and keep sweeping.  The rules:
   ``a1 ≤ a0``), token/anti-token exclusion (``¬(t0 ∧ a0)``) and token
   conservation (the signed occupancy changes exactly by the previous
   cycle's boundary transfers and kills);
-* against the fault-free reference run: every observed wire matches
-  the golden trace cycle by cycle.
+* against the fault-free run, which the campaign simulates as the top
+  lane beside the faulty ones: every observed wire matches that golden
+  lane cycle by cycle.
 
 :func:`_bit` is the strict-bit reading every rule uses (X counts as
 0); :meth:`EbProbe.occupancy` decodes the signed occupancy with it,

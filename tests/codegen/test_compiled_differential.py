@@ -197,7 +197,8 @@ def test_unobserved_signal_rejected():
 
 
 def _checked_harness():
-    """A 4-lane campaign harness after one clean chunk."""
+    """A 4-lane campaign harness after one clean chunk (its simulator
+    has a fifth lane, the golden run)."""
     config = CampaignConfig(cycles=60, seed=3, untestable_analysis=False)
     target = resolve_target("dual_ehb")
     harness = BatchCampaignHarness(target, config, 4)
@@ -221,6 +222,6 @@ def test_bit_above_the_mask_taints_every_lane():
     sim = _checked_harness().sim
     slot = next(iter(sim.state))
     vp, kp = sim.state[slot]
-    above = 1 << 4
+    above = sim.mask + 1  # the first bit past the top (golden) lane
     sim.state[slot] = (vp | above, kp | above)
     assert sim.check_lane_integrity() == sim.mask

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.faults.batch import BatchCampaignHarness
+from repro.codegen.sim import CompiledSimulator
+from repro.faults.batch import BatchCampaignHarness, lane_overrides
 from repro.faults.campaign import (
     CampaignConfig,
     ProcessorCampaignConfig,
@@ -143,7 +144,43 @@ class TestHarness:
         )
         violation, _, final_state = harness.run_schedule([])
         assert violation is None
-        assert final_state == harness.golden_final
+        assert final_state == harness.sim.lane_state(harness.lanes)
+
+    def test_construction_simulates_nothing(self, monkeypatch):
+        # The golden run rides as the top lane of every sweep: building
+        # the harness compiles, but runs no cycle of its own.
+        calls = []
+        real = CompiledSimulator.cycle
+
+        def counted(sim, inputs=None):
+            calls.append(sim.time)
+            real(sim, inputs)
+
+        monkeypatch.setattr(CompiledSimulator, "cycle", counted)
+        config = CampaignConfig(cycles=80)
+        harness = BatchCampaignHarness(dual_ehb(), config, 8)
+        assert calls == []
+        assert (harness.lanes, harness.sim.lanes) == (8, 9)
+        harness.run_chunk(enumerate_injections(dual_ehb(), config)[:8])
+        assert calls == list(range(len(calls)))
+        assert 0 < len(calls) <= config.cycles
+
+    def test_full_chunk_never_touches_the_golden_lane(self):
+        lanes = 8
+        config = CampaignConfig(kinds=("stuck0", "stuck1", "flip"),
+                                injection_cycles=(0, 3))
+        # Every kind, switched on at cycle 0 or 3.
+        chunk = enumerate_injections(dual_ehb(), config)[:lanes]
+        assert {i.kind for i in chunk} == set(config.kinds)
+        touched = 0
+        for t in range(6):
+            for override in lane_overrides(chunk, t).values():
+                touched |= override.set0 | override.set1 | override.flip
+        assert touched == (1 << lanes) - 1  # every fault lane, never lane 8
+
+    def test_zero_lanes_raise(self):
+        with pytest.raises(ValueError, match="at least one lane"):
+            BatchCampaignHarness(dual_ehb(), CampaignConfig(cycles=80), 0)
 
     def test_recording_returns_int_signals(self):
         harness = BatchCampaignHarness(

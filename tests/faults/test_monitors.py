@@ -5,7 +5,8 @@ Every rule is checked twice: on the word-wide monitors of
 through :class:`LaneSim`, and on the scalar reference bank of
 ``tests/faults/scalar_reference.py``.  A Hypothesis property then
 requires both banks to report the same first violation on every lane
-of random ternary traces.
+of random ternary traces, with the golden trace packed into the top
+lane as a campaign runs it.
 """
 
 import types
@@ -22,11 +23,12 @@ from repro.faults.batch import (
     BatchGoldenMonitor,
     BatchInvariantMonitor,
     BatchPersistenceMonitor,
+    _count7,
     batch_monitor_bank,
     protocol_monitors,
 )
 from repro.faults.monitors import EbProbe, Violation
-from repro.rtl.batchsim import pack_values
+from repro.rtl.batchsim import pack_values, truth_table_columns
 from repro.rtl.logic import X, Value
 from repro.rtl.netlist import Netlist
 from tests.faults.scalar_reference import (
@@ -41,8 +43,8 @@ from tests.faults.scalar_reference import (
 
 
 class LaneSim:
-    """What the word-wide monitors read off a simulator: ``slot`` and
-    ``mask`` (plus ``lanes`` for a broadcast golden trace).
+    """What the word-wide monitors read off a simulator: ``slot``,
+    ``mask`` and ``lanes`` (a bank's golden monitor reads the top lane).
 
     Slots are handed out on first lookup; :meth:`planes` packs one
     cycle's values, lane ``i`` from ``per_lane[i]`` (absent wires X).
@@ -267,6 +269,14 @@ class TestConservationMonitor:
         assert mon.observe(0, eb_values(probe, a0=1, l_vp=1, l_vn=1)) is None
         assert mon.observe(1, eb_values(probe)) is None
 
+    def test_anti_token_flows_are_legal(self, probe):
+        mon = ConservationMonitor(probe)
+        # An anti-token arrives on the right (V-, no S-, no V+) ...
+        assert mon.observe(0, eb_values(probe, r_vn=1)) is None
+        # ... is stored, and leaves on the left the next cycle.
+        assert mon.observe(1, eb_values(probe, a0=1, l_vn=1)) is None
+        assert mon.observe(2, eb_values(probe)) is None
+
 
 class TestBatchConservationMonitor:
     def test_spontaneous_token_loss_fires(self, probe, sim):
@@ -297,11 +307,41 @@ class TestBatchConservationMonitor:
                      eb_values(probe, a0=1, l_vp=1, l_vn=1)) is None
         assert lane0(mon, sim, 1, eb_values(probe)) is None
 
+    def test_anti_token_flows_are_legal(self, probe, sim):
+        mon = BatchConservationMonitor(probe, sim)
+        # An anti-token arrives on the right (V-, no S-, no V+) ...
+        assert lane0(mon, sim, 0, eb_values(probe, r_vn=1)) is None
+        # ... is stored, and leaves on the left the next cycle.
+        assert lane0(mon, sim, 1, eb_values(probe, a0=1, l_vn=1)) is None
+        assert lane0(mon, sim, 2, eb_values(probe)) is None
+
     def test_negative_occupancy_is_signed(self, probe, sim):
         mon = BatchConservationMonitor(probe, sim)
         assert lane0(mon, sim, 0, eb_values(probe, a0=1, a1=1)) is None
         assert lane0(mon, sim, 1, eb_values(probe, t0=1)) == Violation(
             1, "conservation[eb]", "occupancy -2 + delta 0 != observed 1")
+
+    def test_negative_observed_is_signed(self, probe, sim):
+        mon = BatchConservationMonitor(probe, sim)
+        assert lane0(mon, sim, 0, eb_values(probe, t0=1)) is None
+        assert lane0(mon, sim, 1, eb_values(probe, a0=1, a1=1)) == Violation(
+            1, "conservation[eb]", "occupancy 1 + delta 0 != observed -2")
+
+    def test_a_swing_of_four_is_caught(self, probe, sim):
+        # Both sides' counts differ by 4: only the top count plane shows it.
+        mon = BatchConservationMonitor(probe, sim)
+        assert lane0(mon, sim, 0, eb_values(probe, a0=1, a1=1)) is None
+        assert lane0(mon, sim, 1, eb_values(probe, t0=1, t1=1)) == Violation(
+            1, "conservation[eb]", "occupancy -2 + delta 0 != observed 2")
+
+
+def test_count7_is_a_popcount():
+    # Lane L of the truth-table columns holds the bits of L: every input
+    # combination once, all 128 in one call.
+    planes = _count7(*truth_table_columns(7))
+    for lane in range(128):
+        count = sum(((p >> lane) & 1) << i for i, p in enumerate(planes))
+        assert count == bin(lane).count("1"), lane
 
 
 class TestGoldenMonitor:
@@ -317,25 +357,60 @@ class TestGoldenMonitor:
         assert "w" in violation.monitor
 
 
+def against_golden(monitor, sim: LaneSim, cycle: int,
+                   values: Mapping[str, Value],
+                   golden: Mapping[str, Value]) -> Optional[Violation]:
+    """Lane 0 observed beside the golden run in lane 1, the top lane."""
+    v, k = sim.planes([values, golden])
+    fired = monitor.observe(cycle, v, k, 1)
+    assert all(lane == 0 for lane, _ in fired)
+    return fired[0][1] if fired else None
+
+
+@pytest.fixture
+def pair():
+    return LaneSim(2)
+
+
 class TestBatchGoldenMonitor:
-    def test_matches_are_silent(self, sim):
-        mon = BatchGoldenMonitor.from_scalar(
-            ["w"], [{"w": 1}, {"w": 0}], sim
-        )
-        assert lane0(mon, sim, 0, {"w": 1}) is None
-        assert lane0(mon, sim, 1, {"w": 0}) is None
-        assert lane0(mon, sim, 5, {"w": 1}) is None  # past the reference
+    def test_matches_are_silent(self, pair):
+        mon = BatchGoldenMonitor(["w"], pair)
+        assert against_golden(mon, pair, 0, {"w": 1}, {"w": 1}) is None
+        assert against_golden(mon, pair, 1, {"w": 0}, {"w": 0}) is None
 
-    def test_divergence_names_the_wire(self, sim):
-        mon = BatchGoldenMonitor.from_scalar(["w"], [{"w": 1}], sim)
-        assert lane0(mon, sim, 0, {"w": 0}) == Violation(
+    def test_divergence_names_the_wire(self, pair):
+        mon = BatchGoldenMonitor(["w"], pair)
+        assert against_golden(mon, pair, 0, {"w": 0}, {"w": 1}) == Violation(
             0, "golden[w]", "expected 1, observed 0")
+        assert against_golden(mon, pair, 1, {"w": 1}, {"w": 0}) == Violation(
+            1, "golden[w]", "expected 0, observed 1")
 
-    def test_x_matches_only_x(self, sim):
-        mon = BatchGoldenMonitor.from_scalar(["w"], [{"w": X}] * 2, sim)
-        assert lane0(mon, sim, 0, {"w": X}) is None
-        assert lane0(mon, sim, 1, {"w": 0}) == Violation(
+    def test_x_matches_only_x(self, pair):
+        # X in the top lane: the golden run itself carries an unknown.
+        mon = BatchGoldenMonitor(["w"], pair)
+        assert against_golden(mon, pair, 0, {"w": X}, {"w": X}) is None
+        assert against_golden(mon, pair, 1, {"w": 0}, {"w": X}) == Violation(
             1, "golden[w]", "expected X, observed 0")
+        assert against_golden(mon, pair, 2, {"w": 1}, {"w": X}) == Violation(
+            2, "golden[w]", "expected X, observed 1")
+        assert against_golden(mon, pair, 3, {"w": X}, {"w": 0}) == Violation(
+            3, "golden[w]", "expected 0, observed X")
+
+    def test_first_wire_in_order_claims_a_lane(self):
+        sim = LaneSim(4)
+        mon = BatchGoldenMonitor(["a", "b"], sim)
+        v, k = sim.planes([
+            {"a": 0, "b": 0},  # off golden on both wires
+            {"a": 1, "b": 0},  # off golden on b only
+            {"a": 1, "b": 1},  # the golden values
+            {"a": 1, "b": 1},  # golden
+        ])
+        assert mon.observe(4, v, k, 0b111) == [
+            (0, Violation(4, "golden[a]", "expected 1, observed 0")),
+            (1, Violation(4, "golden[b]", "expected 1, observed 0")),
+        ]
+        # Dead lanes are never reported.
+        assert mon.observe(5, v, k, 0b100) == []
 
 
 def test_factories_cover_all_rules(probe, channel):
@@ -345,12 +420,14 @@ def test_factories_cover_all_rules(probe, channel):
     assert {type(m) for m in bank} == {EncodingMonitor, ConservationMonitor}
 
 
-def test_word_wide_bank_order_matches_the_reference(probe, channel, sim):
-    golden = BatchGoldenMonitor.from_scalar(["w"], [], sim)
-    target = types.SimpleNamespace(channels=[channel], ebs=[probe])
-    bank = batch_monitor_bank(target, sim, golden)
+def test_word_wide_bank_order_matches_the_reference(probe, channel):
+    sim = LaneSim(3)
+    target = types.SimpleNamespace(channels=[channel], ebs=[probe],
+                                   observe=["w"])
+    bank = batch_monitor_bank(target, sim)
     reference = channel_monitors([channel]) + buffer_monitors([probe])
     assert [m.name for m in bank] == [m.name for m in reference] + ["golden"]
+    assert (bank[-1].wires, bank[-1].lane) == (["w"], 2)  # the top lane
     assert [m.name for m in protocol_monitors([channel], sim)] == [
         m.name for m in channel_monitors([channel])
     ]
@@ -397,22 +474,21 @@ def test_word_wide_bank_matches_the_reference_on_every_lane(data):
     golden_wires = data.draw(st.lists(
         st.sampled_from(SIGNALS), unique=True, max_size=2
     ), label="golden_wires")
-    golden = [
-        {w: trace_values[w] for w in golden_wires}
-        for trace_values in data.draw(st.lists(
-            cycle_values, min_size=cycles, max_size=cycles
-        ), label="golden")
-    ]
+    # The golden run, X included, on every signal of the top lane.
+    golden_trace = data.draw(st.lists(
+        cycle_values, min_size=cycles, max_size=cycles
+    ), label="golden")
+    golden = [{w: values[w] for w in golden_wires} for values in golden_trace]
 
-    sim = LaneSim(lanes)
-    target = types.SimpleNamespace(channels=[CHANNEL], ebs=[PROBE])
-    bank = batch_monitor_bank(
-        target, sim, BatchGoldenMonitor.from_scalar(golden_wires, golden, sim)
+    sim = LaneSim(lanes + 1)
+    target = types.SimpleNamespace(
+        channels=[CHANNEL], ebs=[PROBE], observe=golden_wires
     )
+    bank = batch_monitor_bank(target, sim)
     found: Dict[int, Violation] = {}
-    alive = sim.mask
+    alive = (1 << lanes) - 1
     for t in range(cycles):
-        v, k = sim.planes([trace[t] for trace in traces])
+        v, k = sim.planes([trace[t] for trace in traces] + [golden_trace[t]])
         for monitor in bank:
             for lane, violation in monitor.observe(t, v, k, alive):
                 found[lane] = violation
@@ -420,6 +496,7 @@ def test_word_wide_bank_matches_the_reference_on_every_lane(data):
         if not alive:
             break
 
+    assert set(found) <= set(range(lanes))
     for lane, trace in enumerate(traces):
         got = found.get(lane)
         assert (
