@@ -368,8 +368,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
         )
     if args.lanes < 1 or args.jobs < 1:
         raise SystemExit("--lanes and --jobs must be positive")
-    if args.cycles < 1:
-        raise SystemExit(f"cycles must be >= 1, got {args.cycles}")
     if ((args.shard_timeout is not None or args.max_retries is not None)
             and args.jobs == 1 and not args.workers):
         raise SystemExit(
@@ -608,6 +606,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"  {rule.clause}")
         if not args.targets and not args.file:
             return 0
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = load_baseline(args.baseline)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"--baseline: {exc}")
     targets = args.targets or ([] if args.file else all_targets())
     cache = None
     if not args.no_cache:
@@ -645,8 +649,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"recorded {count} fingerprint(s) to {args.write_baseline}")
     print(report.render())
     findings = report.findings
-    if args.baseline:
-        findings = new_findings(report, load_baseline(args.baseline))
+    if baseline is not None:
+        findings = new_findings(report, baseline)
         suppressed = len(report.findings) - len(findings)
         if suppressed:
             print(f"{suppressed} finding(s) suppressed by {args.baseline}")
@@ -1060,9 +1064,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the least value of each bounded numeric option, in every subcommand
+#: that has the option
+_MINIMA = {"cycles": 1, "specs": 1, "buffer": 0}
+
+
+def _check_minima(args: argparse.Namespace) -> None:
+    """Exit with one line naming the first option below its minimum."""
+    for name, least in _MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise SystemExit(f"--{name} must be >= {least}, got {value}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_minima(args)
     return args.func(args)
 
 

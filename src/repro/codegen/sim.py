@@ -261,13 +261,6 @@ class CompiledSimulator:
         """One lane's ternary value of ``sig`` after the last cycle."""
         return unpack_lane(self.planes(sig), lane)
 
-    def lane_values(self, lane: int, sigs: Optional[Iterable[str]] = None):
-        """One lane's view of the last cycle over the observed signals."""
-        if sigs is None:
-            observed = self._observed_set
-            sigs = [n for n, s in self._slot.items() if s in observed]
-        return {name: self.lane_value(name, lane) for name in sigs}
-
     def lane_state(self, lane: int):
         """One lane's latch/flop state, matching the scalar ``state``."""
         return {

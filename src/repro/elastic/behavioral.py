@@ -947,7 +947,8 @@ class ElasticNetwork:
         Probes run once per settled cycle with the channel wires still
         valid and ``net.cycle`` naming the cycle just simulated -- the
         attachment point for occupancy sampling, metrics collection and
-        the :class:`~repro.resilience.NetworkStallWatchdog`.
+        the :class:`~repro.obs.analyze.NetworkProfiler` (cycle accounting,
+        stall attribution and stall diagnosis).
         """
         self.probes.append(probe)
         return probe

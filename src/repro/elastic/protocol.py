@@ -28,7 +28,7 @@ strongly connected system.
 Every other cycle is a **retry+** (``V+ and S+``), a **retry−** (``V−
 and S−``) or **idle**.  :func:`event_of` is the one six-event table;
 :data:`CATEGORY`, :data:`MOVED` and :data:`RETRYING` name and group
-its events for every counter, monitor, profiler and watchdog.
+its events for every counter, monitor and profiler.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ CATEGORY: Dict[DualChannelEvent, str] = dict(zip(DualChannelEvent, (
 )))
 
 #: the events in which something moves: the paper's throughput counts
-#: them, and a no-progress watchdog waits for one
+#: them, and the profilers' no-progress rule waits for one
 MOVED = (
     DualChannelEvent.POSITIVE_TRANSFER,
     DualChannelEvent.NEGATIVE_TRANSFER,

@@ -17,11 +17,11 @@ Layout per connection:
   the local queue; the unit already in flight finishes and its result
   is deduplicated coordinator-side;
 * ``--shard-timeout`` arms the **hung-compute watchdog**: a unit that
-  exceeds the deadline means the simulator itself is wedged (the
-  in-process stall watchdogs should have fired first), and the only
-  honest recovery is ``os._exit`` -- die loudly, let the host's
-  service manager restart the daemon, let the coordinator requeue the
-  chunk.  A quiet zombie would hold its lease forever.
+  exceeds the deadline means the simulator itself is wedged (a chunk
+  simulates a bounded number of cycles), and the only honest recovery
+  is ``os._exit`` -- die loudly, let the host's service manager
+  restart the daemon, let the coordinator requeue the chunk.  A quiet
+  zombie would hold its lease forever.
 
 The worker serves one coordinator at a time; a second connection gets
 a ``busy`` rejection.  It never touches the checkpoint store -- only

@@ -30,12 +30,23 @@ def write_baseline(report: LintReport, path: Union[str, Path]) -> int:
 
 
 def load_baseline(path: Union[str, Path]) -> Set[str]:
-    """The suppressed fingerprints of one baseline file."""
-    payload = json.loads(Path(path).read_text())
+    """The suppressed fingerprints of one baseline file.
+
+    Raises :class:`OSError` when the file cannot be read, and
+    :class:`ValueError` naming the file when it is not a baseline.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ValueError(f"{path}: malformed baseline ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: malformed baseline (not a JSON object)")
     fingerprints = payload.get("fingerprints", [])
-    if not isinstance(fingerprints, list):
+    if not isinstance(fingerprints, list) or not all(
+        isinstance(f, str) for f in fingerprints
+    ):
         raise ValueError(f"{path}: malformed baseline (fingerprints "
-                         "must be a list)")
+                         "must be a list of strings)")
     return set(fingerprints)
 
 

@@ -20,9 +20,15 @@ simulator:
 * **backpressure attribution** -- each blocked Stop wire (the Stop
   wire of a ``retry+`` or ``retry-`` channel) is walked backwards
   through the asserted-Stop chain to the root-cause wire, on the
-  stall watchdogs' wait-for graph (the controller-port graph of a
+  wait-for graph of the design (the controller-port graph of a
   network, the fan-in cones of a netlist), and the lost channel-cycles
   are tallied per blocking sink and per root;
+* **stall diagnosis** -- in the same pass, ``_WINDOW`` cycles in
+  which some Stop wire stays blocked but no channel moves make one
+  :class:`StallDiagnosis`: the ring of blocked Stop wires each
+  waiting on the next (a deadlock), or the chain to the root-cause
+  wire when the wait-for graph has no cycle.  A fully idle design is
+  not stalled: with nothing offered there is nothing to block;
 * **critical-cycle analysis** -- the DMG abstraction's
   throughput-bounding cycle is named arc by arc, the timed DMG
   simulator predicts the throughput with early evaluation, and the
@@ -37,8 +43,7 @@ simulator:
 
 Reports are byte-identical across repeated seeded runs; the
 ``backend`` tag names the engine a design runs on (``network`` or
-``compiled``).  Stall diagnoses drop their engine-specific fields
-before serialisation, so both engines share one schema.  Profilers
+``compiled``), and both engines share one schema.  Profilers
 constructed with ``enabled=False`` attach nothing, mirroring the
 :class:`~repro.obs.recorder.TraceRecorder` zero-cost no-op guarantee
 that the overhead benchmark locks.
@@ -50,23 +55,28 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.elastic.channel import ChannelStats
+from repro.elastic.protocol import MOVED, RETRYING, event_of
 from repro.obs.metrics import _canon
 from repro.rtl.logic import X
+from repro.rtl.toposort import canonical_cycle, order_or_cycle
 
 __all__ = [
     "NetworkProfiler",
     "PerformanceReport",
     "RtlChannelProfiler",
+    "StallDiagnosis",
     "model_section",
     "pipeline_network",
     "profile_designs",
     "run_profile",
 ]
 
-#: no-progress window of the embedded (non-raising) stall watchdogs
+#: cycles with a blocked Stop wire and no moved event that make a stall
 _WINDOW = 64
 
 
@@ -97,19 +107,53 @@ def _walk_root(
         seen.add(node)
 
 
-def _stall_dict(diagnosis) -> Dict[str, object]:
-    """A stall diagnosis as backend-independent JSON.
+@dataclass(frozen=True)
+class StallDiagnosis:
+    """Why a run stopped making progress.
 
-    The ``detail`` (names the engine) and ``lane`` fields are dropped,
-    so a stall serialises alike whichever watchdog diagnosed it.
+    ``stop_cycle`` is the canonicalised ring of blocked Stop wires, each
+    waiting on the next; ``blocked`` then lists every blocked wire.
+    When the wait-for graph has no cycle, ``stop_cycle`` is empty and
+    ``blocked`` is the chain from the smallest blocked wire to the
+    root-cause wire.
     """
-    return {
-        "blocked": list(diagnosis.blocked),
-        "cycle": diagnosis.cycle,
-        "last_progress": diagnosis.last_progress,
-        "stop_cycle": list(diagnosis.stop_cycle),
-        "window": diagnosis.window,
-    }
+
+    cycle: int
+    window: int
+    last_progress: int
+    stop_cycle: Tuple[str, ...]
+    blocked: Tuple[str, ...]
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "blocked": list(self.blocked),
+            "cycle": self.cycle,
+            "last_progress": self.last_progress,
+            "stop_cycle": list(self.stop_cycle),
+            "window": self.window,
+        }
+
+
+def _diagnose(
+    cycle: int,
+    last_progress: int,
+    blocked: Set[str],
+    waits_on: Mapping[str, Tuple[str, ...]],
+) -> StallDiagnosis:
+    """The deadlock ring (or root-cause chain) of a wait-for graph over
+    the non-empty ``blocked`` set."""
+    _, ring = order_or_cycle(waits_on)
+    if ring is not None:
+        return StallDiagnosis(
+            cycle, _WINDOW, last_progress,
+            tuple(canonical_cycle(ring)), tuple(sorted(blocked)),
+        )
+    # Acyclic: walk from the smallest blocked wire to the root cause
+    # (a blocked wire none of whose waits are themselves blocked).
+    chain = [min(blocked)]
+    while chain[-1] in waits_on:
+        chain.append(min(waits_on[chain[-1]]))
+    return StallDiagnosis(cycle, _WINDOW, last_progress, (), tuple(chain))
 
 
 def _fraction(value: Fraction) -> str:
@@ -118,14 +162,18 @@ def _fraction(value: Fraction) -> str:
 
 class _ChannelProfiler:
     """What both profilers report from: one :class:`ChannelStats` per
-    channel (:attr:`stats`, by channel name) and the lost channel-cycles
-    of each blocked Stop wire, tallied per root cause."""
+    channel (:attr:`stats`, by channel name), the lost channel-cycles
+    of each blocked Stop wire, tallied per root cause, and the stalls
+    of the run (:attr:`diagnoses`)."""
 
     stats: Mapping[str, ChannelStats]
 
     def __init__(self) -> None:
         self.lost: Dict[str, int] = {}
         self.roots: Dict[str, Dict[str, int]] = {}
+        self.diagnoses: List[StallDiagnosis] = []
+        #: the last cycle that moved an event or blocked no Stop wire
+        self.last_progress = -1
 
     def _attribute(
         self,
@@ -138,6 +186,22 @@ class _ChannelProfiler:
             self.lost[wire] = self.lost.get(wire, 0) + 1
             by_root = self.roots.setdefault(wire, {})
             by_root[root] = by_root.get(root, 0) + 1
+
+    def _watch(self, cycle: int, moved: bool, blocked: Set[str]) -> None:
+        """The no-progress rule: a cycle that moves an event, or blocks
+        no Stop wire, is progress; ``_WINDOW`` cycles without progress
+        make one stall diagnosis, and the window restarts."""
+        if moved or not blocked:
+            self.last_progress = cycle
+        elif cycle - self.last_progress >= _WINDOW:
+            self.diagnoses.append(_diagnose(
+                cycle, self.last_progress, blocked, self._waits_on(blocked)
+            ))
+            self.last_progress = cycle
+
+    def _waits_on(self, blocked: Set[str]) -> Dict[str, Tuple[str, ...]]:
+        """The wait-for graph among the ``blocked`` Stop wires."""
+        raise NotImplementedError
 
     def throughput(self, channel: str) -> float:
         return self.stats[channel].throughput
@@ -176,9 +240,7 @@ class _ChannelProfiler:
             "complete": complete,
         }
 
-    def attribution_section(
-        self, diagnoses: Sequence = ()
-    ) -> Dict[str, object]:
+    def attribution_section(self) -> Dict[str, object]:
         sinks: Dict[str, object] = {}
         for wire in sorted(self.lost):
             roots = self.roots.get(wire, {})
@@ -189,7 +251,7 @@ class _ChannelProfiler:
         return {
             "lost_cycles": sum(self.lost.values()),
             "sinks": sinks,
-            "stalls": [_stall_dict(d) for d in diagnoses],
+            "stalls": [d.to_dict() for d in self.diagnoses],
         }
 
 
@@ -202,7 +264,12 @@ class RtlChannelProfiler(_ChannelProfiler):
     :meth:`attach_lane` hooks one lane of a
     :class:`~repro.codegen.sim.CompiledSimulator` (all watched channel
     wires must be in its module's observed set).  With
-    ``enabled=False`` it is a no-op.
+    ``enabled=False`` it is a no-op.  At gate level "my Stop is derived
+    from your Stop" *is* the fan-in dependency: a blocked wire waits on
+    the blocked wires of its combinational fan-in cone, or, when no
+    blocked wire has one (the EBs of a design cut every combinational
+    path), of its sequential cone through latch and flop ``d`` pins --
+    a retry that persists because another one persisted last cycle.
 
     ``ee`` optionally names an early join to account:
     ``{"output": <channel>, "inputs": [<channel>, ...]}`` -- a firing
@@ -230,8 +297,6 @@ class RtlChannelProfiler(_ChannelProfiler):
 
     # -- attachment ----------------------------------------------------
     def _prepare(self, sim) -> None:
-        from repro.resilience.watchdog import _fanin_cones
-
         self._sim = sim
         watched = [ch.sp for ch in self.target.channels]
         watched += [ch.sn for ch in self.target.channels]
@@ -260,23 +325,25 @@ class RtlChannelProfiler(_ChannelProfiler):
             for wire in wires:
                 ones, zeros = strict_planes(s, wire)
                 values[wire] = 1 if ones & bit else (0 if zeros & bit else X)
-            self._account(values)
+            self._account(time, values)
 
         sim.observers.append(observe)
         return self
 
     # -- per-cycle accounting ------------------------------------------
-    def _account(self, values: Mapping[str, object]) -> None:
-        from repro.resilience.watchdog import blocked_wires, channel_events
-
-        channels = self.target.channels
-        events = channel_events(channels, values)
-        for ch, event in zip(channels, events):
+    def _account(self, time: int, values: Mapping[str, object]) -> None:
+        blocked: Set[str] = set()
+        moved = False
+        for ch in self.target.channels:
+            event = event_of(values.get(ch.vp), values.get(ch.sp),
+                             values.get(ch.vn), values.get(ch.sn))
             self.stats[ch.name].record(event)
-        self._attribute(
-            blocked_wires(channels, events),
-            self._fanin_comb, self._fanin_seq,
-        )
+            if event in RETRYING:
+                blocked.add(getattr(ch, RETRYING[event]))
+            elif event in MOVED:
+                moved = True
+        self._attribute(blocked, self._fanin_comb, self._fanin_seq)
+        self._watch(time, moved, blocked)
         if self._ee_out is not None:
             out = self._ee_out
             if values.get(out.vp) == 1 and values.get(out.sp) == 0:
@@ -287,6 +354,20 @@ class RtlChannelProfiler(_ChannelProfiler):
                 if missing:
                     self.ee_early += 1
                     self.ee_generated += missing
+
+    def _waits_on(self, blocked: Set[str]) -> Dict[str, Tuple[str, ...]]:
+        for fanin in (self._fanin_comb, self._fanin_seq):
+            # Sorted, so the ring found never depends on string hashing.
+            waits: Dict[str, Tuple[str, ...]] = {}
+            for wire in sorted(blocked):
+                # A wire's own fan-in (its retry state looping through
+                # a flop) is "still stalled", not a wait-on edge.
+                deps = tuple(sorted((fanin[wire] & blocked) - {wire}))
+                if deps:
+                    waits[wire] = deps
+            if waits:
+                return waits
+        return {}
 
     # -- report sections -----------------------------------------------
     def _final_state(self) -> Mapping[str, object]:
@@ -307,6 +388,36 @@ class RtlChannelProfiler(_ChannelProfiler):
         )
 
 
+def _fanin_cones(
+    netlist, wires: Sequence[str], sequential: bool
+) -> Dict[str, Set[str]]:
+    """Transitive fan-in of each wire.
+
+    Always traverses gates; with ``sequential`` the walk also crosses
+    latch and flop ``q <- d`` arcs (cross-cycle dependencies), otherwise
+    state bits terminate the cone.
+    """
+    driver_ins: Dict[str, Tuple[str, ...]] = {
+        out: gate.ins for out, gate in netlist.gates.items()
+    }
+    if sequential:
+        for q, latch in netlist.latches.items():
+            driver_ins[q] = (latch.d,)
+        for q, flop in netlist.flops.items():
+            driver_ins[q] = (flop.d,)
+    cones: Dict[str, Set[str]] = {}
+    for wire in wires:
+        cone: Set[str] = set()
+        stack = [wire]
+        while stack:
+            for dep in driver_ins.get(stack.pop(), ()):
+                if dep not in cone:
+                    cone.add(dep)
+                    stack.append(dep)
+        cones[wire] = cone
+    return cones
+
+
 def _initial_bits(netlist, probe) -> Dict[str, object]:
     """Reset values of an EB probe's state bits, from the netlist."""
     bits: Dict[str, object] = {}
@@ -325,9 +436,11 @@ class NetworkProfiler(_ChannelProfiler):
     """Cycle accounting and stall attribution for an ElasticNetwork.
 
     The channel counters are each channel's own
-    :class:`~repro.elastic.channel.ChannelStats`; the attribution probe
-    and the early-join observers are the only per-cycle additions.
-    With ``enabled=False``, :meth:`attach` is a no-op.
+    :class:`~repro.elastic.channel.ChannelStats`; one probe (attribution
+    and stall diagnosis, on the controller-port wait-for graph
+    :func:`port_waits`) and the early-join observers are the only
+    per-cycle additions.  With ``enabled=False``, :meth:`attach` is a
+    no-op.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -337,6 +450,7 @@ class NetworkProfiler(_ChannelProfiler):
         self._net = None
         self._ebs: List = []
         self._initial: Dict[str, int] = {}
+        self._waits: Dict[str, List[str]] = {}
 
     @property
     def stats(self) -> Dict[str, ChannelStats]:
@@ -346,7 +460,6 @@ class NetworkProfiler(_ChannelProfiler):
         if not self.enabled:
             return self
         from repro.elastic.behavioral import EarlyJoin, ElasticBuffer
-        from repro.resilience.watchdog import network_blocked, port_waits
 
         self._net = net
         self._ebs = [
@@ -358,13 +471,31 @@ class NetworkProfiler(_ChannelProfiler):
                 tally = {"fires": 0, "early": 0, "generated": 0}
                 self.joins[ctrl.name] = tally
                 ctrl.output.observers.append(self._ee_observer(ctrl, tally))
-        waits = port_waits(net)
+        self._waits = port_waits(net)
 
         def probe(net) -> None:
-            self._attribute(network_blocked(net), waits, {})
+            blocked: Set[str] = set()
+            moved = False
+            for name, ch in net.channels.items():
+                event = ch.last_event
+                if event in RETRYING:
+                    blocked.add(f"{name}.{RETRYING[event]}")
+                elif event in MOVED:
+                    moved = True
+            self._attribute(blocked, self._waits, {})
+            self._watch(net.cycle, moved, blocked)
 
         net.add_probe(probe)
         return self
+
+    def _waits_on(self, blocked: Set[str]) -> Dict[str, Tuple[str, ...]]:
+        waits: Dict[str, Tuple[str, ...]] = {}
+        for wire, deps in self._waits.items():
+            if wire in blocked:
+                deps = tuple(dep for dep in deps if dep in blocked)
+                if deps:
+                    waits[wire] = deps
+        return waits
 
     def _ee_observer(self, ctrl, tally: Dict[str, int]):
         def observe(channel) -> None:
@@ -386,6 +517,31 @@ class NetworkProfiler(_ChannelProfiler):
              eb.left.name, eb.right.name)
             for eb in self._ebs
         )
+
+
+def port_waits(net) -> Dict[str, List[str]]:
+    """The wait-for graph of a behavioural network's Stop wires.
+
+    Maps each Stop wire to the Stop wires it waits on, from the
+    controller ports: a full controller asserts Stop+ on its inputs
+    because its outputs are stopped (``in.sp`` waits on ``out.sp``),
+    and anti-token back-pressure flows forward (``out.sn`` on
+    ``in.sn``).
+    """
+    from repro.elastic.behavioral import controller_ports
+
+    graph: Dict[str, List[str]] = {}
+    for ctrl in net.controllers:
+        ins, outs = controller_ports(ctrl)
+        for i in ins:
+            graph.setdefault(f"{i.name}.sp", []).extend(
+                f"{o.name}.sp" for o in outs
+            )
+        for o in outs:
+            graph.setdefault(f"{o.name}.sn", []).extend(
+                f"{i.name}.sn" for i in ins
+            )
+    return graph
 
 
 # ----------------------------------------------------------------------
@@ -693,13 +849,9 @@ def _eager_stimulus(free_inputs: Sequence[str]) -> Dict[str, int]:
     }
 
 
-def _run_rtl(target, cycles: int, cache, ee):
-    """Drive one lane of the compiled engine for ``cycles``.
-
-    Returns ``(profiler, stall diagnoses)``.
-    """
+def _run_rtl(target, cycles: int, cache, ee) -> RtlChannelProfiler:
+    """Profile one lane of the compiled engine for ``cycles``."""
     from repro.codegen.sim import CompiledSimulator
-    from repro.resilience.watchdog import BatchStallWatchdog
     from repro.rtl.batchsim import broadcast
 
     sim = CompiledSimulator(
@@ -707,16 +859,13 @@ def _run_rtl(target, cycles: int, cache, ee):
         observe=frozenset(target.observe), cache=cache,
     )
     profiler = RtlChannelProfiler(target, ee=ee).attach_lane(sim, 0)
-    watchdog = BatchStallWatchdog.for_target(
-        target, sim, window=_WINDOW, raise_on_stall=False
-    )
     planes = {
         name: broadcast(value, 1)
         for name, value in _eager_stimulus(target.free_inputs).items()
     }
     for _ in range(cycles):
         sim.cycle(planes)
-    return profiler, watchdog.diagnoses
+    return profiler
 
 
 def _profile_rtl(
@@ -728,13 +877,13 @@ def _profile_rtl(
     target = TARGETS[design]()
     reference = _RTL_REFERENCE[design]
     ee_spec = _RTL_EE.get(design)
-    profiler, diagnoses = _run_rtl(target, cycles, cache, ee_spec)
+    profiler = _run_rtl(target, cycles, cache, ee_spec)
     measured = profiler.throughput(reference)
 
     ee_section = None
     if ee_spec is not None:
         twin_name = _RTL_LATE_TWIN[design]
-        twin, _ = _run_rtl(TARGETS[twin_name](), cycles, cache, None)
+        twin = _run_rtl(TARGETS[twin_name](), cycles, cache, None)
         lazy_th = twin.throughput(_RTL_REFERENCE[twin_name])
         tokens = profiler.stats[reference].positive
         ee_section = {
@@ -762,7 +911,7 @@ def _profile_rtl(
         design=design, backend="compiled", cycles=cycles, seed=seed,
         channels=profiler.channel_section(),
         conservation=profiler.conservation_section(),
-        attribution=profiler.attribution_section(diagnoses),
+        attribution=profiler.attribution_section(),
         ee=ee_section, model=model,
     )
 
@@ -824,8 +973,6 @@ def _profile_network(
     design: str, cycles: int, seed: int,
     compare_model: bool, tolerance: float,
 ) -> PerformanceReport:
-    from repro.resilience.watchdog import NetworkStallWatchdog
-
     spec = None
     guards: Dict[str, object] = {}
     mean: Optional[Dict[str, float]] = None
@@ -868,9 +1015,6 @@ def _profile_network(
                 )
 
     profiler = NetworkProfiler().attach(net)
-    watchdog = NetworkStallWatchdog(
-        window=_WINDOW, raise_on_stall=False
-    ).attach(net)
     net.run(cycles)
     measured = net.throughput(reference)
 
@@ -913,7 +1057,7 @@ def _profile_network(
         design=design, backend="network", cycles=cycles, seed=seed,
         channels=profiler.channel_section(),
         conservation=profiler.conservation_section(),
-        attribution=profiler.attribution_section(watchdog.diagnoses),
+        attribution=profiler.attribution_section(),
         ee=ee_section, model=model,
     )
 

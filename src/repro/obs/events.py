@@ -19,9 +19,6 @@ ee-fire    an early-evaluation join fired; ``extra['missing']`` names
            the inputs left owing anti-tokens, ``extra['early']`` is
            True when that list is non-empty
 invariant  the equation (2) invariant broke on the channel (fault runs)
-stall      a no-progress watchdog fired; ``extra`` carries the
-           :class:`~repro.resilience.StallDiagnosis` fields (the
-           asserted-Stop cycle, the blocked wires, the window)
 finding    a static-analysis finding (:mod:`repro.lint`); ``value`` is
            the rule code, ``extra`` the severity/target/message (and
            cycle path when the rule reports one); stamped cycle 0
@@ -48,7 +45,6 @@ EVENT_KINDS = (
     *CATEGORY.values(),
     "ee-fire",
     "invariant",
-    "stall",
     "finding",
 )
 

@@ -1,15 +1,11 @@
 """repro.resilience -- hardened execution for long-running workloads.
 
-Two capabilities, threaded through the campaign and model-checking
-drivers:
-
-* **checkpoint/resume** (:mod:`~repro.resilience.checkpoint`) --
-  atomic, fingerprint-validated on-disk stores; a resumed run emits the
-  byte-identical report of an uninterrupted one;
-* **stall watchdogs** (:mod:`~repro.resilience.watchdog`) -- no-progress
-  windows over the behavioural network and the lanes of the compiled
-  gate-level simulator, with a structured :class:`StallDiagnosis`
-  naming the asserted-Stop cycle.
+**Checkpoint/resume** (:mod:`~repro.resilience.checkpoint`), threaded
+through the campaign and model-checking drivers: atomic,
+fingerprint-validated on-disk stores; a resumed run emits the
+byte-identical report of an uninterrupted one.
+:mod:`~repro.resilience.clock` gives the fabric's deadlines an
+injectable clock.
 
 Crash-tolerant sharding (``jobs=N``, dead and hung worker detection,
 requeues, :class:`~repro.fabric.ShardFailure`) lives in
@@ -17,7 +13,9 @@ requeues, :class:`~repro.fabric.ShardFailure`) lives in
 campaign whose netlist has a combinational cycle, which the compiled
 simulator cannot compile, raises
 :class:`~repro.rtl.toposort.CombinationalCycleError` at any lane count
-(:func:`repro.faults.campaign.run_campaign`).  See the "Resilience"
+(:func:`repro.faults.campaign.run_campaign`).  A run that stops making
+progress is diagnosed by the profilers of ``repro profile``
+(:class:`repro.obs.analyze.StallDiagnosis`).  See the "Resilience"
 section of DESIGN.md for formats and criteria.
 """
 
@@ -28,23 +26,13 @@ from repro.resilience.checkpoint import (
     atomic_write_json,
 )
 from repro.resilience.clock import MONOTONIC, Clock, FakeClock
-from repro.resilience.watchdog import (
-    BatchStallWatchdog,
-    NetworkStallWatchdog,
-    StallDiagnosis,
-    StallError,
-)
 
 __all__ = [
-    "BatchStallWatchdog",
     "CheckpointError",
     "CheckpointMismatch",
     "CheckpointStore",
     "Clock",
     "FakeClock",
     "MONOTONIC",
-    "NetworkStallWatchdog",
-    "StallDiagnosis",
-    "StallError",
     "atomic_write_json",
 ]

@@ -111,8 +111,7 @@ def strict_planes(sim, sig: str) -> Planes:
     the word-wide analogue of the strict comparisons ``sig == 1`` /
     ``sig == 0`` the protocol classifiers use.  ``sim`` is any
     simulator with the two-plane ``planes()`` accessor (the compiled
-    simulator), which is where the per-lane watchdogs and the channel
-    profiler read from.
+    simulator), which is where the channel profiler reads from.
     """
     v, k = sim.planes(sig)
     return (v & k, k & ~v)

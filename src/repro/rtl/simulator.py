@@ -58,8 +58,8 @@ class TwoPhaseSimulator:
     lane-parallel simulator is tested against, and the fuzz oracle's
     differential runs it beside a compiled lane; fault campaigns,
     enumeration (:mod:`repro.verif`, the :mod:`repro.faults` prover)
-    and the gate-level profiler, trace recorder and stall watchdog run
-    on that compiled engine instead.
+    and the gate-level profiler and trace recorder run on that
+    compiled engine instead.
     """
 
     def __init__(

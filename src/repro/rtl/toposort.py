@@ -15,8 +15,9 @@ this graph:
   instead of a bare list of unresolved nets.
 
 The core walk is :func:`order_or_cycle`, a plain dependency-graph
-routine with no netlist knowledge; the resilience watchdogs reuse it to
-find the cycle of mutually-blocked Stop wires in a stalled network.
+routine with no netlist knowledge; the profilers of
+:mod:`repro.obs.analyze` reuse it to find the cycle of mutually-blocked
+Stop wires in a stalled run.
 
 Cycle paths are canonical (rotated so the lexicographically smallest
 signal comes first, listed in signal-flow order), so the two simulators

@@ -7,9 +7,9 @@ spec-level lint rules first and **fails fast** on ERROR findings, so a
 structural deadlock -- a token-free cycle, an undersized (capacity-1)
 buffer loop, an annihilator-free counterflow cycle -- is diagnosed at
 build time with the offending cycle named, instead of surfacing as a
-:class:`~repro.resilience.NetworkStallWatchdog` stall diagnosis deep
-into a simulation.  Pass ``lint=False`` to opt out (e.g. to simulate a
-deadlock on purpose and watch the watchdog catch it).
+stall deep into a simulation.  Pass ``lint=False`` to opt out (e.g. to
+simulate a deadlock on purpose and watch a
+:class:`~repro.obs.analyze.NetworkProfiler` diagnose it).
 """
 
 from __future__ import annotations

@@ -1,28 +1,30 @@
 """Scalar references for the gate-level observers.
 
-``repro profile``, the trace recorder and the stall watchdogs observe
-RTL designs on lanes of the compiled simulator only.  The scalar twins
-they replaced live on here, as the references the lane observers are
-checked against.  ``TwoPhaseSimulator`` has no observer list, so each
-twin is fed from the values ``TwoPhaseSimulator.cycle()`` returns
-(:func:`cycle`):
+``repro profile`` and the trace recorder observe RTL designs on lanes
+of the compiled simulator only.  The scalar twins they replaced live on
+here, as the references the lane observers are checked against.
+``TwoPhaseSimulator`` has no observer list, so each twin is fed from
+the values ``TwoPhaseSimulator.cycle()`` returns (:func:`cycle`):
 
 * :class:`ScalarChannelProfiler` -- ``RtlChannelProfiler`` on settled
   scalar values;
-* :class:`RtlStallWatchdog` -- the per-wire no-progress watchdog;
+* :class:`RtlStallWatchdog` -- the no-progress rule written per wire,
+  beside the profiler's event-table form of it;
 * :func:`edge_observer` -- the recorder's edge and X-onset stream on a
   net watch list;
 * :func:`run_rtl` -- a drop-in for ``repro.obs.analyze._run_rtl`` that
-  drives all of them on the scalar simulator.
+  drives the channel profiler on the scalar simulator.
 """
 
-from typing import Callable, Dict, List, Mapping, Sequence
+from dataclasses import replace
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.obs.analyze import _WINDOW, RtlChannelProfiler, _eager_stimulus
-from repro.resilience.watchdog import (
+from repro.obs.analyze import (
+    _WINDOW,
+    RtlChannelProfiler,
     StallDiagnosis,
-    StallError,
-    _diagnose_rtl,
+    _diagnose,
+    _eager_stimulus,
     _fanin_cones,
 )
 from repro.rtl.logic import X
@@ -49,7 +51,7 @@ class ScalarChannelProfiler(RtlChannelProfiler):
         return self
 
     def observe(self, time: int, values: Dict[str, object]) -> None:
-        self._account(values)
+        self._account(time, values)
 
     def _final_state(self) -> Mapping[str, object]:
         return dict(self._sim.state)
@@ -58,18 +60,19 @@ class ScalarChannelProfiler(RtlChannelProfiler):
 class RtlStallWatchdog:
     """The scalar no-progress watchdog: one design's dual channels.
 
-    The progress/pending criterion is written per wire; the wait-for
-    graph is the per-lane watchdog's (``_diagnose_rtl``).
+    The progress and blocked tests are written per wire; the
+    wait-for graph is built over the blocked wires in sorted order,
+    combinational cones first, then sequential ones.  Every ``window``
+    cycles without progress make one diagnosis, and the window
+    restarts.
     """
 
-    def __init__(self, netlist, channels: Sequence, window: int = 32,
-                 raise_on_stall: bool = True) -> None:
+    def __init__(self, netlist, channels: Sequence,
+                 window: int = _WINDOW) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
-        self.netlist = netlist
         self.channels = list(channels)
         self.window = window
-        self.raise_on_stall = raise_on_stall
         self.last_progress = -1
         self.diagnoses: List[StallDiagnosis] = []
         watched = (
@@ -84,7 +87,7 @@ class RtlStallWatchdog:
 
     def observe(self, time: int, values: Dict[str, object]) -> None:
         progress = False
-        pending = False
+        blocked = set()
         for ch in self.channels:
             vp, sp = values.get(ch.vp), values.get(ch.sp)
             vn, sn = values.get(ch.vn), values.get(ch.sn)
@@ -92,22 +95,25 @@ class RtlStallWatchdog:
                (vn == 1 and sn == 0 and vp != 1) or \
                (vp == 1 and vn == 1):
                 progress = True
-                break
-            if (vp == 1 and sp == 1) or (vn == 1 and sn == 1):
-                pending = True
-        if progress or not pending:
+            elif vp == 1 and sp == 1:
+                blocked.add(ch.sp)
+            elif vn == 1 and sn == 1:
+                blocked.add(ch.sn)
+        if progress or not blocked:
             self.last_progress = time
             return
         if time - self.last_progress < self.window:
             return
-        diagnosis = _diagnose_rtl(
-            self.channels, values, self._fanin_comb, self._fanin_seq,
-            time, self.window, self.last_progress,
-            detail=f"netlist {self.netlist.name!r}",
-        )
-        self.diagnoses.append(diagnosis)
-        if self.raise_on_stall:
-            raise StallError(diagnosis)
+        waits_on: Dict[str, Tuple[str, ...]] = {}
+        for fanin in (self._fanin_comb, self._fanin_seq):
+            for wire in sorted(blocked):
+                deps = tuple(sorted((fanin[wire] & blocked) - {wire}))
+                if deps:
+                    waits_on[wire] = deps
+            if waits_on:
+                break
+        diagnosis = _diagnose(time, self.last_progress, blocked, waits_on)
+        self.diagnoses.append(replace(diagnosis, window=self.window))
         self.last_progress = time
 
 
@@ -132,15 +138,11 @@ def edge_observer(recorder, watch: Sequence[str]) -> Observer:
     return observe
 
 
-def run_rtl(target, cycles: int, cache, ee):
+def run_rtl(target, cycles: int, cache, ee) -> ScalarChannelProfiler:
     """``repro.obs.analyze._run_rtl`` on the scalar simulator."""
     sim = TwoPhaseSimulator(target.netlist)
     profiler = ScalarChannelProfiler(target, ee=ee).attach_scalar(sim)
-    watchdog = RtlStallWatchdog.for_target(
-        target, window=_WINDOW, raise_on_stall=False
-    )
     stimulus = _eager_stimulus(target.free_inputs)
-    observers = [profiler.observe, watchdog.observe]
     for _ in range(cycles):
-        cycle(sim, stimulus, observers)
-    return profiler, watchdog.diagnoses
+        cycle(sim, stimulus, [profiler.observe])
+    return profiler

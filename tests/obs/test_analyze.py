@@ -8,7 +8,8 @@ The tentpole guarantees under test:
 * per-channel cycle accounting balances and the token/anti-token
   conservation check closes (zero residual on every buffer);
 * backpressure attribution walks an asserted-Stop chain back to its
-  root cause;
+  root cause, and a stalled run's diagnoses agree across both engines
+  and the scalar reference watchdog, whatever the string hash seed;
 * ``--compare-model`` reproduces the paper's numbers where the DMG
   abstraction is faithful and *flags* (rather than hides) the known
   protocol-level divergence of the variable-latency target.
@@ -16,15 +17,26 @@ The tentpole guarantees under test:
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.codegen import BuildCache
 from repro.codegen.sim import CompiledSimulator
+from repro.elastic.gates import (
+    GateChannel,
+    build_elastic_buffer,
+    build_nd_sink,
+)
 from repro.faults.campaign import CampaignConfig, run_campaign
-from repro.faults.targets import TARGETS
+from repro.faults.targets import TARGETS, RtlTarget, build_duplex_source
 from repro.obs import analyze
 from repro.elastic.protocol import CATEGORY, event_of
 from repro.obs.analyze import (
+    _WINDOW,
     NetworkProfiler,
     RtlChannelProfiler,
     model_section,
@@ -33,12 +45,18 @@ from repro.obs.analyze import (
 )
 from repro.rtl.batchsim import broadcast
 from repro.rtl.logic import X
+from repro.rtl.netlist import Netlist
 from repro.rtl.simulator import TwoPhaseSimulator
 from repro.synthesis.spec import SystemSpec
 from tests.obs import scalar_reference
 
 CYCLES = 400
 SEED = 2007
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: three stall windows, and a little more
+STALLED = 3 * _WINDOW + 10
 
 
 def report_json(design, cycles=CYCLES, **kw):
@@ -183,6 +201,99 @@ class TestAttribution:
         assert len(net.probes) == probes
         assert sum(len(c.observers) for c in net.channels.values()) \
             == observers
+
+
+def stuck_stimulus(target):
+    """Every source offers, every sink stalls, a VL unit is done."""
+    return {
+        name: int(name.endswith((".choice", ".stall", ".done")))
+        for name in target.free_inputs
+    }
+
+
+def two_pipelines() -> RtlTarget:
+    """Two source -> dual EB -> sink pipelines (``a`` and ``b``) in one
+    netlist: stalled, their wait-for graph holds two rings."""
+    nl = Netlist("two_dual_ehb")
+    channels, free = [], []
+    for p in "ab":
+        left = GateChannel.declare(nl, f"{p}L")
+        right = GateChannel.declare(nl, f"{p}R")
+        choice = nl.add_input(f"{p}.src.choice")
+        accept = nl.add_input(f"{p}.src.accept")
+        build_duplex_source(nl, left, prefix=f"{p}.src",
+                            choice_input=choice, accept_input=accept)
+        build_elastic_buffer(nl, left, right, prefix=f"{p}.eb")
+        stall = nl.add_input(f"{p}.snk.stall")
+        kill = nl.add_input(f"{p}.snk.kill")
+        build_nd_sink(nl, right, prefix=f"{p}.snk",
+                      stall_input=stall, kill_input=kill)
+        for ch in (left, right):
+            for w in ch.wires():
+                nl.add_output(w)
+        channels += [left, right]
+        free += [choice, accept, stall, kill]
+    return RtlTarget("two_dual_ehb", nl, channels, free, fault_sites=[])
+
+
+def two_ring_stalls():
+    """The report's stalls of both pipelines stuck for one window."""
+    target = two_pipelines()
+    sim = CompiledSimulator(
+        target.netlist, lanes=1, hooks=frozenset(),
+        observe=frozenset(target.observe), cache=BuildCache.in_memory(),
+    )
+    profiler = RtlChannelProfiler(target).attach_lane(sim, 0)
+    planes = {k: broadcast(v, 1) for k, v in stuck_stimulus(target).items()}
+    for _ in range(_WINDOW + 10):
+        sim.cycle(planes)
+    return profiler.attribution_section()["stalls"]
+
+
+class TestStalls:
+    @pytest.mark.parametrize("design", sorted(TARGETS))
+    def test_stalled_run_agrees_across_engines(self, design):
+        # Every profile golden is stall-free; here each RTL target's
+        # sinks stick, and both engines must report the same stalls.
+        target = TARGETS[design]()
+        stuck = stuck_stimulus(target)
+        sim = CompiledSimulator(
+            target.netlist, lanes=1, hooks=frozenset(),
+            observe=frozenset(target.observe),
+        )
+        compiled = RtlChannelProfiler(target).attach_lane(sim, 0)
+        scalar = TwoPhaseSimulator(target.netlist)
+        reference = scalar_reference.ScalarChannelProfiler(target)
+        reference.attach_scalar(scalar)
+        watchdog = scalar_reference.RtlStallWatchdog.for_target(target)
+        planes = {name: broadcast(v, 1) for name, v in stuck.items()}
+        for _ in range(STALLED):
+            sim.cycle(planes)
+            scalar_reference.cycle(
+                scalar, stuck, [reference.observe, watchdog.observe]
+            )
+        attr = compiled.attribution_section()
+        assert len(attr["stalls"]) == 3
+        assert attr == reference.attribution_section()
+        assert compiled.diagnoses == watchdog.diagnoses
+
+    def test_two_rings_diagnose_alike_under_any_hash_seed(self):
+        # The reported ring must not depend on the order a set of wire
+        # names iterates in, which PYTHONHASHSEED changes.
+        script = ("import json; from tests.obs.test_analyze import "
+                  "two_ring_stalls; print(json.dumps(two_ring_stalls()))")
+        runs = []
+        for seed in ("0", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                   str(ROOT)]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], cwd=ROOT, env=env,
+                capture_output=True, text=True, check=True,
+            )
+            runs.append(json.loads(done.stdout))
+        assert runs[0] == runs[1]
+        assert [s["stop_cycle"] for s in runs[0]] == [["aL.sp", "aR.sp"]]
 
 
 class TestModelComparison:

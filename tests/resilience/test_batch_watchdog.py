@@ -1,38 +1,45 @@
-"""Tests for the per-lane stall watchdog on the lane-parallel engine.
+"""Tests for the no-progress stall rule on lanes of the compiled engine.
 
-The scalar reference watchdog (``tests/obs/scalar_reference.py``)
-defines the ground truth; the batch watchdog must reproduce its
-diagnosis for an equivalent lane of the compiled simulator -- fully
-observed or restricted to a campaign's observed wires -- while
-tracking each lane's window independently.
+Each lane has its own :class:`repro.obs.analyze.RtlChannelProfiler`,
+which applies the rule in its accounting pass.  The scalar reference
+watchdog (``tests/obs/scalar_reference.py``) defines the ground truth:
+a lane's diagnoses must reproduce its diagnoses for the same stimulus,
+with the compiled module fully observed or restricted to a campaign's
+observed wires, and each lane's window runs independently.
 """
-
-import pytest
 
 from repro.codegen.sim import CompiledSimulator
 from repro.faults.targets import TARGETS
-from repro.resilience import BatchStallWatchdog, StallError
+from repro.obs.analyze import _WINDOW, RtlChannelProfiler
 from repro.rtl.batchsim import (
     broadcast,
     pack_stimulus,
     strict_planes,
 )
-from repro.rtl.logic import X
 from repro.rtl.simulator import TwoPhaseSimulator
 from tests.obs.scalar_reference import RtlStallWatchdog, cycle
 
 STUCK = {"src.choice": 1, "src.accept": 0, "snk.stall": 1, "snk.kill": 0}
 HEALTHY = {"src.choice": 1, "src.accept": 0, "snk.stall": 0, "snk.kill": 0}
 
+#: three windows of the stuck sink, and a little more
+CYCLES = 3 * _WINDOW + 10
 
-def scalar_diagnosis(window=8):
+
+def scalar_diagnoses(cycles=CYCLES):
     target = TARGETS["dual_ehb"]()
     sim = TwoPhaseSimulator(target.netlist)
-    watchdog = RtlStallWatchdog.for_target(target, window=window)
-    with pytest.raises(StallError) as exc:
-        for _ in range(100):
-            cycle(sim, STUCK, [watchdog.observe])
-    return exc.value.diagnosis
+    watchdog = RtlStallWatchdog.for_target(target)
+    for _ in range(cycles):
+        cycle(sim, STUCK, [watchdog.observe])
+    return watchdog.diagnoses
+
+
+def lane_profilers(target, sim):
+    return [
+        RtlChannelProfiler(target).attach_lane(sim, lane)
+        for lane in range(sim.lanes)
+    ]
 
 
 class TestStrictPlanes:
@@ -49,56 +56,42 @@ class TestStrictPlanes:
 
 class TestBatchWatchdog:
     def test_stalled_lanes_match_the_scalar_diagnosis(self):
-        reference = scalar_diagnosis()
+        reference = scalar_diagnoses()
+        # Progress stops after cycle 1; then one diagnosis per expired
+        # window.
+        assert [(d.last_progress, d.cycle) for d in reference] == [
+            (1, 1 + _WINDOW), (1 + _WINDOW, 1 + 2 * _WINDOW),
+            (1 + 2 * _WINDOW, 1 + 3 * _WINDOW),
+        ]
+        assert all(d.blocked == ("L.sp", "R.sp") for d in reference)
+        assert all(d.stop_cycle == ("L.sp", "R.sp") for d in reference)
         target = TARGETS["dual_ehb"]()
         lanes = 4
         sim = CompiledSimulator(target.netlist, lanes)
-        BatchStallWatchdog.for_target(target, sim, window=8)
-        with pytest.raises(StallError) as exc:
-            for _ in range(100):
-                sim.cycle({k: broadcast(v, lanes)
-                           for k, v in STUCK.items()})
-        d = exc.value.diagnosis
-        assert d.blocked == reference.blocked == ("L.sp", "R.sp")
-        assert d.stop_cycle == reference.stop_cycle
-        assert d.cycle == reference.cycle
-        assert d.lane is not None
+        profilers = lane_profilers(target, sim)
+        for _ in range(CYCLES):
+            sim.cycle({k: broadcast(v, lanes) for k, v in STUCK.items()})
+        for profiler in profilers:
+            assert profiler.diagnoses == reference
 
     def test_only_the_stalled_lane_is_diagnosed(self):
         # Lane 0 wedges behind a stuck sink; lane 1 drains freely.
         target = TARGETS["dual_ehb"]()
         sim = CompiledSimulator(target.netlist, 2)
-        wd = BatchStallWatchdog.for_target(
-            target, sim, window=8, raise_on_stall=False
-        )
-        cycles = 60
-        stimulus = pack_stimulus([[STUCK] * cycles, [HEALTHY] * cycles])
-        for inputs in stimulus:
+        stuck, healthy = lane_profilers(target, sim)
+        for inputs in pack_stimulus([[STUCK] * CYCLES, [HEALTHY] * CYCLES]):
             sim.cycle(inputs)
-        assert wd.diagnoses
-        assert {d.lane for d in wd.diagnoses} == {0}
-
-    def test_no_progress_mask_names_expired_lanes(self):
-        target = TARGETS["dual_ehb"]()
-        sim = CompiledSimulator(target.netlist, 2)
-        wd = BatchStallWatchdog.for_target(target, sim, window=8)
-        cycles = 40
-        with pytest.raises(StallError) as exc:
-            for inputs in pack_stimulus(
-                [[STUCK] * cycles, [HEALTHY] * cycles]
-            ):
-                sim.cycle(inputs)
-        # At the moment lane 0's window expired, lane 1 was progressing.
-        assert wd.no_progress_mask(exc.value.diagnosis.cycle) == 0b01
+        assert stuck.diagnoses == scalar_diagnoses()
+        assert healthy.diagnoses == []
 
     def test_healthy_broadcast_run_never_fires(self):
         target = TARGETS["dual_ehb"]()
         lanes = 4
         sim = CompiledSimulator(target.netlist, lanes)
-        wd = BatchStallWatchdog.for_target(target, sim, window=8)
-        for _ in range(100):
+        profilers = lane_profilers(target, sim)
+        for _ in range(CYCLES):
             sim.cycle({k: broadcast(v, lanes) for k, v in HEALTHY.items()})
-        assert wd.diagnoses == []
+        assert all(p.diagnoses == [] for p in profilers)
 
     def test_idle_lane_is_not_a_stall(self):
         # Nothing offered, nothing pending: windows refresh on idle
@@ -107,23 +100,16 @@ class TestBatchWatchdog:
         idle = {"src.choice": 0, "src.accept": 0,
                 "snk.stall": 0, "snk.kill": 0}
         sim = CompiledSimulator(target.netlist, 2)
-        wd = BatchStallWatchdog.for_target(target, sim, window=4)
-        for _ in range(30):
+        profilers = lane_profilers(target, sim)
+        for _ in range(CYCLES):
             sim.cycle({k: broadcast(v, 2) for k, v in idle.items()})
-        assert wd.diagnoses == []
-
-    def test_window_validated(self):
-        target = TARGETS["dual_ehb"]()
-        sim = CompiledSimulator(target.netlist, 2)
-        with pytest.raises(ValueError):
-            BatchStallWatchdog.for_target(target, sim, window=0)
+        assert all(p.diagnoses == [] for p in profilers)
 
 
 class TestCompiledWatchdog:
     def test_compiled_lane_matches_the_scalar_diagnosis(self, tmp_path):
         from repro.codegen import build_cache
 
-        reference = scalar_diagnosis()
         target = TARGETS["dual_ehb"]()
         lanes = 2
         sim = CompiledSimulator(
@@ -131,12 +117,10 @@ class TestCompiledWatchdog:
             observe=frozenset(target.observe),
             cache=build_cache(str(tmp_path / "cache")),
         )
-        BatchStallWatchdog.for_target(target, sim, window=8)
-        with pytest.raises(StallError) as exc:
-            for _ in range(100):
-                sim.cycle({k: broadcast(v, lanes)
-                           for k, v in STUCK.items()})
-        d = exc.value.diagnosis
-        assert d.blocked == reference.blocked
-        assert d.stop_cycle == reference.stop_cycle
-        assert d.cycle == reference.cycle
+        profilers = lane_profilers(target, sim)
+        for _ in range(CYCLES):
+            sim.cycle({k: broadcast(v, lanes) for k, v in STUCK.items()})
+        reference = scalar_diagnoses()
+        assert reference
+        for profiler in profilers:
+            assert profiler.diagnoses == reference

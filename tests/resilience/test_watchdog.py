@@ -1,8 +1,10 @@
-"""Tests for the deadlock/livelock watchdogs.
+"""Tests for the no-progress stall rule (the stall watchdog).
 
-``TestRtlWatchdog`` checks the scalar reference watchdog of
-``tests/obs/scalar_reference.py``, which the per-lane watchdog of
-``test_batch_watchdog.py`` is compared against.
+``TestNetworkWatchdog`` runs the rule where it lives, in the profiler of
+``repro profile`` (:class:`repro.obs.analyze.NetworkProfiler`), with its
+fixed window of ``_WINDOW`` cycles.  ``TestRtlWatchdog`` checks the
+scalar reference watchdog of ``tests/obs/scalar_reference.py``, which
+the lane profilers of ``test_batch_watchdog.py`` are compared against.
 """
 
 import random
@@ -19,7 +21,7 @@ from repro.elastic.behavioral import (
 )
 from repro.elastic.ee import AndEE
 from repro.faults.targets import TARGETS
-from repro.resilience import NetworkStallWatchdog, StallDiagnosis, StallError
+from repro.obs.analyze import _WINDOW, NetworkProfiler
 from repro.rtl.simulator import TwoPhaseSimulator
 from tests.obs.scalar_reference import RtlStallWatchdog, cycle
 
@@ -58,37 +60,38 @@ def ee_join_loop(capacity):
 class TestNetworkWatchdog:
     def test_deadlock_ring_names_the_stop_cycle(self):
         net = full_eb_ring()
-        NetworkStallWatchdog(window=8).attach(net)
-        with pytest.raises(StallError) as exc:
-            net.run(100)
-        d = exc.value.diagnosis
+        profiler = NetworkProfiler().attach(net)
+        net.run(_WINDOW + 10)
+        [d] = profiler.diagnoses
         assert d.stop_cycle == ("c0.sp", "c2.sp", "c1.sp")
-        assert d.cycle - d.last_progress >= 8
-        assert "deadlock ring" in str(d)
+        assert d.blocked == ("c0.sp", "c1.sp", "c2.sp")
+        # Wedged from the first cycle: the window expires at its end.
+        assert (d.last_progress, d.cycle) == (-1, _WINDOW - 1)
+        assert d.window == _WINDOW
 
     def test_stuck_stall_on_ee_join_network_fires_within_window(self):
         net, sink = ee_join_loop(capacity=2)
-        wd = NetworkStallWatchdog(window=10).attach(net)
+        profiler = NetworkProfiler().attach(net)
         net.run(40)  # healthy: tokens circulate, no stall
-        assert wd.diagnoses == []
+        assert profiler.diagnoses == []
         sink.p_stop = 1.0  # the sink's stall control sticks at 1
-        with pytest.raises(StallError) as exc:
-            net.run(11)  # fires within one window of the fault
-        d = exc.value.diagnosis
+        net.run(_WINDOW + 1)  # fires within one window of the fault
+        [d] = profiler.diagnoses
+        assert (d.last_progress, d.cycle) == (40, 40 + _WINDOW)
         # Acyclic wait graph: the chain walks join -> fork -> stuck sink.
         assert d.stop_cycle == ()
         assert d.blocked == ("a.sp", "z.sp", "out.sp")
-        assert "stalled behind out.sp" in str(d)
 
     def test_wedged_ee_feedback_loop_is_a_ring(self):
         # A capacity-1 loop buffer cannot drain and refill in one cycle,
         # so the feedback ring wedges against itself.
         net, _ = ee_join_loop(capacity=1)
-        NetworkStallWatchdog(window=10).attach(net)
-        with pytest.raises(StallError) as exc:
-            net.run(60)
-        d = exc.value.diagnosis
+        profiler = NetworkProfiler().attach(net)
+        net.run(_WINDOW + 10)
+        [d] = profiler.diagnoses
         assert d.stop_cycle == ("fb.sp", "fbp.sp", "z.sp")
+        assert d.blocked == ("a.sp", "fb.sp", "fbp.sp", "z.sp")
+        assert (d.last_progress, d.cycle) == (0, _WINDOW)
 
     def test_healthy_network_never_fires(self):
         net = ElasticNetwork("ok")
@@ -97,9 +100,10 @@ class TestNetworkWatchdog:
         net.add(Source("s", c0, rng=random.Random(7)))
         net.add(ElasticBuffer("eb", c0, c1))
         net.add(Sink("k", c1, p_stop=0.3, rng=random.Random(8)))
-        wd = NetworkStallWatchdog(window=8).attach(net)
-        net.run(300)
-        assert wd.diagnoses == []
+        profiler = NetworkProfiler().attach(net)
+        net.run(5 * _WINDOW)
+        assert profiler.lost  # back-pressure, but never a stall
+        assert profiler.diagnoses == []
 
     def test_idle_network_is_not_a_stall(self):
         # Nothing offered -> nothing blocked, however long it idles.
@@ -109,38 +113,22 @@ class TestNetworkWatchdog:
         net.add(Source("s", c0, p_valid=0.0, rng=random.Random(1)))
         net.add(ElasticBuffer("eb", c0, c1))
         net.add(Sink("k", c1, p_stop=1.0, rng=random.Random(2)))
-        wd = NetworkStallWatchdog(window=4).attach(net)
-        net.run(50)
-        assert wd.diagnoses == []
+        profiler = NetworkProfiler().attach(net)
+        net.run(3 * _WINDOW)
+        assert profiler.diagnoses == []
 
     def test_non_raising_mode_reports_and_continues(self):
+        # Each expired window is one diagnosis, and the window restarts.
         net = full_eb_ring()
-        events = []
-        diagnoses = []
-        wd = NetworkStallWatchdog(
-            window=5, sink=events.append, on_stall=diagnoses.append,
-            raise_on_stall=False,
-        )
-        wd.attach(net)
-        net.run(25)  # three windows' worth of stalling
-        assert len(wd.diagnoses) >= 3
-        assert diagnoses == wd.diagnoses
-        assert all(e.kind == "stall" for e in events)
-        assert events[0].extra["stop_cycle"] == ["c0.sp", "c2.sp", "c1.sp"]
-
-    def test_stall_event_is_a_valid_trace_event(self):
-        d = StallDiagnosis(
-            cycle=40, window=8, last_progress=31,
-            stop_cycle=("a.sp",), blocked=("a.sp",), detail="test",
-        )
-        event = d.to_event()
-        assert event.kind == "stall"
-        assert event.subject == "watchdog"
-        assert event.extra["window"] == 8
-
-    def test_window_validated(self):
-        with pytest.raises(ValueError):
-            NetworkStallWatchdog(window=0)
+        profiler = NetworkProfiler().attach(net)
+        net.run(3 * _WINDOW + 10)
+        ends = [_WINDOW - 1, 2 * _WINDOW - 1, 3 * _WINDOW - 1]
+        assert [d.cycle for d in profiler.diagnoses] == ends
+        assert [d.last_progress for d in profiler.diagnoses] == \
+            [-1] + ends[:-1]
+        stalls = profiler.attribution_section()["stalls"]
+        assert stalls == [d.to_dict() for d in profiler.diagnoses]
+        assert stalls[0]["stop_cycle"] == ["c0.sp", "c2.sp", "c1.sp"]
 
 
 class TestRtlWatchdog:
@@ -155,16 +143,15 @@ class TestRtlWatchdog:
 
     def test_stalled_sink_fires_within_window(self):
         sim, wd, inputs = self._stalled_dual_ehb(window=8)
-        with pytest.raises(StallError) as exc:
-            for _ in range(100):
-                cycle(sim, inputs, [wd.observe])
-        d = exc.value.diagnosis
+        for _ in range(8 + 3):
+            cycle(sim, inputs, [wd.observe])
+        [d] = wd.diagnoses  # fired within the window
         # The EB cuts every combinational path, so the wait edges come
         # from the sequential fallback: the two retrying channels wait
         # on each other across cycles.
         assert d.blocked == ("L.sp", "R.sp")
         assert d.stop_cycle == ("L.sp", "R.sp")
-        assert sim.time <= 8 + 3  # fired within the window, not at 100
+        assert d.window == 8
 
     def test_healthy_rtl_run_never_fires(self):
         target = TARGETS["dual_ehb"]()
@@ -180,7 +167,6 @@ class TestRtlWatchdog:
 
     def test_non_raising_mode_accumulates(self):
         sim, wd, inputs = self._stalled_dual_ehb(window=5)
-        wd.raise_on_stall = False
         for _ in range(30):
             cycle(sim, inputs, [wd.observe])
         assert len(wd.diagnoses) >= 2

@@ -15,6 +15,33 @@ class TestParser:
             main(["simulate", "--config", "bogus", "--cycles", "10"])
 
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--cycles", "0"],
+        ["simulate", "--cycles", "-1"],
+        ["trace", "--cycles", "-5"],
+        ["trace", "--buffer", "-1"],
+        ["stats", "--cycles", "0"],
+        ["fuzz", "--cycles", "-4"],
+        ["fuzz", "--specs", "-3"],
+        ["profile", "--cycles", "0"],
+        ["inject", "--cycles", "-3"],
+    ], ids=lambda argv: argv[0] + argv[1])
+    def test_out_of_range_number_exits_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        flag, value = argv[1:]
+        message = str(exc.value.code)
+        assert message.startswith(f"{flag} must be >= ")
+        assert message.endswith(f", got {value}")
+        assert capsys.readouterr().out == ""  # nothing ran
+
+    def test_zero_buffer_still_streams_events(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        assert main(["trace", "--cycles", "8", "--buffer", "0",
+                     "--events", str(events)]) == 0
+        assert events.read_text()
+
+
 class TestCommands:
     def test_table1(self, capsys):
         assert main(["table1", "--cycles", "300", "--seed", "1"]) == 0
@@ -485,3 +512,27 @@ class TestLint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="ghost.blif"):
             main(["lint", "--file", str(tmp_path / "ghost.blif")])
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file"),
+        ("not json", "malformed baseline (Expecting value"),
+        ("[1, 2]", "malformed baseline (not a JSON object)"),
+        ('{"fingerprints": "oops"}', "must be a list of strings"),
+        ('{"fingerprints": [[1]]}', "must be a list of strings"),
+    ], ids=["missing", "not-json", "json-list", "fingerprints-not-list",
+            "fingerprint-not-string"])
+    def test_bad_baseline_exits_before_linting(self, tmp_path, capsys,
+                                               content, reason):
+        baseline = tmp_path / "base.json"
+        if content is not None:
+            baseline.write_text(content)
+        findings = tmp_path / "findings.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "zoo:capacity1", "--baseline", str(baseline),
+                  "--json", str(findings)])
+        message = str(exc.value.code)
+        assert message.startswith("--baseline: ")
+        assert str(baseline) in message and reason in message
+        assert "\n" not in message
+        assert not findings.exists()  # nothing was linted or written
+        assert capsys.readouterr().out == ""
