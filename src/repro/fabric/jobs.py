@@ -119,8 +119,10 @@ def _campaign_build(params: Dict[str, object]):
     def run(payload: object) -> object:
         # Built by the first unit, not at bind: binding stays a quick
         # fingerprint check, so workers are leased work before any of
-        # them has compiled (the chaos tests kill a worker on the first
-        # result and expect it to lose leased work).
+        # them has built a harness (the chaos tests kill a worker on the
+        # first result and expect it to lose leased work).  A forked
+        # local worker finds the module in the memory tier its parent
+        # loaded; a remote one loads it from its own cache directory.
         nonlocal harness
         if harness is None:
             harness = BatchCampaignHarness(

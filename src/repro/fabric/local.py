@@ -29,14 +29,20 @@ Process hygiene, each rule learnt from a failure:
   RSS in the parent's ``RUSAGE_CHILDREN``.
 
 Workers are forked, not spawned: they inherit the bound socket and the
-job registry, test-registered job kinds included.  The forks happen
-before the coordinator starts its event loop, so no thread of this
-package is running when they do.
+job registry, test-registered job kinds included, and start warm.
+:func:`~repro.faults.campaign.run_campaign` loads the campaign's
+module into the shared build cache before it forks, so each worker's
+harness finds it in memory and compiles nothing; and this module
+imports ``concurrent.futures.thread``, which ``concurrent.futures``
+would otherwise load in every worker at its first
+``run_in_executor``.  The forks happen before the coordinator starts
+its event loop, so no thread of this package is running when they do.
 """
 
 from __future__ import annotations
 
 import asyncio
+import importlib
 import multiprocessing as mp
 import os
 import signal
@@ -47,6 +53,10 @@ from typing import Iterator, List, Tuple
 from repro.fabric.worker import WorkerServer
 
 __all__ = ["local_workers"]
+
+# Loaded before the forks so the workers inherit it: concurrent.futures
+# imports its thread pool lazily, at a process's first run_in_executor.
+importlib.import_module("concurrent.futures.thread")
 
 
 def _serve_one(sock: socket.socket) -> None:

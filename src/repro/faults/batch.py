@@ -41,6 +41,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -74,6 +75,7 @@ from repro.verif.traces import TraceStep
 __all__ = [
     "BatchCampaignHarness",
     "batch_monitor_bank",
+    "campaign_restriction",
     "lane_overrides",
     "protocol_monitors",
 ]
@@ -393,6 +395,22 @@ def _schedule_overrides(
     }
 
 
+def campaign_restriction(target: RtlTarget) -> Dict[str, FrozenSet[str]]:
+    """The ``hooks`` and ``observe`` of a campaign's generated module,
+    which with the netlist make its build-cache key.
+
+    Override hooks sit at the target's fault sites only, and
+    end-of-cycle writeback covers the target's observed wires (the
+    union of every monitor's read set).  The harness builds its
+    simulator with these, and :func:`~repro.faults.campaign.run_campaign`
+    loads the same module before it forks local workers.
+    """
+    return {
+        "hooks": frozenset(target.fault_sites),
+        "observe": frozenset(target.observe),
+    }
+
+
 class BatchCampaignHarness:
     """One target + one stimulus, up to ``lanes`` faults per simulation.
 
@@ -436,19 +454,15 @@ class BatchCampaignHarness:
         ]
 
     def _make_sim(self) -> CompiledSimulator:
-        """The simulator restricted to what a campaign touches.
-
-        Override hooks sit at the target's fault sites only, and
-        end-of-cycle writeback covers the target's observed wires (the
-        union of every monitor's read set).  One lane above ``lanes``
+        """The simulator restricted to what a campaign touches
+        (:func:`campaign_restriction`).  One lane above ``lanes``
         carries the golden run; generated modules are lane-agnostic, so
         it costs no other build.
         """
         return CompiledSimulator(
             self.target.netlist,
             self.lanes + 1,
-            hooks=frozenset(self.target.fault_sites),
-            observe=frozenset(self.target.observe),
+            **campaign_restriction(self.target),
             cache=self.cache,
             metrics=self.metrics,
         )

@@ -43,6 +43,7 @@ byte-for-byte the same JSON report as an uninterrupted run.
 from __future__ import annotations
 
 import json
+import os
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -58,7 +59,7 @@ from typing import (
 )
 
 from repro.casestudy.processor import ProcessorConfig, build_processor
-from repro.codegen.cache import BuildCache
+from repro.codegen.cache import BuildCache, build_cache
 from repro.codegen.fingerprint import netlist_fingerprint
 from repro.codegen.sim import CompiledSimulator
 from repro.elastic.behavioral import ElasticBuffer
@@ -358,7 +359,7 @@ def _apply_untestable_analysis(
     cfg: CampaignConfig,
     injections: Sequence[Injection],
     outcomes: Sequence[FaultOutcome],
-    cache: Optional[str] = None,
+    cache: Union[BuildCache, str, None] = None,
 ) -> List[FaultOutcome]:
     """Upgrade undetected faults the prover shows to be untestable.
 
@@ -398,7 +399,7 @@ def run_campaign(
     metrics: Optional["MetricsRegistry"] = None,
     checkpoint: Optional[str] = None,
     profile: bool = False,
-    cache: Optional[str] = None,
+    cache: Union[BuildCache, str, os.PathLike, None] = None,
     workers: Optional[Sequence[str]] = None,
     fabric: Optional[object] = None,
 ) -> CampaignReport:
@@ -412,7 +413,9 @@ def run_campaign(
     cycle.  ``cycles`` below 1, or an injection cycle outside
     ``[0, cycles)``, raises ``ValueError``.  ``jobs > 1``
     leases the chunks to that many forked local workers through the same
-    :class:`~repro.fabric.FabricCoordinator` as ``workers=``.  A worker
+    :class:`~repro.fabric.FabricCoordinator` as ``workers=``; the parent
+    loads the campaign's module into the shared build cache first, so
+    the workers inherit it and compile nothing.  A worker
     that dies, or makes no progress for ``fabric.unit_timeout`` seconds,
     is dropped (never replaced) and its chunks requeued onto the
     survivors, each up to ``fabric.max_retries`` times.  Every
@@ -441,11 +444,14 @@ def run_campaign(
     byte-identical to the goldens.  Requires a named target: the
     baseline profiles the stock design of that name.
 
-    ``cache`` names the build-cache directory of the generated
-    lane-parallel modules: the campaign's (shipped to workers as a
-    plain string) and the untestability prover's
-    (``None`` uses the default directory, and an unwritable directory
-    degrades to an in-memory build).  It cannot change outcomes, so
+    ``cache`` is the build cache of the generated lane-parallel
+    modules, the campaign's and the untestability prover's: a directory
+    path (``str`` or path-like), ``None`` for the default directory, or
+    in process a :class:`~repro.codegen.cache.BuildCache`.  An
+    unwritable directory degrades to an in-memory build.  The fabric
+    ships the directory to workers as a plain string, so with
+    ``jobs > 1`` or ``workers=`` any other ``cache`` raises
+    ``ValueError`` before anything runs.  It cannot change outcomes, so
     neither the checkpoint fingerprint nor the fabric handshake
     includes it.
 
@@ -470,11 +476,20 @@ def run_campaign(
             "workers= replaces jobs=: chunks go to the named remote "
             "workers instead of local ones"
         )
-    if (workers or jobs > 1) and not isinstance(target, str):
-        raise ValueError(
-            "the socket fabric needs a named target so workers can "
-            "rebuild (and fingerprint) it independently"
-        )
+    if workers or jobs > 1:
+        if not isinstance(target, str):
+            raise ValueError(
+                "the socket fabric needs a named target so workers can "
+                "rebuild (and fingerprint) it independently"
+            )
+        if cache is not None:
+            if not isinstance(cache, (str, os.PathLike)):
+                raise ValueError(
+                    f"cache must be a directory path or None for the "
+                    f"socket fabric, got {type(cache).__name__}: workers "
+                    f"open the cache by its path"
+                )
+            cache = os.fspath(cache)
     if profile and not isinstance(target, str):
         raise ValueError(
             "profile=True needs a named target: the baseline profiles "
@@ -531,6 +546,13 @@ def run_campaign(
             # A dead local worker stays dead: its address goes terminal
             # at once and its chunks move to the survivors.
             fabric_config = replace(fabric_config, max_rounds=0)
+            # Warm fork: every worker's harness resolves this same
+            # shared cache instance and finds the module in memory.
+            from repro.faults.batch import campaign_restriction
+
+            build_cache(cache, metrics=metrics).load_module(
+                tgt.netlist, **campaign_restriction(tgt)
+            )
             launcher = local_workers(min(jobs, len(pending)))
         with launcher as addresses:
             FabricCoordinator(

@@ -1079,12 +1079,12 @@ def run_profile(
     the compiled engine's build cache: a
     :class:`~repro.codegen.cache.BuildCache`, a directory, or ``None``
     for the default directory; behavioural designs build nothing.
-    ``cycles`` below 1 and a negative ``tolerance`` raise
-    :class:`ValueError`.
+    ``cycles`` below 1 and a ``tolerance`` that is not ``>= 0`` (NaN
+    included) raise :class:`ValueError`.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if design in _NETWORK_DESIGNS:
         return _profile_network(

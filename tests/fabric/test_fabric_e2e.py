@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.codegen.fingerprint import artifact_key
 from repro.fabric import (
     FabricConfig,
     FabricCoordinator,
@@ -27,7 +28,8 @@ from repro.fabric import (
     serve,
 )
 from repro.fabric.frames import encode_frame, read_frame
-from repro.faults.campaign import CampaignConfig, run_campaign
+from repro.faults.batch import campaign_restriction
+from repro.faults.campaign import CampaignConfig, resolve_target, run_campaign
 from repro.obs.metrics import MetricsRegistry
 
 CFG = CampaignConfig(cycles=120, seed=2007)
@@ -192,6 +194,25 @@ class TestByteIdentity:
                 "dual_ehb", CFG, lanes=4, checkpoint=str(tmp_path / "ck"),
             )
             assert resumed.to_json() == golden_json
+        finally:
+            stop(w1)
+
+    def test_path_cache_ships_as_a_string(self, golden_json, tmp_path):
+        # A Path does not survive the JSON handshake; the coordinator
+        # sends its os.fspath, and the worker builds into that directory.
+        root = tmp_path / "cache"
+        w1, p1 = start_worker()
+        try:
+            report = run_campaign(
+                "dual_ehb", CFG, lanes=4, cache=root,
+                workers=[f"127.0.0.1:{p1}"],
+                fabric=FabricConfig(**FAST),
+            )
+            assert report.to_json() == golden_json
+            target = resolve_target("dual_ehb")
+            key = artifact_key(target.netlist,
+                               **campaign_restriction(target))
+            assert (root / key / "module.py").is_file()
         finally:
             stop(w1)
 

@@ -8,10 +8,12 @@ drift in stimulus generation, monitor ordering or report formatting.
 """
 
 import functools
+import os
 import pathlib
 
 import pytest
 
+from repro.codegen import cache as codegen_cache
 from repro.faults import (
     CampaignConfig,
     enumerate_injections,
@@ -88,6 +90,52 @@ def test_sharding_needs_a_named_target():
         run_campaign(target, CONFIG, jobs=2)
     # One job runs in process, so a target object is fine there.
     assert run_campaign(target, CONFIG).to_json() == _report_json(1, 1)
+
+
+@pytest.mark.parametrize("split", [
+    dict(jobs=2), dict(workers=["127.0.0.1:1"]),
+], ids=["local", "remote"])
+def test_fabric_rejects_a_cache_it_cannot_ship(split, tmp_path):
+    """Workers open the cache by its path, so the fabric takes a path
+    or None; anything else fails before any worker is forked or dialled
+    (nothing listens on port 1) and before anything is built."""
+    cache = codegen_cache.BuildCache(tmp_path)
+    with pytest.raises(ValueError, match="cache must be a directory path"):
+        run_campaign("dual_ehb", CONFIG, lanes=16, cache=cache, **split)
+    assert not any(tmp_path.iterdir())
+
+
+def test_local_fabric_takes_a_path_cache(tmp_path):
+    root = tmp_path / "cache"
+    report = run_campaign("dual_ehb", CONFIG, lanes=16, jobs=2, cache=root)
+    assert report.to_json() == _report_json(1, 1)
+    assert any(root.iterdir())
+
+
+def test_local_workers_compile_nothing(tmp_path, monkeypatch):
+    """``jobs=2`` workers inherit the campaign module their parent
+    loaded before forking: every generated module is compiled in this
+    process, on an empty cache root and on a disk-warm one whose
+    shared instances start cold."""
+    log = tmp_path / "compiles"
+    compile_chunks = codegen_cache._exec_module
+
+    def logged(*args):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return compile_chunks(*args)
+
+    monkeypatch.setattr(codegen_cache, "_exec_module", logged)
+    config = CampaignConfig(cycles=60, seed=2007)
+    reports = []
+    for _ in range(2):
+        monkeypatch.setattr(codegen_cache, "_CACHES", {})
+        reports.append(run_campaign(
+            "join", config, lanes=4, jobs=2, cache=str(tmp_path / "cache")
+        ).to_json())
+    assert reports[0] == reports[1]
+    pids = log.read_text().split()
+    assert pids and set(pids) == {str(os.getpid())}
 
 
 def test_chunk_order_never_changes_batch_verdicts():

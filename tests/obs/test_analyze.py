@@ -377,6 +377,14 @@ class TestInputValidation:
             run_profile(design, cycles=10, compare_model=True,
                         tolerance=-1)
 
+    def test_nan_tolerance_rejected(self):
+        # NaN compares false with everything, so a plain `< 0` check
+        # lets it through and every model section reads DIVERGED.
+        with pytest.raises(ValueError, match="tolerance must be >= 0, "
+                                             "got nan"):
+            run_profile("active", cycles=10, compare_model=True,
+                        tolerance=float("nan"))
+
     def test_processor_has_no_model(self):
         with pytest.raises(ValueError, match="no DMG abstraction"):
             run_profile("processor", cycles=50, compare_model=True)
@@ -401,8 +409,8 @@ class TestCli:
         assert json.loads(out.read_text())["backend"] == "compiled"
 
     @pytest.mark.parametrize("option, value", [
-        ("--cycles", "0"), ("--tolerance", "-1"),
-    ], ids=["cycles", "tolerance"])
+        ("--cycles", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
+    ], ids=["cycles", "tolerance", "tolerance-nan"])
     def test_out_of_range_input_exits_nonzero(self, option, value, tmp_path):
         from repro.cli import main
 
