@@ -32,9 +32,7 @@ class FlushingSink(Sink):
         if self._action is None:
             self._action = "kill" if (self.burst > 0 or self.pending_anti) else "accept"
         action = self._action
-        changed = ch.drive_vn(1 if action == "kill" else 0)
-        changed |= ch.drive_sp(0)
-        return changed
+        return ch.drive_consumer(0, 1 if action == "kill" else 0)
 
     def commit(self):
         ch = self.input

@@ -44,9 +44,7 @@ class CommitUnit(Sink):
             else:
                 self._action = "accept"
         action = self._action
-        changed = ch.drive_vn(1 if action == "kill" else 0)
-        changed |= ch.drive_sp(0)
-        return changed
+        return ch.drive_consumer(0, 1 if action == "kill" else 0)
 
     def commit(self):
         ch = self.input

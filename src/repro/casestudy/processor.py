@@ -123,9 +123,7 @@ class CommitUnit(Sink):
                 self._action = "kill"
             else:
                 self._action = "accept"
-        changed = ch.drive_vn(1 if self._action == "kill" else 0)
-        changed |= ch.drive_sp(0)
-        return changed
+        return ch.drive_consumer(0, 1 if self._action == "kill" else 0)
 
     def commit(self):
         ch = self.input

@@ -4,6 +4,7 @@ Layout (one directory per artifact, named by its SHA-256 key)::
 
     <root>/
       <key>/module.py    generated source (importable, diffable)
+      <key>/module.code  its compiled code objects (marshal)
       <key>/meta.json    {"key", "codegen_version", "netlist", ...}
       <key>/data.json    JSON payload artifacts (lint findings, ...)
 
@@ -12,7 +13,8 @@ hygiene -- serialise to a tmp file in the same directory, ``fsync``,
 ``os.replace`` -- so a SIGKILL mid-build leaves either a complete
 artifact or ignorable debris, and concurrent builders (campaign worker
 processes warming the same cache) race benignly: last rename wins with
-byte-identical content.
+byte-identical content.  ``module.code`` skips the ``fsync``: it is
+checked on every load, so losing it costs only a compile.
 
 Loads verify before trusting: the meta fingerprint and codegen version
 must match the requested key, and the imported module must carry the
@@ -20,11 +22,21 @@ same ``KEY``.  Any mismatch -- a hand-edited artifact, a cache written
 by a different codegen version, a torn file -- is treated as absent
 and rebuilt (invalidation is just a key change or a failed check).
 
+``module.code`` spares a disk hit the compile, which costs several
+times the emit.  It is headed by ``importlib.util.MAGIC_NUMBER`` and
+the SHA-256 of the source it was compiled from, and a load runs it
+only when both match ``module.py`` as read; a missing, torn or foreign
+code file (another interpreter, another source) is ignored, the source
+compiled and the code file written again.
+
 Three tiers: an in-process module dict (same :class:`BuildCache`
 instance), the disk artifact, then a fresh build.  Hits and misses are
 tallied both into process-global counters (``repro build --stats``)
-and, when a :class:`~repro.obs.metrics.MetricsRegistry` is attached,
-into ``codegen_cache_{hits,misses}_total{tier,kind}`` series.
+and into ``codegen_cache_{hits,misses}_total{tier,kind}`` series of a
+:class:`~repro.obs.metrics.MetricsRegistry`: the one a load is given,
+else the one its cache was built with.  The shared instances of
+:func:`build_cache` carry none, so a registry counts only the loads of
+the calls that pass it.
 
 A module is loaded one top-level chunk at a time (the constants, then
 each fused ``def``), every chunk compiled with its own line offset into
@@ -42,12 +54,15 @@ back to the same in-memory build, so a read-only or bogus
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import marshal
 import os
 import shutil
 from pathlib import Path
-from types import ModuleType
-from typing import Dict, FrozenSet, Optional, Union
+from types import CodeType, ModuleType
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.codegen.emit import emit_module
 from repro.codegen.fingerprint import (
@@ -80,24 +95,63 @@ def reset_process_stats() -> None:
     _PROCESS_STATS["misses"] = 0
 
 
-def _exec_module(key: str, source: str, filename: str) -> ModuleType:
-    """Compile and run generated source one top-level chunk at a time.
+def _compile_chunks(source: str, filename: str) -> Tuple[CodeType, ...]:
+    """Compile generated source one top-level chunk at a time.
 
     Chunks split before each top-level ``def``; each is padded with the
     newlines that precede it so code objects carry the source's own
     line numbers.  Raises :class:`SyntaxError` on a torn artifact.
     """
-    module = ModuleType(f"repro_codegen_{key[:24]}")
-    module.__file__ = filename
-    namespace = module.__dict__
     lines = source.splitlines(keepends=True)
     starts = [0] + [
         i for i, line in enumerate(lines) if i and line.startswith("def ")
     ]
-    for start, end in zip(starts, starts[1:] + [len(lines)]):
-        chunk = "\n" * start + "".join(lines[start:end])
-        exec(compile(chunk, filename, "exec"), namespace)
+    return tuple(
+        compile("\n" * start + "".join(lines[start:end]), filename, "exec")
+        for start, end in zip(starts, starts[1:] + [len(lines)])
+    )
+
+
+def _exec_module(
+    key: str, codes: Tuple[CodeType, ...], filename: str
+) -> ModuleType:
+    """Run compiled chunks, in order, into one fresh module."""
+    module = ModuleType(f"repro_codegen_{key[:24]}")
+    module.__file__ = filename
+    for code in codes:
+        exec(code, module.__dict__)
     return module
+
+
+def _write_code(path: Path, header: bytes, codes: Tuple[CodeType, ...]) -> None:
+    """Write ``module.code`` by tmp file and rename, but without the
+    fsync of the other artifacts: a code file that a crash tears or
+    loses fails its header or unmarshal check and costs one compile,
+    where the fsync would cost every cold build a few milliseconds."""
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    with open(tmp, "wb") as handle:
+        handle.write(header)
+        marshal.dump(codes, handle)
+    os.replace(tmp, path)
+
+
+def _read_code(path: Path, header: bytes) -> Optional[Tuple[CodeType, ...]]:
+    """The compiled chunks in ``path`` when it carries ``header``."""
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except OSError:
+        return None
+    if not blob.startswith(header):
+        return None
+    try:
+        codes = marshal.loads(blob[len(header):])
+    except (EOFError, ValueError, TypeError):  # torn
+        return None
+    if not (isinstance(codes, tuple)
+            and all(isinstance(code, CodeType) for code in codes)):
+        return None
+    return codes
 
 
 def default_cache_dir() -> Path:
@@ -114,6 +168,7 @@ class BuildCache:
     """One cache root: load-or-build generated modules and JSON blobs."""
 
     MODULE = "module.py"
+    CODE = "module.code"
     META = "meta.json"
     DATA = "data.json"
 
@@ -137,12 +192,14 @@ class BuildCache:
         return cache
 
     # -- bookkeeping ---------------------------------------------------
-    def _count(self, hit: bool, tier: str, kind: str) -> None:
+    def _count(self, hit: bool, tier: str, kind: str, metrics=None) -> None:
         _PROCESS_STATS["hits" if hit else "misses"] += 1
-        if self.metrics is not None:
+        if metrics is None:
+            metrics = self.metrics
+        if metrics is not None:
             name = ("codegen_cache_hits_total" if hit
                     else "codegen_cache_misses_total")
-            self.metrics.counter(name, tier=tier, kind=kind).inc()
+            metrics.counter(name, tier=tier, kind=kind).inc()
 
     def _dir(self, key: str) -> Path:
         return self.root / key
@@ -153,20 +210,25 @@ class BuildCache:
         netlist: Netlist,
         hooks: Optional[FrozenSet[str]] = None,
         observe: Optional[FrozenSet[str]] = None,
+        metrics=None,
     ) -> ModuleType:
         """The generated module for ``netlist`` + options, building at
-        most once per key (memory tier, then disk, then emit)."""
+        most once per key (memory tier, then disk, then emit).
+
+        The lookup counts into ``metrics`` when given, else into the
+        registry this cache was built with.
+        """
         key = artifact_key(netlist, hooks, observe)
         module = self._modules.get(key)
         if module is not None:
-            self._count(True, "memory", "module")
+            self._count(True, "memory", "module", metrics)
             return module
         module = self._import_verified(key) if self.root is not None else None
         if module is not None:
-            self._count(True, "disk", "module")
+            self._count(True, "disk", "module", metrics)
             self._modules[key] = module
             return module
-        self._count(False, "disk", "module")
+        self._count(False, "disk", "module", metrics)
         source = emit_module(netlist, hooks, observe)
         module = None
         if self.root is not None:
@@ -190,7 +252,10 @@ class BuildCache:
             else:
                 module = self._import_verified(key)
         if module is None:
-            module = _exec_module(key, source, f"<repro.codegen:{key}>")
+            filename = f"<repro.codegen:{key}>"
+            module = _exec_module(
+                key, _compile_chunks(source, filename), filename
+            )
         self._modules[key] = module
         return module
 
@@ -214,7 +279,17 @@ class BuildCache:
             return None
         try:
             source = module_path.read_text()
-            module = _exec_module(key, source, str(module_path))
+            # this interpreter's bytecode magic and the source's digest
+            header = (importlib.util.MAGIC_NUMBER
+                      + hashlib.sha256(source.encode()).digest())
+            codes = _read_code(directory / self.CODE, header)
+            if codes is None:
+                codes = _compile_chunks(source, str(module_path))
+                try:
+                    _write_code(directory / self.CODE, header, codes)
+                except OSError:  # read-only root: compile every time
+                    pass
+            module = _exec_module(key, codes, str(module_path))
         except (OSError, SyntaxError, ValueError):  # torn or hand-mangled
             return None
         if getattr(module, "KEY", None) != key:
@@ -298,19 +373,16 @@ class BuildCache:
 _CACHES: Dict[str, BuildCache] = {}
 
 
-def build_cache(
-    root: Union[str, Path, None] = None, metrics=None
-) -> BuildCache:
+def build_cache(root: Union[str, Path, None] = None) -> BuildCache:
     """The shared :class:`BuildCache` for ``root`` (default dir if None).
 
-    Reuses one instance per resolved root path; a ``metrics`` registry
-    passed later is attached to the existing instance.
+    Reuses one instance per resolved root path.  It carries no metrics
+    registry: a caller that counts its loads passes one to
+    :meth:`BuildCache.load_module`.
     """
     resolved = str(Path(root) if root is not None else default_cache_dir())
     cache = _CACHES.get(resolved)
     if cache is None:
-        cache = BuildCache(resolved, metrics=metrics)
+        cache = BuildCache(resolved)
         _CACHES[resolved] = cache
-    elif metrics is not None:
-        cache.metrics = metrics
     return cache

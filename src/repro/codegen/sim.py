@@ -80,9 +80,9 @@ class CompiledSimulator:
         hooks = frozenset(hooks) if hooks is not None else None
         observe = frozenset(observe) if observe is not None else None
         if not isinstance(cache, BuildCache):
-            cache = build_cache(cache, metrics=metrics)
+            cache = build_cache(cache)
         self.cache = cache
-        self.module = cache.load_module(netlist, hooks, observe)
+        self.module = cache.load_module(netlist, hooks, observe, metrics)
         mod = self.module
         self.key = mod.KEY
         self.fingerprint = mod.FINGERPRINT

@@ -4,16 +4,19 @@ Each controller owns ports on dual channels (:class:`~repro.elastic.
 channel.Channel`) and implements two methods:
 
 * ``evaluate()`` -- combinational: read the current (possibly unknown)
-  wire values and payloads, drive output wires using ternary logic and
-  put output payloads.  Called once per cycle, then again whenever a
-  neighbour's evaluation changed a wire or payload, until the whole
-  network reaches a fixed point.  All wire equations are monotone (X
-  can only resolve to 0/1), so the settled wires exist and are unique;
-  a payload is recomputed from the settled payloads it reads, so the
-  settled payloads do not depend on the order of evaluation either.
+  wire values and payloads, drive output wires through each channel's
+  producer or consumer end, with the two-input ternary gates of
+  :mod:`repro.rtl.logic`, and put output payloads.  Called once per
+  cycle, then again whenever a neighbour's evaluation changed a wire
+  or payload, until the whole network reaches a fixed point.  All
+  wire equations are monotone (X can only resolve to 0/1), so the
+  settled wires exist and are unique; a payload is recomputed from the
+  settled payloads it reads, so the settled payloads do not depend on
+  the order of evaluation either.
 * ``commit()`` -- sequential: called once per cycle after the network
-  settled, to update internal state (buffer occupancy, pending-token
-  flip-flops, variable-latency countdowns).
+  settled and every channel classified its cycle, to update internal
+  state (buffer occupancy, pending-token flip-flops, variable-latency
+  countdowns) from each channel's ``last_event``.
 
 The controller equations transcribe Figs. 3--7 of the paper at the
 cycle level:
@@ -47,13 +50,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.elastic.channel import Channel
 from repro.elastic.ee import EarlyEvalFunction
-from repro.elastic.protocol import ProtocolViolation
-from repro.rtl.logic import Value, land, lnot, lor
-
-
-def _b(value: object) -> Value:
-    """Python bool/int -> canonical wire value."""
-    return 1 if value else 0
+from repro.elastic.protocol import (
+    KILL,
+    NEGATIVE_TRANSFER,
+    POSITIVE_TRANSFER,
+    RETRY_POS,
+    ProtocolViolation,
+)
+from repro.rtl.logic import Value, land2, landn2, lnor2, lnot, lor2, lorn2
 
 
 #: Sentinel for "no payload latched" (None is legitimate channel data).
@@ -188,47 +192,51 @@ class ElasticBuffer(Controller):
         return max(-self.count, 0)
 
     def evaluate(self) -> bool:
-        changed = False
-        has_token = self.count > 0
-        changed |= self.right.drive_vp(_b(has_token))
-        if has_token:
-            changed |= self.right.put_data(self.data[0])
-        changed |= self.right.drive_sn(_b(self.count <= -self.capacity))
-        changed |= self.left.drive_sp(_b(self.count >= self.capacity))
-        changed |= self.left.drive_vn(_b(self.count < 0))
+        count, capacity = self.count, self.capacity
+        right = self.right
+        changed = right.drive_producer(
+            1 if count > 0 else 0, 1 if count <= -capacity else 0
+        )
+        if count > 0:
+            changed |= right.put_data(self.data[0])
+        changed |= self.left.drive_consumer(
+            1 if count >= capacity else 0, 1 if count < 0 else 0
+        )
         return changed
 
     def commit(self) -> None:
-        left, right = self.left, self.right
-        in_pos = left.pos_transfer
-        kill_left = left.kill
-        out_neg = left.neg_transfer
-        out_pos = right.pos_transfer
-        kill_right = right.kill
-        in_neg = right.neg_transfer
+        on_left, on_right = self.left.last_event, self.right.last_event
+        in_pos = on_left is POSITIVE_TRANSFER
+        kill_left = on_left is KILL
+        out_neg = on_left is NEGATIVE_TRANSFER
+        out_pos = on_right is POSITIVE_TRANSFER
+        kill_right = on_right is KILL
+        in_neg = on_right is NEGATIVE_TRANSFER
 
+        count = self.count
         if out_pos or kill_right:
             # Head token leaves (transfer) or is annihilated by an
             # incoming anti-token at the output boundary.
             self.data.pop(0)
-            self.count -= 1
+            count -= 1
         if kill_left or out_neg:
             # A stored anti-token annihilates an arriving token, or
             # moves backwards onto the input channel.
-            self.count += 1
+            count += 1
         if in_pos:
-            self.count += 1
+            count += 1
             if in_neg:
                 # Token and anti-token entered opposite ends of an empty
                 # buffer in the same cycle: they annihilate inside.
-                self.count -= 1
+                count -= 1
             else:
-                self.data.append(left.data)
+                self.data.append(self.left.data)
         elif in_neg:
-            self.count -= 1
-        if not -self.capacity <= self.count <= self.capacity:
-            raise ProtocolViolation(f"{self.name}: occupancy {self.count} out of range")
-        if len(self.data) != max(self.count, 0):
+            count -= 1
+        self.count = count
+        if not -self.capacity <= count <= self.capacity:
+            raise ProtocolViolation(f"{self.name}: occupancy {count} out of range")
+        if len(self.data) != (count if count > 0 else 0):
             raise ProtocolViolation(f"{self.name}: data/occupancy mismatch")
 
 
@@ -269,36 +277,36 @@ class Join(Controller):
         return (*self.inputs, self.output)
 
     def evaluate(self) -> bool:
-        changed = False
         out = self.output
-        pending = _b(any(self.apend))
-
-        vp_out = land(lnot(pending), *[ch.vp for ch in self.inputs])
-        changed |= out.drive_vp(vp_out)
+        # The B gate: an anti-token still pending in a flip-flop blocks
+        # new transfers and back-pressures further anti-tokens.
+        pending = 1 if any(self.apend) else 0
+        vp_out = 0
+        if not pending:
+            vp_out = 1
+            for ch in self.inputs:
+                vp_out = land2(vp_out, ch.vp)
+        changed = out.drive_producer(vp_out, pending)
         if vp_out == 1:
             changed |= out.put_data(self.combine([ch.data for ch in self.inputs]))
-        # B gate also back-pressures further anti-tokens while draining.
-        changed |= out.drive_sn(pending)
 
         # Eager anti-token fork: broadcast an accepted anti-token, plus
         # any anti-tokens still pending in the flip-flops.
-        forked = land(out.vn, lnot(vp_out), lnot(pending))
-        fire = land(vp_out, lnot(out.sp))
-        for i, ch in enumerate(self.inputs):
-            vn_i = lor(_b(self.apend[i]), forked)
-            changed |= ch.drive_vn(vn_i)
+        forked = 0 if pending else landn2(out.vn, vp_out)
+        fire = landn2(vp_out, out.sp)
+        for ch, pend in zip(self.inputs, self.apend):
+            vn_i = 1 if pend else forked
             # I gate: never stop a token we are about to kill.
-            changed |= ch.drive_sp(land(lnot(fire), lnot(vn_i)))
+            changed |= ch.drive_consumer(lnor2(fire, vn_i), vn_i)
         return changed
 
     def commit(self) -> None:
-        out = self.output
-        accepted = out.neg_transfer  # anti-token taken from the output channel
+        # anti-token taken from the output channel
+        accepted = self.output.last_event is NEGATIVE_TRANSFER
         for i, ch in enumerate(self.inputs):
-            offered = ch.vn == 1
-            delivered = offered and (ch.vp == 1 or ch.sn == 0)
-            incoming = accepted
-            self.apend[i] = _b((self.apend[i] or incoming) and not delivered)
+            event = ch.last_event
+            delivered = event is KILL or event is NEGATIVE_TRANSFER
+            self.apend[i] = 1 if (self.apend[i] or accepted) and not delivered else 0
 
 
 # ----------------------------------------------------------------------
@@ -347,25 +355,22 @@ class EarlyJoin(Controller):
     def _ee_inputs(self) -> Tuple[List[Value], List[object]]:
         # Inputs with pending anti-tokens are masked: their next token
         # is already doomed and cannot be consumed by a firing.
-        valids = [
-            land(ch.vp, _b(self.apend[i] == 0))
-            for i, ch in enumerate(self.inputs)
+        valids: List[Value] = [
+            0 if pend else ch.vp for ch, pend in zip(self.inputs, self.apend)
         ]
         datas = [
-            ch.data if (ch.vp == 1 and self.apend[i] == 0) else None
-            for i, ch in enumerate(self.inputs)
+            ch.data if valid == 1 else None
+            for ch, valid in zip(self.inputs, valids)
         ]
         return valids, datas
 
     def evaluate(self) -> bool:
-        changed = False
         out = self.output
-        full = _b(any(c >= self.anti_capacity for c in self.apend))
+        full = 1 if max(self.apend, default=0) >= self.anti_capacity else 0
 
         valids, datas = self._ee_inputs()
-        ee_val = self.ee.evaluate(valids, datas)
-        vp_out = land(ee_val, lnot(full))
-        changed |= out.drive_vp(vp_out)
+        vp_out = 0 if full else land2(self.ee.evaluate(valids, datas), 1)
+        changed = out.drive_producer(vp_out, full)
         if vp_out == 1:
             # SELF persistence: a token stalled in Retry+ must keep the
             # payload it was first offered with, even if a late input
@@ -375,17 +380,17 @@ class EarlyJoin(Controller):
                 changed |= out.put_data(self._held_data)
             else:
                 changed |= out.put_data(self.ee.output_data(valids, datas))
-        changed |= out.drive_sn(full)
 
-        fire = land(vp_out, lnot(out.sp))
-        forked = land(out.vn, lnot(vp_out), lnot(full))
-        for i, ch in enumerate(self.inputs):
-            # G gate: early firing leaves an anti-token on inputs whose
-            # (unmasked) token was absent.
-            generated = land(fire, lnot(valids[i]))
-            vn_i = lor(_b(self.apend[i] > 0), generated, forked)
-            changed |= ch.drive_vn(vn_i)
-            changed |= ch.drive_sp(land(lnot(fire), lnot(vn_i)))
+        fire = landn2(vp_out, out.sp)
+        forked = 0 if full else landn2(out.vn, vp_out)
+        for ch, pend, valid in zip(self.inputs, self.apend, valids):
+            if pend:
+                vn_i = 1
+            else:
+                # G gate: early firing leaves an anti-token on inputs
+                # whose (unmasked) token was absent.
+                vn_i = lor2(landn2(fire, valid), forked)
+            changed |= ch.drive_consumer(lnor2(fire, vn_i), vn_i)
         return changed
 
     def owing(self) -> Optional[List[int]]:
@@ -408,11 +413,11 @@ class EarlyJoin(Controller):
     def commit(self) -> None:
         out = self.output
         owing = self.owing() or ()
-        accepted = out.neg_transfer
+        accepted = out.last_event is NEGATIVE_TRANSFER
         for i, ch in enumerate(self.inputs):
             generated = i in owing
-            offered = ch.vn == 1
-            delivered = offered and (ch.vp == 1 or ch.sn == 0)
+            event = ch.last_event
+            delivered = event is KILL or event is NEGATIVE_TRANSFER
             incoming = 1 if (accepted or generated) else 0
             self.apend[i] = self.apend[i] + incoming - (1 if delivered else 0)
             if not 0 <= self.apend[i] <= self.anti_capacity:
@@ -421,7 +426,7 @@ class EarlyJoin(Controller):
                 )
         # Latch the offered payload across a Retry+ stall; any other
         # outcome (transfer, idle, kill) starts a fresh transaction.
-        if out.vp == 1 and out.sp == 1:
+        if out.last_event is RETRY_POS:
             self._held_data = out.data
         else:
             self._held_data = _NO_HELD_DATA
@@ -463,10 +468,7 @@ class EagerFork(Controller):
         return (self.input, *self.outputs)
 
     def evaluate(self) -> bool:
-        changed = False
         inp = self.input
-        done: List[Value] = []
-        anti_all = land(*[ch.vn for ch in self.outputs])
         # The anti-token wave crosses the fork only at a fresh token
         # boundary (every pending flag set): a half-delivered token
         # must finish first, or branch anti-tokens targeting different
@@ -475,41 +477,42 @@ class EagerFork(Controller):
         # when forks abut -- the hazard Sect. 4 warns about -- and
         # Retry- persistence holds because a colliding token is
         # annihilated (kill) instead of forcing a withdrawal.
-        fresh = _b(all(self.pend))
-        vn_in = land(anti_all, fresh)
-        changed |= inp.drive_vn(vn_in)
+        vn_in = 1 if all(self.pend) else 0
+        if vn_in:
+            for ch in self.outputs:
+                vn_in = land2(vn_in, ch.vn)
         # The wave is consumed when the input channel moves it: a
         # negative transfer backwards, or a kill against an arriving
         # token (which annihilates every branch copy at once).
-        moved = land(vn_in, lor(inp.vp, lnot(inp.sn)))
-        for i, ch in enumerate(self.outputs):
-            pend = _b(self.pend[i])
-            vp_i = land(inp.vp, pend)
-            changed |= ch.drive_vp(vp_i)
+        vp = inp.vp
+        moved = land2(vn_in, lorn2(vp, inp.sn))
+        changed = False
+        all_done = 1
+        for i, (ch, pend) in enumerate(zip(self.outputs, self.pend)):
+            vp_i = vp if pend else 0
+            # I gate: never stop an anti-token that annihilates our copy.
+            changed |= ch.drive_producer(vp_i, lnor2(moved, vp_i))
             if vp_i == 1:
                 payload = inp.data
                 if self.branch_data is not None:
                     payload = self.branch_data(i, payload)
                 changed |= ch.put_data(payload)
-            completed = land(vp_i, lor(lnot(ch.sp), ch.vn))
-            done.append(lor(lnot(pend), completed))
-            # I gate: never stop an anti-token that annihilates our copy.
-            changed |= ch.drive_sn(land(lnot(moved), lnot(vp_i)))
-        all_done = land(*done)
-        changed |= inp.drive_sp(land(lnot(all_done), lnot(vn_in)))
+            if pend:  # a delivered copy is done already
+                completed = land2(vp_i, lorn2(ch.vn, ch.sp))
+                all_done = land2(all_done, completed)
+        changed |= inp.drive_consumer(lnor2(all_done, vn_in), vn_in)
         return changed
 
     def commit(self) -> None:
-        inp = self.input
-        if inp.vp == 1:
-            consumed = inp.sp == 0  # all copies completed this cycle
-            if consumed:
-                self.pend = [1] * len(self.outputs)
-            else:
-                for i, ch in enumerate(self.outputs):
-                    completed = ch.vp == 1 and (ch.sp == 0 or ch.vn == 1)
-                    if completed:
-                        self.pend[i] = 0
+        event = self.input.last_event
+        if event is POSITIVE_TRANSFER or event is KILL:
+            # all copies completed this cycle
+            self.pend = [1] * len(self.outputs)
+        elif event is RETRY_POS:
+            for i, ch in enumerate(self.outputs):
+                copy = ch.last_event  # completed when it moved or died
+                if copy is POSITIVE_TRANSFER or copy is KILL:
+                    self.pend[i] = 0
         # With no token in flight every pend flag is (and stays) 1.
 
 
@@ -532,26 +535,31 @@ class LazyFork(Controller):
         return (self.input, *self.outputs)
 
     def evaluate(self) -> bool:
-        changed = False
         inp = self.input
-        anti_all = land(*[ch.vn for ch in self.outputs])
         # A lazy fork is always at a fresh token boundary (no pending
-        # state), so the wave gate reduces to anti_all; see EagerFork
-        # for the state-gated variant.
-        vn_in = anti_all
-        changed |= inp.drive_vn(vn_in)
-        moved = land(vn_in, lor(inp.vp, lnot(inp.sn)))
-        stops = [ch.sp for ch in self.outputs]
+        # state), so the wave gate reduces to the anti-tokens of every
+        # branch; see EagerFork for the state-gated variant.
+        vn_in = 1
+        for ch in self.outputs:
+            vn_in = land2(vn_in, ch.vn)
+        moved = land2(vn_in, lorn2(inp.vp, inp.sn))
+        changed = False
         for i, ch in enumerate(self.outputs):
-            others = [s for j, s in enumerate(stops) if j != i]
-            kill_ok = ch.vn  # a branch anti-token always completes a copy
-            vp_i = land(inp.vp, lor(land(*[lnot(s) for s in others]), kill_ok))
-            changed |= ch.drive_vp(vp_i)
+            siblings_go = 1
+            for j, other in enumerate(self.outputs):
+                if j != i:
+                    siblings_go = landn2(siblings_go, other.sp)
+            # a branch anti-token always completes a copy
+            vp_i = land2(inp.vp, lor2(siblings_go, ch.vn))
+            changed |= ch.drive_producer(vp_i, lnor2(moved, vp_i))
             if vp_i == 1:
                 changed |= ch.put_data(inp.data)
-            changed |= ch.drive_sn(land(lnot(moved), lnot(vp_i)))
-        no_stop = land(*[lor(lnot(ch.sp), ch.vn) for ch in self.outputs])
-        changed |= inp.drive_sp(land(lnot(land(inp.vp, no_stop)), lnot(vn_in)))
+        no_stop = 1
+        for ch in self.outputs:
+            no_stop = land2(no_stop, lorn2(ch.vn, ch.sp))
+        changed |= inp.drive_consumer(
+            lnor2(land2(inp.vp, no_stop), vn_in), vn_in
+        )
         return changed
 
 
@@ -583,12 +591,10 @@ class Pipe(Controller):
 
     def evaluate(self) -> bool:
         left, right = self.left, self.right
-        changed = right.drive_vp(left.vp)
+        changed = right.drive_producer(left.vp, left.sn)
         if left.vp == 1:
             changed |= right.put_data(self.func(left.data))
-        changed |= right.drive_sn(left.sn)
-        changed |= left.drive_sp(right.sp)
-        changed |= left.drive_vn(right.vn)
+        changed |= left.drive_consumer(right.sp, right.vn)
         return changed
 
 
@@ -615,15 +621,12 @@ class PassiveAntiToken(Controller):
         return (self.up, self.down)
 
     def evaluate(self) -> bool:
-        changed = False
         up, down = self.up, self.down
-        changed |= down.drive_vp(up.vp)
+        changed = down.drive_producer(up.vp, lnot(up.vp))
         if up.vp == 1:
             changed |= down.put_data(up.data)
-        changed |= down.drive_sn(lnot(up.vp))
         # Upstream never sees anti-tokens; a kill looks like a transfer.
-        changed |= up.drive_vn(0)
-        changed |= up.drive_sp(land(down.sp, lnot(down.vn)))
+        changed |= up.drive_consumer(landn2(down.sp, down.vn), 0)
         return changed
 
 
@@ -672,35 +675,25 @@ class VariableLatency(Controller):
         return (self.left, self.right)
 
     def evaluate(self) -> bool:
-        changed = False
         left, right = self.left, self.right
-        idle = self.state == self.IDLE
-        done = self.state == self.DONE
-        busy = self.state == self.BUSY
-
-        changed |= right.drive_vp(_b(done))
-        if done:
-            changed |= right.put_data(self.result)
-        if busy:
+        state = self.state
+        if state == self.IDLE:
+            # Pass the anti-token through combinationally.
+            changed = right.drive_producer(0, landn2(left.sn, left.vp))
+            changed |= left.drive_consumer(0, right.vn)
+        elif state == self.BUSY:
             # An anti-token may preempt the computation in flight (the
             # counterflow pipelining of the paper's refs [1, 2]): the
             # anti-token is absorbed and the operation aborted.
-            changed |= right.drive_sn(0)
-        elif done:
-            changed |= right.drive_sn(0)
-        else:  # idle: pass the anti-token through combinationally
-            changed |= right.drive_sn(land(left.sn, lnot(left.vp)))
-        changed |= left.drive_vn(land(right.vn, _b(idle)))
-        if idle:
-            changed |= left.drive_sp(0)
-        elif busy:
-            changed |= left.drive_sp(1)
+            changed = right.drive_producer(0, 0)
+            changed |= left.drive_consumer(1, 0)
         else:
-            # done: accept a new operand in the cycle the result departs
+            changed = right.drive_producer(1, 0)
+            changed |= right.put_data(self.result)
+            # Done: accept a new operand in the cycle the result departs
             # (ack = output transfer or kill), like back-to-back go/ack
             # handshakes on the Fig. 7(b) interface.
-            released = lor(lnot(right.sp), right.vn)
-            changed |= left.drive_sp(lnot(released))
+            changed |= left.drive_consumer(landn2(right.sp, right.vn), 0)
         return changed
 
     def _start(self, payload: object) -> None:
@@ -718,13 +711,14 @@ class VariableLatency(Controller):
             self.remaining = lat - 1
 
     def commit(self) -> None:
-        left, right = self.left, self.right
+        left, on_right = self.left, self.right.last_event
         if self.state == self.IDLE:
-            if left.pos_transfer:
+            if left.last_event is POSITIVE_TRANSFER:
                 self._start(left.data)
-            # left.kill: the token died on the input channel; stay idle.
+            # A kill on ``left``: the token died on the input channel;
+            # stay idle.
         elif self.state == self.BUSY:
-            if right.neg_transfer:
+            if on_right is NEGATIVE_TRANSFER:
                 # Preempted: the anti-token annihilates the operand in
                 # flight and the unit is flushed.
                 self.state = self.IDLE
@@ -737,10 +731,10 @@ class VariableLatency(Controller):
                     self.result = self.func(self.payload)
                     self.done_count += 1
         elif self.state == self.DONE:
-            if right.pos_transfer or right.kill:
+            if on_right is POSITIVE_TRANSFER or on_right is KILL:
                 self.state = self.IDLE
                 self.result = None
-                if left.pos_transfer:
+                if left.last_event is POSITIVE_TRANSFER:
                     self._start(left.data)
 
 
@@ -791,26 +785,25 @@ class Source(Controller):
             if self.p_valid >= 1.0 or self.rng.random() < self.p_valid:
                 self.current = self.data_fn(self.seq)
                 self.offer = True
-        valid = self.pending or self.offer
-        changed = out.drive_vp(_b(valid))
-        if valid:
+        if self.pending or self.offer:
+            changed = out.drive_producer(1, 0)
             changed |= out.put_data(self.current)
-        changed |= out.drive_sn(lnot(_b(valid)))
+        else:
+            changed = out.drive_producer(0, 1)
         return changed
 
     def commit(self) -> None:
-        out = self.output
-        if out.vp == 1:
-            if out.kill:
-                self.killed += 1
-                self.seq += 1
-                self.pending = False
-            elif out.pos_transfer:
-                self.sent += 1
-                self.seq += 1
-                self.pending = False
-            else:  # retry: persistence
-                self.pending = True
+        event = self.output.last_event
+        if event is KILL:
+            self.killed += 1
+            self.seq += 1
+            self.pending = False
+        elif event is POSITIVE_TRANSFER:
+            self.sent += 1
+            self.seq += 1
+            self.pending = False
+        elif event is RETRY_POS:  # persistence
+            self.pending = True
         self.offer = False
         self._decided = False
 
@@ -867,18 +860,19 @@ class Sink(Controller):
                 else:
                     self._action = "accept"
         action = self._action
-        changed = ch.drive_vn(_b(action == "kill"))
-        changed |= ch.drive_sp(_b(action == "stall"))
-        return changed
+        return ch.drive_consumer(
+            1 if action == "stall" else 0, 1 if action == "kill" else 0
+        )
 
     def commit(self) -> None:
         ch = self.input
-        if ch.pos_transfer:
+        event = ch.last_event
+        if event is POSITIVE_TRANSFER:
             self.received.append(ch.data)
             if self.on_data is not None:
                 self.on_data(ch.data)
         if self._action == "kill":
-            if ch.kill or ch.neg_transfer:
+            if event is KILL or event is NEGATIVE_TRANSFER:
                 self.kills_sent += 1
                 self.pending_anti = False
             else:  # Retry-: hold the anti-token
@@ -974,7 +968,7 @@ class ElasticNetwork:
     def _fanout(self) -> List[Tuple[int, ...]]:
         """For each controller, the indices to queue when it changes."""
         controllers = self.controllers
-        classes = [type(ctrl) for ctrl in controllers]
+        classes = list(map(type, controllers))
         planned, planned_classes, fanout = self._plan
         if controllers == planned and classes == planned_classes:
             return fanout
@@ -998,7 +992,8 @@ class ElasticNetwork:
 
     def step(self) -> None:
         """Simulate one clock cycle."""
-        for ch in self.channels.values():
+        channels = self.channels.values()
+        for ch in channels:
             ch.begin_cycle()
         controllers = self.controllers
         fanout = self._fanout()
@@ -1021,9 +1016,9 @@ class ElasticNetwork:
                         push(j)
         for saboteur in self._saboteurs:
             saboteur(self.cycle, self.channels)
-        for ch in self.channels.values():
+        for ch in channels:
             ch.finish_cycle()
-        for ctrl in self.controllers:
+        for ctrl in controllers:
             ctrl.commit()
         if self.probes:
             for probe in self.probes:

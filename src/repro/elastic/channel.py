@@ -5,21 +5,24 @@ plus a data payload.  Within a simulated cycle all wires start unknown
 (``X``) and are *driven* monotonically by the controllers at the two
 ends until the network reaches a fixed point:
 
-* the **producer** end drives ``V+`` (and the data payload) and ``S−``;
-* the **consumer** end drives ``S+`` and ``V−``.
+* the **producer** end drives ``V+`` (and the data payload) and ``S−``
+  through :meth:`Channel.drive_producer`;
+* the **consumer** end drives ``S+`` and ``V−`` through
+  :meth:`Channel.drive_consumer`.
 
-Every ``drive_*`` call and :meth:`Channel.put_data` reports whether it
-changed the channel; the network re-evaluates a channel's other end
-only after such a change.  Wires change at most once per cycle (X to
-0 or 1); a payload may be replaced while the network settles.
+Each drive and :meth:`Channel.put_data` reports whether it changed the
+channel; the network re-evaluates a channel's other end only after
+such a change.  Wires change at most once per cycle (X to 0 or 1); a
+payload may be replaced while the network settles.
 
 Driving a wire twice with conflicting known values raises -- that would
 mean two controllers disagree about the same physical signal, i.e. a
 bug in a controller's equations.
 
-After the network settles, :meth:`Channel.finish_cycle` classifies the
-cycle (positive/negative transfer, kill, retry, idle), updates the
-channel statistics, and runs the protocol monitor.
+After the network settles, :meth:`Channel.finish_cycle` reads the
+cycle's event (positive/negative transfer, kill, retry, idle) off the
+settled-code table :data:`~repro.elastic.protocol.SETTLED_EVENTS`,
+updates the channel statistics, and runs the protocol monitor.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from typing import Callable, Dict, List, Optional
 
 from repro.elastic.protocol import (
     CATEGORY,
+    EVENTS,
+    IDLE,
+    KILL,
     MOVED,
+    NEGATIVE_TRANSFER,
+    POSITIVE_TRANSFER,
+    RETRY_NEG,
+    RETRY_POS,
     DualChannelEvent,
     ProtocolMonitor,
     ProtocolViolation,
@@ -43,26 +53,30 @@ class ChannelStats:
     """Per-channel event counters (the Table 1 columns)."""
 
     cycles: int = 0
-    #: cycles counted per event of the six-event table
-    counts: Dict[DualChannelEvent, int] = field(
-        default_factory=lambda: dict.fromkeys(DualChannelEvent, 0)
-    )
+    #: cycles counted per event, at the event's position in ``EVENTS``
+    tally: List[int] = field(default_factory=lambda: [0] * len(EVENTS))
 
     def record(self, event: DualChannelEvent) -> None:
         self.cycles += 1
-        self.counts[event] += 1
+        self.tally[EVENTS.index(event)] += 1
 
-    positive = property(lambda self: self.counts[DualChannelEvent.POSITIVE_TRANSFER])
-    negative = property(lambda self: self.counts[DualChannelEvent.NEGATIVE_TRANSFER])
-    kills = property(lambda self: self.counts[DualChannelEvent.KILL])
-    retries_pos = property(lambda self: self.counts[DualChannelEvent.RETRY_POS])
-    retries_neg = property(lambda self: self.counts[DualChannelEvent.RETRY_NEG])
-    idle = property(lambda self: self.counts[DualChannelEvent.IDLE])
+    @property
+    def counts(self) -> Dict[DualChannelEvent, int]:
+        """Cycles counted per event of the six-event table."""
+        return dict(zip(EVENTS, self.tally))
+
+    positive = property(lambda self: self.counts[POSITIVE_TRANSFER])
+    negative = property(lambda self: self.counts[NEGATIVE_TRANSFER])
+    kills = property(lambda self: self.counts[KILL])
+    retries_pos = property(lambda self: self.counts[RETRY_POS])
+    retries_neg = property(lambda self: self.counts[RETRY_NEG])
+    idle = property(lambda self: self.counts[IDLE])
 
     @property
     def moved(self) -> int:
         """Cycles in which a token, an anti-token or both moved."""
-        return sum(self.counts[event] for event in MOVED)
+        counts = self.counts
+        return sum(counts[event] for event in MOVED)
 
     @property
     def throughput(self) -> float:
@@ -79,7 +93,8 @@ class ChannelStats:
     def rates(self) -> Dict[str, float]:
         """Per-cycle rates of the three moving events."""
         c = self.cycles or 1
-        return {event.value: self.counts[event] / c for event in MOVED}
+        counts = self.counts
+        return {event.value: counts[event] / c for event in MOVED}
 
     def __str__(self) -> str:
         r = self.rates()
@@ -109,56 +124,50 @@ class Channel:
 
     # ------------------------------------------------------------------
     # Driving (monotone: X -> known only; conflicting drives raise).
-    # Each drive returns True if the wire value changed.
+    # Each end drives its two wires at once; X leaves a wire as it is,
+    # and any other value drives it to canonical 0/1.  Returns True if
+    # either wire changed.
     # ------------------------------------------------------------------
     def _conflict(self, wire: str, value: Value) -> None:
         raise ProtocolViolation(
             f"{self.name}.{wire}: conflicting drives {getattr(self, wire)} vs {value}"
         )
 
-    def drive_vp(self, value: Value) -> bool:
-        """Producer drives Valid+ (forward data valid)."""
-        if value is X:
-            return False
-        if self.vp is X:
-            self.vp = 1 if value else 0
-            return True
-        if (1 if value else 0) != self.vp:
-            self._conflict("vp", value)
-        return False
+    def drive_producer(self, vp: Value, sn: Value) -> bool:
+        """The producer end drives Valid+ (forward data valid) and Stop−
+        (anti-token back-pressure)."""
+        changed = False
+        if vp is not X:
+            if self.vp is X:
+                self.vp = 1 if vp else 0
+                changed = True
+            elif (1 if vp else 0) != self.vp:
+                self._conflict("vp", vp)
+        if sn is not X:
+            if self.sn is X:
+                self.sn = 1 if sn else 0
+                changed = True
+            elif (1 if sn else 0) != self.sn:
+                self._conflict("sn", sn)
+        return changed
 
-    def drive_sp(self, value: Value) -> bool:
-        """Consumer drives Stop+ (token back-pressure)."""
-        if value is X:
-            return False
-        if self.sp is X:
-            self.sp = 1 if value else 0
-            return True
-        if (1 if value else 0) != self.sp:
-            self._conflict("sp", value)
-        return False
-
-    def drive_vn(self, value: Value) -> bool:
-        """Consumer drives Valid− (anti-token travelling backwards)."""
-        if value is X:
-            return False
-        if self.vn is X:
-            self.vn = 1 if value else 0
-            return True
-        if (1 if value else 0) != self.vn:
-            self._conflict("vn", value)
-        return False
-
-    def drive_sn(self, value: Value) -> bool:
-        """Producer drives Stop− (anti-token back-pressure)."""
-        if value is X:
-            return False
-        if self.sn is X:
-            self.sn = 1 if value else 0
-            return True
-        if (1 if value else 0) != self.sn:
-            self._conflict("sn", value)
-        return False
+    def drive_consumer(self, sp: Value, vn: Value) -> bool:
+        """The consumer end drives Stop+ (token back-pressure) and Valid−
+        (anti-token travelling backwards)."""
+        changed = False
+        if sp is not X:
+            if self.sp is X:
+                self.sp = 1 if sp else 0
+                changed = True
+            elif (1 if sp else 0) != self.sp:
+                self._conflict("sp", sp)
+        if vn is not X:
+            if self.vn is X:
+                self.vn = 1 if vn else 0
+                changed = True
+            elif (1 if vn else 0) != self.vn:
+                self._conflict("vn", vn)
+        return changed
 
     def put_data(self, payload: object) -> bool:
         """Producer attaches the payload accompanying ``V+``.
@@ -179,10 +188,10 @@ class Channel:
     def force(self, wire: str, value: Value) -> None:
         """Fault-injection hook: overwrite a wire after the network settled.
 
-        Unlike the ``drive_*`` methods this bypasses the monotone-drive
-        discipline -- it models a glitch corrupting the physical wire
-        between the drivers' fixed point and the receivers' sampling
-        edge.  Use only between :meth:`ElasticNetwork` settling and
+        Unlike :meth:`drive_producer` and :meth:`drive_consumer` this
+        bypasses the monotone-drive discipline -- it models a glitch
+        corrupting the physical wire between the drivers' fixed point
+        and the receivers' sampling edge.  Use only between :meth:`ElasticNetwork` settling and
         ``finish_cycle`` (see ``ElasticNetwork.add_saboteur``).
         """
         if wire not in ("vp", "sp", "vn", "sn"):
@@ -234,13 +243,15 @@ class Channel:
 
     def finish_cycle(self) -> DualChannelEvent:
         """Classify and record the settled cycle."""
-        self.require_settled()
+        vp, sp, vn, sn = self.vp, self.sp, self.vn, self.sn
+        if vp is X or sp is X or vn is X or sn is X:
+            self.require_settled()
         for observer in self.observers:
             observer(self)
         if self.monitor is not None:
-            event = self.monitor.observe(self.vp, self.sp, self.vn, self.sn, self.data)
+            event = self.monitor.observe(vp, sp, vn, sn, self.data)
         else:
-            event = classify_dual(self.vp, self.sp, self.vn, self.sn)
+            event = classify_dual(vp, sp, vn, sn)
         self.stats.record(event)
         self.last_event = event
         return event

@@ -51,14 +51,11 @@ class ScriptedEnd(Controller):
         ch = self.channel
         a, b = self.values
         if self.side == "producer":
-            changed = ch.drive_vp(a)
+            changed = ch.drive_producer(a, b)
             if a:
                 changed |= ch.put_data(self.data)
-            changed |= ch.drive_sn(b)
-        else:
-            changed = ch.drive_sp(a)
-            changed |= ch.drive_vn(b)
-        return changed
+            return changed
+        return ch.drive_consumer(a, b)
 
 
 @dataclass

@@ -73,7 +73,7 @@ class MuxEE(EarlyEvalFunction):
 
     def evaluate(self, valids: Sequence[Value], datas: Sequence[object]) -> Value:
         vs = valids[self.select]
-        if not is_known(vs):
+        if vs is X:
             return X
         if vs == 0:
             return 0

@@ -28,14 +28,17 @@ strongly connected system.
 Every other cycle is a **retry+** (``V+ and S+``), a **retry−** (``V−
 and S−``) or **idle**.  :func:`event_of` is the one six-event table;
 :data:`CATEGORY`, :data:`MOVED` and :data:`RETRYING` name and group
-its events for every counter, monitor and profiler.
+its events for every counter, monitor and profiler, and
+:data:`SETTLED_EVENTS` is the same table read off once per settled
+wire code for the per-cycle paths.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 
 class ChannelState(enum.Enum):
@@ -57,6 +60,14 @@ class DualChannelEvent(enum.Enum):
     IDLE = "I"
 
 
+#: the events in table order; an event's position here indexes the
+#: per-event counters of :class:`~repro.elastic.channel.ChannelStats`
+EVENTS: Tuple[DualChannelEvent, ...] = tuple(DualChannelEvent)
+#: the events as module constants: reading a member off the enum class
+#: goes through its metaclass, which the per-cycle paths cannot afford
+POSITIVE_TRANSFER, NEGATIVE_TRANSFER, KILL, RETRY_POS, RETRY_NEG, IDLE = EVENTS
+
+
 def classify(valid: int, stop: int) -> ChannelState:
     """Classify a positive-only channel cycle (Fig. 2)."""
     if not valid:
@@ -70,24 +81,17 @@ def invariant_holds(vp: int, sp: int, vn: int, sn: int) -> bool:
 
 
 #: each event's name in reports and traces, in table order
-CATEGORY: Dict[DualChannelEvent, str] = dict(zip(DualChannelEvent, (
+CATEGORY: Dict[DualChannelEvent, str] = dict(zip(EVENTS, (
     "transfer+", "transfer-", "kill", "retry+", "retry-", "idle",
 )))
 
 #: the events in which something moves: the paper's throughput counts
 #: them, and the profilers' no-progress rule waits for one
-MOVED = (
-    DualChannelEvent.POSITIVE_TRANSFER,
-    DualChannelEvent.NEGATIVE_TRANSFER,
-    DualChannelEvent.KILL,
-)
+MOVED = (POSITIVE_TRANSFER, NEGATIVE_TRANSFER, KILL)
 
 #: the events in which an offer is refused, each with the Stop wire
 #: asserted against it (a blocked Stop wire *is* a retry)
-RETRYING: Dict[DualChannelEvent, str] = {
-    DualChannelEvent.RETRY_POS: "sp",
-    DualChannelEvent.RETRY_NEG: "sn",
-}
+RETRYING: Dict[DualChannelEvent, str] = {RETRY_POS: "sp", RETRY_NEG: "sn"}
 
 
 def event_of(vp, sp, vn, sn) -> DualChannelEvent:
@@ -101,30 +105,45 @@ def event_of(vp, sp, vn, sn) -> DualChannelEvent:
     """
     if vp == 1:
         if vn == 1:
-            return DualChannelEvent.KILL
+            return KILL
         if sp == 0:
-            return DualChannelEvent.POSITIVE_TRANSFER
+            return POSITIVE_TRANSFER
         if sp == 1:
-            return DualChannelEvent.RETRY_POS
+            return RETRY_POS
     elif vn == 1:
         if sn == 0:
-            return DualChannelEvent.NEGATIVE_TRANSFER
+            return NEGATIVE_TRANSFER
         if sn == 1:
-            return DualChannelEvent.RETRY_NEG
-    return DualChannelEvent.IDLE
+            return RETRY_NEG
+    return IDLE
+
+
+#: The event of every settled wire code ``V+ S+ V− S−`` (four bits, V+
+#: the highest), or None where equation (2) is broken.  Read off
+#: :func:`event_of` and :func:`invariant_holds` once, so the six-event
+#: table keeps one definition.
+SETTLED_EVENTS: Tuple[Optional[DualChannelEvent], ...] = tuple(
+    event_of(*wires) if invariant_holds(*wires) else None
+    for wires in itertools.product((0, 1), repeat=4)
+)
 
 
 def classify_dual(vp: int, sp: int, vn: int, sn: int) -> DualChannelEvent:
-    """Classify one cycle of a dual channel.
+    """Classify one cycle of a dual channel from its settled wires.
 
     Raises ``ProtocolViolation`` if the invariants of equation (2) are
     broken: classification would be ambiguous otherwise.
     """
-    if not invariant_holds(vp, sp, vn, sn):
-        raise ProtocolViolation(
-            f"invariant (2) violated: V+={vp} S+={sp} V-={vn} S-={sn}"
-        )
-    return event_of(vp, sp, vn, sn)
+    event = SETTLED_EVENTS[vp << 3 | sp << 2 | vn << 1 | sn]
+    if event is None:
+        raise _broken(vp, sp, vn, sn)
+    return event
+
+
+def _broken(vp: int, sp: int, vn: int, sn: int) -> "ProtocolViolation":
+    return ProtocolViolation(
+        f"invariant (2) violated: V+={vp} S+={sp} V-={vn} S-={sn}"
+    )
 
 
 class ProtocolViolation(AssertionError):
@@ -148,36 +167,43 @@ class ProtocolMonitor:
 
     name: str = "channel"
     check_data: bool = True
-    _pending_pos: bool = field(default=False, repr=False)
+    #: the retry event of the last cycle, or None: what this cycle
+    #: must persist
+    _pending: Optional[DualChannelEvent] = field(default=None, repr=False)
     _pending_data: object = field(default=None, repr=False)
-    _pending_neg: bool = field(default=False, repr=False)
 
     def observe(
         self, vp: int, sp: int, vn: int, sn: int, data: object = None
     ) -> DualChannelEvent:
-        """Check one cycle; returns its classification."""
-        event = classify_dual(vp, sp, vn, sn)
+        """Check one cycle of settled wires; returns its classification."""
+        # classify_dual, read inline: this runs on every channel, every
+        # cycle
+        event = SETTLED_EVENTS[vp << 3 | sp << 2 | vn << 1 | sn]
+        if event is None:
+            raise _broken(vp, sp, vn, sn)
+        if self._pending is not None:
+            self._check_persistence(vp, vn, data)
+        if event is RETRY_POS or event is RETRY_NEG:
+            self._pending = event
+            self._pending_data = data if event is RETRY_POS else None
+        else:
+            self._pending = None
+            self._pending_data = None
+        return event
 
-        if self._pending_pos and not vp:
-            raise ProtocolViolation(
-                f"{self.name}: V+ dropped during Retry+ (persistence broken)"
-            )
-        if (
-            self._pending_pos
-            and vp
-            and self.check_data
-            and data != self._pending_data
-        ):
-            raise ProtocolViolation(
-                f"{self.name}: data changed during Retry+ "
-                f"({self._pending_data!r} -> {data!r})"
-            )
-        if self._pending_neg and not vn:
+    def _check_persistence(self, vp: int, vn: int, data: object) -> None:
+        if self._pending is RETRY_POS:
+            if not vp:
+                raise ProtocolViolation(
+                    f"{self.name}: V+ dropped during Retry+ "
+                    f"(persistence broken)"
+                )
+            if self.check_data and data != self._pending_data:
+                raise ProtocolViolation(
+                    f"{self.name}: data changed during Retry+ "
+                    f"({self._pending_data!r} -> {data!r})"
+                )
+        elif not vn:
             raise ProtocolViolation(
                 f"{self.name}: V- dropped during Retry- (persistence broken)"
             )
-
-        self._pending_pos = event is DualChannelEvent.RETRY_POS
-        self._pending_data = data if self._pending_pos else None
-        self._pending_neg = event is DualChannelEvent.RETRY_NEG
-        return event

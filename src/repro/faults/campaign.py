@@ -229,6 +229,7 @@ def prove_untestable(
     target: RtlTarget,
     injection: Injection,
     cache: Union[BuildCache, str, None] = None,
+    metrics: Optional["MetricsRegistry"] = None,
 ) -> bool:
     """Exhaustively prove a fault equivalent to the fault-free circuit.
 
@@ -244,7 +245,7 @@ def prove_untestable(
     Lanes are the enumeration axis: one cycle of the compiled simulator
     over ``2 * 2**n`` lanes for ``n`` enumerated bits, the low half
     fault-free and the high half faulty.  ``cache`` is the build cache
-    of its generated module, as for
+    of its generated module and ``metrics`` counts its lookup, as for
     :class:`~repro.codegen.sim.CompiledSimulator`.
 
     Conservative: returns False (i.e. "maybe testable") when the DUT
@@ -273,7 +274,7 @@ def prove_untestable(
     try:
         sim = CompiledSimulator(
             nl, 2 << n, hooks=sites.union(boundary),
-            observe=frozenset(outputs), cache=cache,
+            observe=frozenset(outputs), cache=cache, metrics=metrics,
         )
     except CombinationalCycleError:
         return False
@@ -360,6 +361,7 @@ def _apply_untestable_analysis(
     injections: Sequence[Injection],
     outcomes: Sequence[FaultOutcome],
     cache: Union[BuildCache, str, None] = None,
+    metrics: Optional["MetricsRegistry"] = None,
 ) -> List[FaultOutcome]:
     """Upgrade undetected faults the prover shows to be untestable.
 
@@ -376,7 +378,7 @@ def _apply_untestable_analysis(
     for injection, outcome in zip(injections, outcomes):
         key = (injection.net, injection.kind)
         if outcome.status == "undetected" and key not in verdicts:
-            verdicts[key] = prove_untestable(tgt, injection, cache)
+            verdicts[key] = prove_untestable(tgt, injection, cache, metrics)
         if outcome.status == "undetected" and verdicts[key]:
             outcome = FaultOutcome(
                 fault=outcome.fault,
@@ -550,8 +552,8 @@ def run_campaign(
             # shared cache instance and finds the module in memory.
             from repro.faults.batch import campaign_restriction
 
-            build_cache(cache, metrics=metrics).load_module(
-                tgt.netlist, **campaign_restriction(tgt)
+            build_cache(cache).load_module(
+                tgt.netlist, **campaign_restriction(tgt), metrics=metrics
             )
             launcher = local_workers(min(jobs, len(pending)))
         with launcher as addresses:
@@ -586,7 +588,7 @@ def run_campaign(
     outcomes = [o for index in sorted(by_index) for o in by_index[index]]
     report = CampaignReport(target=tgt.name, seed=cfg.seed, cycles=cfg.cycles)
     report.outcomes = _apply_untestable_analysis(
-        tgt, cfg, injections, outcomes, cache
+        tgt, cfg, injections, outcomes, cache, metrics
     )
     if metrics is not None:
         for outcome in report.outcomes:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.elastic.behavioral import _NO_HELD_DATA, EarlyJoin, ElasticNetwork
-from repro.rtl.logic import land, lnot, lor
+from repro.rtl.logic import land2, landn2, lnot, lor2
 
 __all__ = ["MUTATIONS", "BrokenEarlyJoin", "break_early_join"]
 
@@ -32,30 +32,25 @@ class BrokenEarlyJoin(EarlyJoin):
     """An early join whose I gate forgets the pending-anti-token guard."""
 
     def evaluate(self) -> bool:
-        changed = False
         out = self.output
-        full = 1 if any(c >= self.anti_capacity for c in self.apend) else 0
+        full = 1 if max(self.apend, default=0) >= self.anti_capacity else 0
 
         valids, datas = self._ee_inputs()
-        ee_val = self.ee.evaluate(valids, datas)
-        vp_out = land(ee_val, lnot(full))
-        changed |= out.drive_vp(vp_out)
+        vp_out = 0 if full else land2(self.ee.evaluate(valids, datas), 1)
+        changed = out.drive_producer(vp_out, full)
         if vp_out == 1:
             if self._held_data is not _NO_HELD_DATA:
                 changed |= out.put_data(self._held_data)
             else:
                 changed |= out.put_data(self.ee.output_data(valids, datas))
-        changed |= out.drive_sn(full)
 
-        fire = land(vp_out, lnot(out.sp))
-        forked = land(out.vn, lnot(vp_out), lnot(full))
-        for i, ch in enumerate(self.inputs):
-            generated = land(fire, lnot(valids[i]))
-            vn_i = lor(1 if self.apend[i] > 0 else 0, generated, forked)
-            changed |= ch.drive_vn(vn_i)
+        fire = landn2(vp_out, out.sp)
+        forked = 0 if full else landn2(out.vn, vp_out)
+        for ch, pend, valid in zip(self.inputs, self.apend, valids):
+            vn_i = 1 if pend else lor2(landn2(fire, valid), forked)
             # BUG: the correct I gate is ``not fire and not vn_i``; the
             # missing guard asserts S+ while V- is pending.
-            changed |= ch.drive_sp(lnot(fire))
+            changed |= ch.drive_consumer(lnot(fire), vn_i)
         return changed
 
 

@@ -74,6 +74,51 @@ def lor(*vs: Value) -> Value:
     return X if saw_x else 0
 
 
+def land2(a: Value, b: Value) -> Value:
+    """``a and b`` over 0, 1 and X: :func:`land` without an argument tuple.
+
+    The two-input forms here serve the per-cycle controller equations,
+    which cannot afford a variadic call per gate.
+    """
+    if a is X:
+        return 0 if b is not X and not b else X
+    return b if a else 0
+
+
+def lor2(a: Value, b: Value) -> Value:
+    """``a or b`` over 0, 1 and X."""
+    if a is X:
+        return 1 if b is not X and b else X
+    return 1 if a else b
+
+
+def lnor2(a: Value, b: Value) -> Value:
+    """``not (a or b)`` over 0, 1 and X."""
+    if a is X:
+        return 0 if b is not X and b else X
+    if a or b is X:
+        return 0 if a else X
+    return 0 if b else 1
+
+
+def landn2(a: Value, b: Value) -> Value:
+    """``a and not b`` over 0, 1 and X."""
+    if a is X:
+        return 0 if b is not X and b else X
+    if not a or b is X:
+        return X if a else 0
+    return 0 if b else 1
+
+
+def lorn2(a: Value, b: Value) -> Value:
+    """``a or not b`` over 0, 1 and X."""
+    if a is X:
+        return 1 if b is not X and not b else X
+    if a or b is X:
+        return 1 if a else X
+    return 0 if b else 1
+
+
 def lnot(v: Value) -> Value:
     """Ternary NOT."""
     if v is X:

@@ -171,9 +171,93 @@ def test_build_cache_shares_instances(tmp_path):
     a = build_cache(tmp_path / "shared")
     b = build_cache(tmp_path / "shared")
     assert a is b
+    assert a.metrics is None  # shared: a registry is passed per load
+
+
+def _module_counts(registry):
+    return {
+        (name, dict(c.labels)["tier"]): c.value
+        for name in ("codegen_cache_hits_total", "codegen_cache_misses_total")
+        for c in registry.series(name)
+    }
+
+
+def test_a_registry_counts_only_the_loads_of_its_call(tmp_path):
+    from repro.faults.campaign import CampaignConfig, run_campaign
+
     registry = MetricsRegistry()
-    c = build_cache(tmp_path / "shared", metrics=registry)
-    assert c is a and a.metrics is registry
+    root = str(tmp_path / "shared")
+    run_campaign("join", CampaignConfig(cycles=40, seed=1), lanes=16,
+                 metrics=registry, cache=root)
+    counted = _module_counts(registry)
+    # the harness's miss and hit, and the prover's miss
+    assert counted == {
+        ("codegen_cache_hits_total", "memory"): 1,
+        ("codegen_cache_misses_total", "disk"): 2,
+    }
+    run_campaign("fork", CampaignConfig(cycles=40, seed=1), lanes=16,
+                 cache=root)
+    assert _module_counts(registry) == counted
+    # a registry passed to one load counts that load only
+    other = MetricsRegistry()
+    build_cache(root).load_module(_small_netlist(), metrics=other)
+    build_cache(root).load_module(_small_netlist())
+    assert _module_counts(other) == {("codegen_cache_misses_total", "disk"): 1}
+    assert _module_counts(registry) == counted
+
+
+def _counting_compiles(monkeypatch):
+    import repro.codegen.cache as codegen_cache
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return compile(*args, **kwargs)
+
+    monkeypatch.setattr(codegen_cache, "compile", counted, raising=False)
+    return calls
+
+
+def test_warm_disk_hit_compiles_nothing(tmp_path, monkeypatch):
+    nl = _small_netlist()
+    key = BuildCache(tmp_path / "c").load_module(nl).KEY
+    assert (tmp_path / "c" / key / BuildCache.CODE).is_file()
+    compiles = _counting_compiles(monkeypatch)
+    reset_process_stats()
+    module = BuildCache(tmp_path / "c").load_module(nl)
+    assert compiles == [] and module.KEY == key
+    assert process_stats() == {"hits": 1, "misses": 0}
+
+
+@pytest.mark.parametrize("spoil", ["torn", "garbage", "magic", "source"])
+def test_a_bad_code_file_falls_back_to_the_source(tmp_path, monkeypatch, spoil):
+    import importlib.util
+
+    nl = _small_netlist()
+    root = tmp_path / "c"
+    key = BuildCache(root).load_module(nl).KEY
+    code = root / key / BuildCache.CODE
+    blob = code.read_bytes()
+    magic = importlib.util.MAGIC_NUMBER
+    if spoil == "torn":
+        code.write_bytes(blob[:len(blob) // 2])
+    elif spoil == "garbage":
+        code.write_bytes(blob[:len(magic) + 32] + b"\xff" * 64)
+    elif spoil == "magic":  # compiled by another interpreter
+        code.write_bytes(bytes(b ^ 0xFF for b in magic) + blob[len(magic):])
+    else:  # compiled from another source: its KEY would be wrong
+        other = BuildCache(root).load_module(_small_netlist(1)).KEY
+        code.write_bytes((root / other / BuildCache.CODE).read_bytes())
+    compiles = _counting_compiles(monkeypatch)
+    reset_process_stats()
+    module = BuildCache(root).load_module(nl)
+    assert compiles and module.KEY == key
+    assert process_stats() == {"hits": 1, "misses": 0}
+    # the code file is written again, and the next load runs it
+    compiles.clear()
+    assert BuildCache(root).load_module(nl).KEY == key
+    assert compiles == []
 
 
 def test_lint_findings_cache(tmp_path):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.casestudy.fig9 import Config, build_fig9_spec
 from repro.elastic.behavioral import (
     Controller,
     EagerFork,
@@ -14,6 +15,7 @@ from repro.elastic.behavioral import (
     Source,
 )
 from repro.elastic.protocol import ProtocolViolation
+from repro.synthesis.elaborate import to_behavioral
 
 
 def pipeline(stages, p_stop=0.0, p_kill=0.0, seed=0):
@@ -132,6 +134,28 @@ class TestFixedPoint:
         net.add(Lazy(ch))
         with pytest.raises(ProtocolViolation):
             net.step()
+
+    def test_plan_follows_the_controller_list(self):
+        net = to_behavioral(build_fig9_spec(Config.ACTIVE))
+        net.run(20)
+        before = net._fanout()
+        net.controllers.reverse()  # in place, after the plan was built
+        twin = to_behavioral(build_fig9_spec(Config.ACTIVE))
+        twin.controllers.reverse()
+        assert net._fanout() == twin._fanout() != before
+        net.run(20)
+
+        class ReadingBuffer(ElasticBuffer):
+            state_only = False
+
+        i, eb = next(
+            (i, c) for i, c in enumerate(net.controllers)
+            if type(c) is ElasticBuffer
+        )
+        assert not any(i in targets for targets in net._fanout())
+        eb.__class__ = ReadingBuffer  # a swapped class is planned again
+        assert any(i in targets for targets in net._fanout())
+        net.run(20)
 
     def test_report_lists_channels(self):
         net, _ = pipeline(2)

@@ -1,8 +1,11 @@
 """Tests for the SELF protocol layer (Sect. 3 and 4)."""
 
+import itertools
+
 import pytest
 
 from repro.elastic.protocol import (
+    SETTLED_EVENTS,
     ChannelState,
     DualChannelEvent,
     ProtocolMonitor,
@@ -97,6 +100,23 @@ class TestClassifyDual:
         else:
             assert classify_dual(*wires) is strict
 
+    def test_settled_table_reads_the_event_table(self):
+        broken = []
+        for code, wires in enumerate(itertools.product((0, 1), repeat=4)):
+            vp, sp, vn, sn = wires
+            assert code == vp << 3 | sp << 2 | vn << 1 | sn
+            if invariant_holds(*wires):
+                assert SETTLED_EVENTS[code] is event_of(*wires)
+                assert classify_dual(*wires) is event_of(*wires)
+                assert ProtocolMonitor().observe(*wires) is event_of(*wires)
+            else:
+                broken.append(wires)
+                assert SETTLED_EVENTS[code] is None
+                for classify in (classify_dual, ProtocolMonitor().observe):
+                    with pytest.raises(ProtocolViolation, match="invariant"):
+                        classify(*wires)
+        assert len(SETTLED_EVENTS) == 16 and len(broken) == 7
+
 
 class TestMonitor:
     def test_accepts_iirt_language(self):
@@ -132,6 +152,17 @@ class TestMonitor:
         mon.observe(0, 0, 1, 1)  # Retry-
         with pytest.raises(ProtocolViolation):
             mon.observe(0, 0, 0, 0)
+
+    def test_persistence_is_checked_only_after_a_retry(self):
+        mon = ProtocolMonitor("ch")
+        # no retry pending: V+ and V- may drop, the payload may change
+        for wires in [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0), (1, 0, 1, 0)]:
+            mon.observe(*wires, data=object())
+        mon.observe(0, 0, 1, 1)  # Retry-
+        mon.observe(0, 0, 1, 0)  # transferred: the retry is discharged
+        mon.observe(1, 1, 0, 0, data="a")  # Retry+
+        mon.observe(1, 0, 0, 0, data="a")  # transferred
+        mon.observe(0, 0, 0, 0)
 
     def test_kill_discharges_retry(self):
         mon = ProtocolMonitor("ch")

@@ -221,7 +221,7 @@ def assert_first_evaluation_is_final(ctrl):
     for values in itertools.product((0, 1), repeat=len(free)):
         twin = _fresh_twin(ctrl)
         for (k, w), value in zip(free, values):
-            getattr(twin.channels()[k], f"drive_{w}")(value)
+            twin.channels()[k].force(w, value)
             if w == "vp" and value:
                 twin.channels()[k].put_data(("probe", k))
         twin.evaluate()

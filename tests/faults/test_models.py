@@ -115,10 +115,8 @@ class TestRtlFaultInjector:
 class TestChannelFault:
     def settled_channel(self, vp=0, sp=0, vn=0, sn=0, data=None):
         ch = Channel("c", monitor=False)
-        ch.drive_vp(vp)
-        ch.drive_sp(sp)
-        ch.drive_vn(vn)
-        ch.drive_sn(sn)
+        ch.drive_producer(vp, sn)
+        ch.drive_consumer(sp, vn)
         if data is not None:
             ch.put_data(data)
         return ch

@@ -5,7 +5,21 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rtl.logic import X, eval_op, is_known, land, lmux, lnot, lor, lxor
+from repro.rtl.logic import (
+    X,
+    eval_op,
+    is_known,
+    land,
+    land2,
+    landn2,
+    lmux,
+    lnor2,
+    lnot,
+    lor,
+    lor2,
+    lorn2,
+    lxor,
+)
 
 VALUES = [0, 1, X]
 
@@ -57,6 +71,24 @@ class TestOr:
 
     def test_empty_is_zero(self):
         assert lor() == 0
+
+
+#: each two-input form with its variadic definition
+TWO_INPUT = {
+    "land2": (land2, lambda a, b: land(a, b)),
+    "lor2": (lor2, lambda a, b: lor(a, b)),
+    "lnor2": (lnor2, lambda a, b: lnot(lor(a, b))),
+    "landn2": (landn2, lambda a, b: land(a, lnot(b))),
+    "lorn2": (lorn2, lambda a, b: lor(a, lnot(b))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_INPUT))
+def test_two_input_forms_equal_the_variadic_gates(name):
+    fast, reference = TWO_INPUT[name]
+    for a, b in itertools.product(VALUES, repeat=2):
+        got, want = fast(a, b), reference(a, b)
+        assert got is X if want is X else (type(got) is int and got == want), (a, b)
 
 
 class TestNotXorMux:
