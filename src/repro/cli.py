@@ -874,10 +874,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=400)
     p.add_argument("--seed", type=int, default=2007)
     p.add_argument("--lanes", type=int, default=1,
-                   help="injections simulated per pass of the compiled "
-                        "lane-parallel simulator, one per bit lane (1 "
-                        "runs one fault at a time; 64 packs a machine "
-                        "word)")
+                   help="injections per chunk, one per bit lane of the "
+                        "compiled lane-parallel simulator; a chunk is "
+                        "the unit of checkpoints, progress and fabric "
+                        "leases (each leased chunk runs as one pass). "
+                        "In process, whole chunks share a pass up to "
+                        "512 lanes. The report is the same for every "
+                        "value")
     p.add_argument("--jobs", type=int, default=1,
                    help="local fabric worker processes leasing the lane "
                         "chunks (a dead one is not replaced; its chunks "

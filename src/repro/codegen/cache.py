@@ -8,19 +8,22 @@ Layout (one directory per artifact, named by its SHA-256 key)::
       <key>/meta.json    {"key", "codegen_version", "netlist", ...}
       <key>/data.json    JSON payload artifacts (lint findings, ...)
 
-Every write goes through the :mod:`repro.resilience.checkpoint`
-hygiene -- serialise to a tmp file in the same directory, ``fsync``,
-``os.replace`` -- so a SIGKILL mid-build leaves either a complete
-artifact or ignorable debris, and concurrent builders (campaign worker
+Every write serialises to a tmp file in the same directory and
+``os.replace``-s it into place, so concurrent builders (campaign worker
 processes warming the same cache) race benignly: last rename wins with
-byte-identical content.  ``module.code`` skips the ``fsync``: it is
-checked on every load, so losing it costs only a compile.
+byte-identical content.  A module's three files skip the ``fsync``
+(``data.json`` keeps the :mod:`repro.resilience.checkpoint` one):
+after a crash one may be torn or empty, and every load checks them, so
+losing one costs a rebuild, where the ``fsync`` would cost every cold
+build a few milliseconds.
 
-Loads verify before trusting: the meta fingerprint and codegen version
-must match the requested key, and the imported module must carry the
-same ``KEY``.  Any mismatch -- a hand-edited artifact, a cache written
-by a different codegen version, a torn file -- is treated as absent
-and rebuilt (invalidation is just a key change or a failed check).
+Loads verify before trusting: ``meta.json`` must parse, its key and
+codegen version must match the requested key, ``module.py`` must hash
+to the SHA-256 ``meta.json`` records, and the imported module must
+carry the same ``KEY``.  Any mismatch -- a hand-edited artifact, a
+cache written by a different codegen version, a torn file, an entry
+written before the digest was recorded -- is treated as absent and
+rebuilt (invalidation is just a key change or a failed check).
 
 ``module.code`` spares a disk hit the compile, which costs several
 times the emit.  It is headed by ``importlib.util.MAGIC_NUMBER`` and
@@ -70,7 +73,7 @@ from repro.codegen.fingerprint import (
     artifact_key,
     netlist_fingerprint,
 )
-from repro.resilience.checkpoint import atomic_write_json, atomic_write_text
+from repro.resilience.checkpoint import atomic_write_json
 from repro.rtl.netlist import Netlist
 
 __all__ = [
@@ -123,15 +126,11 @@ def _exec_module(
     return module
 
 
-def _write_code(path: Path, header: bytes, codes: Tuple[CodeType, ...]) -> None:
-    """Write ``module.code`` by tmp file and rename, but without the
-    fsync of the other artifacts: a code file that a crash tears or
-    loses fails its header or unmarshal check and costs one compile,
-    where the fsync would cost every cold build a few milliseconds."""
+def _replace(path: Path, data: bytes) -> None:
+    """Write ``path`` by tmp file and rename, without an ``fsync``."""
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     with open(tmp, "wb") as handle:
-        handle.write(header)
-        marshal.dump(codes, handle)
+        handle.write(data)
     os.replace(tmp, path)
 
 
@@ -235,8 +234,9 @@ class BuildCache:
             try:
                 directory = self._dir(key)
                 directory.mkdir(parents=True, exist_ok=True)
-                atomic_write_text(directory / self.MODULE, source)
-                atomic_write_json(directory / self.META, {
+                data = source.encode()
+                _replace(directory / self.MODULE, data)
+                _replace(directory / self.META, json.dumps({
                     "kind": "compiled-simulator",
                     "key": key,
                     "codegen_version": CODEGEN_VERSION,
@@ -246,7 +246,8 @@ class BuildCache:
                     "observe": (
                         sorted(observe) if observe is not None else None
                     ),
-                })
+                    "source_sha256": hashlib.sha256(data).hexdigest(),
+                }, sort_keys=True, separators=(",", ":")).encode())
             except OSError:  # unwritable root: build in memory instead
                 pass
             else:
@@ -275,18 +276,20 @@ class BuildCache:
             return None
         if meta.get("codegen_version") != CODEGEN_VERSION:
             return None
-        if not module_path.is_file():
-            return None
         try:
-            source = module_path.read_text()
+            data = module_path.read_bytes()
+            digest = hashlib.sha256(data).digest()
+            if meta.get("source_sha256") != digest.hex():
+                return None  # torn, hand-edited, or written without one
+            source = data.decode()
             # this interpreter's bytecode magic and the source's digest
-            header = (importlib.util.MAGIC_NUMBER
-                      + hashlib.sha256(source.encode()).digest())
+            header = importlib.util.MAGIC_NUMBER + digest
             codes = _read_code(directory / self.CODE, header)
             if codes is None:
                 codes = _compile_chunks(source, str(module_path))
                 try:
-                    _write_code(directory / self.CODE, header, codes)
+                    _replace(directory / self.CODE,
+                             header + marshal.dumps(codes))
                 except OSError:  # read-only root: compile every time
                     pass
             module = _exec_module(key, codes, str(module_path))

@@ -22,10 +22,12 @@ Two things keep it fast:
   lives purely in locals of the fused cycle function;
 * **the known dialect** -- when the module reports ``KNOWN_OK`` (all
   state inits known) and every primary input arrives fully known, the
-  value-plane-only ``kcycle`` runs instead, halving the bit-ops.
-  Eligibility is re-checked every cycle and the first X permanently
-  drops this instance back to the two-plane kernel (until ``reset`` or
-  a fully known ``load_state``).
+  value-plane-only ``kcycle`` runs instead, halving the bit-ops.  The
+  first X or missing input permanently drops this instance back to the
+  two-plane kernel (until ``reset`` or a fully known ``load_state``).
+  A frame packed by :meth:`CompiledSimulator.broadcast` has its
+  eligibility established once, when the stimulus is packed; any other
+  inputs mapping is checked on every cycle it is passed.
 
 Construction compiles the netlist's phase programs, so a netlist with a
 combinational cycle raises
@@ -42,12 +44,14 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
 from repro.codegen.cache import BuildCache, build_cache
-from repro.rtl.batchsim import LaneOverride, Planes, unpack_lane
+from repro.rtl.batchsim import LaneOverride, Planes, broadcast, unpack_lane
+from repro.rtl.logic import Value
 from repro.rtl.netlist import Netlist
 
 __all__ = ["CompiledSimulator"]
@@ -103,6 +107,9 @@ class CompiledSimulator:
         self._ov: List[Optional[LaneOverride]] = [None] * n
         self._kov: List[Optional[Tuple[int, int, int]]] = [None] * n
         self._any_ov = False
+        #: the frames :meth:`broadcast` found known-eligible, by identity
+        #: (holding each frame keeps its id unique)
+        self._known_frames: Dict[int, Mapping[str, Planes]] = {}
         self.state: Dict[int, Planes] = {}
         self.time = 0
         #: end-of-cycle observers ``fn(time, sim)`` called by
@@ -186,6 +193,40 @@ class CompiledSimulator:
                 return False
         return True
 
+    def broadcast(
+        self, stimulus: Sequence[Mapping[str, Value]]
+    ) -> List[Dict[str, Planes]]:
+        """One input frame per cycle of ``stimulus`` (input name to 0, 1
+        or X), the same value in every lane, ready for :meth:`cycle`.
+
+        Cycles with the same inputs share one frame, and whether a frame
+        drives every primary input known is established here, once per
+        stimulus, so :meth:`cycle` does not re-check these frames for
+        the known dialect.  The frames are read, never written, by
+        :meth:`cycle`; callers must not modify them either.
+        """
+        frames: List[Dict[str, Planes]] = []
+        shared: Dict[tuple, Dict[str, Planes]] = {}
+        for inputs in stimulus:
+            key = tuple(inputs.items())
+            frame = shared.get(key)
+            if frame is None:
+                frame = shared[key] = {
+                    name: broadcast(value, self.lanes)
+                    for name, value in inputs.items()
+                }
+                if self._known_eligible(frame):
+                    self._known_frames[id(frame)] = frame
+            frames.append(frame)
+        return frames
+
+    @property
+    def known_dialect(self) -> bool:
+        """Whether this instance still runs the known dialect; after a
+        :meth:`cycle`, whether that cycle ran it (every observed known
+        plane then holds the full lane mask)."""
+        return self._known_active
+
     def cycle(self, inputs: Optional[Mapping[str, Planes]] = None) -> None:
         """Advance every lane by one clock cycle.
 
@@ -197,7 +238,9 @@ class CompiledSimulator:
         """
         inputs = inputs or {}
         mod, mask = self.module, self.mask
-        if self._known_active and self._known_eligible(inputs):
+        if self._known_active and (
+            id(inputs) in self._known_frames or self._known_eligible(inputs)
+        ):
             if not self._k_primed:
                 # The known dialect never touches the k array; monitors
                 # still read it, so pin the observed slots to all-known

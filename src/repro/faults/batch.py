@@ -13,15 +13,19 @@ replays a whole injection schedule in lane 0, for
 :mod:`repro.faults.shrink`.
 
 The online SELF monitors (the rules listed in
-:mod:`repro.faults.monitors`) are word-wide: every rule is evaluated
-for all lanes with a few integer operations on the simulator's plane
-arrays (signal slots are resolved once, at bank construction), and
-per-lane values are only unpacked on a violation, to build the detail
-string.  A lane's verdict depends only on its own trace and the
-golden lane's, which every chunk computes alike, under a fixed bank
-order, if/elif precedence inside each monitor and
-first-detection-wins rule, which is what makes a report byte-identical
-for every lanes/jobs split (locked by
+:mod:`repro.faults.monitors`) are word-wide: each monitor class states
+its rules once, as integer operations on plane words
+(:meth:`BatchMonitor.rules`), and a :class:`MonitorBank` traces the
+rules of all its monitors into one generated straight-line check,
+compiled once per process per bank.  Per cycle the check reads each
+observed slot once, moves the carried planes (persistence's pending
+retries, conservation's previous cycle) on for every lane and returns
+nothing unless a live lane breaks a rule; only then are the rule words
+applied in bank order and per-lane values unpacked, to build the
+detail strings.  A lane's verdict depends only on its own trace and
+the golden lane's, which every chunk computes alike, under a fixed
+bank order and first-rule-wins, which is what makes a report
+byte-identical for every lanes/jobs split (locked by
 ``tests/faults/test_campaign_determinism.py``).  The scalar harness and
 monitor bank these replaced are the reference in
 ``tests/faults/scalar_reference.py``.
@@ -36,7 +40,9 @@ plane.
 
 from __future__ import annotations
 
-from operator import itemgetter
+import hashlib
+import re
+from collections.abc import Sequence as SequenceABC
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -53,6 +59,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
 
+from repro.codegen import cache as codegen_cache
 from repro.codegen.cache import BuildCache
 from repro.codegen.sim import CompiledSimulator
 from repro.faults.campaign import (
@@ -64,16 +71,13 @@ from repro.faults.campaign import (
 from repro.faults.models import Injection
 from repro.faults.monitors import EbProbe, Violation
 from repro.faults.targets import RtlTarget
-from repro.rtl.batchsim import (
-    LaneOverride,
-    broadcast,
-    unpack_lane,
-)
+from repro.rtl.batchsim import LaneOverride, unpack_lane
 from repro.rtl.logic import Value
 from repro.verif.traces import TraceStep
 
 __all__ = [
     "BatchCampaignHarness",
+    "MonitorBank",
     "batch_monitor_bank",
     "campaign_restriction",
     "lane_overrides",
@@ -93,7 +97,9 @@ def _count7(
     x1: int, x2: int, x3: int, x4: int, x5: int, x6: int, x7: int
 ) -> Tuple[int, int, int]:
     """Lane-parallel count of seven bits (0..7) as three planes, lowest
-    first: four full adders, each ``(a ^ b ^ c, majority(a, b, c))``."""
+    first: four full adders, each ``(a ^ b ^ c, majority(a, b, c))``.
+    Called on traced planes, it writes the same adders into a bank's
+    generated check."""
     h = x1 ^ x2
     s1, c1 = h ^ x3, (x1 & x2) | (h & x3)
     h = x4 ^ x5
@@ -107,112 +113,161 @@ def _count7(
 # ----------------------------------------------------------------------
 # Word-wide monitors
 # ----------------------------------------------------------------------
-class BatchMonitor:
-    """Base: observe one settled cycle for all (still alive) lanes.
+class _Trace:
+    """The statements of one generated check, bound as they are traced."""
 
-    ``observe`` reads the simulator's live value planes (``v[slot]`` is
-    the strict-bit word of a wire: lane set iff known 1, the word-wide
-    :func:`repro.faults.monitors._bit`) and returns ``(lane,
-    Violation)`` pairs; the harness kills each reported lane before
-    calling the next monitor, so the first monitor in bank order to
-    fire on a lane decides its verdict.
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self._bound: Dict[str, str] = {}
+
+    def bind(self, expr: str) -> "_Plane":
+        """The local holding ``expr``, bound once per check."""
+        name = self._bound.get(expr)
+        if name is None:
+            name = self._bound[expr] = f"t{len(self.lines)}"
+            self.lines.append(f"{name}={expr}")
+        return _Plane(self, name)
+
+
+class _Plane:
+    """A plane word while a bank traces the rules of its monitors.
+
+    Each operator binds its result to a fresh local of the generated
+    check, so a rule written as plain word arithmetic becomes
+    straight-line code in which every subexpression is computed once.
+    Plain ints enter as literals.
+    """
+
+    __slots__ = ("trace", "name")
+
+    def __init__(self, trace: _Trace, name: str) -> None:
+        self.trace = trace
+        self.name = name
+
+    def __and__(self, other) -> "_Plane":
+        return self.trace.bind(f"{self.name}&{_term(other)}")
+
+    def __or__(self, other) -> "_Plane":
+        return self.trace.bind(f"{self.name}|{_term(other)}")
+
+    def __xor__(self, other) -> "_Plane":
+        return self.trace.bind(f"{self.name}^{_term(other)}")
+
+    def __rshift__(self, other) -> "_Plane":
+        return self.trace.bind(f"{self.name}>>{_term(other)}")
+
+    def __invert__(self) -> "_Plane":
+        return self.trace.bind(f"~{self.name}")
+
+    def __neg__(self) -> "_Plane":
+        return self.trace.bind(f"-{self.name}")
+
+
+def _term(word) -> str:
+    return word.name if isinstance(word, _Plane) else repr(int(word))
+
+
+#: One rule of a monitor: the monitor name its violations carry, the
+#: word of lanes breaking it, and its detail string (``None`` when
+#: :meth:`BatchMonitor.describe` builds one per lane).
+Rule = Tuple[str, object, Optional[str]]
+
+
+class BatchMonitor:
+    """Base: one family of SELF rules, stated once as word arithmetic.
+
+    ``wires`` are the signals the monitor reads.  :meth:`rules` gets
+    their value planes ``v`` (lane set iff known 1: the strict-bit
+    reading of :func:`repro.faults.monitors._bit`), their known planes
+    ``k`` (``None`` while the simulator runs the known dialect, where
+    every lane is known), the planes carried from the previous cycle
+    (named by ``carried``; all 0 at the start of a sweep) and the
+    golden lane ``g``.  It returns the monitor's rules in precedence
+    order -- a lane is claimed by the first rule it breaks -- and the
+    planes to carry into the next cycle.
+
+    A :class:`MonitorBank` traces the rules of all its monitors into one
+    generated check; :meth:`observe` runs a bank of this monitor alone.
     """
 
     name = "monitor"
+    carried: Tuple[str, ...] = ()
+
+    def __init__(self, wires: Sequence[str], sim: CompiledSimulator) -> None:
+        self.wires = list(wires)
+        self.slots = tuple(sim.slot(w) for w in self.wires)
+        #: the top lane of ``sim``, the golden run
+        self.lane = sim.lanes - 1
+        self._bank: Optional[MonitorBank] = None
+
+    def rules(self, v, k, prev, g) -> Tuple[List[Rule], Sequence]:
+        raise NotImplementedError
+
+    def describe(self, rule: int, lane: int, v: List[int], k: List[int],
+                 prev: Tuple[int, ...]) -> str:
+        """The detail of rule ``rule`` on ``lane``, for a rule declared
+        without one; ``prev`` is this monitor's carried planes going
+        into the cycle."""
+        raise NotImplementedError
 
     def observe(
         self, cycle: int, v: List[int], k: List[int], alive: int
     ) -> List[Tuple[int, Violation]]:
-        raise NotImplementedError
+        """This monitor alone on one settled cycle: the ``(lane,
+        Violation)`` pairs of the ``alive`` lanes it claims."""
+        if self._bank is None:
+            self._bank = MonitorBank([self], self.lane)
+        return self._bank.observe(cycle, v, k, alive)
 
 
 class BatchInvariantMonitor(BatchMonitor):
     """Word-wide equation (2) check on one channel."""
 
     def __init__(self, channel, sim: CompiledSimulator) -> None:
+        super().__init__(channel.wires(), sim)
         self.name = f"invariant[{channel.name}]"
-        self._vp = sim.slot(channel.vp)
-        self._sp = sim.slot(channel.sp)
-        self._vn = sim.slot(channel.vn)
-        self._sn = sim.slot(channel.sn)
 
-    def observe(self, cycle, v, k, alive):
-        neg = v[self._vn] & v[self._sp] & alive
-        pos = v[self._vp] & v[self._sn] & alive & ~neg
-        if not (neg | pos):
-            return []
-        out = [
-            (lane, Violation(cycle, self.name, "V- and S+ both asserted"))
-            for lane in _lanes_of(neg)
-        ]
-        out.extend(
-            (lane, Violation(cycle, self.name, "V+ and S- both asserted"))
-            for lane in _lanes_of(pos)
-        )
-        return out
+    def rules(self, v, k, prev, g):
+        vp, sp, vn, sn = v
+        return [
+            (self.name, vn & sp, "V- and S+ both asserted"),
+            (self.name, vp & sn, "V+ and S- both asserted"),
+        ], ()
 
 
 class BatchPersistenceMonitor(BatchMonitor):
     """Word-wide Retry persistence on one channel."""
 
-    def __init__(self, channel, sim: CompiledSimulator) -> None:
-        self.name = f"persistence[{channel.name}]"
-        self._vp = sim.slot(channel.vp)
-        self._sp = sim.slot(channel.sp)
-        self._vn = sim.slot(channel.vn)
-        self._sn = sim.slot(channel.sn)
-        self._pending_pos = 0
-        self._pending_neg = 0
+    carried = ("pending_pos", "pending_neg")
 
-    def observe(self, cycle, v, k, alive):
-        vp = v[self._vp]
-        vn = v[self._vn]
-        dropped_pos = self._pending_pos & ~vp & alive
-        dropped_neg = self._pending_neg & ~vn & alive & ~dropped_pos
+    def __init__(self, channel, sim: CompiledSimulator) -> None:
+        super().__init__(channel.wires(), sim)
+        self.name = f"persistence[{channel.name}]"
+
+    def rules(self, v, k, prev, g):
+        vp, sp, vn, sn = v
+        pending_pos, pending_neg = prev
         # A kill resolves both flows; only a genuine retry carries over.
-        self._pending_pos = vp & v[self._sp] & ~vn
-        self._pending_neg = vn & v[self._sn] & ~vp
-        if not (dropped_pos | dropped_neg):
-            return []
-        out = [
-            (lane, Violation(cycle, self.name, "V+ dropped during Retry+"))
-            for lane in _lanes_of(dropped_pos)
-        ]
-        out.extend(
-            (lane, Violation(cycle, self.name, "V- dropped during Retry-"))
-            for lane in _lanes_of(dropped_neg)
-        )
-        return out
+        return [
+            (self.name, pending_pos & ~vp, "V+ dropped during Retry+"),
+            (self.name, pending_neg & ~vn, "V- dropped during Retry-"),
+        ], (vp & sp & ~vn, vn & sn & ~vp)
 
 
 class BatchEncodingMonitor(BatchMonitor):
     """Word-wide thermometer-code invariants of the EB state bits."""
 
     def __init__(self, probe: EbProbe, sim: CompiledSimulator) -> None:
+        super().__init__(probe.state_bits, sim)
         self.name = f"encoding[{probe.prefix}]"
-        self._bits = tuple(sim.slot(s) for s in probe.state_bits)
 
-    def observe(self, cycle, v, k, alive):
-        t0, t1, a0, a1 = (v[s] for s in self._bits)
-        bad_t = t1 & ~t0 & alive
-        bad_a = a1 & ~a0 & alive & ~bad_t
-        coexist = t0 & a0 & alive & ~bad_t & ~bad_a
-        if not (bad_t | bad_a | coexist):
-            return []
-        out = [
-            (lane, Violation(cycle, self.name, "t1 set without t0"))
-            for lane in _lanes_of(bad_t)
-        ]
-        out.extend(
-            (lane, Violation(cycle, self.name, "a1 set without a0"))
-            for lane in _lanes_of(bad_a)
-        )
-        out.extend(
-            (lane, Violation(cycle, self.name,
-                             "tokens and anti-tokens coexist"))
-            for lane in _lanes_of(coexist)
-        )
-        return out
+    def rules(self, v, k, prev, g):
+        t0, t1, a0, a1 = v
+        return [
+            (self.name, t1 & ~t0, "t1 set without t0"),
+            (self.name, a1 & ~a0, "a1 set without a0"),
+            (self.name, t0 & a0, "tokens and anti-tokens coexist"),
+        ], ()
 
 
 class BatchConservationMonitor(BatchMonitor):
@@ -228,51 +283,44 @@ class BatchConservationMonitor(BatchMonitor):
           == a0 + a1 + t0' + t1' + in_pos' + kill_left' + out_neg'
 
     Each side is a popcount of seven bit planes, so comparing the two
-    counts plane by plane is exact.  The integers of the detail string
+    counts plane by plane is exact.  ``primed`` is all ones from the
+    second cycle of a sweep on, so the first cycle, which has no
+    previous one, checks nothing.  The integers of the detail string
     are only decoded for the lanes that fire.
     """
 
-    def __init__(self, probe: EbProbe, sim: CompiledSimulator) -> None:
-        self.name = f"conservation[{probe.prefix}]"
-        left, right = probe.left, probe.right
-        self._read = itemgetter(*(
-            sim.slot(s) for s in (
-                *probe.state_bits,
-                left.vp, left.sp, left.vn, left.sn,
-                right.vp, right.sp, right.vn, right.sn,
-            )
-        ))
-        #: the previous cycle's ``(t0, t1, a0, a1, in_pos, kill_left,
-        #: out_neg, out_pos, kill_right, in_neg)`` planes
-        self._prev: Optional[Tuple[int, ...]] = None
+    carried = (
+        "primed", "t0", "t1", "a0", "a1",
+        "in_pos", "kill_left", "out_neg", "out_pos", "kill_right", "in_neg",
+    )
 
-    def observe(self, cycle, v, k, alive):
-        t0, t1, a0, a1, lvp, lsp, lvn, lsn, rvp, rsp, rvn, rsn = self._read(v)
-        prev = self._prev
-        self._prev = (
-            t0, t1, a0, a1,
-            lvp & ~(lsp | lvn), lvp & lvn, lvn & ~(lsn | lvp),
-            rvp & ~(rsp | rvn), rvp & rvn, rvn & ~(rsn | rvp),
+    def __init__(self, probe: EbProbe, sim: CompiledSimulator) -> None:
+        super().__init__(
+            (*probe.state_bits, *probe.left.wires(), *probe.right.wires()),
+            sim,
         )
-        if prev is None:
-            return []
-        (pt0, pt1, pa0, pa1, in_pos, kill_left, out_neg,
+        self.name = f"conservation[{probe.prefix}]"
+
+    def rules(self, v, k, prev, g):
+        t0, t1, a0, a1, lvp, lsp, lvn, lsn, rvp, rsp, rvn, rsn = v
+        (primed, pt0, pt1, pa0, pa1, in_pos, kill_left, out_neg,
          out_pos, kill_right, in_neg) = prev
         g0, g1, g2 = _count7(t0, t1, pa0, pa1, out_pos, kill_right, in_neg)
         h0, h1, h2 = _count7(a0, a1, pt0, pt1, in_pos, kill_left, out_neg)
-        mismatch = ((g0 ^ h0) | (g1 ^ h1) | (g2 ^ h2)) & alive
-        out: List[Tuple[int, Violation]] = []
-        for lane in _lanes_of(mismatch):
-            b = [(word >> lane) & 1 for word in (*prev, t0, t1, a0, a1)]
-            occupancy = b[0] + b[1] - b[2] - b[3]
-            delta = b[4] + b[5] + b[6] - b[7] - b[8] - b[9]
-            observed = b[10] + b[11] - b[12] - b[13]
-            out.append((lane, Violation(
-                cycle, self.name,
-                f"occupancy {occupancy} + delta {delta} "
-                f"!= observed {observed}",
-            )))
-        return out
+        mismatch = ((g0 ^ h0) | (g1 ^ h1) | (g2 ^ h2)) & primed
+        return [(self.name, mismatch, None)], (
+            -1, t0, t1, a0, a1,
+            lvp & ~(lsp | lvn), lvp & lvn, lvn & ~(lsn | lvp),
+            rvp & ~(rsp | rvn), rvp & rvn, rvn & ~(rsn | rvp),
+        )
+
+    def describe(self, rule, lane, v, k, prev):
+        now = (v[slot] for slot in self.slots[:4])
+        b = [(word >> lane) & 1 for word in (*prev[1:], *now)]
+        occupancy = b[0] + b[1] - b[2] - b[3]
+        delta = b[4] + b[5] + b[6] - b[7] - b[8] - b[9]
+        observed = b[10] + b[11] - b[12] - b[13]
+        return f"occupancy {occupancy} + delta {delta} != observed {observed}"
 
 
 class BatchGoldenMonitor(BatchMonitor):
@@ -284,68 +332,212 @@ class BatchGoldenMonitor(BatchMonitor):
     ``-(w >> g)`` spreads it to every lane, and with both planes
     canonical (``v & ~k == 0``) ``(v ^ -(v >> g)) | (k ^ -(k >> g))`` is
     set exactly on the lanes whose ternary value differs from the golden
-    one -- ``X`` matches only ``X``.  Lanes are claimed by the first
-    mismatching wire in ``wires`` order.
+    one -- ``X`` matches only ``X``.  In the known dialect every lane is
+    known, so the known-plane term is 0 and drops out.  Lanes are
+    claimed by the first mismatching wire in ``wires`` order.
     """
 
     name = "golden"
 
-    def __init__(self, wires: Sequence[str], sim: CompiledSimulator) -> None:
-        self.wires = list(wires)
-        self._slots = [sim.slot(w) for w in wires]
-        #: the golden lane; only the top one makes ``w >> g`` one bit
-        self.lane = sim.lanes - 1
+    def rules(self, v, k, prev, g):
+        rules: List[Rule] = []
+        for i, wire in enumerate(self.wires):
+            mismatch = v[i] ^ -(v[i] >> g)
+            if k is not None:
+                mismatch = mismatch | (k[i] ^ -(k[i] >> g))
+            rules.append((f"{self.name}[{wire}]", mismatch, None))
+        return rules, ()
 
-    def observe(self, cycle, v, k, alive):
-        g = self.lane
+    def describe(self, rule, lane, v, k, prev):
+        slot = self.slots[rule]
+        planes = (v[slot], k[slot])
+        return (f"expected {unpack_lane(planes, self.lane)!r}, "
+                f"observed {unpack_lane(planes, lane)!r}")
+
+
+def _tuple(names: Sequence[str]) -> str:
+    return f"({','.join(names)},)" if names else "()"
+
+
+def _bank_source(
+    monitors: Sequence[BatchMonitor],
+) -> Tuple[str, List[tuple], int]:
+    """The generated source of one bank, its rules in bank order as
+    ``(monitor position, index, name, detail, lo, hi)`` (``lo:hi`` the
+    monitor's share of the carried planes) and the number of carried
+    planes."""
+    parts = ["# Generated by repro.faults.batch -- one monitor bank."]
+    for function, known in (("check", False), ("known_check", True)):
+        trace = _Trace()
+        carried: List[str] = []
+        nexts: List[str] = []
+        words: List[str] = []
+        rules: List[tuple] = []
+        for position, monitor in enumerate(monitors):
+            v = tuple(_Plane(trace, f"v{s}") for s in monitor.slots)
+            k = None if known else tuple(
+                _Plane(trace, f"k{s}") for s in monitor.slots
+            )
+            lo = len(carried)
+            carried.extend(
+                f"p{lo + i}" for i in range(len(monitor.carried))
+            )
+            prev = tuple(_Plane(trace, name) for name in carried[lo:])
+            declared, after = monitor.rules(v, k, prev, _Plane(trace, "g"))
+            nexts.extend(_term(word) for word in after)
+            for index, (name, word, detail) in enumerate(declared):
+                words.append(_term(word))
+                rules.append((position, index, name, detail, lo,
+                              len(carried)))
+        # Read only the slots some statement uses (the known dialect's
+        # check reads no known plane).
+        body = trace.lines + words + nexts
+        reads = sorted(
+            {(m[0], int(m[1:])) for m in re.findall(r"\b[vk]\d+\b",
+                                                     "\n".join(body))},
+        )
+        lines = [f"def {function}(v, k, s, alive, g):"]
+        lines.extend(f"{p}{slot}={p}[{slot}]" for p, slot in reads)
+        if carried:
+            lines.append(f"{','.join(carried)},=s")
+        lines.extend(trace.lines)
+        if carried:
+            lines.append(f"s[:]={_tuple(nexts)}")
+        if words:
+            lines.append(f"if ({'|'.join(words)})&alive:")
+            lines.append(f"    return {_tuple(words)},{_tuple(carried)}")
+        if len(lines) == 1:
+            lines.append("return None")
+        parts.extend(["", "", lines[0]])
+        parts.extend(f"    {line}" for line in lines[1:])
+    parts.append("")
+    return "\n".join(parts), rules, len(carried)
+
+
+#: Compiled banks by shape, oldest first; at most :data:`_MAX_BANKS`.
+_BANKS: Dict[tuple, tuple] = {}
+_MAX_BANKS = 64
+
+
+def _compiled_bank(monitors: Sequence[BatchMonitor]) -> tuple:
+    """``(check, known_check, rules, carried)`` of a bank, generated and
+    compiled once per process per shape: the monitor classes, names,
+    wires and slots, which fix the generated source."""
+    shape = tuple(
+        (type(m), m.name, tuple(m.wires), m.slots) for m in monitors
+    )
+    bank = _BANKS.get(shape)
+    if bank is None:
+        source, rules, carried = _bank_source(monitors)
+        key = hashlib.sha256(source.encode()).hexdigest()
+        filename = f"<repro.faults.bank:{key[:16]}>"
+        module = codegen_cache._exec_module(
+            key, codegen_cache._compile_chunks(source, filename), filename
+        )
+        bank = (module.check, module.known_check, tuple(rules), carried)
+        if len(_BANKS) >= _MAX_BANKS:
+            del _BANKS[next(iter(_BANKS))]
+        _BANKS[shape] = bank
+    return bank
+
+
+class MonitorBank(SequenceABC):
+    """Monitors in bank order, checked by one generated function.
+
+    The rules of every monitor are traced into one straight-line source
+    with two entry points, compiled once per process per bank shape:
+    ``check`` for two-plane values and ``known_check`` for the known
+    dialect, without the known-plane terms.  Both are called as
+    ``(v, k, state, alive, g)``: they read each observed slot once,
+    move ``state`` (the carried planes in bank order, updated for every
+    lane) on by one cycle, and return ``None`` unless an ``alive`` lane
+    breaks a rule; then they return every rule's word and the carried
+    planes going into the cycle, which :meth:`violations` turns into
+    violations.  ``lane`` is the golden lane ``g``.
+    """
+
+    def __init__(self, monitors: Sequence[BatchMonitor], lane: int) -> None:
+        self.monitors = tuple(monitors)
+        self.lane = lane
+        self.check, self.known_check, self._rules, carried = _compiled_bank(
+            self.monitors
+        )
+        self.state: List[int] = [0] * carried
+
+    def __getitem__(self, index):
+        return self.monitors[index]
+
+    def __len__(self) -> int:
+        return len(self.monitors)
+
+    def reset(self) -> None:
+        """Zero the carried planes, as at the start of a sweep."""
+        self.state[:] = [0] * len(self.state)
+
+    def observe(
+        self, cycle: int, v: List[int], k: List[int], alive: int
+    ) -> List[Tuple[int, Violation]]:
+        """The whole bank on one settled cycle of two-plane values."""
+        fired = self.check(v, k, self.state, alive, self.lane)
+        if fired is None:
+            return []
+        return self.violations(cycle, fired, v, k, alive)
+
+    def violations(
+        self, cycle: int, fired: tuple, v: List[int], k: List[int],
+        alive: int,
+    ) -> List[Tuple[int, Violation]]:
+        """The ``(lane, Violation)`` pairs of a firing cycle: rules in
+        bank order, each claiming the ``alive`` lanes no earlier rule
+        claimed, lanes in ascending order within a rule."""
+        words, prev = fired
         out: List[Tuple[int, Violation]] = []
-        for i, slot in enumerate(self._slots):
-            vs, ks = v[slot], k[slot]
-            mismatch = ((vs ^ -(vs >> g)) | (ks ^ -(ks >> g))) & alive
-            if not mismatch:
+        for word, (position, index, name, detail, lo, hi) in zip(
+            words, self._rules
+        ):
+            hit = word & alive
+            if not hit:
                 continue
-            alive &= ~mismatch
-            want = unpack_lane((vs, ks), g)
-            for lane in _lanes_of(mismatch):
-                got = unpack_lane((vs, ks), lane)
-                out.append((
-                    lane,
-                    Violation(
-                        cycle,
-                        f"{self.name}[{self.wires[i]}]",
-                        f"expected {want!r}, observed {got!r}",
-                    ),
-                ))
+            alive ^= hit
+            for lane in _lanes_of(hit):
+                text = detail if detail is not None else self.monitors[
+                    position
+                ].describe(index, lane, v, k, prev[lo:hi])
+                out.append((lane, Violation(cycle, name, text)))
             if not alive:
                 break
         return out
 
 
+def _protocol(channels: Sequence, sim: CompiledSimulator) -> List[BatchMonitor]:
+    monitors: List[BatchMonitor] = []
+    for ch in channels:
+        monitors.append(BatchInvariantMonitor(ch, sim))
+        monitors.append(BatchPersistenceMonitor(ch, sim))
+    return monitors
+
+
 def protocol_monitors(
     channels: Sequence, sim: CompiledSimulator
-) -> List[BatchMonitor]:
+) -> MonitorBank:
     """Equation (2) then Retry persistence, per channel in order."""
-    bank: List[BatchMonitor] = []
-    for ch in channels:
-        bank.append(BatchInvariantMonitor(ch, sim))
-        bank.append(BatchPersistenceMonitor(ch, sim))
-    return bank
+    return MonitorBank(_protocol(channels, sim), sim.lanes - 1)
 
 
 def batch_monitor_bank(
     target: RtlTarget, sim: CompiledSimulator
-) -> List[BatchMonitor]:
+) -> MonitorBank:
     """A fresh monitor bank: channel protocol, EB state, then golden.
 
     The golden monitor compares ``target.observe`` with the simulator's
     top lane, which the caller runs fault-free.
     """
-    bank = protocol_monitors(target.channels, sim)
+    monitors = _protocol(target.channels, sim)
     for probe in target.ebs:
-        bank.append(BatchEncodingMonitor(probe, sim))
-        bank.append(BatchConservationMonitor(probe, sim))
-    bank.append(BatchGoldenMonitor(target.observe, sim))
-    return bank
+        monitors.append(BatchEncodingMonitor(probe, sim))
+        monitors.append(BatchConservationMonitor(probe, sim))
+    monitors.append(BatchGoldenMonitor(target.observe, sim))
+    return MonitorBank(monitors, sim.lanes - 1)
 
 
 # ----------------------------------------------------------------------
@@ -447,11 +639,8 @@ class BatchCampaignHarness:
         self.stimulus = make_stimulus(
             target.free_inputs, config.cycles, config.seed
         )
-        self.packed = [
-            {name: broadcast(value, self.sim.lanes)
-             for name, value in inputs.items()}
-            for inputs in self.stimulus
-        ]
+        self.packed = self.sim.broadcast(self.stimulus)
+        self.bank = batch_monitor_bank(target, self.sim)
 
     def _make_sim(self) -> CompiledSimulator:
         """The simulator restricted to what a campaign touches
@@ -491,10 +680,12 @@ class BatchCampaignHarness:
         # verdict depend on which chunk the harness ran before, i.e. on
         # scheduling.
         sim.set_overrides({})
-        bank = batch_monitor_bank(self.target, sim)
+        bank = self.bank
+        bank.reset()
+        state, golden = bank.state, bank.lane
+        check, known_check = bank.check, bank.known_check
         found: Dict[int, Violation] = {}
-        value_planes = sim.value_planes
-        known_planes = sim.known_planes
+        v, k = sim.value_planes, sim.known_planes
         metrics = self.metrics
         cycles_run = busy_lanes = 0
         for t, packed in enumerate(self.packed):
@@ -513,16 +704,15 @@ class BatchCampaignHarness:
             if metrics is not None:
                 cycles_run += 1
                 busy_lanes += bin(alive).count("1")
-            for monitor in bank:
-                for lane, violation in monitor.observe(
-                    t, value_planes, known_planes, alive
-                ):
+            fired = (known_check if sim.known_dialect else check)(
+                v, k, state, alive, golden
+            )
+            if fired is not None:
+                for lane, violation in bank.violations(t, fired, v, k, alive):
                     found[lane] = violation
                     alive &= ~(1 << lane)
                 if not alive:
                     break
-            if not alive:
-                break
         if metrics is not None:
             metrics.counter("batchsim_cycles_total").inc(cycles_run)
             metrics.counter("batchsim_busy_lane_cycles_total").inc(busy_lanes)

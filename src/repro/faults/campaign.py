@@ -28,13 +28,14 @@ compiled lane-parallel simulator.
 
 RTL campaigns run on the compiled lane-parallel simulator
 (:class:`~repro.faults.batch.BatchCampaignHarness`), which classifies
-``lanes`` injections per simulation, one per bit lane, beside the
-fault-free run in one lane more.  They scale two
-ways, composable and both byte-identical to the one-lane sweep: more
-``lanes``, and ``jobs > 1`` (or ``workers=``), which leases the
-injection chunks to socket workers of :mod:`repro.fabric` (dead/hung
-workers are detected and their chunks requeued), merging results back
-into sweep order.  A ``checkpoint`` directory makes any split
+many injections per simulation, one per bit lane, beside the
+fault-free run in one lane more.  The sweep is cut into chunks of
+``lanes`` injections, the unit of checkpoints, progress calls and
+fabric leases.  In process, whole chunks share one pass of up to
+:data:`PASS_LANES` lanes; ``jobs > 1`` (or ``workers=``) instead leases
+the chunks to socket workers of :mod:`repro.fabric` (dead/hung workers
+are detected and their chunks requeued), each chunk one pass, merging
+results back into sweep order.  Every split is byte-identical.  A ``checkpoint`` directory makes any split
 resumable: each classified chunk is persisted atomically, and a rerun
 pointed at the same directory skips completed chunks and still emits
 byte-for-byte the same JSON report as an uninterrupted run.
@@ -59,7 +60,7 @@ from typing import (
 )
 
 from repro.casestudy.processor import ProcessorConfig, build_processor
-from repro.codegen.cache import BuildCache, build_cache
+from repro.codegen.cache import BuildCache
 from repro.codegen.fingerprint import netlist_fingerprint
 from repro.codegen.sim import CompiledSimulator
 from repro.elastic.behavioral import ElasticBuffer
@@ -335,6 +336,34 @@ def _chunked(
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
 
+#: The widest in-process pass: :func:`run_campaign` sweeps whole pending
+#: chunks together, as many as fit in this many lanes (a chunk wider
+#: than it runs alone).  A cycle's cost is mostly fixed interpreter
+#: overhead, so width is nearly free: one ``CompiledSimulator.cycle``
+#: with overrides installed took 12.6 / 17.7 / 17.6 / 21.2 us at
+#: 64 / 256 / 512 / 1024 lanes on ``dual_ehb_latches`` and 9.9 / 12.1 /
+#: 13.3 / 15.0 us on ``fork`` (2-vCPU x86-64, CPython 3.11.7): a
+#: 512-lane pass does 8x the work of a 64-lane one in about 1.4x the
+#: time, and every stock campaign of stuck-at and flip faults fits one.
+PASS_LANES = 512
+
+
+def _passes(
+    pending: Sequence[Tuple[int, List[Injection]]],
+) -> List[List[Tuple[int, List[Injection]]]]:
+    """Consecutive pending chunks grouped into in-process passes of at
+    most :data:`PASS_LANES` lanes; a chunk is never split."""
+    passes: List[List[Tuple[int, List[Injection]]]] = []
+    width = 0
+    for index, chunk in pending:
+        if not passes or width + len(chunk) > PASS_LANES:
+            passes.append([])
+            width = 0
+        passes[-1].append((index, chunk))
+        width += len(chunk)
+    return passes
+
+
 def _campaign_fingerprint(
     tgt: RtlTarget, config: CampaignConfig, lanes: int, total: int
 ) -> Dict[str, object]:
@@ -407,9 +436,11 @@ def run_campaign(
 ) -> CampaignReport:
     """Sweep every enumerated fault over ``target``.
 
-    Every chunk of ``lanes`` injections is classified in one run of the
+    The injections are cut into chunks of ``lanes``, classified on the
     compiled lane-parallel simulator
-    (:class:`~repro.faults.batch.BatchCampaignHarness`), ``lanes=1``
+    (:class:`~repro.faults.batch.BatchCampaignHarness`).  In process,
+    consecutive pending chunks share one pass of up to
+    :data:`PASS_LANES` lanes (a wider chunk runs alone), ``lanes=1``
     included; a netlist with a combinational cycle raises
     :class:`~repro.rtl.toposort.CombinationalCycleError` naming the
     cycle.  ``cycles`` below 1, or an injection cycle outside
@@ -429,8 +460,9 @@ def run_campaign(
     the completed chunks and produces the byte-identical report of an
     uninterrupted run.
 
-    ``progress`` is an optional ``fn(done_injections, total)`` hook
-    (called per classified chunk).  ``metrics`` is an optional
+    ``progress`` is an optional ``fn(done_injections, total)`` hook,
+    called once per chunk, in index order, after the pass that
+    classified it.  ``metrics`` is an optional
     :class:`~repro.obs.metrics.MetricsRegistry`: verdicts are tallied
     into ``campaign_faults_total{status,target}`` counters, shard
     requeues into ``campaign_shard_retries_total{reason}``, and an
@@ -549,12 +581,17 @@ def run_campaign(
             # at once and its chunks move to the survivors.
             fabric_config = replace(fabric_config, max_rounds=0)
             # Warm fork: every worker's harness resolves this same
-            # shared cache instance and finds the module in memory.
-            from repro.faults.batch import campaign_restriction
-
-            build_cache(cache).load_module(
-                tgt.netlist, **campaign_restriction(tgt), metrics=metrics
+            # shared cache instance and finds the module in memory, and
+            # its monitor bank finds the check compiled.
+            from repro.faults.batch import (
+                batch_monitor_bank,
+                campaign_restriction,
             )
+
+            batch_monitor_bank(tgt, CompiledSimulator(
+                tgt.netlist, 1, **campaign_restriction(tgt), cache=cache,
+                metrics=metrics,
+            ))
             launcher = local_workers(min(jobs, len(pending)))
         with launcher as addresses:
             FabricCoordinator(
@@ -579,11 +616,16 @@ def run_campaign(
     elif pending:
         from repro.faults.batch import BatchCampaignHarness
 
+        passes = _passes(pending)
         harness = BatchCampaignHarness(
-            tgt, cfg, lanes, metrics=metrics, cache=cache
+            tgt, cfg, max(sum(len(c) for _, c in p) for p in passes),
+            metrics=metrics, cache=cache,
         )
-        for index, chunk in pending:
-            record(index, harness.run_chunk(chunk))
+        for group in passes:
+            outs = harness.run_chunk([i for _, chunk in group for i in chunk])
+            for index, chunk in group:
+                record(index, outs[:len(chunk)])
+                del outs[:len(chunk)]
 
     outcomes = [o for index in sorted(by_index) for o in by_index[index]]
     report = CampaignReport(target=tgt.name, seed=cfg.seed, cycles=cfg.cycles)

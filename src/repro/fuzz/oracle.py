@@ -169,7 +169,6 @@ def _gate_differential(
     from repro.codegen.sim import CompiledSimulator
     from repro.faults.batch import protocol_monitors
     from repro.lint.netlist_rules import lint_netlist
-    from repro.rtl.batchsim import pack_stimulus
     from repro.rtl.simulator import TwoPhaseSimulator
 
     nl_errors = [f for f in lint_netlist(nl) if f.severity.name == "ERROR"]
@@ -192,7 +191,7 @@ def _gate_differential(
     monitors = protocol_monitors(channels, compiled)
     v, k = compiled.value_planes, compiled.known_planes
 
-    for t, packed in enumerate(pack_stimulus([stimulus])):
+    for t, packed in enumerate(compiled.broadcast(stimulus)):
         compiled.cycle(packed)
         values = scalar.cycle(stimulus[t])
         for wire in wires:
@@ -204,10 +203,9 @@ def _gate_differential(
                     f"cycle {t} wire {wire}: scalar={want!r} "
                     f"compiled[0]={got!r}",
                 )
-        for monitor in monitors:
-            fired = monitor.observe(t, v, k, 1)
-            if fired:
-                return _finding(model, seed, "protocol", str(fired[0][1]))
+        fired = monitors.observe(t, v, k, 1)
+        if fired:
+            return _finding(model, seed, "protocol", str(fired[0][1]))
     return None
 
 

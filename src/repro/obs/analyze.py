@@ -60,7 +60,13 @@ from typing import (
 )
 
 from repro.elastic.channel import ChannelStats
-from repro.elastic.protocol import MOVED, RETRYING, event_of
+from repro.elastic.protocol import (
+    MOVED,
+    RETRY_NEG,
+    RETRY_POS,
+    RETRYING,
+    event_of,
+)
 from repro.obs.metrics import _canon
 from repro.rtl.logic import X
 from repro.rtl.toposort import canonical_cycle, order_or_cycle
@@ -338,7 +344,8 @@ class RtlChannelProfiler(_ChannelProfiler):
             event = event_of(values.get(ch.vp), values.get(ch.sp),
                              values.get(ch.vn), values.get(ch.sn))
             self.stats[ch.name].record(event)
-            if event in RETRYING:
+            # By identity: a dict lookup would hash the enum member.
+            if event is RETRY_POS or event is RETRY_NEG:
                 blocked.add(getattr(ch, RETRYING[event]))
             elif event in MOVED:
                 moved = True
@@ -478,7 +485,7 @@ class NetworkProfiler(_ChannelProfiler):
             moved = False
             for name, ch in net.channels.items():
                 event = ch.last_event
-                if event in RETRYING:
+                if event is RETRY_POS or event is RETRY_NEG:
                     blocked.add(f"{name}.{RETRYING[event]}")
                 elif event in MOVED:
                     moved = True

@@ -50,21 +50,6 @@ def atomic_write_json(path: Path, payload: object) -> None:
     os.replace(tmp, path)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` with the same tmp-file + fsync + rename hygiene.
-
-    Used by the codegen build cache for generated module source: a
-    crash mid-write leaves either the previous artifact or a stray
-    ``*.tmp*`` that loaders ignore, never a torn module.
-    """
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def _read_json(path: Path) -> Optional[object]:
     """The parsed file, or None when missing or torn."""
     try:

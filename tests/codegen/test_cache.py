@@ -143,6 +143,73 @@ def test_torn_module_invalidates(tmp_path):
     assert "def broken" not in module_path.read_text()
 
 
+def test_a_module_cut_at_a_line_boundary_is_rebuilt(tmp_path):
+    """A torn ``module.py`` that still compiles with its ``KEY`` (cut at
+    a line boundary inside its last kernel) fails the source digest
+    ``meta.json`` records, and is rebuilt."""
+    from repro.faults.batch import campaign_restriction
+    from repro.faults.targets import TARGETS
+
+    target = TARGETS["join"]()
+    restriction = campaign_restriction(target)
+    root = tmp_path / "c"
+    key = BuildCache(root).load_module(target.netlist, **restriction).KEY
+    module_path = root / key / BuildCache.MODULE
+    whole = module_path.read_text()
+    lines = whole.splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if line.startswith("def "))
+    cut = "".join(lines[:(last + len(lines)) // 2])
+    compile(cut, "cut", "exec")  # torn, yet valid Python
+    module_path.write_text(cut)
+    reset_process_stats()
+    module = BuildCache(root).load_module(target.netlist, **restriction)
+    assert process_stats() == {"hits": 0, "misses": 1}
+    assert module.KEY == key and module_path.read_text() == whole
+
+
+def test_a_torn_meta_is_rebuilt(tmp_path):
+    nl = _small_netlist()
+    root = tmp_path / "c"
+    key = BuildCache(root).load_module(nl).KEY
+    meta_path = root / key / BuildCache.META
+    whole = meta_path.read_bytes()
+    meta_path.write_bytes(whole[:len(whole) // 2])
+    reset_process_stats()
+    assert BuildCache(root).load_module(nl).KEY == key
+    assert process_stats() == {"hits": 0, "misses": 1}
+    assert meta_path.read_bytes() == whole
+
+
+def test_an_entry_without_a_source_digest_is_rebuilt_once(tmp_path):
+    nl = _small_netlist()
+    root = tmp_path / "c"
+    key = BuildCache(root).load_module(nl).KEY
+    meta_path = root / key / BuildCache.META
+    meta = json.loads(meta_path.read_text())
+    digest = meta.pop("source_sha256")
+    source = (root / key / BuildCache.MODULE).read_bytes()
+    assert digest == hashlib.sha256(source).hexdigest()
+    meta_path.write_text(json.dumps(meta))  # an entry of an older cache
+    reset_process_stats()
+    assert BuildCache(root).load_module(nl).KEY == key
+    assert BuildCache(root).load_module(nl).KEY == key
+    assert process_stats() == {"hits": 1, "misses": 1}
+    assert json.loads(meta_path.read_text())["source_sha256"] == digest
+
+
+def test_a_cold_build_makes_no_fsync(tmp_path, monkeypatch):
+    import os
+
+    def refuse(fd):
+        raise AssertionError("fsync on a cold build")
+
+    monkeypatch.setattr(os, "fsync", refuse)
+    key = BuildCache(tmp_path / "c").load_module(_small_netlist()).KEY
+    assert sorted(p.name for p in (tmp_path / "c" / key).iterdir()) == [
+        BuildCache.META, BuildCache.CODE, BuildCache.MODULE,
+    ]
+
+
 def test_json_artifacts_round_trip(tmp_path):
     cache = BuildCache(tmp_path / "c")
     assert cache.load_json("deadbeef") is None

@@ -162,6 +162,50 @@ def test_known_dialect_falls_back_on_x():
     assert sim._known_active, "reset() must re-arm the known dialect"
 
 
+@pytest.mark.parametrize("spoil", ["x", "missing"])
+def test_broadcast_frames_are_checked_once_until_an_x(monkeypatch, spoil):
+    """Frames packed by ``broadcast`` skip the per-cycle known check;
+    an X or missing input in a later frame still drops the instance to
+    the two-plane kernel, whose planes equal a pinned two-plane run."""
+    from repro.faults.targets import TARGETS
+    from repro.rtl.logic import X
+
+    target = TARGETS["dual_ehb"]()
+    rng = random.Random(7)
+    stimulus = [
+        {name: rng.getrandbits(1) for name in target.free_inputs}
+        for _ in range(20)
+    ]
+    first = next(iter(target.free_inputs))
+    if spoil == "x":
+        stimulus[10][first] = X
+    else:
+        del stimulus[10][first]
+    sim = CompiledSimulator(target.netlist, 9)
+    twin = CompiledSimulator(target.netlist, 9)
+    twin._known_active = False  # pin the two-plane kernel
+    checks = []
+    real = CompiledSimulator._known_eligible
+
+    def counted(self, inputs):
+        checks.append(self.time)
+        return real(self, inputs)
+
+    monkeypatch.setattr(CompiledSimulator, "_known_eligible", counted)
+    frames = sim.broadcast(stimulus)
+    twin_frames = twin.broadcast(stimulus)
+    checks.clear()
+    for t, (frame, twin_frame) in enumerate(zip(frames, twin_frames)):
+        sim.cycle(frame)
+        twin.cycle(twin_frame)
+        assert sim.known_dialect is (t < 10), t
+        for sig in sorted(target.netlist.signals()):
+            assert sim.planes(sig) == twin.planes(sig), (t, sig)
+    assert checks == [10]  # only the spoiled frame, only on its cycle
+    sim.reset()
+    assert sim.known_dialect, "reset() must re-arm the known dialect"
+
+
 def test_non_hook_override_rejected():
     from repro.faults.targets import TARGETS
     from repro.rtl.batchsim import LaneOverride

@@ -1,12 +1,16 @@
 """Campaign runner: coverage, determinism, untestability proofs."""
 
 import json
+import math
 
 import pytest
 
+from repro.codegen import cache as codegen_cache
 from repro.codegen.sim import CompiledSimulator
+from repro.faults import batch
 from repro.faults.batch import BatchCampaignHarness, lane_overrides
 from repro.faults.campaign import (
+    PASS_LANES,
     CampaignConfig,
     ProcessorCampaignConfig,
     enumerate_injections,
@@ -190,6 +194,105 @@ class TestHarness:
         assert len(steps) == 30
         for step in steps:
             assert all(v in (0, 1) for v in step.signals.values())
+
+
+def _log_sweeps(monkeypatch, events):
+    """Log ``("sweep", lanes)`` for every harness sweep, lanes being
+    the injections it classifies."""
+    real = BatchCampaignHarness._sweep
+
+    def logged(self, overrides_at, edges, alive, steps=None):
+        events.append(("sweep", bin(alive).count("1")))
+        return real(self, overrides_at, edges, alive, steps)
+
+    monkeypatch.setattr(BatchCampaignHarness, "_sweep", logged)
+
+
+class TestPasses:
+    """In process, whole pending chunks share one sweep of up to
+    ``PASS_LANES`` lanes; chunks stay the unit of progress and
+    checkpoints."""
+
+    # 46 sites x 3 kinds x 6 injection cycles = 828 injections
+    CONFIG = CampaignConfig(
+        cycles=40, seed=2007, kinds=("stuck0", "stuck1", "flip"),
+        injection_cycles=(0, 7, 14, 21, 28, 35), untestable_analysis=False,
+    )
+    TOTAL = 828
+
+    @pytest.mark.parametrize("lanes", [1, 7, 64, 100, 512, 600])
+    def test_whole_chunks_share_a_pass(self, monkeypatch, lanes):
+        events = []
+        _log_sweeps(monkeypatch, events)
+        report = run_campaign("dual_ehb", self.CONFIG, lanes=lanes)
+        assert len(report.outcomes) == self.TOTAL
+        sizes = [min(lanes, self.TOTAL - i)
+                 for i in range(0, self.TOTAL, lanes)]
+        per_pass = max(1, PASS_LANES // lanes)
+        widths = [width for _, width in events]
+        assert len(widths) == math.ceil(len(sizes) / per_pass)
+        if PASS_LANES % lanes == 0:
+            assert len(widths) == math.ceil(len(sizes) * lanes / PASS_LANES)
+        # every pass is whole consecutive chunks, never part of one
+        assert widths == [
+            sum(sizes[i:i + per_pass]) for i in range(0, len(sizes), per_pass)
+        ]
+
+    def test_progress_and_checkpoints_stay_per_chunk(
+        self, monkeypatch, tmp_path
+    ):
+        events = []
+        _log_sweeps(monkeypatch, events)
+        ck = tmp_path / "ck"
+
+        def progress(done, total):
+            events.append(("progress", done, total))
+
+        plain = run_campaign("dual_ehb", self.CONFIG, lanes=64,
+                             checkpoint=str(ck), progress=progress)
+        # progress once per chunk, cumulative, after the pass that
+        # classified it
+        assert events == (
+            [("sweep", 512)]
+            + [("progress", 64 * i, self.TOTAL) for i in range(1, 9)]
+            + [("sweep", self.TOTAL - 512)]
+            + [("progress", min(64 * i, self.TOTAL), self.TOTAL)
+               for i in range(9, 14)]
+        )
+        files = sorted(ck.glob("chunk-*.json"))
+        assert [f.name for f in files] == [
+            f"chunk-{i:06d}.json" for i in range(13)
+        ]
+        # A resumed run passes only the missing chunks, in one pass.
+        (ck / "chunk-000003.json").unlink()
+        (ck / "chunk-000012.json").unlink()
+        events.clear()
+        resumed = run_campaign("dual_ehb", self.CONFIG, lanes=64,
+                               checkpoint=str(ck), progress=progress)
+        assert events == [
+            ("progress", self.TOTAL - 64 - 60, self.TOTAL),
+            ("sweep", 64 + 60),
+            ("progress", self.TOTAL - 60, self.TOTAL),
+            ("progress", self.TOTAL, self.TOTAL),
+        ]
+        assert resumed.to_json() == plain.to_json()
+
+    def test_a_bank_is_compiled_once_per_target(self, monkeypatch):
+        compiles = []
+        real = codegen_cache._compile_chunks
+
+        def counted(source, filename):
+            if filename.startswith("<repro.faults.bank"):
+                compiles.append(filename)
+            return real(source, filename)
+
+        monkeypatch.setattr(codegen_cache, "_compile_chunks", counted)
+        monkeypatch.setattr(batch, "_BANKS", {})
+        config = CampaignConfig(cycles=20, seed=2007)
+        for lanes in (1, 8, 64):
+            for name in sorted(TARGETS):
+                BatchCampaignHarness(TARGETS[name](), config, lanes)
+        assert len(compiles) == len(set(compiles)) == len(TARGETS)
 
 
 class TestInputValidation:

@@ -138,6 +138,39 @@ def test_local_workers_compile_nothing(tmp_path, monkeypatch):
     assert pids and set(pids) == {str(os.getpid())}
 
 
+FLIPS = CampaignConfig(
+    cycles=120, seed=2007, kinds=("flip",), injection_cycles=(0, 40, 80)
+)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_in_process_passes_equal_the_fabric_split(target, tmp_path,
+                                                  monkeypatch):
+    """Transient flips on every stock target: in process, whole chunks
+    share wide passes at every lane count, and the report equals the
+    ``jobs=2`` fabric split, where each leased unit still runs as one
+    pass of at most ``lanes`` lanes."""
+    from repro.faults.batch import BatchCampaignHarness
+
+    log = tmp_path / "sweeps"
+    real = BatchCampaignHarness._sweep
+
+    def logged(self, overrides_at, edges, alive, steps=None):
+        with open(log, "a") as handle:
+            handle.write(f"{bin(alive).count('1')}\n")
+        return real(self, overrides_at, edges, alive, steps)
+
+    monkeypatch.setattr(BatchCampaignHarness, "_sweep", logged)
+    sharded = run_campaign(target, FLIPS, lanes=7, jobs=2).to_json()
+    total = len(enumerate_injections(resolve_target(target), FLIPS))
+    widths = [int(n) for n in log.read_text().split()]
+    # one pass per unit (a stolen unit may run twice), never a wider one
+    assert set(widths) == {min(7, total - i) for i in range(0, total, 7)}
+    assert len(widths) >= -(-total // 7)
+    for lanes in (1, 7, 64, 600):
+        assert run_campaign(target, FLIPS, lanes=lanes).to_json() == sharded
+
+
 def test_chunk_order_never_changes_batch_verdicts():
     """Regression: a reused batch harness must clear lane overrides.
 

@@ -4,9 +4,10 @@ Every rule is checked twice: on the word-wide monitors of
 :mod:`repro.faults.batch` that campaigns run, fed one-lane planes
 through :class:`LaneSim`, and on the scalar reference bank of
 ``tests/faults/scalar_reference.py``.  A Hypothesis property then
-requires both banks to report the same first violation on every lane
-of random ternary traces, with the golden trace packed into the top
-lane as a campaign runs it.
+requires the generated check of the whole word-wide bank and the
+reference bank to report the same first violation on every lane of
+random ternary traces, with the golden trace packed into the top lane
+as a campaign runs it.
 """
 
 import types
@@ -489,10 +490,9 @@ def test_word_wide_bank_matches_the_reference_on_every_lane(data):
     alive = (1 << lanes) - 1
     for t in range(cycles):
         v, k = sim.planes([trace[t] for trace in traces] + [golden_trace[t]])
-        for monitor in bank:
-            for lane, violation in monitor.observe(t, v, k, alive):
-                found[lane] = violation
-                alive &= ~(1 << lane)
+        for lane, violation in bank.observe(t, v, k, alive):
+            found[lane] = violation
+            alive &= ~(1 << lane)
         if not alive:
             break
 
@@ -502,3 +502,36 @@ def test_word_wide_bank_matches_the_reference_on_every_lane(data):
         assert (
             None if got is None else (got.cycle, got.monitor, got.detail)
         ) == _reference_first(trace, golden_wires, golden), f"lane {lane}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_known_check_fires_as_the_two_plane_check_without_x(data):
+    """The known dialect's check drops the known-plane terms: on planes
+    with no X it claims the same lanes with the same violations as the
+    two-plane check, and carries the same planes."""
+    lanes = data.draw(st.integers(1, 6), label="lanes")
+    cycles = data.draw(st.integers(1, 10), label="cycles")
+    cycle_values = st.fixed_dictionaries(
+        {s: st.sampled_from([0, 0, 1]) for s in SIGNALS}
+    )
+    trace = data.draw(st.lists(
+        st.lists(cycle_values, min_size=lanes + 1, max_size=lanes + 1),
+        min_size=cycles, max_size=cycles,
+    ), label="trace")
+    sim = LaneSim(lanes + 1)
+    target = types.SimpleNamespace(
+        channels=[CHANNEL], ebs=[PROBE], observe=SIGNALS
+    )
+    bank = batch_monitor_bank(target, sim)
+    state, known_state = list(bank.state), list(bank.state)
+    alive = (1 << lanes) - 1
+    for t, values in enumerate(trace):
+        v, k = sim.planes(values)
+        fired = bank.check(v, k, state, alive, bank.lane)
+        known = bank.known_check(v, k, known_state, alive, bank.lane)
+        assert known_state == state
+        assert (fired is None) == (known is None)
+        if fired is not None:
+            assert bank.violations(t, known, v, k, alive) == \
+                bank.violations(t, fired, v, k, alive)
