@@ -11,19 +11,20 @@ Layout (one directory per artifact, named by its SHA-256 key)::
 Every write serialises to a tmp file in the same directory and
 ``os.replace``-s it into place, so concurrent builders (campaign worker
 processes warming the same cache) race benignly: last rename wins with
-byte-identical content.  A module's three files skip the ``fsync``
-(``data.json`` keeps the :mod:`repro.resilience.checkpoint` one):
-after a crash one may be torn or empty, and every load checks them, so
-losing one costs a rebuild, where the ``fsync`` would cost every cold
-build a few milliseconds.
+byte-identical content.  No file is ``fsync``-ed: after a crash one may
+be torn or empty, and every load checks them, so losing one costs a
+rebuild, where the ``fsync`` would cost every cold build a few
+milliseconds.
 
-Loads verify before trusting: ``meta.json`` must parse, its key and
-codegen version must match the requested key, ``module.py`` must hash
-to the SHA-256 ``meta.json`` records, and the imported module must
-carry the same ``KEY``.  Any mismatch -- a hand-edited artifact, a
-cache written by a different codegen version, a torn file, an entry
-written before the digest was recorded -- is treated as absent and
-rebuilt (invalidation is just a key change or a failed check).
+Loads verify before trusting: ``meta.json`` must parse and name the
+requested key, and the file it describes must hash to the SHA-256 it
+records (``source_sha256`` for ``module.py``, ``data_sha256`` for
+``data.json``).  A module's ``meta.json`` must also carry the current
+codegen version, and the imported module the same ``KEY``.  Any
+mismatch -- a hand-edited artifact, a cache written by a different
+codegen version, a torn file, an entry written before the digest was
+recorded -- is treated as absent and rebuilt (invalidation is just a
+key change or a failed check).
 
 ``module.code`` spares a disk hit the compile, which costs several
 times the emit.  It is headed by ``importlib.util.MAGIC_NUMBER`` and
@@ -73,7 +74,6 @@ from repro.codegen.fingerprint import (
     artifact_key,
     netlist_fingerprint,
 )
-from repro.resilience.checkpoint import atomic_write_json
 from repro.rtl.netlist import Netlist
 
 __all__ = [
@@ -132,6 +132,13 @@ def _replace(path: Path, data: bytes) -> None:
     with open(tmp, "wb") as handle:
         handle.write(data)
     os.replace(tmp, path)
+
+
+def _canonical(payload: object) -> bytes:
+    """``payload`` as sorted, compact JSON bytes."""
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":")
+    ).encode()
 
 
 def _read_code(path: Path, header: bytes) -> Optional[Tuple[CodeType, ...]]:
@@ -236,7 +243,7 @@ class BuildCache:
                 directory.mkdir(parents=True, exist_ok=True)
                 data = source.encode()
                 _replace(directory / self.MODULE, data)
-                _replace(directory / self.META, json.dumps({
+                _replace(directory / self.META, _canonical({
                     "kind": "compiled-simulator",
                     "key": key,
                     "codegen_version": CODEGEN_VERSION,
@@ -247,7 +254,7 @@ class BuildCache:
                         sorted(observe) if observe is not None else None
                     ),
                     "source_sha256": hashlib.sha256(data).hexdigest(),
-                }, sort_keys=True, separators=(",", ":")).encode())
+                }))
             except OSError:  # unwritable root: build in memory instead
                 pass
             else:
@@ -268,7 +275,7 @@ class BuildCache:
         try:
             with open(meta_path) as handle:
                 meta = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # missing, torn or not UTF-8
             return None
         if not isinstance(meta, dict):
             return None
@@ -306,19 +313,28 @@ class BuildCache:
         if payload is not None:
             self._count(True, "memory", "json")
             return payload
-        payload = None
-        if self.root is not None:
-            try:
-                with open(self._dir(key) / self.DATA) as handle:
-                    payload = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                pass
+        payload = self._read_verified(key) if self.root is not None else None
         if payload is None:
             self._count(False, "disk", "json")
             return None
         self._count(True, "disk", "json")
         self._json[key] = payload
         return payload
+
+    def _read_verified(self, key: str) -> Optional[object]:
+        """One disk payload, or None when absent or failing its check."""
+        directory = self._dir(key)
+        try:
+            with open(directory / self.META) as handle:
+                meta = json.load(handle)
+            data = (directory / self.DATA).read_bytes()
+        except (OSError, ValueError):  # missing, torn or not UTF-8
+            return None
+        if not isinstance(meta, dict) or meta.get("key") != key:
+            return None
+        if meta.get("data_sha256") != hashlib.sha256(data).hexdigest():
+            return None  # torn, hand-edited, or written without one
+        return json.loads(data)
 
     def store_json(self, key: str, payload: object, meta: Dict) -> None:
         """Persist one JSON payload artifact under ``key``.
@@ -329,10 +345,15 @@ class BuildCache:
         if self.root is None:
             return
         directory = self._dir(key)
+        data = _canonical(payload)
         try:
             directory.mkdir(parents=True, exist_ok=True)
-            atomic_write_json(directory / self.DATA, payload)
-            atomic_write_json(directory / self.META, {"key": key, **meta})
+            _replace(directory / self.DATA, data)
+            _replace(directory / self.META, _canonical({
+                "key": key,
+                **meta,
+                "data_sha256": hashlib.sha256(data).hexdigest(),
+            }))
         except OSError:
             pass
 

@@ -19,7 +19,7 @@ A hook-free module carries no guarded kernel: only an installed
 override selects one, and :class:`~repro.codegen.sim.CompiledSimulator`
 rejects an override on any net outside the hooks.
 
-A fused function folds input loading, both phase programs, latch
+A fused function folds input loading, the two phase programs, latch
 captures, state reloads and the flip-flop update into one body whose
 intermediate values live in Python locals -- the plane arrays are only
 touched twice per cycle: sources never (state lives in the ``state``
@@ -28,6 +28,14 @@ the override guards (``hooks``) and the final writeback (``observe``)
 to what a caller actually uses is where the compiled backend's speed
 comes from; passing ``None`` for either keeps the fully general
 surface: guards at every named net, every named net observed.
+
+Each phase computes only what it feeds (:func:`live_cycle`).  The LOW
+phase recomputes every gate, so a HIGH-phase value reaches nothing but
+the H latches it captures: the HIGH program keeps their fan-in and no
+more, and is empty on a netlist without H latches.  The LOW program
+keeps the fan-in of the L-latch captures, the flops' ``d`` and the
+observed slots.  Inputs and state loads that neither phase reads are
+not loaded, and their override guards go with them.
 
 The known dialect is only emitted when every latch/flop init is a
 known 0/1 (``KNOWN_OK``); its per-cycle eligibility (all inputs driven
@@ -42,7 +50,7 @@ planes for both.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.codegen import kernel
 from repro.codegen.fingerprint import (
@@ -53,7 +61,14 @@ from repro.codegen.fingerprint import (
 from repro.rtl.logic import is_known
 from repro.rtl.netlist import Netlist, Phase
 
-__all__ = ["KERNELS", "Layout", "build_layout", "emit_module"]
+__all__ = [
+    "KERNELS",
+    "Layout",
+    "LiveCycle",
+    "build_layout",
+    "emit_module",
+    "live_cycle",
+]
 
 #: Every fused kernel a module can carry, in source order, as
 #: ``(name, known dialect, override guards)``.
@@ -66,7 +81,7 @@ KERNELS = (
 
 
 class Layout:
-    """The slot assignment and phase programs of one netlist.
+    """The slot assignment and whole phase programs of one netlist.
 
     Slots number the named signals in insertion order (inputs, gates,
     latches, flops), so every module built from the same netlist --
@@ -117,6 +132,41 @@ def build_layout(netlist: Netlist) -> Layout:
     return Layout(netlist)
 
 
+class LiveCycle(NamedTuple):
+    """One cycle's loads and phase programs, cut to what they feed."""
+
+    inputs: List[Tuple[str, int]]
+    load_high: List[int]
+    prog_high: Tuple[kernel.Instr, ...]
+    load_low: List[int]
+    prog_low: Tuple[kernel.Instr, ...]
+
+
+def live_cycle(layout: Layout, observed: List[int]) -> LiveCycle:
+    """Each phase program of ``layout`` cut to its live cone.
+
+    HIGH keeps the fan-in of the H-latch captures; LOW the fan-in of
+    the L-latch captures, the flops' ``d`` and the ``observed`` slots.
+    An input or state load survives only where a kept instruction, or
+    the LOW phase's observed writeback, reads it.
+    """
+    prog_high, reads_high = kernel.live_cone(
+        layout.prog_high, layout.capture_high
+    )
+    prog_low, reads_low = kernel.live_cone(
+        layout.prog_low,
+        [*layout.capture_low, *(d for _q, d in layout.flops), *observed],
+    )
+    reads = reads_high | reads_low
+    return LiveCycle(
+        inputs=[(name, s) for name, s in layout.inputs if s in reads],
+        load_high=[s for s in layout.load_high if s in reads_high],
+        prog_high=prog_high,
+        load_low=[s for s in layout.load_low if s in reads_low],
+        prog_low=prog_low,
+    )
+
+
 def _resolve(
     layout: Layout, names: Optional[FrozenSet[str]], what: str
 ) -> List[int]:
@@ -144,6 +194,7 @@ class _Body:
 
 def _emit_cycle(
     layout: Layout,
+    live: LiveCycle,
     name: str,
     hook_slots: frozenset,
     observed: List[int],
@@ -182,7 +233,7 @@ def _emit_cycle(
             )
 
     # 1. primary inputs
-    for iname, slot in layout.inputs:
+    for iname, slot in live.inputs:
         if known:
             b.w(f"v{slot}=inputs[{iname!r}][0]&mask")
         else:
@@ -231,12 +282,12 @@ def _emit_cycle(
             else:
                 b.w(f"state[{slot}]=(v{slot},k{slot})")
 
-    # 2..8: the two phases around the state dict, then the flop edge
-    load(layout.load_high)
-    run(layout.prog_high)
+    # 2..8: the two live phases around the state dict, then the flop edge
+    load(live.load_high)
+    run(live.prog_high)
     capture(layout.capture_high)
-    load(layout.load_low)
-    run(layout.prog_low)
+    load(live.load_low)
+    run(live.prog_low)
     capture(layout.capture_low)
     for qslot, dslot in layout.flops:
         if known:
@@ -273,6 +324,7 @@ def emit_module(
     layout = build_layout(netlist)
     hook_slots = frozenset(_resolve(layout, hooks, "hook"))
     observed = _resolve(layout, observe, "observe")
+    live = live_cycle(layout, observed)
 
     head: List[str] = [
         '"""Generated by repro.codegen -- do not edit.',
@@ -306,7 +358,8 @@ def emit_module(
             continue
         parts.extend(["", ""])
         parts.extend(_emit_cycle(
-            layout, name, hook_slots, observed, known=known, guarded=guarded
+            layout, live, name, hook_slots, observed,
+            known=known, guarded=guarded,
         ))
     parts.append("")
     return "\n".join(parts)

@@ -41,7 +41,8 @@ __all__ = [
 #: Bump whenever the emitted module's shape or semantics change; every
 #: previously cached artifact is invalidated (its key changes).
 #: 3: a module with no hook slot carries no guarded kernel.
-CODEGEN_VERSION = 3
+#: 4: each phase program is cut to its live cone.
+CODEGEN_VERSION = 4
 
 
 def _init(value: Value) -> object:

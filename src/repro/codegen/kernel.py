@@ -10,7 +10,11 @@ through this pipeline:
 2. :func:`phase_program` -- one clock phase as a flat topologically
    sorted instruction list (gates plus the latches transparent in that
    phase, lowered to ``BUF``);
-3. :func:`two_plane_lines` / :func:`known_lines` -- each instruction as
+3. :func:`live_cone` -- one phase program cut to the instructions that
+   feed what the cycle keeps of that phase (its latch captures, and in
+   the LOW phase the flops' ``d`` and the observed slots), with the
+   slots the cut program loads;
+4. :func:`two_plane_lines` / :func:`known_lines` -- each instruction as
    straight-line Python statements over ``v<slot>``/``k<slot>`` locals.
 
 The gate formulas exist exactly once, here.
@@ -32,7 +36,7 @@ Two statement dialects share one instruction stream:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rtl.netlist import Netlist, Phase
@@ -47,7 +51,9 @@ __all__ = [
     "C0",
     "C1",
     "DECOMPOSED",
+    "READS",
     "decompose_gates",
+    "live_cone",
     "phase_program",
     "two_plane_lines",
     "known_lines",
@@ -58,6 +64,19 @@ AND, OR, NOT, XOR, MUX, BUF, C0, C1 = range(8)
 
 #: An instruction: ``(op, dst_slot, a_slot, b_slot, c_slot)``.
 Instr = Tuple[int, int, int, int, int]
+
+#: The operand fields each opcode reads, as indices into an
+#: :data:`Instr`; an unread field holds a placeholder slot 0.
+READS = {
+    AND: (2, 3),
+    OR: (2, 3),
+    NOT: (2,),
+    XOR: (2, 3),
+    MUX: (2, 3, 4),
+    BUF: (2,),
+    C0: (),
+    C1: (),
+}
 
 DECOMPOSED = {
     "AND": (AND, False),
@@ -147,6 +166,30 @@ def phase_program(
             latch = latches[node]
             program.append((BUF, slot[node], slot[latch.d], 0, 0))
     return tuple(program)
+
+
+def live_cone(
+    program: Tuple[Instr, ...], needed: Iterable[int]
+) -> Tuple[Tuple[Instr, ...], FrozenSet[int]]:
+    """The instructions of ``program`` that the ``needed`` slots read.
+
+    One backward walk: an instruction stays when its destination is
+    needed, or read by an instruction that stays.  A phase program
+    writes each slot at most once, after every instruction it reads
+    from, so the walk meets every reader of a slot before its writer.
+    Returns ``(kept, loads)``: the kept instructions in program order,
+    and the slots the cut program reads or ``needed`` names that it
+    never writes -- the inputs and state loads the phase still needs.
+    """
+    live = set(needed)
+    kept: List[Instr] = []
+    for instr in reversed(program):
+        if instr[1] in live:
+            live.discard(instr[1])
+            kept.append(instr)
+            live.update(instr[field] for field in READS[instr[0]])
+    kept.reverse()
+    return tuple(kept), frozenset(live)
 
 
 def two_plane_lines(

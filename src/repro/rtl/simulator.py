@@ -18,6 +18,16 @@ conservatively reports ``X`` for truly unresolvable combinational
 cycles.  The paper takes care to place the token-cancellation gates at
 EHB boundaries precisely so that no such cycles arise; the simulator
 verifies this claim (`strict_x=True` raises on unresolved signals).
+
+Two rules skip work whose result cannot change.  The HIGH phase's
+values reach nothing but the ``H`` latches it captures, so a netlist
+without ``H`` latches runs the LOW phase alone.  Within a phase, each
+pass over the gates re-evaluates a gate only when one of its inputs
+changed since its last evaluation (a transparent latch only when its
+``d`` did): a gate function and every override are pure, so the
+evaluation it skips would return the value the gate already has.  The
+passes, their order and their bound are those of a plain sweep that
+evaluates everything, and end with the same values.
 """
 
 from __future__ import annotations
@@ -82,6 +92,18 @@ class TwoPhaseSimulator:
         #: tests drives it per injection schedule.
         self.overrides: Dict[str, Override] = dict(overrides or {})
         self._order = self._schedule()
+        #: each signal's readers: the gates with it as an input and the
+        #: latches with it as ``d``
+        self._readers: Dict[str, List[str]] = {}
+        for out, gate in netlist.gates.items():
+            for sig in gate.ins:
+                self._readers.setdefault(sig, []).append(out)
+        for q, latch in netlist.latches.items():
+            self._readers.setdefault(latch.d, []).append(q)
+        self._high = [
+            q for q, latch in netlist.latches.items()
+            if latch.phase == Phase.HIGH
+        ]
         self.state: State = self.initial_state()
         self.values: Values = {}
         self.time = 0
@@ -145,9 +167,15 @@ class TwoPhaseSimulator:
         state: Mapping[str, Value],
         phase: Phase,
     ) -> Values:
-        """Least ternary fixed point of one clock phase."""
+        """Least ternary fixed point of one clock phase.
+
+        Each pass visits the gates in schedule order, then the
+        transparent latches, and evaluates those an input change has
+        left stale; every node is stale before its first evaluation.
+        """
         nl = self.netlist
         gates = nl.gates
+        readers = self._readers
         ov = self.overrides
         vals: Values = {}
         for sig in nl.inputs:
@@ -172,11 +200,16 @@ class TwoPhaseSimulator:
                 vals[q] = v
         for out in self._order:
             vals[out] = X
+        stale: Set[str] = set(self._order)
+        stale.update(latch.q for latch in transparent)
 
         max_passes = len(self._order) + len(transparent) + 2
         for _ in range(max_passes):
             changed = False
             for out in self._order:
+                if out not in stale:
+                    continue
+                stale.discard(out)
                 gate = gates[out]
                 new = eval_op(gate.op, [vals.get(i, X) for i in gate.ins])
                 if ov and out in ov:
@@ -184,13 +217,19 @@ class TwoPhaseSimulator:
                 if new is not vals[out] and new != vals[out]:
                     vals[out] = new
                     changed = True
+                    stale.update(readers.get(out, ()))
             for latch in transparent:
+                q = latch.q
+                if q not in stale:
+                    continue
+                stale.discard(q)
                 new = vals.get(latch.d, X)
-                if ov and latch.q in ov:
-                    new = _apply_override(ov[latch.q], new)
-                if new is not vals[latch.q] and new != vals[latch.q]:
-                    vals[latch.q] = new
+                if ov and q in ov:
+                    new = _apply_override(ov[q], new)
+                if new is not vals[q] and new != vals[q]:
+                    vals[q] = new
                     changed = True
+                    stale.update(readers.get(q, ()))
             if not changed:
                 break
         return vals
@@ -208,12 +247,14 @@ class TwoPhaseSimulator:
             ``(values, next_state)`` where ``values`` are the signal
             values observed at the end of the LOW phase (the cycle
             boundary) and ``next_state`` the captured latch/flop values.
+            The HIGH phase runs only when the netlist has ``H``
+            latches, the one thing its values feed.
         """
         nl = self.netlist
-        high_vals = self._phase_values(inputs, state, Phase.HIGH)
         mid_state: State = dict(state)
-        for q, latch in nl.latches.items():
-            if latch.phase == Phase.HIGH:
+        if self._high:
+            high_vals = self._phase_values(inputs, state, Phase.HIGH)
+            for q in self._high:
                 mid_state[q] = high_vals[q]
         low_vals = self._phase_values(inputs, mid_state, Phase.LOW)
         next_state: State = dict(mid_state)

@@ -180,6 +180,19 @@ def test_a_torn_meta_is_rebuilt(tmp_path):
     assert meta_path.read_bytes() == whole
 
 
+def test_a_meta_that_is_not_utf8_is_a_miss(tmp_path):
+    nl = _small_netlist()
+    root = tmp_path / "c"
+    key = BuildCache(root).load_module(nl).KEY
+    BuildCache(root).store_json("k", [1], meta={"kind": "test"})
+    for entry in (key, "k"):
+        (root / entry / BuildCache.META).write_bytes(b"\xff\xfe{}")
+    reset_process_stats()
+    assert BuildCache(root).load_module(nl).KEY == key
+    assert BuildCache(root).load_json("k") is None
+    assert process_stats() == {"hits": 0, "misses": 2}
+
+
 def test_an_entry_without_a_source_digest_is_rebuilt_once(tmp_path):
     nl = _small_netlist()
     root = tmp_path / "c"
@@ -217,6 +230,81 @@ def test_json_artifacts_round_trip(tmp_path):
     cache.store_json("deadbeef", payload, meta={"kind": "test"})
     assert cache.load_json("deadbeef") == payload
     assert BuildCache(tmp_path / "c").load_json("deadbeef") == payload
+
+
+def _json_entry(root):
+    """The one JSON payload directory under ``root``."""
+    (entry,) = [d for d in root.iterdir() if (d / BuildCache.DATA).is_file()]
+    return entry
+
+
+@pytest.mark.parametrize("spoil", ["emptied", "halved"])
+def test_a_spoilt_kripke_table_is_rebuilt(tmp_path, spoil):
+    """A ``data.json`` that is not the one ``meta.json`` describes --
+    replaced by ``{}``, or cut in half -- is a miss: the next build
+    explores again and stores the table again."""
+    from repro.verif.kripke import build_kripke
+    from repro.verif.testbenches import DESIGNS, diamond_with_feedback
+
+    nl, _chans, _fairness = diamond_with_feedback(**DESIGNS["diamond"])
+    root = tmp_path / "c"
+    fresh = build_kripke(nl, cache=BuildCache(root))
+    data = _json_entry(root) / BuildCache.DATA
+    whole = data.read_bytes()
+    data.write_bytes(b"{}" if spoil == "emptied" else whole[:len(whole) // 2])
+    reset_process_stats()
+    assert build_kripke(nl, cache=BuildCache(root)) == fresh
+    assert data.read_bytes() == whole
+    assert build_kripke(nl, cache=BuildCache(root)) == fresh
+    # one miss and its rebuild; then only the disk hit of the table
+    assert process_stats()["misses"] == 1
+
+
+def test_a_json_entry_without_a_data_digest_is_rebuilt_once(tmp_path):
+    root = tmp_path / "c"
+    payload = {"rows": [[1, 2], [3]]}
+    BuildCache(root).store_json("k", payload, meta={"kind": "test"})
+    meta_path = root / "k" / BuildCache.META
+    meta = json.loads(meta_path.read_text())
+    digest = meta.pop("data_sha256")
+    data = (root / "k" / BuildCache.DATA).read_bytes()
+    assert digest == hashlib.sha256(data).hexdigest()
+    meta_path.write_text(json.dumps(meta))  # an entry of an older cache
+    reset_process_stats()
+    assert BuildCache(root).load_json("k") is None
+    BuildCache(root).store_json("k", payload, meta={"kind": "test"})
+    assert BuildCache(root).load_json("k") == payload
+    assert process_stats() == {"hits": 1, "misses": 1}
+    assert json.loads(meta_path.read_text())["data_sha256"] == digest
+
+
+@pytest.mark.parametrize("spoil", ["missing", "torn", "foreign"])
+def test_a_json_entry_with_a_bad_meta_is_a_miss(tmp_path, spoil):
+    root = tmp_path / "c"
+    BuildCache(root).store_json("k", [1, 2], meta={"kind": "test"})
+    BuildCache(root).store_json("other", [1, 2], meta={"kind": "test"})
+    meta_path = root / "k" / BuildCache.META
+    if spoil == "missing":
+        meta_path.unlink()
+    elif spoil == "torn":
+        meta_path.write_bytes(meta_path.read_bytes()[:10])
+    else:  # another key's meta, over the same bytes
+        meta_path.write_bytes((root / "other" / BuildCache.META).read_bytes())
+    assert BuildCache(root).load_json("k") is None
+
+
+def test_a_json_store_makes_no_fsync(tmp_path, monkeypatch):
+    import os
+
+    def refuse(fd):
+        raise AssertionError("fsync on a JSON store")
+
+    monkeypatch.setattr(os, "fsync", refuse)
+    BuildCache(tmp_path / "c").store_json("k", [1], meta={"kind": "test"})
+    assert sorted(p.name for p in (tmp_path / "c" / "k").iterdir()) == [
+        BuildCache.DATA, BuildCache.META,
+    ]
+    assert BuildCache(tmp_path / "c").load_json("k") == [1]
 
 
 def test_stats_and_clear(tmp_path):

@@ -23,6 +23,7 @@ from repro.faults import (
 from repro.faults.targets import TARGETS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "dual_ehb_c120_s2007.json"
+LATCH_GOLDEN = GOLDEN.with_name("dual_ehb_latches_c2000_s2007.json")
 CONFIG = CampaignConfig(cycles=120, seed=2007)
 
 
@@ -36,6 +37,19 @@ def _report_json(lanes: int, jobs: int, kinds=None, target="dual_ehb") -> str:
 
 def test_matches_checked_in_golden():
     assert _report_json(1, 1) == GOLDEN.read_text()
+
+
+def test_latch_target_matches_checked_in_golden():
+    """``dual_ehb_latches`` is the one stock target with H latches, so
+    the one whose generated kernels keep a HIGH-phase program; its
+    2000-cycle report (``repro inject --netlist dual_ehb_latches
+    --fault stuck0,stuck1,flip --cycles 2000``) is pinned byte for byte.
+    """
+    config = CampaignConfig(
+        cycles=2000, seed=2007, kinds=("stuck0", "stuck1", "flip")
+    )
+    report = run_campaign("dual_ehb_latches", config, lanes=64).to_json()
+    assert report == LATCH_GOLDEN.read_text()
 
 
 @pytest.mark.parametrize("lanes,jobs", [(64, 1), (64, 4), (1, 3), (7, 2)])
